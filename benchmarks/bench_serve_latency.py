@@ -480,8 +480,8 @@ def measure_backend_parity(n_requests: int = 24) -> dict:
     and a chunk-forcing :class:`ParallelBackend` — and compares every
     ticket bitwise.  MGBR runs over a small synthetic dataset (this
     benchmark's GBMF catalog has no group structure); GBMF over the
-    standard dense catalog, so both the slab-parallel dot-product mirror
-    and the primitives-routed expert/gate flush are covered.
+    standard dense catalog, so both the dot-product mirror and the
+    expert/gate flush run with their primitives routed to the backend.
     """
     dataset = generate_dataset(
         SyntheticConfig(n_users=240, n_items=60, n_groups=600), seed=SEED

@@ -33,12 +33,18 @@ the participant's and the initiator's user embeddings.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.executor import FusedWorkspace, VALID_EXECUTORS, resolve_executor
+from repro.executor import (
+    FusedWorkspace,
+    VALID_EXECUTORS,
+    current_slot,
+    resolve_executor,
+)
 from repro.plan import ScoringPlan
 from repro.nn import functional as F
 from repro.nn.module import Module
@@ -46,6 +52,10 @@ from repro.nn.tensor import Tensor, get_default_dtype, is_grad_enabled, take_row
 from repro.store import EmbeddingStore, iter_stores
 
 __all__ = ["EmbeddingBundle", "GroupBuyingRecommender", "bundle_rows", "as_matrix"]
+
+#: Serialises the first build of :meth:`EmbeddingBundle.mean_participant`
+#: (concurrent evaluation windows may all miss at once).
+_MEAN_LOCK = threading.Lock()
 
 #: A bundle slot: either a materialised tensor (encoder output / dense
 #: table) or a sharded/dense :class:`repro.store.EmbeddingStore` whose
@@ -109,13 +119,21 @@ class EmbeddingBundle:
         autograd sub-expression its gradient still accumulates
         correctly in training).  A store-backed slot materialises its
         logical table for the reduction — bit-identical to the dense
-        mean, since store concatenation reassembles the exact table."""
-        if self._mean_participant is None:
-            participant = self.participant
-            if isinstance(participant, EmbeddingStore):
-                participant = participant.all()
-            self._mean_participant = participant.mean(axis=0, keepdims=True)
-        return self._mean_participant
+        mean, since store concatenation reassembles the exact table.
+
+        Safe under concurrent readers: the first build runs under a
+        lock, so every thread gets the same tensor."""
+        mean = self._mean_participant
+        if mean is None:
+            with _MEAN_LOCK:
+                mean = self._mean_participant
+                if mean is None:
+                    participant = self.participant
+                    if isinstance(participant, EmbeddingStore):
+                        participant = participant.all()
+                    mean = participant.mean(axis=0, keepdims=True)
+                    self._mean_participant = mean
+        return mean
 
 
 class GroupBuyingRecommender(Module):
@@ -139,7 +157,7 @@ class GroupBuyingRecommender(Module):
         self.n_items = n_items
         self._cached: Optional[EmbeddingBundle] = None
         self._executor_mode = "auto"
-        self._fused_ws: Optional[FusedWorkspace] = None
+        self._fused_ws = FusedWorkspace()
 
     # ------------------------------------------------------------------
     # Executor selection (fused no-tape inference vs. autograd tape)
@@ -164,14 +182,17 @@ class GroupBuyingRecommender(Module):
         self._executor_mode = mode
 
     def _fused_workspace(self) -> FusedWorkspace:
-        """The model's lazily-built fused buffer pool + executor counters."""
-        if self._fused_ws is None:
-            self._fused_ws = FusedWorkspace()
-        return self._fused_ws
+        """The calling thread's fused buffer pool + executor counters.
+
+        One workspace per worker slot (:func:`repro.executor.worker_slot`);
+        outside a window-parallel run every call gets slot 0's.
+        """
+        return self._fused_ws.worker(current_slot())
 
     def executor_stats(self) -> Dict[str, int]:
-        """Executor counters: calls per path, fallbacks, buffer reuse."""
-        return self._fused_workspace().snapshot()
+        """Executor counters summed over every worker slot: calls per
+        path, fallbacks, buffer reuse, invalidations."""
+        return self._fused_ws.snapshot()
 
     # ------------------------------------------------------------------
     # To be provided by concrete models
@@ -221,12 +242,12 @@ class GroupBuyingRecommender(Module):
         Call under ``no_grad`` (the evaluation protocol does); training
         code never uses the cache.
 
-        The cache (like the fold caches inside the planned stack, see
-        :meth:`repro.nn.layers.Linear.folded_blocks`) is unsynchronized
-        model state: scoring and cache rebuilds must stay on one thread
-        at a time.  The serving engine upholds this single-scorer
-        invariant on its worker thread; ``ServingEngine.refresh()``
-        routes weight-swap rebuilds through that same thread.
+        The cache is unsynchronized model state: a rebuild must not overlap
+        any scoring.  Concurrent *scoring* against a built cache is safe
+        (window-parallel evaluation refreshes first, then fans out; the
+        fold caches lock their builds).  The serving engine upholds the
+        rule on its worker thread; ``ServingEngine.refresh()`` routes
+        weight-swap rebuilds through that same thread.
         """
         self._cached = self.compute_embeddings()
 
@@ -345,14 +366,6 @@ class GroupBuyingRecommender(Module):
         never diverge from what its tape path would compute; MGBR
         overrides this with the factorized stack mirror
         (:func:`repro.core.fused.fused_planned_scores`).
-
-        Under a backend that chunks rows (``repro.nn.parallel``), the
-        unique-pair range is partitioned into per-thread slabs: each
-        slab scores its contiguous pair block through its own
-        capacity-pooled child workspace and writes its slice of one
-        shared output buffer.  Multiply is elementwise and the row sum
-        reduces a non-leading axis, so any slab grid is bit-identical
-        to the serial pass — see docs/backends.md.
         """
         base = GroupBuyingRecommender
         if task == "items":
@@ -376,39 +389,8 @@ class GroupBuyingRecommender(Module):
                 emb.participant, plan.participants, plan=plan, role="pair_participants"
             )
         ws = self._fused_workspace()
-        dt = get_default_dtype()
-        ws.begin(dt)
-        a, b = e_u.data, e_v.data
-        if a.dtype == ws.dtype and b.dtype == ws.dtype:
-            slabs = ws.row_partition(a.shape[0])
-            if slabs is not None:
-                return self._fused_score_slabs(ws, slabs, a, b)
-        return ws.sum(ws.multiply(a, b), axis=1)
-
-    @staticmethod
-    def _fused_score_slabs(ws, slabs, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-parallel dot-product flush: per-thread slabs, one output.
-
-        Slab ``i`` computes ``(a[s:e] * b[s:e]).sum(axis=1)`` in its own
-        child workspace and writes ``out[s:e]`` — disjoint slices of the
-        parent-owned buffer, so no synchronisation beyond the join.  The
-        child's backend call runs serial inside the pool worker (nested
-        chunking is disabled there), keeping each row's pairwise ``sum``
-        within its slab — bitwise equal to the serial flush for every
-        slab grid.
-        """
-        out = ws.out((a.shape[0],))
-        children = [ws.slab(i) for i in range(len(slabs))]
-        for child in children:
-            child.begin(ws.dtype)
-
-        def body(i, start, stop):
-            child = children[i]
-            prod = child.multiply(a[start:stop], b[start:stop])
-            child.b.sum(prod, axis=1, out=out[start:stop])
-
-        ws.run_slabs(slabs, body)
-        return out
+        ws.begin(get_default_dtype())
+        return ws.sum(ws.multiply(e_u.data, e_v.data), axis=1)
 
     def _run_plan(self, plan: ScoringPlan, task: str) -> np.ndarray:
         """Dispatch one plan to the resolved executor → ``(P,)`` float64.

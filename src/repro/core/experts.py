@@ -19,7 +19,7 @@ from typing import List
 import numpy as np
 
 from repro.nn.backend import get_backend
-from repro.nn.layers import Linear
+from repro.nn.layers import FOLD_LOCK, Linear
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, stack
 from repro.utils.rng import SeedLike, as_rng
@@ -121,19 +121,24 @@ class ExpertBank(Module):
         fused no-tape executor reads the bank fold through this accessor
         so both executors multiply the identical cached array (needed
         for float64 bit-parity).  Callers must not mutate the result.
+        A miss builds under :data:`repro.nn.layers.FOLD_LOCK`, so
+        concurrent readers build each fold once and share it.
         """
         versions = tuple(expert.weight.version for expert in self._experts)
         entry = self._bank_fold_cache.get(blocks)
         if entry is None or entry[0] != versions:
-            backend = get_backend()
-            folds = []
-            for expert in self._experts:
-                folded = backend.ensure_contiguous(
-                    expert.weight.data[blocks[0][0] : blocks[0][1]]
-                )
-                for start, stop in blocks[1:]:
-                    folded = folded + expert.weight.data[start:stop]
-                folds.append(folded)
-            entry = (versions, np.concatenate(folds, axis=1))
-            self._bank_fold_cache[blocks] = entry
+            with FOLD_LOCK:
+                entry = self._bank_fold_cache.get(blocks)
+                if entry is None or entry[0] != versions:
+                    backend = get_backend()
+                    folds = []
+                    for expert in self._experts:
+                        folded = backend.ensure_contiguous(
+                            expert.weight.data[blocks[0][0] : blocks[0][1]]
+                        )
+                        for start, stop in blocks[1:]:
+                            folded = folded + expert.weight.data[start:stop]
+                        folds.append(folded)
+                    entry = (versions, np.concatenate(folds, axis=1))
+                    self._bank_fold_cache[blocks] = entry
         return entry[1]

@@ -21,21 +21,17 @@ Returns ``None`` (caller falls back to the tape) for model
 configurations the mirror does not cover: subclassed MTL stacks/layers
 or prediction heads with a non-ReLU activation or live dropout.
 
-Row-parallel execution
-----------------------
-Under the thread-parallel backend (``repro.nn.parallel``) this program
-parallelizes *through its primitives*, not by partitioning the program:
-the per-pair takes/adds, gate softmaxes, ReLU masks and row reductions
-row-chunk across the backend pool inside each workspace op, while every
-GEMM stays full-batch.  That split is deliberate — BLAS GEMM kernels
-are selected per problem shape, so ``(A @ B)[s:e] != A[s:e] @ B``
-bitwise for many of this program's shapes (gate logits with K or 2K
-columns, the head's out-dim-1 GEMV), whereas the chunked ops are
-row-independent and bitwise invariant under any grid.  Running the
-GEMMs whole keeps float64 parity with the serial pass *and* with the
-tape, while BLAS supplies its own GIL-free threading for them.  The
-base dot-product mirror (``_fused_score_slabs``) additionally slab-
-partitions whole flushes, because multiply + row-sum has no GEMM.
+Parallel execution
+------------------
+The program itself is serial: one call scores one plan window on one
+thread.  Parallelism comes from outside it.  Window-parallel
+evaluation (:mod:`repro.eval.windows`) runs several windows at once,
+one per worker slot, and ``model._fused_workspace()`` hands each slot
+its own workspace.  Each window keeps the serial grid's shapes, and
+BLAS picks GEMM kernels by problem shape, so
+``(A @ B)[s:e] != A[s:e] @ B`` bitwise for many of this program's
+shapes.  Keeping every window whole is therefore what keeps the float64
+output identical to the serial pass and to the tape.
 """
 
 from __future__ import annotations

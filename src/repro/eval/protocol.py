@@ -46,6 +46,13 @@ the ``dedup_speedup < 1`` cells in BENCH_eval_throughput.json.
 Duplicate requests receive bit-equal scores on all paths, so ties (and
 therefore metrics) are unaffected.
 
+Both tasks compile their plans first, and then all their windows run
+window-parallel on one work queue (:mod:`repro.eval.windows`): the
+calling thread plus one pool thread per extra CPU, each on its own
+fused workspace.  The window grid and each window's operands are the
+serial loop's, so scores and metrics are bit-identical for any number
+of CPUs.
+
 Scoring convention: the batched path ranks *raw logits* (see
 :meth:`repro.baselines.base.GroupBuyingRecommender.score_items_matrix`),
 which orders candidates identically to σ-probabilities except where the
@@ -78,12 +85,16 @@ from repro.executor import VALID_EXECUTORS
 from repro.data.samples import extract_task_a, extract_task_b
 from repro.data.schema import GroupBuyingDataset
 from repro.eval.metrics import RankingAccumulator, rank_of_positive, ranks_of_positives
-from repro.nn.backend import ArrayBackend, backend_scope, get_backend, resolve_backend
+from repro.eval.windows import run_windows
 from repro.nn.tensor import dtype_scope, no_grad
 from repro.plan import ScoringPlan
 from repro.utils.rng import SeedLike
 
 __all__ = ["EvalProtocol", "EvalResult", "evaluate_model"]
+
+#: The planned scorer each task's windows call (``"a"`` items, ``"b"``
+#: participants).
+_PLAN_SCORER = {"a": "score_item_plan", "b": "score_participant_plan"}
 
 
 @dataclass(frozen=True)
@@ -127,12 +138,9 @@ class EvalProtocol:
         the duration of :meth:`run` and restored afterwards.  At
         float64 the fused path is bit-identical to the tape, so metrics
         are executor-invariant (asserted in tests).
-    backend: array-backend knob (``"auto"``, a registered backend name
-        such as ``"parallel"``, or an :class:`repro.nn.backend
-        .ArrayBackend` instance) scoped around :meth:`run`.  ``"auto"``
-        keeps the calling thread's active backend.  The parallel
-        backend preserves float64 bit-parity with numpy (see
-        ``docs/backends.md``), so metrics are backend-invariant.
+
+    :meth:`run` scores under the calling thread's array backend
+    (``backend_scope``); window-parallel workers inherit it.
     """
 
     dataset: GroupBuyingDataset
@@ -145,7 +153,6 @@ class EvalProtocol:
     dtype: str = "float64"
     dedup: object = "auto"
     executor: str = "auto"
-    backend: object = "auto"
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -161,8 +168,6 @@ class EvalProtocol:
             raise ValueError(
                 f"executor must be one of {VALID_EXECUTORS}, got {self.executor!r}"
             )
-        if not isinstance(self.backend, ArrayBackend) and self.backend != "auto":
-            get_backend(self.backend)  # fail fast on unknown backend names
 
     def _resolve_dedup(self, model) -> bool:
         """Map the ``dedup`` knob to a per-model decision."""
@@ -241,44 +246,75 @@ class EvalProtocol:
         for start in range(0, n_instances, per_chunk):
             yield slice(start, min(start + per_chunk, n_instances))
 
-    def _run_plan(self, plan, score_chunk) -> np.ndarray:
-        """Score a global plan's unique requests in ``chunk_size`` windows.
+    def _plan(self, model, task: str, lists) -> Optional[ScoringPlan]:
+        """The task's global :class:`ScoringPlan`, or ``None`` (flat path)."""
+        if not (self._resolve_dedup(model) and hasattr(model, _PLAN_SCORER[task])):
+            return None
+        if task == "a":
+            return ScoringPlan.for_items(lists["users"], lists["candidates"])
+        return ScoringPlan.for_participants(
+            lists["users"], lists["items"], lists["candidates"]
+        )
+
+    def _windows(self, plan, score_chunk, unique: np.ndarray):
+        """``chunk_size`` windows over a plan's unique pairs.
 
         Chunking over *unique pairs* (rather than flat rows) keeps every
-        model call bounded while dedup stays global; each window is a
-        sub-plan whose entity gather maps are rebuilt locally.
+        model call bounded while dedup stays global; each window scores
+        a sub-plan (entity gather maps rebuilt locally) into its own
+        slice of ``unique``.
         """
-        unique = np.empty(plan.n_pairs, dtype=np.float64)
-        for start in range(0, plan.n_pairs, self.chunk_size):
-            window = slice(start, min(start + self.chunk_size, plan.n_pairs))
-            unique[window] = score_chunk(plan.pair_slice(window))
-        return plan.scatter(unique)
+        def window(sl):
+            def score():
+                unique[sl] = score_chunk(plan.pair_slice(sl))
+            return score
 
-    def _score_task_a(self, model, lists) -> np.ndarray:
+        return [
+            window(slice(start, min(start + self.chunk_size, plan.n_pairs)))
+            for start in range(0, plan.n_pairs, self.chunk_size)
+        ]
+
+    def _flat(self, model, task: str, lists) -> np.ndarray:
+        """Score one task's candidate matrix the flat (unplanned) way."""
         users, cands = lists["users"], lists["candidates"]
-        if self._resolve_dedup(model) and hasattr(model, "score_item_plan"):
-            plan = ScoringPlan.for_items(users, cands)
-            return self._run_plan(plan, model.score_item_plan)
         # Plan-capable models get an explicit dedup=False (the pre-plan
         # flat path); duck-typed models keep their own signature.
-        kwargs = {"dedup": False} if hasattr(model, "score_item_plan") else {}
+        kwargs = {"dedup": False} if hasattr(model, _PLAN_SCORER[task]) else {}
         out = np.empty(cands.shape, dtype=np.float64)
         for chunk in self._instance_chunks(len(users), cands.shape[1]):
-            out[chunk] = model.score_items_matrix(users[chunk], cands[chunk], **kwargs)
+            if task == "a":
+                out[chunk] = model.score_items_matrix(
+                    users[chunk], cands[chunk], **kwargs
+                )
+            else:
+                out[chunk] = model.score_participants_matrix(
+                    users[chunk], lists["items"][chunk], cands[chunk], **kwargs
+                )
         return out
 
-    def _score_task_b(self, model, lists) -> np.ndarray:
-        users, items, cands = lists["users"], lists["items"], lists["candidates"]
-        if self._resolve_dedup(model) and hasattr(model, "score_participant_plan"):
-            plan = ScoringPlan.for_participants(users, items, cands)
-            return self._run_plan(plan, model.score_participant_plan)
-        kwargs = {"dedup": False} if hasattr(model, "score_participant_plan") else {}
-        out = np.empty(cands.shape, dtype=np.float64)
-        for chunk in self._instance_chunks(len(users), cands.shape[1]):
-            out[chunk] = model.score_participants_matrix(
-                users[chunk], items[chunk], cands[chunk], **kwargs
-            )
-        return out
+    def _score_tasks(self, model, requests):
+        """``(n, m)`` score matrices for ``[(task, lists), ...]``.
+
+        ``task`` is ``"a"`` or ``"b"``.  Planned tasks compile first;
+        then every window of every plan goes onto one work queue
+        (:func:`repro.eval.windows.run_windows`) and one scatter per
+        task rebuilds its matrix.  Unplanned tasks take the flat chunk
+        loop on the calling thread.
+        """
+        plans = [self._plan(model, task, lists) for task, lists in requests]
+        uniques, windows = [], []
+        for (task, _), plan in zip(requests, plans):
+            unique = None
+            if plan is not None:
+                unique = np.empty(plan.n_pairs, dtype=np.float64)
+                score = getattr(model, _PLAN_SCORER[task])
+                windows += self._windows(plan, score, unique)
+            uniques.append(unique)
+        run_windows(windows)
+        return [
+            self._flat(model, task, lists) if plan is None else plan.scatter(unique)
+            for (task, lists), plan, unique in zip(requests, plans, uniques)
+        ]
 
     def run(self, model) -> EvalResult:
         """Score both tasks' candidate lists with ``model``, batched.
@@ -299,17 +335,19 @@ class EvalProtocol:
         if prior_executor is not None:
             model.executor = self.executor
         try:
-            with no_grad(), dtype_scope(self.dtype), \
-                    backend_scope(resolve_backend(self.backend)):
+            with no_grad(), dtype_scope(self.dtype):
                 if hasattr(model, "refresh_cache"):
                     model.refresh_cache()
                 task_a, task_b = self._candidate_lists()
+                scores_a, scores_b = self._score_tasks(
+                    model, [("a", task_a), ("b", task_b)]
+                )
 
                 acc_a = RankingAccumulator(self.cutoff)
-                acc_a.add_ranks(ranks_of_positives(self._score_task_a(model, task_a)))
+                acc_a.add_ranks(ranks_of_positives(scores_a))
 
                 acc_b = RankingAccumulator(self.cutoff)
-                acc_b.add_ranks(ranks_of_positives(self._score_task_b(model, task_b)))
+                acc_b.add_ranks(ranks_of_positives(scores_b))
         finally:
             if prior_executor is not None:
                 model.executor = prior_executor
@@ -373,12 +411,11 @@ def evaluate_model(
     dtype: str = "float64",
     dedup="auto",
     executor: str = "auto",
-    backend: object = "auto",
 ) -> Dict[str, EvalResult]:
     """Run the paper's two standard protocols and key results by cutoff.
 
     Returns e.g. ``{"@10": EvalResult, "@100": EvalResult}``.  ``dtype``,
-    ``chunk_size``, ``dedup``, ``executor`` and ``backend`` forward to
+    ``chunk_size``, ``dedup`` and ``executor`` forward to
     :class:`EvalProtocol`.
     """
     out: Dict[str, EvalResult] = {}
@@ -394,7 +431,6 @@ def evaluate_model(
             dtype=dtype,
             dedup=dedup,
             executor=executor,
-            backend=backend,
         )
         out[f"@{cutoff}"] = protocol.run(model)
     return out

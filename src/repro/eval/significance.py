@@ -112,10 +112,8 @@ def collect_ranks(model, protocol, task: str = "a") -> np.ndarray:
             if hasattr(model, "refresh_cache"):
                 model.refresh_cache()
             lists_a, lists_b = protocol._candidate_lists()
-            if task == "a":
-                scores = protocol._score_task_a(model, lists_a)
-            else:
-                scores = protocol._score_task_b(model, lists_b)
+            lists = lists_a if task == "a" else lists_b
+            (scores,) = protocol._score_tasks(model, [(task, lists)])
     finally:
         if protocol.dtype != "float64" and hasattr(model, "invalidate_cache"):
             model.invalidate_cache()

@@ -44,18 +44,35 @@ ids stay unique) — model parameters, fold caches and entity gathers are
 never mutated.  Callers must copy results they hand out
 (:meth:`repro.baselines.base.GroupBuyingRecommender.score_item_plan`
 does) because buffers are recycled on the next flush.
+
+Worker slots
+------------
+Window-parallel evaluation (:mod:`repro.eval.windows`) scores several
+plan windows of one model at once.  Each participating thread runs
+inside :func:`worker_slot` and the model hands it that slot's own
+workspace (:meth:`FusedWorkspace.worker`), so buffers, cursors and the
+cast cache are never shared between threads, and
+``executor_stats()`` sums the counters of every slot.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.nn.backend import get_backend
 
-__all__ = ["FusedWorkspace", "resolve_executor", "VALID_EXECUTORS"]
+__all__ = [
+    "FusedWorkspace",
+    "resolve_executor",
+    "VALID_EXECUTORS",
+    "current_slot",
+    "worker_slot",
+]
 
 #: The executor knob's accepted values (model attribute, serving/eval
 #: parameters).  ``"auto"`` defers to the ``REPRO_EXECUTOR`` environment
@@ -86,12 +103,48 @@ def resolve_executor(mode: str, grad_enabled: bool = False) -> str:
     return mode
 
 
+_WORKERS_LOCK = threading.Lock()
+
+
+class _SlotState(threading.local):
+    """The worker slot the calling thread scores under (0 by default)."""
+
+    def __init__(self) -> None:
+        self.slot = 0
+
+
+_SLOT = _SlotState()
+
+
+def current_slot() -> int:
+    """The calling thread's worker slot (see :func:`worker_slot`)."""
+    return _SLOT.slot
+
+
+@contextlib.contextmanager
+def worker_slot(slot: int):
+    """Score on worker slot ``slot``'s workspaces inside the block.
+
+    Slots are handed out per parallel run (the caller is slot 0), not
+    per thread, so a slot's buffers stay warm across runs whichever
+    pool thread happens to take it.
+    """
+    previous = _SLOT.slot
+    _SLOT.slot = slot
+    try:
+        yield
+    finally:
+        _SLOT.slot = previous
+
+
 class FusedWorkspace:
     """Preallocated buffers + counters backing one model's fused scoring.
 
-    Not thread-safe by design: it belongs to a model, and models already
-    carry the single-scorer-thread invariant (fold caches, bundle cache
-    — see :meth:`repro.nn.layers.Linear.folded_blocks`).
+    One workspace serves one thread at a time.  A model owns a root
+    workspace (worker slot 0) plus one child per extra worker slot
+    (:meth:`worker`); a thread scoring inside :func:`worker_slot`
+    uses its slot's workspace, so concurrent evaluation windows never
+    share buffers.
     """
 
     #: Pool / cast-cache bounds.  The pool is bounded by *bytes*, not
@@ -133,17 +186,35 @@ class FusedWorkspace:
         # (a gc'd temp's id could otherwise be recycled onto a foreign
         # array, which an in-place op would then corrupt).
         self._live: List[np.ndarray] = []
-        # Row-parallel fused flush: per-slab child workspaces, one per
-        # slab index, each with its own capacity-pooled buffers.  Slab
-        # bodies write disjoint row slices of *shared* output arrays the
-        # parent allocated, so children never touch each other's state.
-        self._slabs: List["FusedWorkspace"] = []
+        # Child workspaces for worker slots 1, 2, ... (slot 0 is this
+        # workspace), each with its own capacity-pooled buffers, kept
+        # for the workspace's lifetime so their pages stay warm.
+        self._workers: List["FusedWorkspace"] = []
+
+    def worker(self, slot: int) -> "FusedWorkspace":
+        """The workspace owned by worker slot ``slot`` (0 is ``self``).
+
+        Children are created on first use and never dropped; creation
+        is locked because several worker threads may ask for new slots
+        at once.
+        """
+        if slot == 0:
+            return self
+        workers = self._workers
+        if slot > len(workers):
+            with _WORKERS_LOCK:
+                while len(workers) < slot:
+                    workers.append(FusedWorkspace())
+        return workers[slot - 1]
 
     def snapshot(self) -> Dict[str, int]:
-        """All counters, including the hot-path hit/miss ints."""
+        """All counters, summed over this workspace and its worker slots."""
         merged = dict(self.stats)
         merged["buffer_hits"] = self._hits
         merged["buffer_misses"] = self._misses
+        for child in self._workers:
+            for key, value in child.snapshot().items():
+                merged[key] += value
         return merged
 
     # ------------------------------------------------------------------
@@ -255,49 +326,6 @@ class FusedWorkspace:
     def scalar(self, value):
         """``value`` as a zero-dim scalar of the flush dtype."""
         return self.dtype.type(value)
-
-    # ------------------------------------------------------------------
-    # Row-parallel flush support (backends exposing ``row_partition``)
-    # ------------------------------------------------------------------
-    def row_partition(self, n_rows: int):
-        """The active backend's slab grid for ``n_rows``, or ``None``.
-
-        Only backends that chunk rows (``repro.nn.parallel``) provide
-        ``row_partition``; everything else runs serial.  The grid is
-        deterministic in ``(n_rows, threads, threshold)`` — never in
-        runtime load — so a row-parallel fused program is bitwise
-        reproducible across schedules.
-        """
-        partition = getattr(self.b, "row_partition", None)
-        return partition(n_rows) if partition is not None else None
-
-    def slab(self, i: int) -> "FusedWorkspace":
-        """Child workspace for slab ``i`` (created once, pooled forever).
-
-        Children carry their own slot pools (capacity-pooled like the
-        parent's, so steady slab grids reuse warm pages) and must be
-        ``begin``-ed by the *calling* thread each flush before slab
-        bodies run on pool workers.
-        """
-        while len(self._slabs) <= i:
-            self._slabs.append(FusedWorkspace())
-        return self._slabs[i]
-
-    def run_slabs(self, slabs, body) -> None:
-        """Execute ``body(i, start, stop)`` for each slab, pool-parallel.
-
-        Delegates to the backend's ``run_slabs`` (slab 0 inline on the
-        caller, the rest on the persistent pool, submitting thread's
-        backend installed in each worker); a backend without one runs
-        the slabs serially in order — same results either way, because
-        slab bodies write disjoint output slices.
-        """
-        runner = getattr(self.b, "run_slabs", None)
-        if runner is None:
-            for i, (start, stop) in enumerate(slabs):
-                body(i, start, stop)
-        else:
-            runner(slabs, body)
 
     # ------------------------------------------------------------------
     # Primitives — each mirrors the tape's op bit-for-bit

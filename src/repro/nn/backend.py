@@ -282,7 +282,9 @@ class CountingBackend(NumpyBackend):
     *actual* allocations performed by the coercion primitives
     (``asarray`` / ``ensure_contiguous`` returning a new array object).
     Numerics are the reference backend's exactly, so the conformance
-    lane runs the full op tests under it for free.
+    lane runs the full op tests under it for free.  Tallies are
+    lock-guarded, so threads sharing one instance (window-parallel
+    evaluation inherits the caller's backend) count exactly.
     """
 
     name = "counting"
@@ -290,6 +292,7 @@ class CountingBackend(NumpyBackend):
     def __init__(self) -> None:
         self.counts: Dict[str, int] = {}
         self.copies = 0
+        self._lock = threading.Lock()
         for prim in PRIMITIVES:
             base = getattr(NumpyBackend, prim)
             # asarray / ensure_contiguous get dedicated copy-tracking
@@ -300,32 +303,38 @@ class CountingBackend(NumpyBackend):
 
     def _counted(self, name, fn):
         def wrapper(*args, **kwargs):
-            self.counts[name] = self.counts.get(name, 0) + 1
+            self._note(name)
             return fn(self, *args, **kwargs)
 
         return wrapper
 
     def _note(self, name: str) -> None:
-        self.counts[name] = self.counts.get(name, 0) + 1
+        with self._lock:
+            self.counts[name] = self.counts.get(name, 0) + 1
+
+    def _note_copy(self) -> None:
+        with self._lock:
+            self.copies += 1
 
     def asarray(self, data, dtype=None):
         self._note("asarray")
         out = NumpyBackend.asarray(self, data, dtype)
         if isinstance(data, np.ndarray) and out is not data:
-            self.copies += 1
+            self._note_copy()
         return out
 
     def ensure_contiguous(self, arr, dtype=None):
         self._note("ensure_contiguous")
         out = NumpyBackend.ensure_contiguous(self, arr, dtype)
         if isinstance(arr, np.ndarray) and out is not arr:
-            self.copies += 1
+            self._note_copy()
         return out
 
     def reset(self) -> None:
         """Zero all counters (tests call this between phases)."""
-        self.counts.clear()
-        self.copies = 0
+        with self._lock:
+            self.counts.clear()
+            self.copies = 0
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ and ``Dropout``.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,6 +19,12 @@ from repro.nn.backend import get_backend
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 from repro.utils.rng import SeedLike, as_rng
+
+#: Serialises fold-cache *builds* (``Linear.folded_blocks_raw``,
+#: ``ExpertBank.stacked_folds_raw``).  Hits stay a plain dict lookup;
+#: only a miss takes the lock and re-checks, so concurrent scorers build
+#: each fold exactly once and all read the same array object.
+FOLD_LOCK = threading.Lock()
 
 if False:  # pragma: no cover - import-time cycle guard (nn -> store -> nn);
     # Embedding imports repro.store lazily at construction instead.
@@ -130,13 +137,11 @@ class Linear(Module):
         cached node can never carry a stale ``.grad`` into a later
         backward pass.
 
-        The cache dict itself is **not** locked: correctness relies on
-        the single-scorer-thread invariant — only one thread runs the
-        model's forward at a time.  The serving engine
-        (:class:`repro.serving.engine.ServingEngine`) enforces this by
-        construction (every flush and refresh happens on its worker
-        thread, asserted there); code that shares one model across
-        threads without such serialization is out of contract.
+        Concurrent readers are safe: a cache miss builds the fold under
+        :data:`FOLD_LOCK` and re-checks first, so window-parallel
+        evaluation threads build each fold once and share the array.
+        Weight *updates* still need the single-writer discipline of
+        training (no scoring while the optimizer steps).
         """
         weight = self.weight
         folded = self.folded_blocks_raw(blocks)
@@ -163,13 +168,16 @@ class Linear(Module):
         weight = self.weight
         entry = self._fold_cache.get(blocks)
         if entry is None or entry[0] != weight.version:
-            folded = get_backend().ensure_contiguous(
-                weight.data[blocks[0][0] : blocks[0][1]]
-            )
-            for start, stop in blocks[1:]:
-                folded = folded + weight.data[start:stop]
-            entry = (weight.version, folded)
-            self._fold_cache[blocks] = entry
+            with FOLD_LOCK:
+                entry = self._fold_cache.get(blocks)
+                if entry is None or entry[0] != weight.version:
+                    folded = get_backend().ensure_contiguous(
+                        weight.data[blocks[0][0] : blocks[0][1]]
+                    )
+                    for start, stop in blocks[1:]:
+                        folded = folded + weight.data[start:stop]
+                    entry = (weight.version, folded)
+                    self._fold_cache[blocks] = entry
         return entry[1]
 
     def project_blocks(self, x: Tensor, blocks: Sequence[Sequence[int]]) -> Tensor:

@@ -39,7 +39,9 @@ environment defaults for the registered instance):
 
 The module registers a default instance under the name ``"parallel"``
 at import, so ``backend_scope("parallel")``, the ``backend`` knobs on
-serving/eval, and the conformance-parametrized test lane all see it.
+the serving engines, and the conformance-parametrized test lane all see
+it.  Nothing selects it by default: evaluation parallelizes whole plan
+windows instead (:mod:`repro.eval.windows`).
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ MIN_ROWS_ENV = "REPRO_PARALLEL_MIN_ROWS"
 
 # Pool worker threads mark themselves here so a primitive invoked from
 # *inside* a chunk task always takes the serial path: nested submission
-# could deadlock a saturated pool, and the fused slab runner relies on
+# could deadlock a saturated pool, and ``run_slabs`` callers rely on
 # slab bodies executing serially within their slab.
 _IN_WORKER = threading.local()
 

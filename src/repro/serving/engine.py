@@ -25,12 +25,11 @@ thread: they validate, enqueue under the engine lock, and return a
 :meth:`~repro.serving.core.PendingScores.wait` blocks on an event until
 the worker's clock fires.  The **model** is only ever touched by the
 worker thread (asserted in ``_flush``): the encoder cache
-(``refresh_cache``), the version-keyed fold cache
-(:meth:`repro.nn.layers.Linear.folded_blocks`) and the plan entity
-caches are all plain dicts that rely on this serialization — that is
-what makes them safe without per-call locking.  Store gather *counters*
-are additionally lock-guarded (see :mod:`repro.store.base`) so
-:meth:`stats` can snapshot them from any thread mid-flush.  Weight
+(``refresh_cache``) and the plan entity caches are plain state that
+relies on this serialization (fold caches additionally lock their
+builds, see :meth:`repro.nn.layers.Linear.folded_blocks`).  Store
+gather *counters* are lock-guarded too (see :mod:`repro.store.base`),
+so :meth:`stats` can snapshot them from any thread mid-flush.  Weight
 swaps route through :meth:`refresh`, which the worker executes between
 flushes — never concurrently with one.
 

@@ -20,14 +20,18 @@ no pickling of row data, ever:
 Result-arena recycling contract
 -------------------------------
 Like :class:`repro.executor.FusedWorkspace` buffers, ``no_grad`` gather
-results live in a recycled arena: a result stays valid for at least the
-next 7 store operations (the allocator refuses to overwrite any of the
-last 8 allocations in place — it grows a fresh segment instead and
+results live in a recycled arena: a result stays valid while the
+returned array object is alive, and in any case for the next 7 store
+operations (the allocator refuses to overwrite a live result or any of
+the last 8 allocations in place — it grows a fresh segment instead and
 *retires* the old one, keeping already-returned views alive until
-:meth:`ProcessShardedStore.close`).  Callers that retain rows across
-many gathers must copy them — every in-repo consumer (the fused planned
-flush, the chunked eval protocol, the LRU row cache) finishes with or
-copies the rows within one call.  Grad-enabled gathers always return a
+:meth:`ProcessShardedStore.close`).  The liveness rule is what makes
+concurrent readers safe: window-parallel evaluation threads gather
+while other threads still compute on their rows.  Callers that keep
+rows only through a derived view (a slice of the result) must copy
+them — every in-repo consumer (the fused planned flush, the chunked
+eval protocol, the LRU row cache) finishes with or copies the rows
+within one call.  Grad-enabled gathers always return a
 private copy: autograd graphs outlive arbitrarily many forwards.
 
 Bit-identity contract
@@ -645,6 +649,9 @@ class ProcessShardedStore(EmbeddingStore):
         self._cap = 0
         self._cursor = 0
         self._recent: deque = deque(maxlen=_LIVE_RESULTS)
+        # ``(start, stop, weakref)`` of arena views handed out by no-grad
+        # gathers; a range stays protected while its view is alive.
+        self._held: List[Tuple[int, int, weakref.ref]] = []
         self._ids_shm: Optional[shared_memory.SharedMemory] = None
         self._res_shm: Optional[shared_memory.SharedMemory] = None
         self._ids_np: Optional[np.ndarray] = None
@@ -1010,6 +1017,7 @@ class ProcessShardedStore(EmbeddingStore):
         self._cap = cap
         self._cursor = 0
         self._recent.clear()
+        self._held.clear()
         if notify:
             self._transact(
                 {
@@ -1025,11 +1033,11 @@ class ProcessShardedStore(EmbeddingStore):
         """Reserve ``n`` arena rows (overwrite-safe); returns the offset.
 
         Refuses to reuse rows belonging to any of the last
-        ``_LIVE_RESULTS`` allocations — when the bump cursor would land
-        on one, the arena grows into a fresh segment instead (retiring
-        the old one keeps outstanding views valid).  This is what makes
-        the zero-copy ``no_grad`` views safe for the fused executor's
-        multi-role gathers.
+        ``_LIVE_RESULTS`` allocations or to a still-alive returned view
+        — when the bump cursor would land on one, the arena grows into a
+        fresh segment instead (retiring the old one keeps outstanding
+        views valid).  This is what makes the zero-copy ``no_grad``
+        views safe for the fused executor's multi-role gathers.
         """
         if n > self._cap:
             self._grow_arena(n)
@@ -1037,7 +1045,9 @@ class ProcessShardedStore(EmbeddingStore):
         if start + n > self._cap:
             start = 0
         stop = start + n
-        if n and any(lo < stop and hi > start for lo, hi in self._recent):
+        self._held = [entry for entry in self._held if entry[2]() is not None]
+        protected = list(self._recent) + [(lo, hi) for lo, hi, _ in self._held]
+        if n and any(lo < stop and hi > start for lo, hi in protected):
             self._grow_arena(n)
             start, stop = 0, n
         self._cursor = stop
@@ -1132,8 +1142,11 @@ class ProcessShardedStore(EmbeddingStore):
             view = self._res_np[offset : offset + n]
             if grad:
                 values = np.array(view if identity else view[inverse])
+            elif identity:
+                result = view
+                self._held.append((offset, offset + n, weakref.ref(view)))
             else:
-                result = view if identity else view[inverse]
+                result = view[inverse]
 
         max_rows = max((b1 - b0 for _, b0, b1 in pieces), default=0)
         self._record_gather(n, len(pieces), max_rows)

@@ -9,8 +9,8 @@ chunk-invariant (GEMMs, ``power``, unsorted scatters) transparently
 takes the inherited serial path.  On top of that sit the plumbing
 guarantees: ``backend_scope`` inheritance across pool and worker
 threads (``bind_backend``), the ``backend`` knob on the serving
-engines and the eval protocol, and deterministic slab scheduling for
-the row-parallel fused flush.
+engines, the eval protocol's use of the caller's scope, and
+deterministic slab scheduling.
 """
 
 import threading
@@ -437,16 +437,13 @@ class TestServingBackend:
 
 class TestEvalBackend:
     def test_metrics_backend_invariant(self, tiny_dataset, par):
+        """The protocol scores under the caller's ``backend_scope``."""
         model = _mgbr(tiny_dataset)
+        protocol = EvalProtocol(
+            dataset=tiny_dataset, n_negatives=5, cutoff=5, max_instances=40,
+        )
         results = {}
         for key, backend in (("numpy", "numpy"), ("parallel", par)):
-            protocol = EvalProtocol(
-                dataset=tiny_dataset, n_negatives=5, cutoff=5,
-                max_instances=40, backend=backend,
-            )
-            results[key] = protocol.run(model).flat()
+            with backend_scope(backend):
+                results[key] = protocol.run(model).flat()
         assert results["parallel"] == results["numpy"]
-
-    def test_invalid_backend_rejected(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            EvalProtocol(dataset=tiny_dataset, backend="no-such-backend")

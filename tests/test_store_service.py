@@ -360,6 +360,25 @@ class TestCopyAudit:
                     np.testing.assert_array_equal(out, ref)
 
 
+    def test_live_result_survives_arena_wraps(self):
+        """A returned view stays valid while it is alive, however many
+        gathers other readers (concurrent eval windows) issue meanwhile."""
+        values = _table(rows=1500, dim=4)
+
+        def churn(store, n):
+            for k in range(n):  # 400-row gathers that keep wrapping the arena
+                other = np.arange(500 + 30 * k, 900 + 30 * k, dtype=np.int64)
+                np.testing.assert_array_equal(store.gather(other).data, values[other])
+
+        with ProcessShardedStore(values.copy(), 2) as store:
+            with no_grad():
+                churn(store, 20)  # grow the arena to its steady size first
+                ids = np.arange(0, 400, dtype=np.int64)
+                held = store.gather(ids).data
+                churn(store, 20)
+                np.testing.assert_array_equal(held, values[ids])
+
+
 # ---------------------------------------------------------------------------
 # Serving fault isolation
 # ---------------------------------------------------------------------------
