@@ -23,8 +23,9 @@ those sub-millisecond ``dedup_speedup < 1`` cells are the documented
 price of planning, not a regression of the model path.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_eval_throughput.py``)
-or via pytest.  ``--smoke`` runs a seconds-scale configuration and skips
-the JSON artifact (for quick local verification).  Environment knobs:
+or via pytest.  ``--smoke`` runs a seconds-scale configuration, gates
+only correctness (:func:`check_report` with ``smoke=True``) and skips
+the JSON artifact.  Environment knobs:
 
 * ``REPRO_BENCH_EVAL_USERS / ITEMS / GROUPS`` — dataset scale
 * ``REPRO_BENCH_EVAL_INSTANCES`` — instances per task per protocol
@@ -47,8 +48,7 @@ from repro.core import MGBR, MGBRConfig
 from repro.data import NegativeSampler, SyntheticConfig, generate_dataset
 from repro.data.samples import extract_task_a, extract_task_b
 from repro.eval import EvalProtocol
-from repro.nn import ParallelBackend, backend_scope, no_grad
-from repro.nn.backend import NumpyBackend
+from repro.nn import no_grad
 from repro.plan import ScoringPlan
 from repro.training import TrainConfig, Trainer
 from repro.training.checkpoint import restore_model, save_checkpoint
@@ -263,88 +263,6 @@ def _bench_fused(model, dataset) -> dict:
     }
 
 
-def _bench_parallel(mgbr, gbmf, dataset) -> dict:
-    """Parallel backend vs numpy on fused planned scoring (1:99 lists).
-
-    Same interleaved-pair protocol as :func:`_bench_fused`: each
-    repetition runs one full numpy pass and one full parallel pass over
-    the MGBR 1:99 planned flush, and ``parallel_speedup`` is the median
-    of per-repetition ratios.  Bit-parity is checked separately with a
-    low-threshold backend so the chunked code paths execute even when
-    the timed configuration stays serial (1-CPU containers).  The cell
-    records ``cpu_count``/``n_threads`` so the gate can demand a win
-    only where the hardware can deliver one.
-    """
-    protocol = EvalProtocol(
-        dataset, n_negatives=99, cutoff=100, max_instances=INSTANCES
-    )
-    task_a, task_b = protocol._candidate_lists()
-    plan_a = ScoringPlan.for_items(task_a["users"], task_a["candidates"])
-    plan_b = ScoringPlan.for_participants(
-        task_b["users"], task_b["items"], task_b["candidates"]
-    )
-
-    def one_pass(model, backend):
-        previous = model.executor
-        with no_grad(), backend_scope(backend):
-            model.executor = "fused"
-            try:
-                model.refresh_cache()
-                started = time.perf_counter()
-                scores = [
-                    np.array(model.score_item_plan(plan_a)),
-                    np.array(model.score_participant_plan(plan_b)),
-                ]
-                elapsed = time.perf_counter() - started
-            finally:
-                model.executor = previous
-        return scores, elapsed
-
-    numpy_backend = NumpyBackend()
-    # Timed configuration: default thread count (cpu-bound), threshold
-    # low enough that the ~1e4-unique-pair 1:99 plans actually chunk.
-    timed = ParallelBackend(min_parallel_rows=1024)
-    # Parity configuration: forced chunking regardless of core count.
-    forced = ParallelBackend(n_threads=4, min_parallel_rows=64)
-    try:
-        parity = {}
-        for name, model in (("mgbr", mgbr), ("gbmf", gbmf)):
-            reference, _ = one_pass(model, numpy_backend)
-            chunked, _ = one_pass(model, forced)
-            parity[name] = all(
-                np.array_equal(r, c) for r, c in zip(reference, chunked)
-            )
-        one_pass(mgbr, timed)  # warm the pool + caches before timing
-        ratios, numpy_times, parallel_times = [], [], []
-        for _ in range(FUSED_PAIRS):
-            _, numpy_seconds = one_pass(mgbr, numpy_backend)
-            _, parallel_seconds = one_pass(mgbr, timed)
-            ratios.append(numpy_seconds / parallel_seconds)
-            numpy_times.append(numpy_seconds)
-            parallel_times.append(parallel_seconds)
-    finally:
-        timed.close()
-        forced.close()
-    n_pairs = plan_a.n_pairs + plan_b.n_pairs
-    numpy_best, parallel_best = min(numpy_times), min(parallel_times)
-    return {
-        "cpu_count": os.cpu_count(),
-        "n_threads": timed.n_threads,
-        "min_parallel_rows": timed.min_parallel_rows,
-        "paired_repeats": FUSED_PAIRS,
-        "pairs_scored_per_pass": n_pairs,
-        "numpy_seconds": round(numpy_best, 4),
-        "parallel_seconds": round(parallel_best, 4),
-        "numpy_pairs_per_sec": round(n_pairs / numpy_best, 1),
-        "parallel_pairs_per_sec": round(n_pairs / parallel_best, 1),
-        "parallel_speedup": round(float(np.median(ratios)), 2),
-        "parallel_speedup_min": round(float(min(ratios)), 2),
-        "parallel_speedup_max": round(float(max(ratios)), 2),
-        "mgbr_scores_identical": parity["mgbr"],
-        "gbmf_scores_identical": parity["gbmf"],
-    }
-
-
 #: Documented accuracy bounds of quantised serving (max |Δ| over the
 #: nDCG@K / MRR / HR@K panel vs the float baseline).  fp16 keeps 11
 #: significand bits — score gaps between ranked candidates dwarf the
@@ -437,17 +355,19 @@ def run_benchmark() -> dict:
         },
         # Fused no-tape executor vs the tape on the MGBR 1:99 lists.
         "fused_executor": _bench_fused(mgbr, dataset),
-        # Thread-parallel backend vs numpy on the same planned flushes.
-        "parallel_backend": _bench_parallel(mgbr, gbmf, dataset),
         # int8/fp16 serving vs the float baseline on the same weights.
         "quantized_accuracy": _bench_quantized_accuracy(dataset),
     }
 
 
-def test_eval_throughput():
-    """Planned/batched scoring beats the loop; metrics bit-identical."""
-    report = run_benchmark()
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+def check_report(report: dict, smoke: bool = False) -> None:
+    """The acceptance gates the CI smoke run also exercises.
+
+    ``smoke=True`` keeps the correctness gates (loop/planned metric
+    parity, fused-vs-tape score parity, quantised metric bounds) but
+    skips the speedup floors: at the seconds-scale configuration the
+    timings sit too close to their floors to gate on shared runners.
+    """
     for model, protocols in report["models"].items():
         for proto, stats in protocols.items():
             assert stats["metrics_identical_to_loop"], (
@@ -456,46 +376,11 @@ def test_eval_throughput():
             assert stats["planned_metrics_identical_to_loop"], (
                 f"{model} {proto}: planned metrics diverged from loop"
             )
-    mgbr_19 = report["models"]["MGBR"]["1:9"]
-    assert mgbr_19["speedup"] >= 5.0, f"1:9 speedup {mgbr_19['speedup']}x < 5x"
-    # The 1:99 flat path is compute-bound (~1.2-1.5×); the scoring plan
-    # must break that bound by ≥2× via dedup + layer-0 factorization.
-    mgbr_199 = report["models"]["MGBR"]["1:99"]
-    assert mgbr_199["speedup"] >= 1.0, f"1:99 speedup {mgbr_199['speedup']}x < 1x"
-    assert mgbr_199["dedup_speedup"] >= 2.0, (
-        f"1:99 planned-vs-batched {mgbr_199['dedup_speedup']}x < 2x"
-    )
-    # The fused no-tape executor must be bit-identical to the tape and
-    # beat it by ≥1.5× (median of interleaved paired repeats) on the
-    # MGBR 1:99 planned-scoring cell.
+    # The fused no-tape executor must be bit-identical to the tape.
     fused = report["fused_executor"]
     assert fused["scores_identical_to_tape"], (
         "fused executor scores diverged from the tape"
     )
-    assert fused["fused_speedup"] >= 1.5, (
-        f"fused-vs-tape median speedup {fused['fused_speedup']}x < 1.5x"
-    )
-    # The parallel backend must stay bit-identical to numpy on both
-    # model families; the throughput demand is hardware-aware — a win
-    # where ≥2 cores serve ≥2 threads, overhead ≤10% (via the row
-    # threshold) where the pool is serialized anyway.
-    par = report["parallel_backend"]
-    assert par["mgbr_scores_identical"], (
-        "parallel-backend MGBR scores diverged from numpy"
-    )
-    assert par["gbmf_scores_identical"], (
-        "parallel-backend GBMF scores diverged from numpy"
-    )
-    if par["cpu_count"] >= 2 and par["n_threads"] >= 2:
-        assert par["parallel_speedup"] > 1.0, (
-            f"parallel backend {par['parallel_speedup']}x on "
-            f"{par['cpu_count']} cpus — expected a win"
-        )
-    else:
-        assert par["parallel_speedup"] >= 0.90, (
-            f"parallel backend overhead >10% on 1 cpu "
-            f"({par['parallel_speedup']}x)"
-        )
     # Quantised serving accuracy: fp16 must not move any eval metric
     # (bitwise-stable ranking), int8 drift stays within the documented
     # bound, and both deltas land in the artifact as numbers.
@@ -507,6 +392,29 @@ def test_eval_throughput():
             f"{cell['max_abs_metric_delta']} (> {bound})"
         )
         assert isinstance(cell["gather_qps_ratio_vs_float32"], float)
+    if smoke:
+        return
+    mgbr_19 = report["models"]["MGBR"]["1:9"]
+    assert mgbr_19["speedup"] >= 5.0, f"1:9 speedup {mgbr_19['speedup']}x < 5x"
+    # The 1:99 flat path is compute-bound (~1.2-1.5×); the scoring plan
+    # must break that bound by ≥2× via dedup + layer-0 factorization.
+    mgbr_199 = report["models"]["MGBR"]["1:99"]
+    assert mgbr_199["speedup"] >= 1.0, f"1:99 speedup {mgbr_199['speedup']}x < 1x"
+    assert mgbr_199["dedup_speedup"] >= 2.0, (
+        f"1:99 planned-vs-batched {mgbr_199['dedup_speedup']}x < 2x"
+    )
+    # The fused executor must beat the tape by ≥1.5× (median of
+    # interleaved paired repeats) on the MGBR 1:99 planned-scoring cell.
+    assert fused["fused_speedup"] >= 1.5, (
+        f"fused-vs-tape median speedup {fused['fused_speedup']}x < 1.5x"
+    )
+
+
+def test_eval_throughput():
+    """Planned/batched scoring beats the loop; metrics bit-identical."""
+    report = run_benchmark()
+    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    check_report(report)
 
 
 if __name__ == "__main__":
@@ -522,6 +430,7 @@ if __name__ == "__main__":
         USERS, ITEMS, GROUPS, INSTANCES, REPEATS = 120, 40, 400, 40, 1
         FUSED_PAIRS = 2
     result = run_benchmark()
+    check_report(result, smoke=args.smoke)
     if not args.smoke:
         OUTPUT.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))

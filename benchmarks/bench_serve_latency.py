@@ -55,12 +55,6 @@ real parallelism compounds with the batching win.  The cell records
 ``cpu_count`` and the active array backend so the gate stays honest
 across hosts.
 
-**Backend-parity cells** serve identical request streams through
-``backend="numpy"`` and a chunk-forcing
-:class:`repro.nn.ParallelBackend` engine (fused executor, GBMF *and*
-MGBR) and assert the served scores are bitwise identical — the serving
-mirror of the eval benchmark's parity gate.
-
 Writes ``BENCH_serve_latency.json`` at the repository root.  Run
 directly (``PYTHONPATH=src python benchmarks/bench_serve_latency.py``);
 ``--smoke`` runs a seconds-scale configuration (one steady cell per
@@ -81,9 +75,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.baselines import GBMF
-from repro.core import MGBR, MGBRConfig
-from repro.data import SyntheticConfig, generate_dataset
-from repro.nn import ParallelBackend
 from repro.nn.backend import get_backend
 from repro.serving import (
     DeadlineExceeded,
@@ -452,7 +443,7 @@ def measure_fused_scaling(workers=OVERLOAD_WORKERS, probe_seconds: float = 1.2,
         "executor": "fused",
         # The gate's parallelism-awareness hinges on these two: how
         # many cores the host really has, and which array backend the
-        # flush threads inherited (the env-seeded process default).
+        # flush threads inherited from the thread that started them.
         "cpu_count": os.cpu_count(),
         "backend": get_backend().name,
         "deadline_ms": OVERLOAD_DEADLINE_MS,
@@ -470,78 +461,6 @@ def measure_fused_scaling(workers=OVERLOAD_WORKERS, probe_seconds: float = 1.2,
             round(b / a, 3) for a, b in zip(rates, rates[1:])
         ]
     return out
-
-
-def measure_backend_parity(n_requests: int = 24) -> dict:
-    """Served-score parity: parallel backend vs numpy, fused flushes.
-
-    Serves the same request stream (alternating item and participant
-    requests) through two engines per model family — ``backend="numpy"``
-    and a chunk-forcing :class:`ParallelBackend` — and compares every
-    ticket bitwise.  MGBR runs over a small synthetic dataset (this
-    benchmark's GBMF catalog has no group structure); GBMF over the
-    standard dense catalog, so both the dot-product mirror and the
-    expert/gate flush run with their primitives routed to the backend.
-    """
-    dataset = generate_dataset(
-        SyntheticConfig(n_users=240, n_items=60, n_groups=600), seed=SEED
-    )
-
-    def build_mgbr():
-        model = MGBR(
-            dataset.train, dataset.n_users, dataset.n_items,
-            config=MGBRConfig.small(d=8, seed=SEED),
-        )
-        model.eval()
-        model.refresh_cache()
-        return model
-
-    def serve(model, backend, n_users, n_items):
-        rng = np.random.default_rng(SEED + 17)
-        scores = []
-        with ServingEngine(
-            model, max_delay_ms=1.0, executor="fused", backend=backend
-        ) as engine:
-            for k in range(n_requests):
-                user = int(rng.integers(0, n_users))
-                if k % 2 == 0:
-                    cands = rng.integers(0, n_items, size=CANDIDATES)
-                    scores.append(engine.score_items(user, cands, timeout=30.0))
-                else:
-                    item = int(rng.integers(0, n_items))
-                    cands = rng.integers(0, n_users, size=CANDIDATES)
-                    scores.append(
-                        engine.score_participants(user, item, cands, timeout=30.0)
-                    )
-            stats = engine.stats()
-        return scores, stats
-
-    chunked = ParallelBackend(n_threads=4, min_parallel_rows=64)
-    models = {}
-    try:
-        for name, build, n_users, n_items in (
-            ("GBMF", lambda: build_model("dense"), N_USERS, N_ITEMS),
-            ("MGBR", build_mgbr, dataset.n_users, dataset.n_items),
-        ):
-            reference, _ = serve(build(), "numpy", n_users, n_items)
-            parallel, stats = serve(build(), chunked, n_users, n_items)
-            assert stats["batcher"]["fused_calls"] > 0, (
-                f"{name} parity cell did not flush fused"
-            )
-            models[name] = {
-                "requests": n_requests,
-                "scores_identical": all(
-                    np.array_equal(a, b) for a, b in zip(reference, parallel)
-                ),
-                "fused_calls": stats["batcher"]["fused_calls"],
-            }
-    finally:
-        chunked.close()
-    return {
-        "n_threads": chunked.n_threads,
-        "min_parallel_rows": chunked.min_parallel_rows,
-        "models": models,
-    }
 
 
 def run_overload_cells(workers=OVERLOAD_WORKERS, n_requests: int = 0) -> list:
@@ -653,12 +572,6 @@ def check_report(report: dict) -> None:
                     f"{b / a:.3f}x on a {scaling['cpu_count']}-cpu host "
                     f"(needs ≥1.05x)"
                 )
-    parity = report.get("backend_parity")
-    if parity:
-        for name, cell in parity["models"].items():
-            assert cell["scores_identical"], (
-                f"{name}: parallel-backend served scores diverged from numpy"
-            )
 
 
 if __name__ == "__main__":
@@ -684,12 +597,10 @@ if __name__ == "__main__":
         result["fused_scaling"] = measure_fused_scaling(
             workers=(1, 2), probe_seconds=0.5, trials=2
         )
-        result["backend_parity"] = measure_backend_parity(n_requests=12)
     else:
         result = run_benchmark()
         result["overload_cells"] = run_overload_cells()
         result["fused_scaling"] = measure_fused_scaling()
-        result["backend_parity"] = measure_backend_parity()
     add_overload_config(result)
     check_report(result)
     if not args.smoke:

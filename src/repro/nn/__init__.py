@@ -9,18 +9,14 @@ gradient checker that the tests use to validate every adjoint.
 
 from repro.nn import functional
 from repro.nn.backend import (
-    BACKEND_ENV,
     ArrayBackend,
     CountingBackend,
     NumpyBackend,
     available_backends,
     backend_scope,
-    bind_backend,
     get_backend,
     register_backend,
-    resolve_backend,
 )
-from repro.nn.parallel import ParallelBackend
 from repro.nn.gradcheck import gradcheck, numerical_gradient
 from repro.nn.layers import MLP, Dropout, Embedding, Identity, Linear, Sequential
 from repro.nn.module import Module, Parameter
@@ -63,14 +59,10 @@ __all__ = [
     "ArrayBackend",
     "NumpyBackend",
     "CountingBackend",
-    "ParallelBackend",
     "register_backend",
     "get_backend",
     "available_backends",
     "backend_scope",
-    "resolve_backend",
-    "bind_backend",
-    "BACKEND_ENV",
     "scatter_cache_stats",
     "clear_scatter_cache",
     "Module",

@@ -21,7 +21,10 @@ Two backends ship:
 
 The active backend is **thread-local** (like the grad-enabled flag and
 the default dtype in :mod:`repro.nn.tensor`): enter
-:func:`backend_scope` on the thread that does the math.
+:func:`backend_scope` on the thread that does the math.  Every fresh
+thread starts at numpy, so code that spawns workers (window-parallel
+evaluation, the serving flush worker) captures the caller's
+:func:`get_backend` and re-enters it in each worker.
 
 Copy elision
 ------------
@@ -36,10 +39,8 @@ counting backend's zero-copy assertion pins down.
 from __future__ import annotations
 
 import contextlib
-import functools
-import os
 import threading
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -51,18 +52,7 @@ __all__ = [
     "get_backend",
     "available_backends",
     "backend_scope",
-    "resolve_backend",
-    "bind_backend",
-    "BACKEND_ENV",
 ]
-
-#: Environment override for the process-wide *default* backend
-#: (mirroring ``REPRO_EXECUTOR``): every thread that has not entered a
-#: ``backend_scope`` starts at the backend registered under this name.
-#: Unknown or unregistered names fall back to the numpy reference — CI
-#: keeps the non-default backend green by running the fast test lane
-#: once with ``REPRO_BACKEND=parallel``.
-BACKEND_ENV = "REPRO_BACKEND"
 
 
 #: Primitive names a backend must provide (and the counting backend
@@ -344,37 +334,14 @@ _REGISTRY: Dict[str, ArrayBackend] = {}
 _DEFAULT = NumpyBackend()
 
 
-def _default_backend() -> ArrayBackend:
-    """The backend fresh threads start at: ``REPRO_BACKEND`` or numpy."""
-    name = os.environ.get(BACKEND_ENV)
-    if name:
-        backend = _REGISTRY.get(name)
-        if backend is not None:
-            return backend
-    return _DEFAULT
-
-
 class _BackendState(threading.local):
-    """Per-thread active backend (each thread starts at the env default)."""
+    """Per-thread active backend (each thread starts at numpy)."""
 
     def __init__(self) -> None:
-        self.backend: ArrayBackend = _default_backend()
+        self.backend: ArrayBackend = _DEFAULT
 
 
 _STATE = _BackendState()
-
-
-def refresh_default_backend() -> None:
-    """Re-resolve the env default for the *calling* thread.
-
-    Backends registered after this module imported (``repro.nn.parallel``
-    does so at package import) call this so the importing thread honours
-    ``REPRO_BACKEND`` too; threads spawned later resolve it lazily in
-    :class:`_BackendState`.  A thread already inside a ``backend_scope``
-    is left alone.
-    """
-    if _STATE.backend is _DEFAULT:
-        _STATE.backend = _default_backend()
 
 
 def register_backend(backend: ArrayBackend) -> ArrayBackend:
@@ -400,49 +367,6 @@ def get_backend(name: Optional[str] = None) -> ArrayBackend:
         raise ValueError(
             f"unknown array backend {name!r}; registered: {available_backends()}"
         ) from None
-
-
-def resolve_backend(
-    mode: Union[str, ArrayBackend] = "auto",
-    inherited: Optional[ArrayBackend] = None,
-) -> ArrayBackend:
-    """Resolve a ``backend`` knob to a concrete :class:`ArrayBackend`.
-
-    Mirrors :func:`repro.executor.resolve_executor`: a registered name
-    (or an explicit instance) wins outright; ``"auto"`` defers to
-    ``inherited`` — the backend the *submitting* thread was using, which
-    pool-spawning callers capture at submission — and otherwise to the
-    calling thread's active backend (itself seeded from the
-    ``REPRO_BACKEND`` environment default).
-    """
-    if isinstance(mode, ArrayBackend):
-        return mode
-    if mode == "auto":
-        return inherited if inherited is not None else _STATE.backend
-    return get_backend(mode)
-
-
-def bind_backend(
-    fn: Callable, backend: Optional[ArrayBackend] = None
-) -> Callable:
-    """``fn`` wrapped to run under ``backend`` (default: the caller's).
-
-    The thread-local active backend does **not** cross thread spawns: a
-    pool worker starts at the process default, silently dropping
-    whatever ``backend_scope`` the submitting thread was inside.  Every
-    pool-task submission (the serving engine's worker, the parallel
-    backend's chunk tasks) therefore wraps its callable here — the
-    submitting thread's backend is captured *now* and installed around
-    each invocation in the worker.
-    """
-    resolved = backend if backend is not None else _STATE.backend
-
-    @functools.wraps(fn)
-    def bound(*args, **kwargs):
-        with backend_scope(resolved):
-            return fn(*args, **kwargs)
-
-    return bound
 
 
 @contextlib.contextmanager

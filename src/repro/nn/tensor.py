@@ -62,15 +62,13 @@ about graph plumbing (parents, closures, :func:`_unbroadcast`).  NumPy
 is the reference backend; see :mod:`repro.nn.backend` for the contract
 and the instrumented counting backend used by the copy-audit tests.
 
-Each thread *starts* at the process default backend — the numpy
-reference, or whatever ``REPRO_BACKEND`` names (the thread-parallel
-GIL-releasing backend in :mod:`repro.nn.parallel` registers as
-``"parallel"``).  The thread-local selection does **not** cross thread
-spawns, so code handing work to a pool must capture its active backend
-at submission (:func:`repro.nn.backend.bind_backend`) — the serving
-engine's worker thread and the parallel backend's own chunk tasks both
-do.  Every backend is bit-identical to the reference at float64, so ops
-here never care which one is active.
+Each thread *starts* at the numpy reference.  The thread-local
+selection does **not** cross thread spawns, so code handing work to
+other threads captures :func:`repro.nn.backend.get_backend` and
+re-enters it with ``backend_scope`` in each worker — window-parallel
+evaluation and the serving engine's flush worker both do.  Every
+backend is bit-identical to the reference at float64, so ops here never
+care which one is active.
 """
 
 from __future__ import annotations

@@ -76,7 +76,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.backend import ArrayBackend, backend_scope, get_backend, resolve_backend
+from repro.nn.backend import ArrayBackend, backend_scope, get_backend
 from repro.serving.core import PendingScores, RequestQueue, ScoringCore, split_expired
 from repro.serving.degrade import DegradationPolicy
 from repro.serving.errors import DeadlineExceeded, EngineStopped
@@ -113,14 +113,11 @@ class ServingEngine:
         ``"tape"``, see ``docs/backends.md``) applied to the model (and
         the degradation fallback, if any).  ``"auto"`` (default) serves
         fused unless ``REPRO_EXECUTOR=tape`` overrides it.
-    backend: array-backend knob for the flush thread — a registered
-        name (``"numpy"``/``"parallel"``), an
-        :class:`repro.nn.ArrayBackend` instance, or ``"auto"``
-        (default).  ``"auto"`` inherits whatever backend the thread
-        calling :meth:`start` is using (which is itself seeded from
-        ``REPRO_BACKEND``) — the worker thread would otherwise silently
-        reset to the process default.  Resolved once per :meth:`start`;
-        every flush runs under it.
+
+    The flush thread runs under the array backend of the thread that
+    called :meth:`start` (captured once per start), so an enclosing
+    ``backend_scope`` — e.g. a :class:`repro.nn.CountingBackend` audit —
+    covers every flush instead of dropping at the thread spawn.
 
     Usage::
 
@@ -145,7 +142,6 @@ class ServingEngine:
         max_queue_age_ms: Optional[float] = None,
         degradation: Optional[DegradationPolicy] = None,
         executor: str = "auto",
-        backend: object = "auto",
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
@@ -155,9 +151,6 @@ class ServingEngine:
             raise ValueError(
                 f"max_queue_age_ms must be > 0, got {max_queue_age_ms}"
             )
-        if not isinstance(backend, ArrayBackend) and backend != "auto":
-            get_backend(backend)  # fail fast on unknown names
-        self._backend_mode = backend
         self._worker_backend: Optional[ArrayBackend] = None
         self._core = ScoringCore(model, dtype, executor=executor)
         self.max_pending = max_pending
@@ -210,17 +203,15 @@ class ServingEngine:
         return self._core.executor
 
     @property
-    def backend(self) -> str:
-        """The array backend the flush thread runs under.
+    def backend(self) -> Optional[str]:
+        """Name of the array backend the flush thread runs under.
 
-        The resolved backend's name once the engine has started; before
-        that, the knob as configured (``"auto"`` resolves at
-        :meth:`start` against the starting thread's active backend).
+        Captured from the thread calling :meth:`start`; ``None`` before
+        the first start.
         """
-        if self._worker_backend is not None:
-            return self._worker_backend.name
-        mode = self._backend_mode
-        return mode.name if isinstance(mode, ArrayBackend) else str(mode)
+        if self._worker_backend is None:
+            return None
+        return self._worker_backend.name
 
     @property
     def max_queue_rows(self) -> Optional[int]:
@@ -238,12 +229,10 @@ class ServingEngine:
             self._stopping = False
             self._worker_error = None
             # Capture the starting thread's backend NOW: the worker
-            # thread starts at the process default, which would silently
-            # drop an enclosing backend_scope (the thread-local does not
-            # cross spawns).  An explicit knob wins over inheritance.
-            self._worker_backend = resolve_backend(
-                self._backend_mode, inherited=get_backend()
-            )
+            # thread starts at numpy, which would silently drop an
+            # enclosing backend_scope (the thread-local does not cross
+            # spawns).
+            self._worker_backend = get_backend()
             self._worker = threading.Thread(
                 target=self._run_worker, name="repro-serving-engine", daemon=True
             )

@@ -56,12 +56,12 @@ class MultiWorkerEngine:
         the replicas must be distinct objects with identical catalogs
         (and, for bit-identical scores, identical weights).
     dtype, max_pending, max_delay_ms, max_queue_rows, max_queue_age_ms,
-    executor, backend:
+    executor:
         forwarded to every per-worker
         :class:`repro.serving.engine.ServingEngine` (budgets are per
-        worker; every replica serves with the same executor and
-        array-backend knobs — ``backend="auto"`` makes each worker
-        inherit the backend of the thread calling :meth:`start`).
+        worker; every replica serves with the same executor).  Every
+        worker inherits the array backend of the thread calling
+        :meth:`start`.
     degradation: ``None``, one shared fallback-free
         :class:`repro.serving.degrade.DegradationPolicy`, or a sequence
         of per-worker policies (required when policies carry fallback
@@ -85,7 +85,6 @@ class MultiWorkerEngine:
         max_queue_age_ms: Optional[float] = None,
         degradation: Union[None, DegradationPolicy, Sequence[Optional[DegradationPolicy]]] = None,
         executor: str = "auto",
-        backend: object = "auto",
     ) -> None:
         models = list(models)
         if not models:
@@ -115,7 +114,6 @@ class MultiWorkerEngine:
                 max_queue_age_ms=max_queue_age_ms,
                 degradation=policy,
                 executor=executor,
-                backend=backend,
             )
             for model, policy in zip(models, policies)
         ]

@@ -8,8 +8,6 @@ the zero-copy guarantees of the planned gather path, and the cached CSR
 scatter operator behind :func:`repro.nn.tensor._scatter_rows_add`.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -36,23 +34,16 @@ def counting():
         yield backend
 
 
-def _default_name():
-    """The process-default backend name (``REPRO_BACKEND``-aware)."""
-    name = os.environ.get("REPRO_BACKEND", "numpy")
-    return name if name in available_backends() else "numpy"
-
-
 class TestRegistry:
     def test_reference_backends_registered(self):
         names = available_backends()
         assert "numpy" in names and "counting" in names
-        assert "parallel" in names  # registered on repro.nn import
 
     def test_get_backend_default_is_thread_active(self):
-        assert get_backend().name == _default_name()
+        assert get_backend().name == "numpy"
         with backend_scope("counting"):
             assert get_backend().name == "counting"
-        assert get_backend().name == _default_name()
+        assert get_backend().name == "numpy"
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError):
@@ -72,7 +63,7 @@ class TestRegistry:
         with pytest.raises(RuntimeError):
             with backend_scope("counting"):
                 raise RuntimeError("boom")
-        assert get_backend().name == _default_name()
+        assert get_backend().name == "numpy"
 
 
 class TestCountingSemantics:

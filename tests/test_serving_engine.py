@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import GBMF
-from repro.serving import RequestBatcher, ServingEngine
+from repro.core import MGBR
+from repro.nn import CountingBackend, backend_scope
+from repro.serving import MultiWorkerEngine, RequestBatcher, ServingEngine
 from repro.store import cache_hot_rows
 
 
@@ -322,6 +324,46 @@ class TestStatsAndStores:
             reference = RequestBatcher(other).score_items(0, [0, 1, 2])
             np.testing.assert_allclose(after, reference)
 
+
+class TestBackendInheritance:
+    """The flush worker runs under the backend of the thread calling start()."""
+
+    def test_worker_inherits_scope_backend(self, tiny_dataset, small_config):
+        counting = CountingBackend()
+        model = MGBR(tiny_dataset.train, tiny_dataset.n_users,
+                     tiny_dataset.n_items, config=small_config)
+        engine = ServingEngine(model, max_delay_ms=1.0)
+        assert engine.backend is None  # captured at start(), not before
+        with backend_scope(counting):
+            engine.start()
+        try:
+            engine.score_items(3, [0, 1, 2, 5], timeout=5.0)
+            before = sum(counting.counts.values())
+            assert before > 0
+            engine.score_participants(3, 1, [4, 5, 6], timeout=5.0)
+            stats = engine.stats()
+        finally:
+            engine.stop()
+        assert stats["engine"]["backend"] == "counting"
+        assert sum(counting.counts.values()) > before
+
+    def test_multi_worker_start_shares_scope_backend(self, tiny_dataset):
+        counting = CountingBackend()
+        replicas = [GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8,
+                         seed=3) for _ in range(2)]
+        engine = MultiWorkerEngine(replicas, max_delay_ms=1.0)
+        with backend_scope(counting):
+            engine.start()
+        try:
+            for user in range(engine.n_workers):
+                engine.score_items(user, [0, 1, 2], timeout=5.0)
+            stats = engine.stats()
+        finally:
+            engine.stop()
+        assert [snap["engine"]["backend"] for snap in stats["workers"]] == [
+            "counting"
+        ] * engine.n_workers
+        assert sum(counting.counts.values()) > 0
 
 @pytest.mark.slow
 class TestLatencySweep:
