@@ -19,6 +19,9 @@ Each engine reports steps/sec plus the per-phase wall-clock breakdown
 losses of both engines are compared — they agree to float re-association
 (bit-identical for GBMF's pure pair-dedup path); the strict gradient /
 post-Adam-weight parity assertions live in tests/test_training.py.
+Each model also records a deterministic allocation audit of one planned
+step (``step_audit``: per-primitive ``CountingBackend`` counts, copies,
+and gradient-buffer allocations), gated in :func:`check_report`.
 
 Writes ``BENCH_train_throughput.json`` at the repository root.  Run
 directly (``PYTHONPATH=src python benchmarks/bench_train_throughput.py``);
@@ -35,6 +38,7 @@ from pathlib import Path
 from repro.baselines import GBMF
 from repro.core import MGBR, MGBRConfig
 from repro.data import SyntheticConfig, generate_dataset
+from repro.nn import CountingBackend, backend_scope
 from repro.training import TrainConfig, Trainer
 
 USERS = int(os.environ.get("REPRO_BENCH_TRAIN_USERS", "300"))
@@ -51,6 +55,10 @@ DATA_SEED = 7
 MODEL_SEED = 1
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_train_throughput.json"
+
+#: Ceiling on ``zeros_like`` + ``empty_like`` calls in one planned MGBR
+#: step: 156 measured in both the smoke and the full configuration.
+MAX_STEP_ALLOCATIONS = 156
 
 
 def _dataset():
@@ -123,6 +131,28 @@ def _plan_stats(build_model, dataset) -> dict:
     return {name: batch.plan.stats() for name, batch in batches.items()}
 
 
+def _step_audit(build_model, dataset) -> dict:
+    """Backend calls of one planned step, counted by ``CountingBackend``.
+
+    Deterministic for a given configuration: the counts depend on the
+    graph's structure, not on timing.  ``allocations`` sums the
+    ``zeros_like`` and ``empty_like`` calls — the gradient buffers the
+    tape could not adopt from a closure (see docs/training.md,
+    "Gradient buffers").
+    """
+    trainer = Trainer(build_model(dataset), dataset, _train_config(True))
+    pair = next(iter(trainer._paired_batches()))
+    counting = CountingBackend()
+    with backend_scope(counting):
+        trainer._step(pair["a"], pair["b"])
+    counts = dict(sorted(counting.counts.items()))
+    return {
+        "nn_counts": counts,
+        "copies": counting.copies,
+        "allocations": counts.get("zeros_like", 0) + counts.get("empty_like", 0),
+    }
+
+
 def _bench_model(build_model, dataset) -> dict:
     flat = _run_engine(build_model, dataset, False)
     planned = _run_engine(build_model, dataset, True)
@@ -141,6 +171,7 @@ def _bench_model(build_model, dataset) -> dict:
         ),
         "first_epoch_loss_max_abs_diff": loss_delta,
         "step_plan": _plan_stats(build_model, dataset),
+        "step_audit": _step_audit(build_model, dataset),
     }
 
 
@@ -171,6 +202,12 @@ def check_report(report: dict) -> None:
     assert mgbr["first_epoch_loss_max_abs_diff"] < 1e-9, (
         f"planned losses diverged: {mgbr['first_epoch_loss_max_abs_diff']}"
     )
+    audit = mgbr["step_audit"]
+    assert audit["copies"] == 0, f"planned step made {audit['copies']} array copies"
+    assert audit["allocations"] <= MAX_STEP_ALLOCATIONS, (
+        f"planned step allocated {audit['allocations']} gradient-sized buffers "
+        f"> {MAX_STEP_ALLOCATIONS}"
+    )
     gbmf = report["models"]["GBMF"]
     assert gbmf["auto_resolves_to"] == "flat", "auto should stay flat for GBMF"
     assert gbmf["first_epoch_loss_max_abs_diff"] == 0.0, (
@@ -179,7 +216,8 @@ def check_report(report: dict) -> None:
 
 
 def test_train_throughput():
-    """Planned step ≥2× flat for MGBR; losses agree; auto routes sanely."""
+    """Planned step ≥2× flat for MGBR; losses agree; auto routes sanely;
+    one planned step stays within its allocation budget."""
     report = run_benchmark()
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     check_report(report)

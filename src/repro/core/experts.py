@@ -103,14 +103,15 @@ class ExpertBank(Module):
         d = self.out_dim
 
         def backward(g: np.ndarray) -> None:
+            backend = get_backend()
             for k, weight in enumerate(weights):
                 if not weight.requires_grad:
                     continue
-                grad = np.zeros_like(weight.data)
+                grad = backend.zeros_like(weight.data)
                 g_k = g[:, k * d : (k + 1) * d]
                 for start, stop in blocks:
                     grad[start:stop] += g_k
-                weight._accumulate(grad)
+                weight._accumulate(grad, owned=True)
 
         return Tensor._make(stacked, tuple(weights), backward)
 

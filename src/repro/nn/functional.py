@@ -40,7 +40,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g * value * (1.0 - value))
+            x._accumulate(g * value * (1.0 - value), owned=True)
 
     return Tensor._make(value, (x,), backward)
 
@@ -71,7 +71,7 @@ def logsigmoid(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g * _stable_sigmoid(-x.data))
+            x._accumulate(g * _stable_sigmoid(-x.data), owned=True)
 
     return Tensor._make(value, (x,), backward)
 
@@ -88,7 +88,7 @@ def softplus(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g * _stable_sigmoid(x.data))
+            x._accumulate(g * _stable_sigmoid(x.data), owned=True)
 
     return Tensor._make(value, (x,), backward)
 
@@ -100,7 +100,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(get_backend().multiply(g, mask))
+            x._accumulate(get_backend().multiply(g, mask), owned=True)
 
     return Tensor._make(b.multiply(x.data, mask), (x,), backward)
 
@@ -112,7 +112,7 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g * scale)
+            x._accumulate(g * scale, owned=True)
 
     return Tensor._make(x.data * scale, (x,), backward)
 
@@ -123,7 +123,7 @@ def tanh(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g * (1.0 - value**2))
+            x._accumulate(g * (1.0 - value**2), owned=True)
 
     return Tensor._make(value, (x,), backward)
 
@@ -142,7 +142,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             dot = (g * value).sum(axis=axis, keepdims=True)
-            x._accumulate(value * (g - dot))
+            x._accumulate(value * (g - dot), owned=True)
 
     return Tensor._make(value, (x,), backward)
 
@@ -157,7 +157,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+            x._accumulate(g - soft * g.sum(axis=axis, keepdims=True), owned=True)
 
     return Tensor._make(value, (x,), backward)
 
@@ -172,7 +172,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(g * keep)
+            x._accumulate(g * keep, owned=True)
 
     return Tensor._make(x.data * keep, (x,), backward)
 

@@ -149,10 +149,10 @@ class Linear(Module):
         def backward(g: np.ndarray) -> None:
             if not weight.requires_grad:
                 return
-            grad = np.zeros_like(weight.data)
+            grad = get_backend().zeros_like(weight.data)
             for start, stop in blocks:
                 grad[start:stop] += g
-            weight._accumulate(grad)
+            weight._accumulate(grad, owned=True)
 
         return Tensor._make(folded, (weight,), backward)
 

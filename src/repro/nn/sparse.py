@@ -107,6 +107,6 @@ def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if dense.requires_grad:
-            dense._accumulate(csr_t @ g)
+            dense._accumulate(csr_t @ g, owned=True)
 
     return Tensor._make(np.asarray(value), (dense,), backward)

@@ -17,6 +17,11 @@ Design notes
   depth-first topological sort and accumulates gradients with ``+=`` so
   shared sub-expressions (e.g. the GCN embeddings feeding three gates)
   receive the sum of their downstream gradients.
+* Gradient buffers are single-owner: an interior node's ``.grad`` is
+  released once its closure has consumed it, and a buffer the closure
+  owns (freshly computed, or the consumed gradient itself) becomes a
+  parent's ``.grad`` without a copy.  Only leaves keep ``.grad`` after
+  :meth:`Tensor.backward` (docs/training.md, "Gradient buffers").
 * Broadcasting follows NumPy semantics; :func:`_unbroadcast` folds a
   gradient back onto the operand's original shape by summing the
   broadcast axes.
@@ -303,6 +308,22 @@ def _scatter_rows_add(
     return np.asarray(one_hot @ flat).reshape(out_shape)
 
 
+def _matmul(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``a @ c``, with contraction width 1 run as a broadcast product.
+
+    A ``(..., m, 1) @ (..., 1, n)`` product is an outer product: every
+    output element is the single product ``a[..., i, 0] * c[..., 0, j]``,
+    so the broadcast ``multiply`` yields the same values (and the same
+    batch broadcasting) without a batched GEMM call per matrix.  The
+    gate-mix adjoint ``weightsᵀ @ g`` hits this shape on every planned
+    training step.
+    """
+    b = _B_STATE.backend
+    if a.ndim >= 2 and c.ndim >= 2 and a.shape[-1] == 1 and c.shape[-2] == 1:
+        return b.multiply(a, c)
+    return b.matmul(a, c)
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` by summing over broadcast axes.
 
@@ -332,7 +353,9 @@ class Tensor:
         The underlying ``np.ndarray`` value.
     grad:
         Accumulated gradient of the same shape, or ``None`` before
-        :meth:`backward` (or for constants).
+        :meth:`backward` (or for constants).  Only leaves (tensors
+        without a backward closure: parameters and user inputs) keep
+        it; :meth:`backward` releases interior nodes' gradients.
     requires_grad:
         Whether this tensor participates in differentiation.
     """
@@ -408,12 +431,35 @@ class Tensor:
     # ------------------------------------------------------------------
     # Autograd machinery
     # ------------------------------------------------------------------
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's gradient buffer."""
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into this tensor's gradient buffer.
+
+        ``owned`` declares that no one else holds or reads ``grad`` (a
+        buffer the caller freshly allocated, or the consumed upstream
+        gradient or a disjoint slice of it): on first touch it becomes
+        this tensor's buffer with no copy, provided it already has the
+        data's shape and dtype and is a writeable C-contiguous array.
+        Any other first touch costs one pass, ``grad + 0.0`` into a new
+        buffer; later touches add in place.  See "Gradient buffers" in
+        docs/training.md for the single-owner rule.
+        """
         b = _B_STATE.backend
-        if self.grad is None:
-            self.grad = b.zeros_like(self.data)
-        b.add(self.grad, grad, out=self.grad)
+        current = self.grad
+        if current is not None:
+            b.add(current, grad, out=current)
+            return
+        data = self.data
+        # NumPy scalars (0-d op results) report writeable=False and copy.
+        if (
+            owned
+            and grad.shape == data.shape
+            and grad.dtype == data.dtype
+            and grad.flags.c_contiguous
+            and grad.flags.writeable
+        ):
+            self.grad = grad
+        else:
+            self.grad = b.add(grad, 0.0, out=b.empty_like(data))
 
     def zero_grad(self) -> None:
         """Clear the gradient buffer (used by optimizers between steps)."""
@@ -427,18 +473,26 @@ class Tensor:
         grad:
             Gradient of some downstream scalar with respect to this
             tensor.  Defaults to 1 for scalar tensors (the usual
-            ``loss.backward()`` call); required for non-scalars.
+            ``loss.backward()`` call); required for non-scalars.  It is
+            read, never mutated.
+
+        Each interior node's ``.grad`` is released (set to ``None``) as
+        soon as its closure has consumed it; leaves accumulate across
+        calls until :meth:`zero_grad`.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
         b = _B_STATE.backend
+        # A caller-supplied gradient is never adopted: the tape mutates
+        # the buffers it owns, and the caller may still hold this one.
+        owned = grad is None
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("grad must be supplied for non-scalar backward()")
             grad = b.ones(self.data.shape, dtype=self.data.dtype)
         grad = b.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
-            grad = b.broadcast_to(grad, self.data.shape).copy()
+            grad = b.broadcast_to(grad, self.data.shape)
 
         order: List[Tensor] = []
         seen = set()
@@ -452,10 +506,14 @@ class Tensor:
             order.append(node)
 
         visit(self)
-        self._accumulate(grad)
+        self._accumulate(grad, owned=owned)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            closure = node._backward
+            if closure is not None and node.grad is not None:
+                # Interior gradients are released once consumed; the
+                # closure may hand the buffer on to one parent.
+                g, node.grad = node.grad, None
+                closure(g)
 
     @staticmethod
     def _make(
@@ -479,10 +537,16 @@ class Tensor:
         other = _as_tensor(other)
 
         def backward(g: np.ndarray) -> None:
+            # ``_unbroadcast`` returns ``g`` itself or a fresh reduction;
+            # ``g`` goes to the first parent that takes it, never to both.
+            handed = False
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
+                grad = _unbroadcast(g, self.data.shape)
+                handed = grad is g
+                self._accumulate(grad, owned=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.data.shape))
+                grad = _unbroadcast(g, other.data.shape)
+                other._accumulate(grad, owned=not (handed and grad is g))
 
         return Tensor._make(_B_STATE.backend.add(self.data, other.data), (self, other), backward)
 
@@ -491,7 +555,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_B_STATE.backend.negative(g))
+                self._accumulate(_B_STATE.backend.negative(g), owned=True)
 
         return Tensor._make(_B_STATE.backend.negative(self.data), (self,), backward)
 
@@ -507,9 +571,13 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             b = _B_STATE.backend
             if self.requires_grad:
-                self._accumulate(_unbroadcast(b.multiply(g, other.data), self.data.shape))
+                self._accumulate(
+                    _unbroadcast(b.multiply(g, other.data), self.data.shape), owned=True
+                )
             if other.requires_grad:
-                other._accumulate(_unbroadcast(b.multiply(g, self.data), other.data.shape))
+                other._accumulate(
+                    _unbroadcast(b.multiply(g, self.data), other.data.shape), owned=True
+                )
 
         return Tensor._make(
             _B_STATE.backend.multiply(self.data, other.data), (self, other), backward
@@ -523,7 +591,9 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             b = _B_STATE.backend
             if self.requires_grad:
-                self._accumulate(_unbroadcast(b.divide(g, other.data), self.data.shape))
+                self._accumulate(
+                    _unbroadcast(b.divide(g, other.data), self.data.shape), owned=True
+                )
             if other.requires_grad:
                 other._accumulate(
                     _unbroadcast(
@@ -532,7 +602,8 @@ class Tensor:
                             b.power(other.data, 2),
                         ),
                         other.data.shape,
-                    )
+                    ),
+                    owned=True,
                 )
 
         return Tensor._make(
@@ -550,7 +621,8 @@ class Tensor:
             b = _B_STATE.backend
             if self.requires_grad:
                 self._accumulate(
-                    b.multiply(b.multiply(g, exponent), b.power(self.data, exponent - 1))
+                    b.multiply(b.multiply(g, exponent), b.power(self.data, exponent - 1)),
+                    owned=True,
                 )
 
         return Tensor._make(_B_STATE.backend.power(self.data, exponent), (self,), backward)
@@ -565,26 +637,24 @@ class Tensor:
                     # (..., n) @ (n,) -> (...): outer-product adjoint.
                     grad_self = b.multiply(b.expand_dims(g, -1), other.data)
                 else:
-                    grad_self = b.matmul(g, b.swapaxes(other.data, -1, -2))
+                    grad_self = _matmul(g, b.swapaxes(other.data, -1, -2))
                 if self.data.ndim == 1 and grad_self.ndim > 1:
                     grad_self = b.sum(grad_self, axis=tuple(range(grad_self.ndim - 1)))
-                self._accumulate(_unbroadcast(grad_self, self.data.shape))
+                self._accumulate(_unbroadcast(grad_self, self.data.shape), owned=True)
             if other.requires_grad:
                 if self.data.ndim == 1:
                     grad_other = b.multiply(b.expand_dims(self.data, -1), b.expand_dims(g, -2))
                 elif other.data.ndim == 1:
-                    grad_other = b.matmul(
+                    grad_other = _matmul(
                         b.swapaxes(self.data, -1, -2), b.expand_dims(g, -1)
                     )[..., 0]
                     if grad_other.ndim > 1:
                         grad_other = b.sum(grad_other, axis=tuple(range(grad_other.ndim - 1)))
                 else:
-                    grad_other = b.matmul(b.swapaxes(self.data, -1, -2), g)
-                other._accumulate(_unbroadcast(grad_other, other.data.shape))
+                    grad_other = _matmul(b.swapaxes(self.data, -1, -2), g)
+                other._accumulate(_unbroadcast(grad_other, other.data.shape), owned=True)
 
-        return Tensor._make(
-            _B_STATE.backend.matmul(self.data, other.data), (self, other), backward
-        )
+        return Tensor._make(_matmul(self.data, other.data), (self, other), backward)
 
     # ------------------------------------------------------------------
     # Elementwise transcendental functions
@@ -595,7 +665,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_B_STATE.backend.multiply(g, value))
+                self._accumulate(_B_STATE.backend.multiply(g, value), owned=True)
 
         return Tensor._make(value, (self,), backward)
 
@@ -604,7 +674,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_B_STATE.backend.divide(g, self.data))
+                self._accumulate(_B_STATE.backend.divide(g, self.data), owned=True)
 
         return Tensor._make(_B_STATE.backend.log(self.data), (self,), backward)
 
@@ -615,7 +685,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             b = _B_STATE.backend
             if self.requires_grad:
-                self._accumulate(b.divide(b.multiply(g, 0.5), value))
+                self._accumulate(b.divide(b.multiply(g, 0.5), value), owned=True)
 
         return Tensor._make(value, (self,), backward)
 
@@ -625,7 +695,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             b = _B_STATE.backend
             if self.requires_grad:
-                self._accumulate(b.multiply(g, b.sign(self.data)))
+                self._accumulate(b.multiply(g, b.sign(self.data)), owned=True)
 
         return Tensor._make(_B_STATE.backend.absolute(self.data), (self,), backward)
 
@@ -635,7 +705,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_B_STATE.backend.multiply(g, mask))
+                self._accumulate(_B_STATE.backend.multiply(g, mask), owned=True)
 
         return Tensor._make(_B_STATE.backend.clip(self.data, low, high), (self,), backward)
 
@@ -655,7 +725,7 @@ class Tensor:
                 axes = tuple(a % self.data.ndim for a in axes)
                 for a in sorted(axes):
                     grad = b.expand_dims(grad, a)
-            self._accumulate(b.broadcast_to(grad, self.data.shape).copy())
+            self._accumulate(b.broadcast_to(grad, self.data.shape))
 
         return Tensor._make(
             _B_STATE.backend.sum(self.data, axis=axis, keepdims=keepdims), (self,), backward
@@ -686,7 +756,8 @@ class Tensor:
             mask = self.data == value
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             self._accumulate(
-                b.divide(b.multiply(b.broadcast_to(grad, self.data.shape), mask), counts)
+                b.divide(b.multiply(b.broadcast_to(grad, self.data.shape), mask), counts),
+                owned=True,
             )
 
         out_value = (
@@ -706,7 +777,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_B_STATE.backend.reshape(g, self.data.shape))
+                self._accumulate(_B_STATE.backend.reshape(g, self.data.shape), owned=True)
 
         return Tensor._make(_B_STATE.backend.reshape(self.data, shape), (self,), backward)
 
@@ -715,7 +786,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_B_STATE.backend.swapaxes(g, axis0, axis1))
+                self._accumulate(_B_STATE.backend.swapaxes(g, axis0, axis1), owned=True)
 
         return Tensor._make(
             _B_STATE.backend.swapaxes(self.data, axis0, axis1), (self,), backward
@@ -742,13 +813,14 @@ class Tensor:
                 return
             if fast_rows:
                 self._accumulate(
-                    _scatter_rows_add(key, g, self.data.shape[0], self.data.dtype)
+                    _scatter_rows_add(key, g, self.data.shape[0], self.data.dtype),
+                    owned=True,
                 )
                 return
             b = _B_STATE.backend
             grad = b.zeros_like(self.data)
             b.add_at(grad, key, g)
-            self._accumulate(grad)
+            self._accumulate(grad, owned=True)
 
         return Tensor._make(value, (self,), backward)
 
@@ -810,11 +882,13 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     offsets = np.cumsum([0] + sizes)
 
     def backward(g: np.ndarray) -> None:
+        # Disjoint slices of ``g``: each region has one owner even when
+        # an operand repeats (``concat([x, x])``).
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 index = [slice(None)] * g.ndim
                 index[ax] = slice(int(start), int(stop))
-                t._accumulate(g[tuple(index)])
+                t._accumulate(g[tuple(index)], owned=True)
 
     return Tensor._make(value, tuple(tensors), backward)
 
@@ -831,10 +905,11 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     value = _B_STATE.backend.stack([t.data for t in tensors], axis=axis)
 
     def backward(g: np.ndarray) -> None:
+        # Disjoint slices of ``g``, as in :func:`concat`.
         slices = np.moveaxis(g, axis, 0)
         for t, piece in zip(tensors, slices):
             if t.requires_grad:
-                t._accumulate(piece)
+                t._accumulate(piece, owned=True)
 
     return Tensor._make(value, tuple(tensors), backward)
 
@@ -853,7 +928,8 @@ def take_rows(source: Tensor, index: ArrayLike) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if source.requires_grad:
             source._accumulate(
-                _scatter_rows_add(idx, g, source.data.shape[0], source.data.dtype)
+                _scatter_rows_add(idx, g, source.data.shape[0], source.data.dtype),
+                owned=True,
             )
 
     return Tensor._make(value, (source,), backward)
@@ -870,6 +946,6 @@ def scatter_rows_sum(rows: Tensor, index: ArrayLike, n_rows: int) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if rows.requires_grad:
-            rows._accumulate(_B_STATE.backend.take(g, idx))
+            rows._accumulate(_B_STATE.backend.take(g, idx), owned=True)
 
     return Tensor._make(value, (rows,), backward)
