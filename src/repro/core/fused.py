@@ -148,14 +148,40 @@ def _shared_gate(ws, gate, state, bank_a, bank_s, bank_b, logits, bank=None):
     return _attend(ws, attention, bank, logits)
 
 
-def _first_layer(ws, layer, e_u, e_i, e_p, user_pos, item_pos, part_pos, adj):
-    """Mirror of ``MTLLayer.forward_planned_first``.
+def _bank_buffer(ws, layer, banks, rows: int):
+    """One combined workspace buffer for a shared layer's live banks.
 
-    Like :func:`_dense_layer`, the shared case lands the three banks in
-    one combined ``[a | s | b]`` buffer (the per-pair chain's final add
-    writes straight into each bank's slice) so gate A's and the shared
-    gate's bank concatenations are zero-copy views.
+    The layout is ``[a | s | b]`` with dead banks dropped, or ``[b | s]``
+    when bank A is dead (a Task-B window), so every live gate's bank
+    concatenation is a zero-copy view: the first task gate's ``[own |
+    s]`` prefix, and the shared gate's whole ``[a | s | b]``.  Returns
+    ``(slices, generic)``: each live bank's slice to write, and the
+    gate-name → bank view for the gates that get one.  Values are
+    identical to the per-gate concats — the layout only removes copies.
     """
+    experts = {"a": layer.experts_a, "s": layer.experts_s, "b": layer.experts_b}
+    order = [x for x in ("asb" if "a" in banks else "bs") if x in banks]
+    sizes = [experts[x].n_experts for x in order]
+    cat = ws.out((rows, sum(sizes), layer.experts_a.out_dim))
+    slices, offset = {}, 0
+    for name, k in zip(order, sizes):
+        slices[name] = cat[:, offset:offset + k]
+        offset += k
+    generic = {order[0]: cat[:, :sizes[0] + sizes[1]]}
+    if len(order) == 3:
+        generic["s"] = cat
+    return slices, generic
+
+
+def _first_layer(ws, layer, live, e_u, e_i, e_p, user_pos, item_pos, part_pos, adj):
+    """Mirror of ``MTLLayer.forward_planned_first`` for the ``live`` gates.
+
+    Like :func:`_dense_layer`, the shared case lands the live banks in
+    one :func:`_bank_buffer` (the per-pair chain's final add writes
+    straight into each bank's slice) so the gates' bank concatenations
+    are zero-copy views.
+    """
+    banks = layer.live_banks(live)
     if layer.compact_input:
         folds_task, folds_shared = 1, 1
     elif layer.shared:
@@ -180,30 +206,40 @@ def _first_layer(ws, layer, e_u, e_i, e_p, user_pos, item_pos, part_pos, adj):
     def gate_proj(attention):
         return lambda x, key: _proj_linear(ws, attention.proj, x, key)
 
-    logits_a = per_pair(gate_proj(layer.gate_a.generic.attention), keys_task)
-    logits_b = per_pair(gate_proj(layer.gate_b.generic.attention), keys_task)
+    def gate_logits(name, attention, keys):
+        return per_pair(gate_proj(attention), keys) if name in live else None
+
+    logits_a = gate_logits("a", layer.gate_a.generic.attention, keys_task)
+    logits_b = gate_logits("b", layer.gate_b.generic.attention, keys_task)
     la, lb = adj
+    new_a = new_s = new_b = None
     if layer.shared:
         keys_shared = [
             _blocks_key(layer._entity_blocks(v, j, folds_shared)) for j in range(3)
         ]
-        logits_s = per_pair(gate_proj(layer.gate_s.attention), keys_shared)
-        ea, es, eb = layer.experts_a, layer.experts_s, layer.experts_b
-        ka, ks, kb = ea.n_experts, es.n_experts, eb.n_experts
-        cat = ws.out((user_pos.shape[0], ka + ks + kb, ea.out_dim))
-        bank_a = per_pair(bank_proj(ea), keys_task, out=cat[:, :ka])
-        bank_s = per_pair(bank_proj(es), keys_shared, out=cat[:, ka:ka + ks])
-        bank_b = per_pair(bank_proj(eb), keys_task, out=cat[:, ka + ks:])
-        new_a = _task_gate(ws, layer.gate_a, None, bank_a, bank_s, la, logits_a,
-                           generic_bank=cat[:, :ka + ks])
-        new_b = _task_gate(ws, layer.gate_b, None, bank_b, bank_s, lb, logits_b)
-        new_s = _shared_gate(ws, layer.gate_s, None, bank_a, bank_s, bank_b, logits_s,
-                             bank=cat)
+        logits_s = gate_logits("s", layer.gate_s.attention, keys_shared)
+        experts = {"a": layer.experts_a, "s": layer.experts_s, "b": layer.experts_b}
+        keys = {"a": keys_task, "s": keys_shared, "b": keys_task}
+        slices, generic = _bank_buffer(ws, layer, banks, user_pos.shape[0])
+        bank = {"a": None, "s": None, "b": None}
+        for name, out in slices.items():
+            bank[name] = per_pair(bank_proj(experts[name]), keys[name], out=out)
+        if "a" in live:
+            new_a = _task_gate(ws, layer.gate_a, None, bank["a"], bank["s"], la,
+                               logits_a, generic_bank=generic.get("a"))
+        if "b" in live:
+            new_b = _task_gate(ws, layer.gate_b, None, bank["b"], bank["s"], lb,
+                               logits_b, generic_bank=generic.get("b"))
+        if "s" in live:
+            new_s = _shared_gate(ws, layer.gate_s, None, bank["a"], bank["s"],
+                                 bank["b"], logits_s, bank=generic["s"])
         return new_a, new_s, new_b
-    bank_a = per_pair(bank_proj(layer.experts_a), keys_task)
-    bank_b = per_pair(bank_proj(layer.experts_b), keys_task)
-    new_a = _task_gate(ws, layer.gate_a, None, bank_a, None, la, logits_a)
-    new_b = _task_gate(ws, layer.gate_b, None, bank_b, None, lb, logits_b)
+    if "a" in live:
+        bank_a = per_pair(bank_proj(layer.experts_a), keys_task)
+        new_a = _task_gate(ws, layer.gate_a, None, bank_a, None, la, logits_a)
+    if "b" in live:
+        bank_b = per_pair(bank_proj(layer.experts_b), keys_task)
+        new_b = _task_gate(ws, layer.gate_b, None, bank_b, None, lb, logits_b)
     return new_a, None, new_b
 
 
@@ -218,63 +254,67 @@ def _dense_bank(ws, bank, state: np.ndarray) -> np.ndarray:
     return ws.matmul_stack(state, [expert.weight.data for expert in bank._experts])
 
 
-def _dense_layer(ws, layer, g_a, g_s, g_b, adj):
+def _dense_layer(ws, layer, live, g_a, g_s, g_b, adj):
     """Mirror of the dense ``MTLLayer.forward`` (later planned layers).
 
-    The three expert banks are written into one combined ``[a | s | b]``
-    buffer so that gate A's generic bank (``[a | s]``) and the shared
-    gate's bank (``[a | s | b]``) are zero-copy slice views; only gate
-    B's ``[b | s]`` order still needs a concatenation.  Values are
-    identical to the per-bank concats — the layout only removes copies.
+    The live banks are written into one :func:`_bank_buffer`, so gate
+    A's (or, in a Task-B window, gate B's) generic bank and the shared
+    gate's bank are zero-copy slice views; only gate B's ``[b | s]``
+    next to a live bank A still needs a concatenation.
     """
     la, lb = adj
+    banks = layer.live_banks(live)
+    new_a = new_s = new_b = None
     if layer.shared:
         if layer.compact_input:
             state_a, state_b, state_s = g_a, g_b, g_s
         else:
-            # ``[g_a | g_s]`` is a prefix view of ``[g_a | g_s | g_b]`` —
-            # one concat serves both states (GEMMs handle the row
-            # stride natively, so the view costs nothing).
+            # Bank S is live whenever any gate is.  ``[g_a | g_s]`` is a
+            # prefix view of ``[g_a | g_s | g_b]`` — one concat serves
+            # both states (GEMMs handle the row stride natively, so the
+            # view costs nothing).
             state_s = ws.concat([g_a, g_s, g_b], axis=1)
-            state_a = state_s[:, : g_a.shape[1] + g_s.shape[1]]
-            state_b = ws.concat([g_b, g_s], axis=1)
-        ea, es, eb = layer.experts_a, layer.experts_s, layer.experts_b
+            state_a = (
+                state_s[:, : g_a.shape[1] + g_s.shape[1]] if "a" in banks else None
+            )
+            state_b = ws.concat([g_b, g_s], axis=1) if "b" in banks else None
+        experts = {"a": layer.experts_a, "s": layer.experts_s, "b": layer.experts_b}
+        states = {"a": state_a, "s": state_s, "b": state_b}
         dt = ws.dtype
-        fast = (
-            state_a.dtype == dt and state_b.dtype == dt and state_s.dtype == dt
-            and all(
-                x.weight.data.dtype == dt
-                for bank in (ea, es, eb) for x in bank._experts
-            )
+        fast = all(
+            states[name].dtype == dt
+            and all(x.weight.data.dtype == dt for x in experts[name]._experts)
+            for name in banks
         )
+        bank = {"a": None, "s": None, "b": None}
+        generic = {}
         if fast:
-            ka, ks, kb = ea.n_experts, es.n_experts, eb.n_experts
-            cat = ws.out((state_a.shape[0], ka + ks + kb, ea.out_dim))
-            bank_a = ws.matmul_stack(
-                state_a, [x.weight.data for x in ea._experts], out=cat[:, :ka]
-            )
-            bank_s = ws.matmul_stack(
-                state_s, [x.weight.data for x in es._experts], out=cat[:, ka:ka + ks]
-            )
-            bank_b = ws.matmul_stack(
-                state_b, [x.weight.data for x in eb._experts], out=cat[:, ka + ks:]
-            )
-            gen_a, gen_s = cat[:, :ka + ks], cat
+            slices, generic = _bank_buffer(ws, layer, banks, state_s.shape[0])
+            for name, out in slices.items():
+                bank[name] = ws.matmul_stack(
+                    states[name], [x.weight.data for x in experts[name]._experts],
+                    out=out,
+                )
         else:
-            bank_a = _dense_bank(ws, ea, state_a)
-            bank_b = _dense_bank(ws, eb, state_b)
-            bank_s = _dense_bank(ws, es, state_s)
-            gen_a = gen_s = None
-        new_a = _task_gate(ws, layer.gate_a, state_a, bank_a, bank_s, la, None,
-                           generic_bank=gen_a)
-        new_b = _task_gate(ws, layer.gate_b, state_b, bank_b, bank_s, lb, None)
-        new_s = _shared_gate(ws, layer.gate_s, state_s, bank_a, bank_s, bank_b, None,
-                             bank=gen_s)
+            for name in "abs":
+                if name in banks:
+                    bank[name] = _dense_bank(ws, experts[name], states[name])
+        if "a" in live:
+            new_a = _task_gate(ws, layer.gate_a, state_a, bank["a"], bank["s"], la,
+                               None, generic_bank=generic.get("a"))
+        if "b" in live:
+            new_b = _task_gate(ws, layer.gate_b, state_b, bank["b"], bank["s"], lb,
+                               None, generic_bank=generic.get("b"))
+        if "s" in live:
+            new_s = _shared_gate(ws, layer.gate_s, state_s, bank["a"], bank["s"],
+                                 bank["b"], None, bank=generic.get("s"))
         return new_a, new_s, new_b
-    bank_a = _dense_bank(ws, layer.experts_a, g_a)
-    bank_b = _dense_bank(ws, layer.experts_b, g_b)
-    new_a = _task_gate(ws, layer.gate_a, g_a, bank_a, None, la, None)
-    new_b = _task_gate(ws, layer.gate_b, g_b, bank_b, None, lb, None)
+    if "a" in live:
+        bank_a = _dense_bank(ws, layer.experts_a, g_a)
+        new_a = _task_gate(ws, layer.gate_a, g_a, bank_a, None, la, None)
+    if "b" in live:
+        bank_b = _dense_bank(ws, layer.experts_b, g_b)
+        new_b = _task_gate(ws, layer.gate_b, g_b, bank_b, None, lb, None)
     return new_a, None, new_b
 
 
@@ -317,20 +357,22 @@ def fused_planned_scores(model, emb, plan, task: str) -> Optional[np.ndarray]:
     e_u, e_i, e_p = e_u_t.data, e_i_t.data, e_p_t.data
     user_pos, item_pos = plan.user_pos, plan.item_pos
 
-    # Adjusted-gate logits for every layer first — forward_planned's order.
+    # Adjusted-gate logits for every live gate first — forward_planned's order.
+    live = mtl.live_outputs(("a",) if task == "items" else ("b",))
     adj_logits = []
-    for layer in mtl._layers:
+    for layer, out in zip(mtl._layers, live):
         adj_logits.append(
             tuple(
                 _pair_logits(ws, gate.adjusted, e_u, e_i, e_p, user_pos, item_pos, part_pos)
-                if gate.adjusted is not None
+                if gate.adjusted is not None and name in out
                 else None
-                for gate in (layer.gate_a, layer.gate_b)
+                for gate, name in ((layer.gate_a, "a"), (layer.gate_b, "b"))
             )
         )
     g_a, g_s, g_b = _first_layer(
-        ws, mtl._layers[0], e_u, e_i, e_p, user_pos, item_pos, part_pos, adj_logits[0]
+        ws, mtl._layers[0], live[0], e_u, e_i, e_p, user_pos, item_pos, part_pos,
+        adj_logits[0],
     )
-    for layer, logits in zip(mtl._layers[1:], adj_logits[1:]):
-        g_a, g_s, g_b = _dense_layer(ws, layer, g_a, g_s, g_b, logits)
+    for layer, out, logits in zip(mtl._layers[1:], live[1:], adj_logits[1:]):
+        g_a, g_s, g_b = _dense_layer(ws, layer, out, g_a, g_s, g_b, logits)
     return _head(ws, head, g_a if task == "items" else g_b)

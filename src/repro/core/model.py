@@ -203,12 +203,14 @@ class MGBR(GroupBuyingRecommender):
                 )
         return e_u, e_i, e_p, part_pos
 
-    def _planned_towers(self, emb: EmbeddingBundle, plan: ScoringPlan):
+    def _planned_towers(self, emb: EmbeddingBundle, plan: ScoringPlan, heads=("a", "b")):
         """Run the factorized stack over a plan → ``(g^L_A, g^L_B)``.
 
         Layer-0 partial projections are computed once per unique user /
         item / participant (:meth:`repro.core.mtl.MultiTaskModule
-        .forward_planned`).
+        .forward_planned`).  ``heads`` names the towers to compute; an
+        unrequested one is ``None`` and the stack skips the banks and
+        gates only it reads.
 
         Built entirely from autograd ops — called with a live training
         ``emb`` the towers back-propagate through the gathers and
@@ -216,7 +218,7 @@ class MGBR(GroupBuyingRecommender):
         """
         e_u, e_i, e_p, part_pos = self._planned_entities(emb, plan)
         return self.mtl.forward_planned(
-            e_u, e_i, e_p, plan.user_pos, plan.item_pos, part_pos
+            e_u, e_i, e_p, plan.user_pos, plan.item_pos, part_pos, heads=heads
         )
 
     def _fused_score_plan(self, emb: EmbeddingBundle, plan: ScoringPlan, task: str):
@@ -238,18 +240,18 @@ class MGBR(GroupBuyingRecommender):
 
     def _score_item_plan(self, emb: EmbeddingBundle, plan: ScoringPlan) -> Tensor:
         """Task-A raw logits for a plan's unique requests (factorized)."""
-        g_a, _ = self._planned_towers(emb, plan)
+        g_a, _ = self._planned_towers(emb, plan, heads=("a",))
         return self.head_a(g_a)
 
     def _score_participant_plan(self, emb: EmbeddingBundle, plan: ScoringPlan) -> Tensor:
         """Task-B raw logits for a plan's unique (u, i, p) requests."""
-        _, g_b = self._planned_towers(emb, plan)
+        _, g_b = self._planned_towers(emb, plan, heads=("b",))
         return self.head_b(g_b)
 
     def planned_joint_logits(self, emb: EmbeddingBundle, plan: ScoringPlan):
         """Both heads' raw logits over one plan → ``(logits_a, logits_b)``.
 
-        The expert/gate stack always computes both towers, so a trainer
+        One pass of the expert/gate stack serves both towers, so a trainer
         that folds *both* tasks' positives, negatives and auxiliary
         corruptions into one :class:`repro.plan.PlannedBatch` gets the
         second head's scores for just an extra MLP pass — and the

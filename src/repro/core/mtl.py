@@ -12,6 +12,14 @@ The MGBR-M ablation drops bank S and gate S, collapsing the module into
 two independent towers (each task gate then attends only over its own
 bank, and the adjusted-gate pair heads land on that bank as well).
 
+Live heads: the last layer's ``g^L_A`` / ``g^L_B`` each feed one
+tower and ``g^L_S`` feeds nothing, so a caller reading one head leaves
+part of the stack dead.  :meth:`MultiTaskModule.live_outputs` walks
+back from the requested heads and names, per layer, the gate outputs
+that must be produced; the planned forward (and the fused mirror in
+:mod:`repro.core.fused`) skips every bank, gate, state concat and
+adjusted-gate pair logit outside that set.
+
 Shape note (DESIGN.md §5): the general formulas make the first layer's
 expert inputs the *duplicated* concatenation ``g⁰_A || g⁰_S`` (identical
 vectors).  ``first_layer_compact=True`` feeds ``g⁰`` once instead,
@@ -21,7 +29,7 @@ matching the papers' annotated ``6d``/``9d`` first-layer sizes under its
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.config import MGBRConfig
 from repro.core.experts import ExpertBank
@@ -31,6 +39,13 @@ from repro.nn.tensor import Tensor, concat, take_rows
 from repro.utils.rng import SeedLike, spawn_rngs
 
 __all__ = ["MTLLayer", "MultiTaskModule"]
+
+#: Previous-layer gate outputs each expert bank reads (Eq. 7-9), keyed
+#: on whether the layer has a shared bank (MGBR-M drops it).
+_BANK_READS = {
+    True: {"a": frozenset("as"), "b": frozenset("bs"), "s": frozenset("asb")},
+    False: {"a": frozenset("a"), "b": frozenset("b")},
+}
 
 
 class MTLLayer(Module):
@@ -93,17 +108,36 @@ class MTLLayer(Module):
             self.experts_s = None
             self.gate_s = None
 
+    @property
+    def outputs(self) -> FrozenSet[str]:
+        """Every gate output this layer can produce (``"s"`` when shared)."""
+        return frozenset("asb") if self.shared else frozenset("ab")
+
+    def live_banks(self, live: Iterable[str]) -> FrozenSet[str]:
+        """Expert banks the gates in ``live`` mix.
+
+        A task gate X reads bank X, plus bank S when the layer is
+        shared; gate S reads all three banks.
+        """
+        live = frozenset(live)
+        if "s" in live:
+            return frozenset("asb")
+        if self.shared and live:
+            return live | {"s"}
+        return live
+
     def forward(
         self,
-        g_a: Tensor,
+        g_a: Optional[Tensor],
         g_s: Optional[Tensor],
-        g_b: Tensor,
+        g_b: Optional[Tensor],
         e_u: Tensor,
         e_i: Tensor,
         e_p: Tensor,
         pairs=None,
         adj_logits=None,
-    ) -> Tuple[Tensor, Optional[Tensor], Tensor]:
+        live: Optional[Iterable[str]] = None,
+    ) -> Tuple[Optional[Tensor], Optional[Tensor], Optional[Tensor]]:
         """Advance the gate states one layer.
 
         Returns ``(g_a, g_s, g_b)``; ``g_s`` is ``None`` without sharing.
@@ -113,30 +147,38 @@ class MTLLayer(Module):
         ``adj_logits`` optionally carries the two gates' factorized
         adjusted-gate logit triples ``(logits_a, logits_b)`` (the planned
         path); the raw embeddings are then unused and may be ``None``.
+        ``live`` names the gate outputs to produce (default: all of
+        them, see :meth:`MultiTaskModule.live_outputs`); dead outputs
+        come back as ``None`` and the banks, state concats and gates
+        only they need are skipped.  Inputs the live banks do not read
+        may be ``None``.
         """
+        live = self.outputs if live is None else frozenset(live)
+        banks = self.live_banks(live)
         la, lb = adj_logits if adj_logits is not None else (None, None)
-        if self.shared:
-            if self.compact_input:
-                state_a = g_a
-                state_b = g_b
-                state_s = g_s
-            else:
-                state_a = concat([g_a, g_s], axis=1)      # e^l_{A,in}, Eq. 10
-                state_b = concat([g_b, g_s], axis=1)
-                state_s = concat([g_a, g_s, g_b], axis=1)  # e^l_{S,in}, Eq. 14
-            bank_a = self.experts_a(state_a)
-            bank_b = self.experts_b(state_b)
-            bank_s = self.experts_s(state_s)
-            new_a = self.gate_a(state_a, bank_a, bank_s, e_u, e_i, e_p, pairs=pairs, adj_logits=la)
-            new_b = self.gate_b(state_b, bank_b, bank_s, e_u, e_i, e_p, pairs=pairs, adj_logits=lb)
+        if self.shared and not self.compact_input:
+            state_a = concat([g_a, g_s], axis=1) if "a" in banks else None  # Eq. 10
+            state_b = concat([g_b, g_s], axis=1) if "b" in banks else None
+            state_s = (                                                     # Eq. 14
+                concat([g_a, g_s, g_b], axis=1) if "s" in banks else None
+            )
+        else:
+            state_a, state_b, state_s = g_a, g_b, g_s
+        bank_a = self.experts_a(state_a) if "a" in banks else None
+        bank_b = self.experts_b(state_b) if "b" in banks else None
+        bank_s = self.experts_s(state_s) if "s" in banks else None
+        new_a = new_s = new_b = None
+        if "a" in live:
+            new_a = self.gate_a(
+                state_a, bank_a, bank_s, e_u, e_i, e_p, pairs=pairs, adj_logits=la
+            )
+        if "b" in live:
+            new_b = self.gate_b(
+                state_b, bank_b, bank_s, e_u, e_i, e_p, pairs=pairs, adj_logits=lb
+            )
+        if "s" in live:
             new_s = self.gate_s(state_s, bank_a, bank_s, bank_b)
-            return new_a, new_s, new_b
-
-        bank_a = self.experts_a(g_a)
-        bank_b = self.experts_b(g_b)
-        new_a = self.gate_a(g_a, bank_a, None, e_u, e_i, e_p, pairs=pairs, adj_logits=la)
-        new_b = self.gate_b(g_b, bank_b, None, e_u, e_i, e_p, pairs=pairs, adj_logits=lb)
-        return new_a, None, new_b
+        return new_a, new_s, new_b
 
     # ------------------------------------------------------------------
     # Factorized layer-0 (planned scoring path)
@@ -162,7 +204,8 @@ class MTLLayer(Module):
         item_pos,
         part_pos,
         adj_logits=None,
-    ) -> Tuple[Tensor, Optional[Tensor], Tensor]:
+        live: Optional[Iterable[str]] = None,
+    ) -> Tuple[Optional[Tensor], Optional[Tensor], Optional[Tensor]]:
         """Layer-0 forward with ``g⁰`` factorized over unique entities.
 
         ``e_u``/``e_i``/``e_p`` hold one row per *unique* entity of a
@@ -178,7 +221,11 @@ class MTLLayer(Module):
         projection is a single stacked matmul over cached fold weights
         (:meth:`repro.core.experts.ExpertBank.project_blocks`), so the
         per-entity work is one GEMM per bank rather than ``K``.
+        ``live`` prunes dead banks and gates exactly as in
+        :meth:`forward`.
         """
+        live = self.outputs if live is None else frozenset(live)
+        banks = self.live_banks(live)
         if self.compact_input:
             folds_task, folds_shared = 1, 1
         elif self.shared:
@@ -187,6 +234,7 @@ class MTLLayer(Module):
             folds_task, folds_shared = 1, 0
         v = e_u.shape[-1]
         blocks_task = [self._entity_blocks(v, j, folds_task) for j in range(3)]
+        blocks_shared = [self._entity_blocks(v, j, folds_shared) for j in range(3)]
 
         def per_pair(project, blocks):
             """Partial-project each entity table, then gather-add per request."""
@@ -196,34 +244,38 @@ class MTLLayer(Module):
                 + take_rows(project(e_p, blocks[2]), part_pos)
             )
 
-        bank_a = per_pair(self.experts_a.project_blocks, blocks_task)
-        bank_b = per_pair(self.experts_b.project_blocks, blocks_task)
-        logits_a = per_pair(self.gate_a.generic.attention.project_blocks, blocks_task)
-        logits_b = per_pair(self.gate_b.generic.attention.project_blocks, blocks_task)
+        def live_pair(name, project, blocks, needed):
+            return per_pair(project, blocks) if name in needed else None
+
+        bank_a = live_pair("a", self.experts_a.project_blocks, blocks_task, banks)
+        bank_b = live_pair("b", self.experts_b.project_blocks, blocks_task, banks)
+        logits_a = live_pair(
+            "a", self.gate_a.generic.attention.project_blocks, blocks_task, live
+        )
+        logits_b = live_pair(
+            "b", self.gate_b.generic.attention.project_blocks, blocks_task, live
+        )
         la, lb = adj_logits if adj_logits is not None else (None, None)
+        bank_s = logits_s = None
         if self.shared:
-            blocks_shared = [self._entity_blocks(v, j, folds_shared) for j in range(3)]
-            bank_s = per_pair(self.experts_s.project_blocks, blocks_shared)
-            logits_s = per_pair(self.gate_s.attention.project_blocks, blocks_shared)
+            bank_s = live_pair("s", self.experts_s.project_blocks, blocks_shared, banks)
+            logits_s = live_pair(
+                "s", self.gate_s.attention.project_blocks, blocks_shared, live
+            )
+        new_a = new_s = new_b = None
+        if "a" in live:
             new_a = self.gate_a(
                 None, bank_a, bank_s, None, None, None,
                 adj_logits=la, generic_logits=logits_a,
             )
+        if "b" in live:
             new_b = self.gate_b(
                 None, bank_b, bank_s, None, None, None,
                 adj_logits=lb, generic_logits=logits_b,
             )
+        if "s" in live:
             new_s = self.gate_s(None, bank_a, bank_s, bank_b, logits=logits_s)
-            return new_a, new_s, new_b
-        new_a = self.gate_a(
-            None, bank_a, None, None, None, None,
-            adj_logits=la, generic_logits=logits_a,
-        )
-        new_b = self.gate_b(
-            None, bank_b, None, None, None, None,
-            adj_logits=lb, generic_logits=logits_b,
-        )
-        return new_a, None, new_b
+        return new_a, new_s, new_b
 
 
 class MultiTaskModule(Module):
@@ -286,6 +338,27 @@ class MultiTaskModule(Module):
             g_a, g_s, g_b = layer(g_a, g_s, g_b, e_u, e_i, e_p, pairs=pairs)
         return g_a, g_b
 
+    def live_outputs(self, heads: Iterable[str]) -> List[FrozenSet[str]]:
+        """The gate outputs each layer must produce to serve ``heads``.
+
+        ``heads`` names the towers a caller reads: ``"a"`` (``g^L_A``)
+        and/or ``"b"`` (``g^L_B``).  Walking back from them, a layer's
+        live gates need their banks (:meth:`MTLLayer.live_banks`), and
+        bank A reads the previous layer's ``{a, s}``, bank B ``{b, s}``
+        and bank S ``{a, s, b}`` — ``{a}`` / ``{b}`` under MGBR-M.
+        Returns one set per layer, first layer first.  The last
+        layer's gate S is never live: nothing reads ``g^L_S``.
+        """
+        live = frozenset(heads)
+        if not live or not live <= {"a", "b"}:
+            raise ValueError(f"heads must be a non-empty subset of 'ab', got {heads!r}")
+        reads = _BANK_READS[self.config.use_shared_experts]
+        per_layer = []
+        for layer in reversed(self._layers):
+            per_layer.append(live)
+            live = frozenset().union(*(reads[bank] for bank in layer.live_banks(live)))
+        return per_layer[::-1]
+
     def forward_planned(
         self,
         e_u: Tensor,
@@ -294,7 +367,8 @@ class MultiTaskModule(Module):
         user_pos,
         item_pos,
         part_pos,
-    ) -> Tuple[Tensor, Tensor]:
+        heads: Iterable[str] = ("a", "b"),
+    ) -> Tuple[Optional[Tensor], Optional[Tensor]]:
         """Run the stack over a deduplicated scoring plan.
 
         Inputs are *unique-entity* embedding rows plus the per-request
@@ -310,6 +384,12 @@ class MultiTaskModule(Module):
         ``(g^L_A, g^L_B)`` with one row per unique request; numerically
         this matches :meth:`forward` up to float re-association.
 
+        ``heads`` selects the towers to compute; an unrequested one
+        comes back as ``None`` and everything only it needs is skipped
+        (:meth:`live_outputs`).  The surviving ops are the same
+        primitives on the same operands, so a requested tower is
+        bit-identical whichever heads are asked for.
+
         Every op here (gathers, weight-block partial projections,
         combines) records on the autograd tape, so the same path serves
         both inference (under ``no_grad``) and the planned *training*
@@ -321,20 +401,22 @@ class MultiTaskModule(Module):
         parameter versions so an optimizer step can never serve stale
         folds (tests/test_fold_cache.py).
         """
+        live = self.live_outputs(heads)
         adj_logits = []
-        for layer in self._layers:
-            logits_for = lambda gate: (
+        for layer, out in zip(self._layers, live):
+            logits_for = lambda gate, name: (
                 gate.adjusted.pair_logits(e_u, e_i, e_p, user_pos, item_pos, part_pos)
-                if gate.adjusted is not None
+                if gate.adjusted is not None and name in out
                 else None
             )
-            adj_logits.append((logits_for(layer.gate_a), logits_for(layer.gate_b)))
+            adj_logits.append((logits_for(layer.gate_a, "a"), logits_for(layer.gate_b, "b")))
         first = self._layers[0]
         g_a, g_s, g_b = first.forward_planned_first(
-            e_u, e_i, e_p, user_pos, item_pos, part_pos, adj_logits=adj_logits[0]
+            e_u, e_i, e_p, user_pos, item_pos, part_pos,
+            adj_logits=adj_logits[0], live=live[0],
         )
-        for layer, logits in zip(self._layers[1:], adj_logits[1:]):
+        for layer, logits, out in zip(self._layers[1:], adj_logits[1:], live[1:]):
             g_a, g_s, g_b = layer(
-                g_a, g_s, g_b, None, None, None, adj_logits=logits
+                g_a, g_s, g_b, None, None, None, adj_logits=logits, live=out
             )
         return g_a, g_b
