@@ -25,7 +25,11 @@ price of planning, not a regression of the model path.
 Run directly (``PYTHONPATH=src python benchmarks/bench_eval_throughput.py``)
 or via pytest.  ``--smoke`` runs a seconds-scale configuration, gates
 only correctness (:func:`check_report` with ``smoke=True``) and skips
-the JSON artifact.  Environment knobs:
+the JSON artifact.  Both modes also audit one fused 1:99 window per
+task under ``CountingBackend`` (``window_audit``): zero array copies and
+matmul / concatenate counts within :data:`WINDOW_OP_BOUNDS`.
+
+Environment knobs:
 
 * ``REPRO_BENCH_EVAL_USERS / ITEMS / GROUPS`` — dataset scale
 * ``REPRO_BENCH_EVAL_INSTANCES`` — instances per task per protocol
@@ -48,7 +52,7 @@ from repro.core import MGBR, MGBRConfig
 from repro.data import NegativeSampler, SyntheticConfig, generate_dataset
 from repro.data.samples import extract_task_a, extract_task_b
 from repro.eval import EvalProtocol
-from repro.nn import no_grad
+from repro.nn import CountingBackend, backend_scope, no_grad
 from repro.plan import ScoringPlan
 from repro.training import TrainConfig, Trainer
 from repro.training.checkpoint import restore_model, save_checkpoint
@@ -63,6 +67,14 @@ DATA_SEED = 7
 MODEL_SEED = 1
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_eval_throughput.json"
+
+#: Ceilings on the backend calls of one warm fused 1:99 window of the
+#: benchmark MGBR, per task: the values measured with live-head pruning
+#: (the unpruned program made 74 matmuls and 4 concatenates per window).
+WINDOW_OP_BOUNDS = {
+    "items": {"matmul": 58, "concatenate": 2},
+    "participants": {"matmul": 58, "concatenate": 3},
+}
 
 
 def _dataset():
@@ -188,6 +200,61 @@ def _bench_model(name: str, model, dataset) -> dict:
     return out
 
 
+def _windows(dataset):
+    """The 1:99 plans of both tasks, each cut into FUSED_CHUNK windows."""
+    protocol = EvalProtocol(
+        dataset, n_negatives=99, cutoff=100, max_instances=INSTANCES
+    )
+    task_a, task_b = protocol._candidate_lists()
+    plans = {
+        "items": ScoringPlan.for_items(task_a["users"], task_a["candidates"]),
+        "participants": ScoringPlan.for_participants(
+            task_b["users"], task_b["items"], task_b["candidates"]
+        ),
+    }
+    return {
+        task: [
+            plan.pair_slice(slice(start, min(start + FUSED_CHUNK, plan.n_pairs)))
+            for start in range(0, plan.n_pairs, FUSED_CHUNK)
+        ]
+        for task, plan in plans.items()
+    }, plans
+
+
+def _window_audit(model, dataset) -> dict:
+    """Backend calls of one warm fused window per task (``CountingBackend``).
+
+    Deterministic for a given model configuration: the counts depend on
+    the program's structure, not on timing or window size.  Each window
+    is scored once before counting so fold-cache builds stay out.
+    """
+    windows, _ = _windows(dataset)
+    previous = model.executor
+    model.executor = "fused"
+    audit = {}
+    try:
+        with no_grad():
+            model.refresh_cache()
+            for task, subs in windows.items():
+                scorer = (
+                    model.score_item_plan if task == "items"
+                    else model.score_participant_plan
+                )
+                scorer(subs[0])
+                before = model.executor_stats()["fused_calls"]
+                counting = CountingBackend()
+                with backend_scope(counting):
+                    scorer(subs[0])
+                audit[task] = {
+                    "nn_counts": dict(sorted(counting.counts.items())),
+                    "copies": counting.copies,
+                    "fused": model.executor_stats()["fused_calls"] == before + 1,
+                }
+    finally:
+        model.executor = previous
+    return audit
+
+
 def _bench_fused(model, dataset) -> dict:
     """Fused no-tape executor vs the tape on 1:99 planned scoring.
 
@@ -198,24 +265,11 @@ def _bench_fused(model, dataset) -> dict:
     ``fused_speedup`` is the **median of per-repetition ratios** —
     co-tenant noise lands on both sides of each pair roughly equally.
     """
-    protocol = EvalProtocol(
-        dataset, n_negatives=99, cutoff=100, max_instances=INSTANCES
-    )
-    task_a, task_b = protocol._candidate_lists()
-    plan_a = ScoringPlan.for_items(task_a["users"], task_a["candidates"])
-    plan_b = ScoringPlan.for_participants(
-        task_b["users"], task_b["items"], task_b["candidates"]
-    )
-    jobs = []
-    for plan, scorer in (
-        (plan_a, model.score_item_plan),
-        (plan_b, model.score_participant_plan),
-    ):
-        subs = [
-            plan.pair_slice(slice(start, min(start + FUSED_CHUNK, plan.n_pairs)))
-            for start in range(0, plan.n_pairs, FUSED_CHUNK)
-        ]
-        jobs.append((scorer, subs))
+    windows, plans = _windows(dataset)
+    jobs = [
+        (model.score_item_plan, windows["items"]),
+        (model.score_participant_plan, windows["participants"]),
+    ]
 
     def one_pass(executor):
         model.executor = executor
@@ -245,7 +299,7 @@ def _bench_fused(model, dataset) -> dict:
         stats = model.executor_stats()
     finally:
         model.executor = previous
-    n_pairs = plan_a.n_pairs + plan_b.n_pairs
+    n_pairs = sum(plan.n_pairs for plan in plans.values())
     tape_best, fused_best = min(tape_times), min(fused_times)
     return {
         "chunk": FUSED_CHUNK,
@@ -260,6 +314,7 @@ def _bench_fused(model, dataset) -> dict:
         "fused_speedup_max": round(float(max(ratios)), 2),
         "scores_identical_to_tape": identical,
         "executor_stats": stats,
+        "window_audit": _window_audit(model, dataset),
     }
 
 
@@ -364,7 +419,8 @@ def check_report(report: dict, smoke: bool = False) -> None:
     """The acceptance gates the CI smoke run also exercises.
 
     ``smoke=True`` keeps the correctness gates (loop/planned metric
-    parity, fused-vs-tape score parity, quantised metric bounds) but
+    parity, fused-vs-tape score parity, the per-window op audit,
+    quantised metric bounds) but
     skips the speedup floors: at the seconds-scale configuration the
     timings sit too close to their floors to gate on shared runners.
     """
@@ -381,6 +437,15 @@ def check_report(report: dict, smoke: bool = False) -> None:
     assert fused["scores_identical_to_tape"], (
         "fused executor scores diverged from the tape"
     )
+    # One warm window per task: fused, copy-free, and no more matmuls or
+    # concatenates than the live-head-pruned program makes.
+    for task, bounds in WINDOW_OP_BOUNDS.items():
+        cell = fused["window_audit"][task]
+        assert cell["fused"], f"{task} window fell back to the tape"
+        assert cell["copies"] == 0, f"{task} window made {cell['copies']} array copies"
+        for prim, bound in bounds.items():
+            count = cell["nn_counts"].get(prim, 0)
+            assert count <= bound, f"{task} window made {count} {prim} calls > {bound}"
     # Quantised serving accuracy: fp16 must not move any eval metric
     # (bitwise-stable ranking), int8 drift stays within the documented
     # bound, and both deltas land in the artifact as numbers.
