@@ -17,6 +17,18 @@ bit-identical to the tape (asserted in tests/test_fused_executor.py).
 When editing the tape modules, update the matching mirror here; the
 parity tests catch any drift.
 
+Live heads
+----------
+A call scores one task, so it reads one tower.  The mirror asks the
+same liveness rule as the tape (``MultiTaskModule.live_outputs``) which
+gate outputs each layer must produce, and skips every bank, gate,
+state concat and adjusted-gate pair logit outside that set — exactly
+the ops ``forward_planned`` skips, so the two programs stay op-for-op
+mirrors.  A shared layer's live banks share one workspace buffer laid
+out ``[a | s | b]`` (or ``[b | s]`` when bank A is dead), which makes
+the first task gate's generic bank and the shared gate's bank
+zero-copy views.
+
 Returns ``None`` (caller falls back to the tape) for model
 configurations the mirror does not cover: subclassed MTL stacks/layers
 or prediction heads with a non-ReLU activation or live dropout.
@@ -148,6 +160,11 @@ def _shared_gate(ws, gate, state, bank_a, bank_s, bank_b, logits, bank=None):
     return _attend(ws, attention, bank, logits)
 
 
+def _experts(layer):
+    """A shared layer's expert banks by name."""
+    return {"a": layer.experts_a, "s": layer.experts_s, "b": layer.experts_b}
+
+
 def _bank_buffer(ws, layer, banks, rows: int):
     """One combined workspace buffer for a shared layer's live banks.
 
@@ -159,7 +176,7 @@ def _bank_buffer(ws, layer, banks, rows: int):
     gate-name → bank view for the gates that get one.  Values are
     identical to the per-gate concats — the layout only removes copies.
     """
-    experts = {"a": layer.experts_a, "s": layer.experts_s, "b": layer.experts_b}
+    experts = _experts(layer)
     order = [x for x in ("asb" if "a" in banks else "bs") if x in banks]
     sizes = [experts[x].n_experts for x in order]
     cat = ws.out((rows, sum(sizes), layer.experts_a.out_dim))
@@ -218,7 +235,7 @@ def _first_layer(ws, layer, live, e_u, e_i, e_p, user_pos, item_pos, part_pos, a
             _blocks_key(layer._entity_blocks(v, j, folds_shared)) for j in range(3)
         ]
         logits_s = gate_logits("s", layer.gate_s.attention, keys_shared)
-        experts = {"a": layer.experts_a, "s": layer.experts_s, "b": layer.experts_b}
+        experts = _experts(layer)
         keys = {"a": keys_task, "s": keys_shared, "b": keys_task}
         slices, generic = _bank_buffer(ws, layer, banks, user_pos.shape[0])
         bank = {"a": None, "s": None, "b": None}
@@ -278,7 +295,7 @@ def _dense_layer(ws, layer, live, g_a, g_s, g_b, adj):
                 state_s[:, : g_a.shape[1] + g_s.shape[1]] if "a" in banks else None
             )
             state_b = ws.concat([g_b, g_s], axis=1) if "b" in banks else None
-        experts = {"a": layer.experts_a, "s": layer.experts_s, "b": layer.experts_b}
+        experts = _experts(layer)
         states = {"a": state_a, "s": state_s, "b": state_b}
         dt = ws.dtype
         fast = all(

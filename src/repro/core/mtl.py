@@ -409,7 +409,9 @@ class MultiTaskModule(Module):
                 if gate.adjusted is not None and name in out
                 else None
             )
-            adj_logits.append((logits_for(layer.gate_a, "a"), logits_for(layer.gate_b, "b")))
+            adj_logits.append(
+                (logits_for(layer.gate_a, "a"), logits_for(layer.gate_b, "b"))
+            )
         first = self._layers[0]
         g_a, g_s, g_b = first.forward_planned_first(
             e_u, e_i, e_p, user_pos, item_pos, part_pos,

@@ -22,7 +22,7 @@ from repro.nn.tensor import dtype_scope
 from repro.plan import ScoringPlan
 from repro.training import TrainConfig, Trainer
 
-_BASE = MGBRConfig.small(d=8, n_experts=2, mtl_layers=2, seed=3)
+_BASE = MGBRConfig.small(d=8, seed=3)  # the small profile: K = 3, L = 2
 
 CONFIGS = {
     "default": {},
