@@ -362,6 +362,8 @@ def _scaling_flood(n_workers: int, rows_per_worker: int,
         rng, 1024, width=OVERLOAD_CANDIDATES
     )
     models = [build_model("dense") for _ in range(n_workers)]
+    for model in models:
+        model.executor = "fused"
     engine = MultiWorkerEngine(
         models,
         max_delay_ms=OVERLOAD_DEADLINE_MS,
@@ -371,7 +373,6 @@ def _scaling_flood(n_workers: int, rows_per_worker: int,
         # each worker's flush slot comes around n× less often — the age
         # budget must cover one fleet-wide drain cycle, not one worker's.
         max_queue_age_ms=OVERLOAD_DEADLINE_MS * n_workers,
-        executor="fused",
     )
     tickets = []
     with engine:

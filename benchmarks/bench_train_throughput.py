@@ -1,27 +1,26 @@
 """Training-throughput benchmark: the planned optimisation step vs flat.
 
-Times full training epochs for the two trainer engines — the historical
-*flat* step (``TrainConfig(dedup=False)``: every (instance × negative)
-loss row re-scored through the full model) and the *planned* step
-(``dedup=True``: each step's positive + negative + auxiliary-corruption
-requests compiled into one differentiable
+Times full training epochs of MGBR on the step the trainer picks for it
+— the *planned* step (each step's positive + negative +
+auxiliary-corruption requests compiled into one differentiable
 :class:`repro.plan.PlannedBatch`, unique requests scored once through
 the factorized expert/gate stack, scores scattered back to the loss
-rows) — at the paper's loop hyper-parameters: batch 64, 1:9 negative
-sampling, |T| = 99 auxiliary corruptions.  Also records the ``"auto"``
-engine, which resolves per model (planned for MGBR's expensive stack,
-flat for GBMF's near-free dot product) — the plan-aware cheap-model
-heuristic from the ROADMAP.
+rows) — against the *flat* reference step (every (instance × negative)
+loss row re-scored through the full model), reached through the
+trainer's private ``_use_planned`` seam, at the paper's loop
+hyper-parameters: batch 64, 1:9 negative sampling, |T| = 99 auxiliary
+corruptions.  GBMF, whose near-free dot product trains flat, records
+its own step.
 
 Each engine reports steps/sec plus the per-phase wall-clock breakdown
 (``sampling`` / ``forward`` / ``backward`` / ``optimizer``) surfaced by
 :class:`repro.training.history.EpochRecord.phases`, and the first-epoch
-losses of both engines are compared — they agree to float re-association
-(bit-identical for GBMF's pure pair-dedup path); the strict gradient /
-post-Adam-weight parity assertions live in tests/test_training.py.
-Each model also records a deterministic allocation audit of one planned
-step (``step_audit``: per-primitive ``CountingBackend`` counts, copies,
-and gradient-buffer allocations), gated in :func:`check_report`.
+losses of MGBR's two steps are compared — they agree to float
+re-association; the strict gradient / post-Adam-weight parity
+assertions live in tests/test_training.py.  MGBR also records a
+deterministic allocation audit of one planned step (``step_audit``:
+per-primitive ``CountingBackend`` counts, copies, and gradient-buffer
+allocations), gated in :func:`check_report`.
 
 Writes ``BENCH_train_throughput.json`` at the repository root.  Run
 directly (``PYTHONPATH=src python benchmarks/bench_train_throughput.py``);
@@ -82,7 +81,7 @@ def _build_gbmf(dataset):
     return GBMF(dataset.n_users, dataset.n_items, dim=16, seed=MODEL_SEED)
 
 
-def _train_config(dedup) -> TrainConfig:
+def _train_config() -> TrainConfig:
     return TrainConfig(
         epochs=EPOCHS,
         batch_size=BATCH_SIZE,
@@ -90,7 +89,6 @@ def _train_config(dedup) -> TrainConfig:
         aux_negatives=AUX_NEGATIVES,
         learning_rate=5e-3,
         seed=0,
-        dedup=dedup,
     )
 
 
@@ -101,9 +99,15 @@ def _steps_per_epoch(trainer: Trainer) -> int:
     return max(n_a, n_b)
 
 
-def _run_engine(build_model, dataset, dedup) -> dict:
-    """Train ``EPOCHS`` epochs; report the best epoch's throughput."""
-    trainer = Trainer(build_model(dataset), dataset, _train_config(dedup))
+def _run_engine(build_model, dataset, flat_reference=False) -> dict:
+    """Train ``EPOCHS`` epochs; report the best epoch's throughput.
+
+    ``flat_reference`` switches the planned step off through the
+    trainer's private ``_use_planned`` seam (tests use the same one).
+    """
+    trainer = Trainer(build_model(dataset), dataset, _train_config())
+    if flat_reference:
+        trainer._use_planned = False
     steps = _steps_per_epoch(trainer)
     records = [trainer.train_epoch() for _ in range(EPOCHS)]
     best = min(records, key=lambda r: r.seconds)
@@ -121,14 +125,13 @@ def _plan_stats(build_model, dataset) -> dict:
     """Plan statistics for one representative training step's requests.
 
     Uses the trainer's own plan construction
-    (:meth:`repro.training.Trainer._step_planned_batches`), so the
-    reported numbers describe exactly what the planned step scores.
+    (:meth:`repro.training.Trainer._step_plan`), so the reported numbers
+    describe exactly what the planned step scores.
     """
-    trainer = Trainer(build_model(dataset), dataset, _train_config(True))
+    trainer = Trainer(build_model(dataset), dataset, _train_config())
     pair = next(iter(trainer._paired_batches()))
     draws = trainer._draw_negatives(pair["a"], pair["b"])
-    batches = trainer._step_planned_batches(pair["a"], pair["b"], draws)
-    return {name: batch.plan.stats() for name, batch in batches.items()}
+    return {"joint": trainer._step_plan(pair["a"], pair["b"], draws).plan.stats()}
 
 
 def _step_audit(build_model, dataset) -> dict:
@@ -140,7 +143,7 @@ def _step_audit(build_model, dataset) -> dict:
     tape could not adopt from a closure (see docs/training.md,
     "Gradient buffers").
     """
-    trainer = Trainer(build_model(dataset), dataset, _train_config(True))
+    trainer = Trainer(build_model(dataset), dataset, _train_config())
     pair = next(iter(trainer._paired_batches()))
     counting = CountingBackend()
     with backend_scope(counting):
@@ -153,10 +156,9 @@ def _step_audit(build_model, dataset) -> dict:
     }
 
 
-def _bench_model(build_model, dataset) -> dict:
-    flat = _run_engine(build_model, dataset, False)
-    planned = _run_engine(build_model, dataset, True)
-    auto = _run_engine(build_model, dataset, "auto")
+def _bench_mgbr(dataset) -> dict:
+    flat = _run_engine(_build_mgbr, dataset, flat_reference=True)
+    planned = _run_engine(_build_mgbr, dataset)
     loss_delta = max(
         abs(flat["first_epoch_losses"][k] - planned["first_epoch_losses"][k])
         for k in flat["first_epoch_losses"]
@@ -164,14 +166,12 @@ def _bench_model(build_model, dataset) -> dict:
     return {
         "flat": flat,
         "planned": planned,
-        "auto": auto,
-        "auto_resolves_to": auto["engine"],
         "planned_speedup": round(
             planned["steps_per_sec"] / flat["steps_per_sec"], 2
         ),
         "first_epoch_loss_max_abs_diff": loss_delta,
-        "step_plan": _plan_stats(build_model, dataset),
-        "step_audit": _step_audit(build_model, dataset),
+        "step_plan": _plan_stats(_build_mgbr, dataset),
+        "step_audit": _step_audit(_build_mgbr, dataset),
     }
 
 
@@ -186,8 +186,8 @@ def run_benchmark() -> dict:
             "epochs_timed": EPOCHS,
         },
         "models": {
-            "MGBR": _bench_model(_build_mgbr, dataset),
-            "GBMF": _bench_model(_build_gbmf, dataset),
+            "MGBR": _bench_mgbr(dataset),
+            "GBMF": {"flat": _run_engine(_build_gbmf, dataset)},
         },
     }
 
@@ -198,7 +198,7 @@ def check_report(report: dict) -> None:
     assert mgbr["planned_speedup"] >= 2.0, (
         f"planned step speedup {mgbr['planned_speedup']}x < 2x"
     )
-    assert mgbr["auto_resolves_to"] == "planned", "auto should plan for MGBR"
+    assert mgbr["planned"]["engine"] == "planned", "MGBR should train on the planned step"
     assert mgbr["first_epoch_loss_max_abs_diff"] < 1e-9, (
         f"planned losses diverged: {mgbr['first_epoch_loss_max_abs_diff']}"
     )
@@ -209,15 +209,12 @@ def check_report(report: dict) -> None:
         f"> {MAX_STEP_ALLOCATIONS}"
     )
     gbmf = report["models"]["GBMF"]
-    assert gbmf["auto_resolves_to"] == "flat", "auto should stay flat for GBMF"
-    assert gbmf["first_epoch_loss_max_abs_diff"] == 0.0, (
-        "pair-dedup losses must be bit-identical"
-    )
+    assert gbmf["flat"]["engine"] == "flat", "GBMF should train on the flat step"
 
 
 def test_train_throughput():
-    """Planned step ≥2× flat for MGBR; losses agree; auto routes sanely;
-    one planned step stays within its allocation budget."""
+    """Planned step ≥2× flat for MGBR; losses agree; each model trains on
+    its own step; one planned step stays within its allocation budget."""
     report = run_benchmark()
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     check_report(report)

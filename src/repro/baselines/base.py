@@ -15,10 +15,11 @@ protocol and the benchmark harness treat them uniformly:
   pass created by :meth:`refresh_cache` when available);
 * :meth:`score_items_matrix` / :meth:`score_participants_matrix` are the
   **batched scoring path**: they score one candidate *matrix* — many
-  instances × many candidates — against the cached encoder pass.  By
-  default the request is first compiled into a
-  :class:`repro.plan.ScoringPlan` (repeated requests scored once, the
-  result scattered back); ``score_item_plan`` /
+  instances × many candidates — against the cached encoder pass.  A
+  model with a joint expert/gate stack first compiles the request into
+  a :class:`repro.plan.ScoringPlan` (repeated requests scored once, the
+  result scattered back); the others score every flat row.
+  ``score_item_plan`` /
   ``score_participant_plan`` expose the unique-request scoring directly
   to the evaluation protocol's chunked runner and the serving
   front-end, and the ``_score_*_plan`` hooks let models exploit the
@@ -142,12 +143,6 @@ class GroupBuyingRecommender(Module):
     #: Whether the trainer should attach the auxiliary losses (Sec. II-G).
     #: Only the MGBR family overrides this.
     supports_aux_losses: bool = False
-
-    #: Rough dense-scoring cost per request row relative to a plain
-    #: dot-product scorer — the model-cost term of the ``dedup="auto"``
-    #: heuristic (:meth:`prefers_planned`).  MGBR overrides this with a
-    #: value proportional to its layer-0 linear widths.
-    scoring_cost_hint: float = 1.0
 
     def __init__(self, n_users: int, n_items: int) -> None:
         super().__init__()
@@ -285,51 +280,29 @@ class GroupBuyingRecommender(Module):
         """
         return self.n_users
 
-    def prefers_planned(self, duplication_hint: float = 1.0) -> bool:
-        """The ``dedup="auto"`` policy: is planning worth its overhead?
+    @property
+    def _plans_scoring(self) -> bool:
+        """Whether evaluation and training score through a :class:`ScoringPlan`.
 
-        Planning costs O(N log N) on request ids; it pays off when the
-        per-row model cost saved (``scoring_cost_hint``, ≈1 for
-        dot-product scorers, ≫1 for the factorized expert/gate stack)
-        times the expected request duplication exceeds the plan build.
-        The threshold is calibrated on BENCH_eval_throughput.json: GBMF's
-        sub-millisecond 1:99 cells lose to planning
-        (``dedup_speedup < 1``) while every MGBR cell wins.
-
-        ``duplication_hint`` is the caller's estimate of *pair-level*
-        duplication — how often the same full ``(u, i[, p])`` request
-        repeats, the only redundancy a non-factorized model can exploit.
-        Evaluation candidate lists and training batches are ≈1 there
-        (distinct candidates per instance; entity-level repetition is
-        already priced into the stack's ``scoring_cost_hint``), which is
-        why the protocol and trainer call this with the default; a
-        serving-style caller coalescing overlapping requests should pass
-        its observed ratio.
+        Derived from the model, never set by a caller: a model plans iff
+        it has a joint expert/gate stack (``planned_joint_logits``, the
+        MGBR family), whose factorized layer-0 projections make planning
+        pay.  The baselines score flat, where the plan build costs more
+        than the repeated rows it saves.  The evaluation protocol, the
+        matrix scorers and the trainer all read this one rule; serving
+        always plans (its plans dedup across requests).
         """
-        return self.scoring_cost_hint * max(duplication_hint, 1.0) >= 8.0
-
-    def resolve_dedup(self, dedup, duplication_hint: float = 1.0) -> bool:
-        """Map a ``dedup`` knob (bool or ``"auto"``) to a decision."""
-        if dedup == "auto":
-            return self.prefers_planned(duplication_hint)
-        return bool(dedup)
+        return hasattr(self, "planned_joint_logits")
 
     def _score_item_plan(self, emb: EmbeddingBundle, plan: ScoringPlan) -> Tensor:
         """Score a plan's unique (u, i) requests → ``(P,)`` tensor.
 
         The default routes through the flat scorers, so every baseline
-        inherits pair dedup for free; MGBR overrides this with the
+        serves planned requests for free; MGBR overrides this with the
         factorized expert/gate path.  Raw logits when the model uses the
         default public ``score_items`` (σ is monotone, and saturated
         probabilities would collapse distinct candidates into ties),
         the model's own score scale otherwise.
-
-        This hook is also the trainer's differentiable planned path:
-        called outside ``no_grad`` with the step's live ``emb``, the
-        returned tensor back-propagates into the encoder (the ``emb``
-        branch keeps gradients; the cached-``score_items`` branch exists
-        only for externally-defined models, which the planned trainer
-        does not route here).
         """
         if type(self).score_items is GroupBuyingRecommender.score_items:
             kwargs = (
@@ -431,7 +404,7 @@ class GroupBuyingRecommender(Module):
             raise ValueError("participant scoring got an item (pair) plan")
         return self._run_plan(plan, "participants")
 
-    def score_items_matrix(self, users, candidate_items, dedup="auto") -> np.ndarray:
+    def score_items_matrix(self, users, candidate_items) -> np.ndarray:
         """Task-A *ranking* scores for per-instance candidate lists.
 
         Parameters
@@ -439,13 +412,11 @@ class GroupBuyingRecommender(Module):
         users: ``(n,)`` instance initiators.
         candidate_items: ``(n, m)`` candidate items — row ``k`` is the
             list scored for ``users[k]``.
-        dedup: ``True`` plans the request first — repeated (u, i) pairs
-            are scored once and scattered back; ``False`` scores every
-            flat row (the pre-plan batched path, kept for benchmarking);
-            ``"auto"`` (default) lets :meth:`prefers_planned` pick —
-            planning for expensive stacks like MGBR, flat for near-free
-            dot-product scorers where the plan build costs more than it
-            saves.
+
+        A model that plans (:attr:`_plans_scoring`) compiles the request
+        into a :class:`ScoringPlan` first — repeated (u, i) pairs are
+        scored once and scattered back; every other model scores each
+        flat row.  Both give bit-equal scores to duplicate requests.
 
         Returns
         -------
@@ -464,7 +435,7 @@ class GroupBuyingRecommender(Module):
             raise ValueError(
                 f"need (n,) users and (n, m) candidates, got {users.shape}/{cands.shape}"
             )
-        if self.resolve_dedup(dedup):
+        if self._plans_scoring:
             plan = ScoringPlan.for_items(users, cands)
             return plan.scatter(self.score_item_plan(plan))
         flat_users = np.repeat(users, cands.shape[1])
@@ -476,15 +447,13 @@ class GroupBuyingRecommender(Module):
             scores = self.score_items(flat_users, cands.ravel())
         return np.asarray(scores.data, dtype=np.float64).reshape(cands.shape)
 
-    def score_participants_matrix(
-        self, users, items, candidate_participants, dedup="auto"
-    ) -> np.ndarray:
+    def score_participants_matrix(self, users, items, candidate_participants) -> np.ndarray:
         """Task-B ranking scores for per-instance candidate lists.
 
         ``users``/``items`` are ``(n,)`` instance pairs and
         ``candidate_participants`` is ``(n, m)``; returns the ``(n, m)``
-        score matrix.  Same dedup (``True``/``False``/``"auto"``) and
-        raw-logit conventions as :meth:`score_items_matrix`.
+        score matrix.  Same planning rule and raw-logit conventions as
+        :meth:`score_items_matrix`.
         """
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
@@ -494,7 +463,7 @@ class GroupBuyingRecommender(Module):
                 "need (n,) users, (n,) items and (n, m) candidates, got "
                 f"{users.shape}/{items.shape}/{cands.shape}"
             )
-        if self.resolve_dedup(dedup):
+        if self._plans_scoring:
             plan = ScoringPlan.for_participants(users, items, cands)
             return plan.scatter(self.score_participant_plan(plan))
         n_list = cands.shape[1]

@@ -261,19 +261,6 @@ class MGBR(GroupBuyingRecommender):
         g_a, g_b = self._planned_towers(emb, plan)
         return self.head_a(g_a), self.head_b(g_b)
 
-    @property
-    def scoring_cost_hint(self) -> float:
-        """Model-cost term of the ``dedup="auto"`` heuristic.
-
-        ≈ dense layer-0 FLOPs per request row over the planned path's
-        per-row combine cost: the 12d/18d-wide expert and gate linears
-        against the K·d gather-adds work out to roughly ``4d`` (see
-        docs/training.md) — far above the planning threshold for any
-        usable embedding width, which is the point: the stack always
-        plans, dot-product scorers never accidentally do.
-        """
-        return float(4 * self.config.d)
-
     # ------------------------------------------------------------------
     # Capabilities
     # ------------------------------------------------------------------

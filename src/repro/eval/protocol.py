@@ -25,26 +25,22 @@ of magnitude faster than the historical per-instance loop, which is kept
 as :meth:`EvalProtocol.run_per_instance` for parity testing and
 throughput benchmarking.
 
-Planned scoring (dedup)
------------------------
-With ``dedup=True`` each task's flattened request is first compiled
-into a :class:`repro.plan.ScoringPlan`: repeated (u, i) / (u, i, p)
-requests collapse onto unique pairs *globally* (dedup sees the whole
-instance set, not one chunk), the model scores ``chunk_size``-row
-windows of unique pairs via ``score_item_plan`` /
-``score_participant_plan``, and one scatter rebuilds the full score
-matrix.  Models inherit pair dedup from
-:class:`repro.baselines.base.GroupBuyingRecommender`; MGBR additionally
-runs its factorized expert/gate stack per plan, cutting the layer-0
-FLOPs that dominate 1:99 lists.  ``dedup=False`` keeps the pre-plan flat
-path for benchmarking.  ``dedup="auto"`` (the default) asks the model
-(:meth:`repro.baselines.base.GroupBuyingRecommender.prefers_planned`)
-whether planning pays for itself: the expert/gate stack always plans,
-while near-free dot-product scorers (GBMF at toy scale) skip the
-O(N log N) plan build that used to cost them more than it saved —
-the ``dedup_speedup < 1`` cells in BENCH_eval_throughput.json.
-Duplicate requests receive bit-equal scores on all paths, so ties (and
-therefore metrics) are unaffected.
+Planned scoring
+---------------
+The model picks its path (``_plans_scoring`` on
+:class:`repro.baselines.base.GroupBuyingRecommender`): a model with a
+joint expert/gate stack (the MGBR family) has each task's flattened
+request compiled into a :class:`repro.plan.ScoringPlan` — repeated
+(u, i) / (u, i, p) requests collapse onto unique pairs *globally*
+(dedup sees the whole instance set, not one chunk), the model scores
+``chunk_size``-row windows of unique pairs via ``score_item_plan`` /
+``score_participant_plan`` with its factorized stack, and one scatter
+rebuilds the full score matrix.  The baselines score flat chunks of
+(instance × candidate) rows: their near-free scorers lose more to the
+plan build than they save.  Duplicate requests receive bit-equal scores
+on both paths, so ties (and therefore metrics) are unaffected.  Planned
+calls run on the executor the model's own ``executor`` attribute
+selects (``docs/backends.md``).
 
 Both tasks compile their plans first, and then all their windows run
 window-parallel on one work queue (:mod:`repro.eval.windows`): the
@@ -81,7 +77,6 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.data.negative import NegativeSampler
-from repro.executor import VALID_EXECUTORS
 from repro.data.samples import extract_task_a, extract_task_b
 from repro.data.schema import GroupBuyingDataset
 from repro.eval.metrics import RankingAccumulator, rank_of_positive, ranks_of_positives
@@ -125,19 +120,10 @@ class EvalProtocol:
     split: which split supplies the positive instances.
     max_instances: optional cap (benchmarks subsample for speed).
     chunk_size: target number of flattened (instance × candidate) rows
-        (``dedup=False``) or unique planned requests (``dedup=True``)
-        per model call on the batched path.
+        (flat path) or unique planned requests (planned path) per model
+        call on the batched path.
     dtype: scoring precision — ``"float64"`` (exact) or ``"float32"``
         (inference fast path; see the module docstring).
-    dedup: ``True`` compiles each task's request into a
-        :class:`ScoringPlan` first (see the module docstring);
-        ``False`` scores every flat row the pre-plan way; ``"auto"``
-        (default) lets the model's cost hint decide.
-    executor: planned-call executor knob (``"auto"``/``"fused"``/
-        ``"tape"``, see ``docs/backends.md``) applied to the model for
-        the duration of :meth:`run` and restored afterwards.  At
-        float64 the fused path is bit-identical to the tape, so metrics
-        are executor-invariant (asserted in tests).
 
     :meth:`run` scores under the calling thread's array backend
     (``backend_scope``); window-parallel workers inherit it.
@@ -151,8 +137,6 @@ class EvalProtocol:
     max_instances: Optional[int] = None
     chunk_size: int = 4096
     dtype: str = "float64"
-    dedup: object = "auto"
-    executor: str = "auto"
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -160,21 +144,6 @@ class EvalProtocol:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32|float64, got {self.dtype!r}")
-        if self.dedup not in (True, False, "auto"):
-            raise ValueError(
-                f"dedup must be True, False or 'auto', got {self.dedup!r}"
-            )
-        if self.executor not in VALID_EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {VALID_EXECUTORS}, got {self.executor!r}"
-            )
-
-    def _resolve_dedup(self, model) -> bool:
-        """Map the ``dedup`` knob to a per-model decision."""
-        resolver = getattr(model, "resolve_dedup", None)
-        if resolver is not None:
-            return resolver(self.dedup)
-        return self.dedup is True
 
     def _groups(self):
         groups = getattr(self.dataset, self.split)
@@ -248,7 +217,7 @@ class EvalProtocol:
 
     def _plan(self, model, task: str, lists) -> Optional[ScoringPlan]:
         """The task's global :class:`ScoringPlan`, or ``None`` (flat path)."""
-        if not (self._resolve_dedup(model) and hasattr(model, _PLAN_SCORER[task])):
+        if not getattr(model, "_plans_scoring", False):
             return None
         if task == "a":
             return ScoringPlan.for_items(lists["users"], lists["candidates"])
@@ -277,18 +246,13 @@ class EvalProtocol:
     def _flat(self, model, task: str, lists) -> np.ndarray:
         """Score one task's candidate matrix the flat (unplanned) way."""
         users, cands = lists["users"], lists["candidates"]
-        # Plan-capable models get an explicit dedup=False (the pre-plan
-        # flat path); duck-typed models keep their own signature.
-        kwargs = {"dedup": False} if hasattr(model, _PLAN_SCORER[task]) else {}
         out = np.empty(cands.shape, dtype=np.float64)
         for chunk in self._instance_chunks(len(users), cands.shape[1]):
             if task == "a":
-                out[chunk] = model.score_items_matrix(
-                    users[chunk], cands[chunk], **kwargs
-                )
+                out[chunk] = model.score_items_matrix(users[chunk], cands[chunk])
             else:
                 out[chunk] = model.score_participants_matrix(
-                    users[chunk], lists["items"][chunk], cands[chunk], **kwargs
+                    users[chunk], lists["items"][chunk], cands[chunk]
                 )
         return out
 
@@ -329,11 +293,6 @@ class EvalProtocol:
         """
         was_training = getattr(model, "training", False)
         model.eval()
-        # Scope the executor knob to this evaluation: the model may be
-        # shared with serving code that configured its own executor.
-        prior_executor = getattr(model, "executor", None)
-        if prior_executor is not None:
-            model.executor = self.executor
         try:
             with no_grad(), dtype_scope(self.dtype):
                 if hasattr(model, "refresh_cache"):
@@ -349,8 +308,6 @@ class EvalProtocol:
                 acc_b = RankingAccumulator(self.cutoff)
                 acc_b.add_ranks(ranks_of_positives(scores_b))
         finally:
-            if prior_executor is not None:
-                model.executor = prior_executor
             if self.dtype != "float64" and hasattr(model, "invalidate_cache"):
                 # Drop the reduced-precision encoder pass so later
                 # full-precision consumers never see float32 tensors.
@@ -409,14 +366,11 @@ def evaluate_model(
     max_instances: Optional[int] = None,
     chunk_size: int = 4096,
     dtype: str = "float64",
-    dedup="auto",
-    executor: str = "auto",
 ) -> Dict[str, EvalResult]:
     """Run the paper's two standard protocols and key results by cutoff.
 
-    Returns e.g. ``{"@10": EvalResult, "@100": EvalResult}``.  ``dtype``,
-    ``chunk_size``, ``dedup`` and ``executor`` forward to
-    :class:`EvalProtocol`.
+    Returns e.g. ``{"@10": EvalResult, "@100": EvalResult}``.  ``dtype``
+    and ``chunk_size`` forward to :class:`EvalProtocol`.
     """
     out: Dict[str, EvalResult] = {}
     for n_neg, cutoff in protocols:
@@ -429,8 +383,6 @@ def evaluate_model(
             max_instances=max_instances,
             chunk_size=chunk_size,
             dtype=dtype,
-            dedup=dedup,
-            executor=executor,
         )
         out[f"@{cutoff}"] = protocol.run(model)
     return out

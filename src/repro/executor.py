@@ -74,10 +74,10 @@ __all__ = [
     "worker_slot",
 ]
 
-#: The executor knob's accepted values (model attribute, serving/eval
-#: parameters).  ``"auto"`` defers to the ``REPRO_EXECUTOR`` environment
-#: variable (read at call time, default ``"fused"``); gradients always
-#: force the tape regardless.
+#: The accepted values of a model's ``executor`` attribute, the one
+#: executor switch.  ``"auto"`` defers to the ``REPRO_EXECUTOR``
+#: environment variable (read at call time, default ``"fused"``);
+#: gradients always force the tape regardless.
 VALID_EXECUTORS = ("auto", "fused", "tape")
 
 #: Environment override consulted by ``"auto"`` (CI's tape-flip lane

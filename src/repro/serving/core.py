@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.executor import VALID_EXECUTORS
 from repro.nn.tensor import dtype_scope, no_grad
 from repro.plan import ScoringPlan
 from repro.serving.errors import OverloadError, TicketTimeout
@@ -260,18 +259,11 @@ def split_expired(
 class ScoringCore:
     """Validation + flush execution over one model (no queue, no clock)."""
 
-    def __init__(self, model, dtype: str = "float64", executor: str = "auto") -> None:
+    def __init__(self, model, dtype: str = "float64") -> None:
         if dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32|float64, got {dtype!r}")
-        if executor not in VALID_EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {VALID_EXECUTORS}, got {executor!r}"
-            )
         self.model = model
         self.dtype = dtype
-        self.executor = executor
-        if hasattr(model, "executor"):
-            model.executor = executor
         self.stats = {
             "requests": 0,
             "flushes": 0,
@@ -280,7 +272,7 @@ class ScoringCore:
             "unique_pairs": 0,
             # Per-flush executor accounting: how many planned model calls
             # ran fused vs on the tape (see docs/backends.md).  Stays
-            # zero for models without the executor knob.
+            # zero for models without executor counters.
             "fused_calls": 0,
             "tape_calls": 0,
         }

@@ -11,25 +11,25 @@ negatives, assembles Eq. 25's objective
 and takes an Adam step (Sec. II-F).  Early stopping tracks a validation
 metric with patience.
 
-Planned optimisation step (``dedup``)
--------------------------------------
+Planned optimisation step
+-------------------------
 A step's scoring requests are massively redundant: every Task-A/B user
 is re-encoded ``1 + train_negatives`` times, and the auxiliary losses
 (Eq. 21/22/24) repeat each positive triple's ``(u, i)`` / ``(u, p)``
-pair ``aux_negatives`` times.  With ``dedup=True`` (or ``"auto"`` on a
-model whose per-row scoring is expensive) the step compiles all of its
-positive, negative and auxiliary-corruption requests into
-:class:`repro.plan.PlannedBatch` — *with gradients*: unique requests
-are scored once through the model's planned hooks (MGBR's factorized
-expert/gate stack via ``planned_joint_logits``, pair dedup via the
-``_score_*_plan`` hooks otherwise) and scattered back to the loss rows
-through autograd gathers, so the backward pass flows through the dedup
-maps into the encoder.  The Task-A pair requests ride in the same plan
-as the explicit-participant corruption triples via the model's
-``mean_participant_id`` sentinel, and the item-corrupted triples shared
-by ``L'_A`` and ``L'_B`` are scored once.  Losses match the flat step
-up to float re-association (bit-identical for pure pair-dedup models —
-see tests/test_training.py's parity suite).
+pair ``aux_negatives`` times.  A model with a joint expert/gate stack
+(``planned_joint_logits``, the MGBR family — the same
+``_plans_scoring`` rule evaluation reads) trains on the planned step:
+all of the step's positive, negative and auxiliary-corruption requests
+are compiled into one :class:`repro.plan.PlannedBatch` — *with
+gradients* — scored once through the factorized stack and scattered
+back to the loss rows through autograd gathers, so the backward pass
+flows through the dedup maps into the encoder.  The Task-A pair
+requests ride in the same plan as the explicit-participant corruption
+triples via the model's ``mean_participant_id`` sentinel, and the
+item-corrupted triples shared by ``L'_A`` and ``L'_B`` are scored once.
+Every other model trains on the flat step, which is also the planned
+step's parity oracle: losses match up to float re-association (see
+tests/test_training.py's parity suite).
 
 Each step's wall-clock is split into ``sampling`` / ``forward`` /
 ``backward`` / ``optimizer`` phases, surfaced per epoch via
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -62,7 +62,7 @@ from repro.nn.optim import Adam, clip_grad_norm
 from repro.plan import PlannedBatch
 from repro.training.history import EpochRecord, History
 from repro.utils.logging import get_logger
-from repro.utils.rng import SeedLike, as_rng, spawn_rngs
+from repro.utils.rng import SeedLike, spawn_rngs
 
 __all__ = ["TrainConfig", "Trainer"]
 
@@ -104,12 +104,6 @@ class TrainConfig:
     eval_dtype: str = "float64"  # periodic-validation scoring precision;
                                  # "float32" opts into the inference fast
                                  # path (see repro.eval.protocol)
-    dedup: object = "auto"       # route _step through the planned/dedup
-                                 # scoring path: True | False | "auto"
-                                 # (let the model's cost hint decide —
-                                 # planned for the expert/gate stack,
-                                 # flat for near-free dot-product
-                                 # scorers; see the module docstring)
     sparse_updates: bool = False # lazy per-row Adam on embedding-store
                                  # tables: only rows a step's gathers
                                  # touched get moment decay + update
@@ -118,12 +112,6 @@ class TrainConfig:
                                  # bit-parity with the dense optimizer)
     seed: SeedLike = 0
     verbose: bool = False
-
-    def __post_init__(self) -> None:
-        if self.dedup not in (True, False, "auto"):
-            raise ValueError(
-                f"dedup must be True, False or 'auto', got {self.dedup!r}"
-            )
 
     @classmethod
     def from_mgbr(cls, config: MGBRConfig, **overrides) -> "TrainConfig":
@@ -193,18 +181,9 @@ class Trainer:
             self._pool_b = self.sampler.build_participant_pool(
                 self.task_b.users, self.task_b.items, self.config.negative_pool_size
             )
-        resolver = getattr(model, "resolve_dedup", None)
-        if resolver is not None and hasattr(model, "_score_item_plan"):
-            # Default duplication hint: training pairs are near-unique
-            # (each (u, i±) appears once per step), so a pure pair-dedup
-            # model gains ~nothing from planning here; the factorized
-            # stack's entity-level gains are priced into its
-            # scoring_cost_hint.  See prefers_planned().
-            self._use_planned = resolver(self.config.dedup)
-        else:
-            # Duck-typed models without the planned hooks only take the
-            # planned path when explicitly asked (and then fail loudly).
-            self._use_planned = self.config.dedup is True
+        # The model's planning rule picks the step; tests and the
+        # training benchmark clear it to run the flat reference step.
+        self._use_planned = getattr(model, "_plans_scoring", False)
         self._phase_totals: Dict[str, float] = {}
         self._validation_protocol: Optional[EvalProtocol] = None
         if self.config.eval_every and dataset.validation:
@@ -287,7 +266,11 @@ class Trainer:
         }
 
     def _flat_losses(self, emb, batch_a, batch_b, draws) -> Tuple:
-        """The historical step: score every loss row through the model."""
+        """The flat step: score every loss row through the model.
+
+        The baselines train on it, and it is the planned step's parity
+        oracle for the MGBR family.
+        """
         cfg = self.config
         model = self.model
 
@@ -335,16 +318,11 @@ class Trainer:
                 )
         return loss_a, loss_b, aux_a, aux_b
 
-    def _step_planned_batches(
-        self, batch_a, batch_b, draws
-    ) -> Dict[str, PlannedBatch]:
-        """Compile one step's requests into its planned batch(es).
+    def _step_plan(self, batch_a, batch_b, draws) -> PlannedBatch:
+        """Compile every request of one step into one planned batch.
 
-        ``{"joint": batch}`` for models with a ``planned_joint_logits``
-        stack (every request of the step in one plan), else one plan per
-        head (``{"task_a": ..., "task_b": ...}``).  Shared with
-        benchmarks/bench_train_throughput.py so the reported plan
-        statistics describe exactly what the step scores.
+        Shared with benchmarks/bench_train_throughput.py so the reported
+        plan statistics describe exactly what the step scores.
         """
         cfg = self.config
         n, t = cfg.train_negatives, cfg.aux_negatives
@@ -357,123 +335,61 @@ class Trainer:
         neg_items, neg_parts = draws["neg_items"], draws["neg_parts"]
         corrupted_items = draws["corrupted_items"]
         corrupted_parts = draws["corrupted_parts"]
-        if getattr(self.model, "planned_joint_logits", None) is not None:
-            segments = {
-                "pos_a": (users_a, items_a, None, (len(users_a),)),
-                "neg_a": (
-                    np.repeat(users_a, n), neg_items.ravel(), None, neg_items.shape
-                ),
-            }
-            if corrupted_items is not None:
-                u_rep = np.repeat(users_b, t)
-                p_rep = np.repeat(parts_b, t)
-                if cfg.beta_a > 0:
-                    segments["aux_tp"] = (
-                        u_rep, np.repeat(items_b, t),
-                        corrupted_parts.ravel(), corrupted_parts.shape,
-                    )
-                segments["aux_ti"] = (
-                    u_rep, corrupted_items.ravel(), p_rep, corrupted_items.shape
-                )
-            segments["pos_b"] = (users_b, items_b, parts_b, (len(users_b),))
-            segments["neg_b"] = (
-                np.repeat(users_b, n), np.repeat(items_b, n),
-                neg_parts.ravel(), neg_parts.shape,
-            )
-            joint = PlannedBatch.build(
-                segments, sentinel=getattr(self.model, "mean_participant_id", None)
-            )
-            return {"joint": joint}
-        return {
-            "task_a": PlannedBatch.build({
-                "pos": (users_a, items_a, None, (len(users_a),)),
-                "neg": (
-                    np.repeat(users_a, n), neg_items.ravel(), None, neg_items.shape
-                ),
-            }),
-            "task_b": PlannedBatch.build({
-                "pos": (users_b, items_b, parts_b, (len(users_b),)),
-                "neg": (
-                    np.repeat(users_b, n), np.repeat(items_b, n),
-                    neg_parts.ravel(), neg_parts.shape,
-                ),
-            }),
+        segments = {
+            "pos_a": (users_a, items_a, None, (len(users_a),)),
+            "neg_a": (np.repeat(users_a, n), neg_items.ravel(), None, neg_items.shape),
         }
+        if corrupted_items is not None:
+            u_rep = np.repeat(users_b, t)
+            p_rep = np.repeat(parts_b, t)
+            if cfg.beta_a > 0:
+                segments["aux_tp"] = (
+                    u_rep, np.repeat(items_b, t),
+                    corrupted_parts.ravel(), corrupted_parts.shape,
+                )
+            segments["aux_ti"] = (
+                u_rep, corrupted_items.ravel(), p_rep, corrupted_items.shape
+            )
+        segments["pos_b"] = (users_b, items_b, parts_b, (len(users_b),))
+        segments["neg_b"] = (
+            np.repeat(users_b, n), np.repeat(items_b, n),
+            neg_parts.ravel(), neg_parts.shape,
+        )
+        return PlannedBatch.build(segments, sentinel=self.model.mean_participant_id)
 
     def _planned_losses(self, emb, batch_a, batch_b, draws) -> Tuple:
         """The deduplicated step: compile, score unique requests, scatter.
 
-        With a ``planned_joint_logits`` model (the MGBR family) every
-        request of the step — both tasks' positives and negatives plus
-        the auxiliary corruption triples — lands in *one*
+        Every request of the step — both tasks' positives and negatives
+        plus the auxiliary corruption triples — lands in *one*
         :class:`repro.plan.PlannedBatch`: the expert/gate stack computes
         both task towers anyway, Task-A pair requests ride along via the
         mean-participant sentinel, and the ``(u, i', p)`` bank shared by
         ``L'_A`` and ``L'_B`` (and the Task-B positives shared by
-        ``L_B`` and ``L'_B``) is scored once.  Pair-dedup models take
-        one plan per head through the ``_score_*_plan`` hooks instead;
-        auxiliary losses (no in-repo model needs this combination) fall
-        back to the flat helpers.
+        ``L_B`` and ``L'_B``) is scored once.
         """
         cfg = self.config
-        model = self.model
-        users_b, items_b, parts_b = (
-            batch_b["users"],
-            batch_b["items"],
-            batch_b["participants"],
-        )
-        corrupted_items = draws["corrupted_items"]
-        corrupted_parts = draws["corrupted_parts"]
-        batches = self._step_planned_batches(batch_a, batch_b, draws)
-
-        if "joint" in batches:
-            batch = batches["joint"]
-            logits_a, logits_b = model.planned_joint_logits(emb, batch.plan)
-            flat_a = batch.scatter(logits_a)
-            flat_b = batch.scatter(logits_b)
-            loss_a = bpr_loss(batch.take(flat_a, "pos_a"), batch.take(flat_a, "neg_a"))
-            loss_b = bpr_loss(batch.take(flat_b, "pos_b"), batch.take(flat_b, "neg_b"))
-            aux_a = aux_b = None
-            if corrupted_items is not None:
-                # Both auxiliary losses read the same scattered
-                # corruption segments (the (u, i', p) bank is scored
-                # once for L'_A and L'_B; listnet's softmax normalizer
-                # is built once over that bank).
-                aux_a, aux_b = aux_losses_from_scores(
-                    batch.take(flat_b, "pos_b"),
-                    batch.take(flat_a, "aux_tp") if cfg.beta_a > 0 else None,
-                    batch.take(flat_a, "aux_ti") if cfg.beta_a > 0 else None,
-                    batch.take(flat_b, "aux_ti"),
-                    mode=cfg.aux_a_mode,
-                    want_a=cfg.beta_a > 0,
-                    want_b=cfg.beta_b > 0,
-                )
-            return loss_a, loss_b, aux_a, aux_b
-
-        # Per-head pair/triple dedup for models without a joint stack.
-        batch_a_plan = batches["task_a"]
-        flat_a = batch_a_plan.scatter(model._score_item_plan(emb, batch_a_plan.plan))
-        loss_a = bpr_loss(
-            batch_a_plan.take(flat_a, "pos"), batch_a_plan.take(flat_a, "neg")
-        )
-        batch_b_plan = batches["task_b"]
-        flat_b = batch_b_plan.scatter(
-            model._score_participant_plan(emb, batch_b_plan.plan)
-        )
-        loss_b = bpr_loss(
-            batch_b_plan.take(flat_b, "pos"), batch_b_plan.take(flat_b, "neg")
-        )
+        batch = self._step_plan(batch_a, batch_b, draws)
+        logits_a, logits_b = self.model.planned_joint_logits(emb, batch.plan)
+        flat_a = batch.scatter(logits_a)
+        flat_b = batch.scatter(logits_b)
+        loss_a = bpr_loss(batch.take(flat_a, "pos_a"), batch.take(flat_a, "neg_a"))
+        loss_b = bpr_loss(batch.take(flat_b, "pos_b"), batch.take(flat_b, "neg_b"))
         aux_a = aux_b = None
-        if corrupted_items is not None:
-            if cfg.beta_a > 0:
-                aux_a = aux_loss_task_a(
-                    model, emb, users_b, items_b, parts_b,
-                    corrupted_items, corrupted_parts, mode=cfg.aux_a_mode,
-                )
-            if cfg.beta_b > 0:
-                aux_b = aux_loss_task_b(
-                    model, emb, users_b, items_b, parts_b, corrupted_items
-                )
+        if draws["corrupted_items"] is not None:
+            # Both auxiliary losses read the same scattered corruption
+            # segments (the (u, i', p) bank is scored once for L'_A and
+            # L'_B; listnet's softmax normalizer is built once over that
+            # bank).
+            aux_a, aux_b = aux_losses_from_scores(
+                batch.take(flat_b, "pos_b"),
+                batch.take(flat_a, "aux_tp") if cfg.beta_a > 0 else None,
+                batch.take(flat_a, "aux_ti") if cfg.beta_a > 0 else None,
+                batch.take(flat_b, "aux_ti"),
+                mode=cfg.aux_a_mode,
+                want_a=cfg.beta_a > 0,
+                want_b=cfg.beta_b > 0,
+            )
         return loss_a, loss_b, aux_a, aux_b
 
     def _step(self, batch_a: Dict[str, np.ndarray], batch_b: Dict[str, np.ndarray]) -> Dict[str, float]:

@@ -1,12 +1,14 @@
 """The fused no-tape executor: bit-parity, fallbacks, buffer reuse.
 
 The contract under test (see ``docs/backends.md``): with
-``executor="fused"`` every planned scoring call at float64 is
+``model.executor = "fused"`` every planned scoring call at float64 is
 **bit-identical** to the tape — for the MGBR expert/gate stack and the
 dot-product baselines, dense or sharded stores, via direct plan calls,
 the evaluation protocol and the serving engines — while gradient
 recording and unsupported model configurations transparently fall back
-to the tape (counted, never wrong).
+to the tape (counted, never wrong).  The model attribute is the only
+switch: the protocol and the engines run whatever it selects and never
+change it.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.executor import EXECUTOR_ENV, VALID_EXECUTORS, resolve_executor
 from repro.nn import is_grad_enabled, no_grad
 from repro.nn.tensor import dtype_scope
 from repro.plan import ScoringPlan
+from repro.serving.degrade import DegradationPolicy
 from repro.serving.engine import ServingEngine
 from repro.serving.multi import MultiWorkerEngine
 
@@ -132,15 +135,31 @@ class TestBitParity:
     @pytest.mark.parametrize("build", [_mgbr, _gbmf])
     def test_eval_metrics_executor_invariant(self, tiny_dataset, build):
         model = build(tiny_dataset)
+        protocol = EvalProtocol(
+            dataset=tiny_dataset, n_negatives=5, cutoff=5, max_instances=40
+        )
         results = {}
         for executor in ("fused", "tape"):
-            protocol = EvalProtocol(
-                dataset=tiny_dataset, n_negatives=5, cutoff=5,
-                max_instances=40, executor=executor,
-            )
+            model.executor = executor
             results[executor] = protocol.run(model).flat()
+            assert model.executor == executor  # run() left the knob alone
         assert results["fused"] == results["tape"]
-        assert model.executor == "auto"  # run() restored the knob
+
+    @pytest.mark.parametrize("executor", ["fused", "tape"])
+    def test_eval_runs_on_the_model_executor(self, tiny_dataset, executor):
+        model = _mgbr(tiny_dataset)
+        model.executor = executor
+        protocol = EvalProtocol(
+            dataset=tiny_dataset, n_negatives=5, cutoff=5, max_instances=40
+        )
+        before = model.executor_stats()
+        protocol.run(model)
+        after = model.executor_stats()
+        ran = after[f"{executor}_calls"] - before[f"{executor}_calls"]
+        other = "tape" if executor == "fused" else "fused"
+        assert ran > 0
+        assert after[f"{other}_calls"] == before[f"{other}_calls"]
+        assert after["fallbacks"] == before["fallbacks"]
 
     def test_float32_scope_stays_close(self, tiny_dataset, rng):
         model = _mgbr(tiny_dataset)
@@ -257,7 +276,8 @@ class TestWorkspaceReuse:
 # ----------------------------------------------------------------------
 class TestServingExecutor:
     def _serve(self, model, executor):
-        with ServingEngine(model, max_delay_ms=1.0, executor=executor) as engine:
+        model.executor = executor
+        with ServingEngine(model, max_delay_ms=1.0) as engine:
             a = engine.score_items(3, [0, 1, 2, 5], timeout=5.0)
             b = engine.score_participants(3, 1, [4, 5, 6], timeout=5.0)
             stats = engine.stats()
@@ -268,25 +288,36 @@ class TestServingExecutor:
         tape_a, tape_b, tape_stats = self._serve(_mgbr(tiny_dataset), "tape")
         np.testing.assert_array_equal(fused_a, tape_a)
         np.testing.assert_array_equal(fused_b, tape_b)
-        assert fused_stats["engine"]["executor"] == "fused"
         assert fused_stats["batcher"]["fused_calls"] == 2
         assert fused_stats["batcher"]["tape_calls"] == 0
         assert tape_stats["batcher"]["fused_calls"] == 0
         assert tape_stats["batcher"]["tape_calls"] == 2
 
-    def test_invalid_executor_rejected(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            ServingEngine(_gbmf(tiny_dataset), executor="jit")
+    def test_engines_leave_model_executor_alone(self, tiny_dataset):
+        modes = ("tape", "fused", "auto")
+        models = [_mgbr(tiny_dataset) for _ in modes]
+        for model, mode in zip(models, modes):
+            model.executor = mode
+        fallback = _gbmf(tiny_dataset)
+        fallback.executor = "tape"
+        ServingEngine(
+            models[0],
+            degradation=DegradationPolicy(watermark_rows=64, fallback_model=fallback),
+        )
+        MultiWorkerEngine(models)
+        assert [model.executor for model in models] == list(modes)
+        assert fallback.executor == "tape"
 
     def test_multi_worker_parity_and_aggregation(self, tiny_dataset):
-        def replicas():
-            return [_mgbr(tiny_dataset, seed=3) for _ in range(2)]
+        def replicas(executor):
+            models = [_mgbr(tiny_dataset, seed=3) for _ in range(2)]
+            for model in models:
+                model.executor = executor
+            return models
 
         scores = {}
         for executor in ("fused", "tape"):
-            with MultiWorkerEngine(
-                replicas(), max_delay_ms=1.0, executor=executor
-            ) as engine:
+            with MultiWorkerEngine(replicas(executor), max_delay_ms=1.0) as engine:
                 scores[executor] = [
                     engine.score_items(0, [0, 1, 2], timeout=5.0),
                     engine.score_items(1, [0, 1, 2], timeout=5.0),

@@ -382,7 +382,8 @@ def test_mismatched_k1_shapes_still_raise():
 
 
 # ----------------------------------------------------------------------
-# Oracle: planned training steps, new tape vs reference tape
+# Oracle: training steps, new tape vs reference tape (the MGBR models
+# take the planned step, GBMF its flat step)
 # ----------------------------------------------------------------------
 def _mgbr(dataset, config, **over):
     return MGBR(
@@ -401,10 +402,9 @@ _MODELS = {
 def _three_steps(model, dataset):
     config = TrainConfig(
         epochs=1, batch_size=32, learning_rate=5e-3, train_negatives=3,
-        aux_negatives=3, seed=0, dedup=True, grad_clip=1.0,
+        aux_negatives=3, seed=0, grad_clip=1.0,
     )
     trainer = Trainer(model, dataset, config)
-    assert trainer._use_planned
     grads, losses = [], []
     for _, pair in zip(range(3), trainer._paired_batches()):
         losses.append(trainer._step(pair["a"], pair["b"]))

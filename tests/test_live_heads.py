@@ -205,7 +205,7 @@ def test_pruned_step_matches_everything_live(tiny_dataset, monkeypatch, name):
         model = _mgbr(tiny_dataset, name)
         config = TrainConfig(
             epochs=1, batch_size=32, learning_rate=5e-3, train_negatives=3,
-            aux_negatives=3, seed=0, dedup=True, grad_clip=1.0,
+            aux_negatives=3, seed=0, grad_clip=1.0,
         )
         trainer = Trainer(model, tiny_dataset, config)
         assert trainer._use_planned

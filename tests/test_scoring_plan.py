@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import GBMF, NGCF
+from repro.cli import build_model
 from repro.core import MGBR, MGBRConfig, PlannedBatch, ScoringPlan
 from repro.data import NegativePool, NegativeSampler
 from repro.eval import EvalProtocol
@@ -195,26 +196,65 @@ class TestPlannedBatch:
 
 
 # ----------------------------------------------------------------------
-# Auto dedup: the plan-aware cheap-model heuristic
+# Auto dedup: each model picks its own scoring path
 # ----------------------------------------------------------------------
+def _flat_items(model, users, cands):
+    """Flat reference: every (instance × candidate) row scored directly."""
+    scores = model.score_items_from(
+        model._bundle(), np.repeat(users, cands.shape[1]), cands.ravel(), raw=True
+    )
+    return np.asarray(scores.data, dtype=np.float64).reshape(cands.shape)
+
+
+def _flat_participants(model, users, items, pcands):
+    n_list = pcands.shape[1]
+    scores = model.score_participants_from(
+        model._bundle(), np.repeat(users, n_list), np.repeat(items, n_list),
+        pcands.ravel(), raw=True,
+    )
+    return np.asarray(scores.data, dtype=np.float64).reshape(pcands.shape)
+
+
 class TestAutoDedup:
-    def test_model_cost_hints(self, tiny_dataset, tiny_mgbr):
-        gbmf = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=2)
-        assert gbmf.scoring_cost_hint == 1.0
-        assert tiny_mgbr.scoring_cost_hint >= 8.0
-        assert tiny_mgbr.prefers_planned() and not gbmf.prefers_planned()
-        # Heavy duplication tips even a cheap model into planning.
-        assert gbmf.prefers_planned(duplication_hint=50.0)
-        assert gbmf.resolve_dedup("auto") is False
-        assert gbmf.resolve_dedup(True) is True
-        assert tiny_mgbr.resolve_dedup("auto") is True
+    """Only the joint expert/gate stack plans; the baselines score flat."""
+
+    @pytest.mark.parametrize(
+        "name", ["MGBR", "GBMF", "DeepMF", "NGCF", "DiffNet", "EATNN", "GBGCN"]
+    )
+    def test_each_model_takes_its_path(self, tiny_dataset, monkeypatch, name):
+        model = build_model(name, tiny_dataset, dim=8, seed=2)
+        planned = name == "MGBR"
+        assert model._plans_scoring is planned
+
+        # Evaluation: planned scoring goes through the executor counters.
+        before = model.executor_stats()
+        EvalProtocol(tiny_dataset, n_negatives=5, cutoff=5, max_instances=10).run(model)
+        after = model.executor_stats()
+        calls = sum(after[k] - before[k] for k in ("fused_calls", "tape_calls"))
+        assert (calls > 0) is planned
+
+        # Training: one step takes exactly one of the two loss builders.
+        steps = []
+        for step in ("_flat_losses", "_planned_losses"):
+            original = getattr(Trainer, step)
+
+            def spy(self, *args, _step=step, _original=original):
+                steps.append(_step)
+                return _original(self, *args)
+
+            monkeypatch.setattr(Trainer, step, spy)
+        config = TrainConfig(
+            epochs=1, batch_size=16, train_negatives=2, aux_negatives=3,
+            learning_rate=5e-3, seed=0,
+        )
+        trainer = Trainer(model, tiny_dataset, config)
+        pair = next(iter(trainer._paired_batches()))
+        trainer._step(pair["a"], pair["b"])
+        assert steps == ["_planned_losses" if planned else "_flat_losses"]
 
     def test_protocol_auto_matches_loop_for_both_models(self, tiny_dataset, tiny_mgbr):
         protocol = EvalProtocol(tiny_dataset, n_negatives=9, cutoff=10, max_instances=30)
-        assert protocol.dedup == "auto"
         gbmf = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=2)
-        assert not protocol._resolve_dedup(gbmf)
-        assert protocol._resolve_dedup(tiny_mgbr)
         for model in (gbmf, tiny_mgbr):
             assert protocol.run(model).flat() == (
                 protocol.run_per_instance(model).flat()
@@ -227,14 +267,11 @@ class TestAutoDedup:
         with no_grad():
             tiny_mgbr.refresh_cache()
             auto = tiny_mgbr.score_items_matrix(users, cands)
-            forced = tiny_mgbr.score_items_matrix(users, cands, dedup=True)
-            flat = tiny_mgbr.score_items_matrix(users, cands, dedup=False)
+            plan = ScoringPlan.for_items(users, cands)
+            forced = plan.scatter(tiny_mgbr.score_item_plan(plan))
+            flat = _flat_items(tiny_mgbr, users, cands)
         np.testing.assert_array_equal(auto, forced)
         np.testing.assert_allclose(auto, flat, rtol=1e-10, atol=1e-12)
-
-    def test_protocol_rejects_bad_dedup(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            EvalProtocol(tiny_dataset, dedup="maybe")
 
 
 # ----------------------------------------------------------------------
@@ -319,10 +356,10 @@ class TestFactorizedParity:
         pcands = rng.integers(0, tiny_dataset.n_users, size=(9, 6))
         with no_grad():
             model.refresh_cache()
-            dense_a = model.score_items_matrix(users, cands, dedup=False)
-            planned_a = model.score_items_matrix(users, cands, dedup=True)
-            dense_b = model.score_participants_matrix(users, items, pcands, dedup=False)
-            planned_b = model.score_participants_matrix(users, items, pcands, dedup=True)
+            dense_a = _flat_items(model, users, cands)
+            planned_a = model.score_items_matrix(users, cands)
+            dense_b = _flat_participants(model, users, items, pcands)
+            planned_b = model.score_participants_matrix(users, items, pcands)
         np.testing.assert_allclose(planned_a, dense_a, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(planned_b, dense_b, rtol=1e-10, atol=1e-12)
 
@@ -353,7 +390,7 @@ class TestFactorizedParity:
 class TestProtocolParity:
     def test_mgbr_planned_bit_identical_metrics(self, tiny_dataset, tiny_mgbr):
         protocol = EvalProtocol(tiny_dataset, n_negatives=9, cutoff=10, max_instances=40)
-        assert protocol.dedup  # planning is the default engine
+        assert tiny_mgbr._plans_scoring  # MGBR evaluates on the planned path
         assert protocol.run(tiny_mgbr).flat() == (
             protocol.run_per_instance(tiny_mgbr).flat()
         )
@@ -381,12 +418,6 @@ class TestProtocolParity:
         small = EvalProtocol(tiny_dataset, chunk_size=13, **kwargs).run(tiny_mgbr)
         large = EvalProtocol(tiny_dataset, chunk_size=100_000, **kwargs).run(tiny_mgbr)
         assert small.flat() == large.flat()
-
-    def test_dedup_off_matches_dedup_on(self, tiny_dataset, tiny_mgbr):
-        kwargs = dict(n_negatives=9, cutoff=10, max_instances=30)
-        on = EvalProtocol(tiny_dataset, dedup=True, **kwargs).run(tiny_mgbr)
-        off = EvalProtocol(tiny_dataset, dedup=False, **kwargs).run(tiny_mgbr)
-        assert on.flat() == off.flat()
 
 
 # ----------------------------------------------------------------------

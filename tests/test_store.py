@@ -344,8 +344,9 @@ class TestLayoutParity:
         cands = np.tile(np.arange(8), (10, 1))
         with no_grad():
             model.refresh_cache()
-            planned = model.score_items_matrix(users, cands, dedup=True)
-            flat = model.score_items_matrix(users, cands, dedup=False)
+            plan = ScoringPlan.for_items(users, cands)
+            planned = plan.scatter(model.score_item_plan(plan))
+            flat = model.score_items_matrix(users, cands)
         np.testing.assert_array_equal(planned, flat)
         store = model.initiator_table.store
         assert store.stats["gathers"] >= 1

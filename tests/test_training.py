@@ -127,12 +127,18 @@ class TestTrainerLoop:
 
 
 def _clone_pair(builder, dataset, **config_kw):
-    """Two identically-initialised (model, trainer) pairs, flat vs planned."""
+    """Two identically-initialised (model, trainer) pairs, flat vs planned.
+
+    The flat trainer has its planned step switched off through the
+    private ``_use_planned`` seam: the flat step is the planned step's
+    reference.
+    """
     out = []
-    for dedup in (False, True):
+    for planned in (False, True):
         model = builder()
-        config = _fast_config(epochs=1, dedup=dedup, **config_kw)
-        out.append((model, Trainer(model, dataset, config)))
+        trainer = Trainer(model, dataset, _fast_config(epochs=1, **config_kw))
+        trainer._use_planned = planned
+        out.append((model, trainer))
     return out
 
 
@@ -150,33 +156,10 @@ class TestPlannedStepParity:
     """The tentpole guarantee: the planned (dedup + factorized) _step is
     the same optimisation as the flat _step.
 
-    GBMF's planned path is pure pair dedup — every loss row is the same
-    float computation on the same operands, so its losses are
-    *bit-identical* and grads/weights differ only by gradient
-    accumulation order (single-ulp).  MGBR's factorized layer-0
-    re-associates ``W·[e_u;e_i;e_p]`` into per-entity partial sums, so
-    its parity is float-re-association-tight instead of bitwise.
+    MGBR's factorized layer-0 re-associates ``W·[e_u;e_i;e_p]`` into
+    per-entity partial sums, so its parity is float-re-association-tight
+    instead of bitwise.
     """
-
-    def test_gbmf_losses_bit_identical_grads_to_ulp(self, tiny_dataset):
-        (m_flat, t_flat), (m_plan, t_plan) = _clone_pair(
-            lambda: GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=0),
-            tiny_dataset,
-        )
-        rec_flat, grads_flat, state_flat = _epoch_grads_and_state(m_flat, t_flat)
-        rec_plan, grads_plan, state_plan = _epoch_grads_and_state(m_plan, t_plan)
-        assert rec_plan.losses == rec_flat.losses  # bitwise, a full epoch
-        assert grads_plan.keys() == grads_flat.keys()
-        for name in grads_flat:
-            np.testing.assert_allclose(
-                grads_plan[name], grads_flat[name], rtol=1e-12, atol=1e-14,
-                err_msg=f"grad {name}",
-            )
-        for name in state_flat:
-            np.testing.assert_allclose(
-                state_plan[name], state_flat[name], rtol=1e-12, atol=1e-14,
-                err_msg=f"post-Adam weight {name}",
-            )
 
     @pytest.mark.parametrize("aux_a_mode", ["literal", "listnet"])
     def test_mgbr_parity_with_aux_losses(self, tiny_dataset, small_config, aux_a_mode):
@@ -224,19 +207,6 @@ class TestPlannedStepParity:
             assert rec_plan.losses[key] == pytest.approx(
                 rec_flat.losses[key], rel=1e-10, abs=1e-12
             ), key
-
-    def test_auto_dedup_resolution(self, tiny_dataset, small_config):
-        mgbr = MGBR(
-            tiny_dataset.train, tiny_dataset.n_users, tiny_dataset.n_items,
-            config=small_config,
-        )
-        gbmf = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=0)
-        assert Trainer(mgbr, tiny_dataset, _fast_config())._use_planned
-        assert not Trainer(gbmf, tiny_dataset, _fast_config())._use_planned
-        assert Trainer(gbmf, tiny_dataset, _fast_config(dedup=True))._use_planned
-        assert not Trainer(mgbr, tiny_dataset, _fast_config(dedup=False))._use_planned
-        with pytest.raises(ValueError):
-            _fast_config(dedup="sometimes")
 
     def test_phase_timing_recorded_and_rendered(self, tiny_dataset):
         model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=0)

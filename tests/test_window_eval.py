@@ -5,7 +5,9 @@ queue drained by the calling thread plus pool threads, one fused
 workspace per worker slot.  Under test:
 
 * scores and metrics are bit-identical for widths 1, 2 and 4 across
-  executors, dtypes, model families and store layouts;
+  executors, dtypes and store layouts (baselines evaluate flat on the
+  calling thread, so GBMF's case pins that the flat path ignores the
+  width);
 * per-run counters are width-invariant: ``executor_stats()`` merges
   every slot's workspace and ``CountingBackend`` tallies are exact;
 * the lazily built model caches are safe under concurrent readers;
@@ -45,9 +47,11 @@ from repro.store.lru import cache_hot_rows
 WIDTHS = (1, 2, 4)
 
 
-def _mgbr(dataset, seed=3):
-    config = MGBRConfig.small(d=8, n_experts=2, mtl_layers=2, seed=seed)
-    return MGBR(dataset.train, dataset.n_users, dataset.n_items, config=config)
+def _mgbr(dataset, seed=3, executor="auto", **layout):
+    config = MGBRConfig.small(d=8, n_experts=2, mtl_layers=2, seed=seed, **layout)
+    model = MGBR(dataset.train, dataset.n_users, dataset.n_items, config=config)
+    model.executor = executor
+    return model
 
 
 def _protocol(dataset, **kwargs):
@@ -108,26 +112,23 @@ class TestParity:
     @pytest.mark.parametrize("executor", ["fused", "tape"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_mgbr(self, tiny_dataset, monkeypatch, executor, dtype):
-        protocol = _protocol(tiny_dataset, executor=executor, dtype=dtype)
-        _assert_width_invariant(protocol, _mgbr(tiny_dataset), monkeypatch)
+        protocol = _protocol(tiny_dataset, dtype=dtype)
+        model = _mgbr(tiny_dataset, executor=executor)
+        _assert_width_invariant(protocol, model, monkeypatch)
 
     def test_gbmf(self, tiny_dataset, monkeypatch):
         model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=4)
-        _assert_width_invariant(_protocol(tiny_dataset, dedup=True), model, monkeypatch)
+        _assert_width_invariant(_protocol(tiny_dataset), model, monkeypatch)
 
     def test_lru_int8_stores(self, tiny_dataset, monkeypatch):
-        model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=4,
-                     quantize="int8")
+        model = _mgbr(tiny_dataset, embedding_quantize="int8")
         cache_hot_rows(model, capacity=16)
-        _assert_width_invariant(_protocol(tiny_dataset, dedup=True), model, monkeypatch)
+        _assert_width_invariant(_protocol(tiny_dataset), model, monkeypatch)
 
     def test_process_sharded_store(self, tiny_dataset, monkeypatch):
-        model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=4,
-                     n_shards=2, service=True)
+        model = _mgbr(tiny_dataset, embedding_shards=2, embedding_service=True)
         try:
-            _assert_width_invariant(
-                _protocol(tiny_dataset, dedup=True), model, monkeypatch
-            )
+            _assert_width_invariant(_protocol(tiny_dataset), model, monkeypatch)
         finally:
             _close_stores(model)
 
@@ -157,8 +158,8 @@ class TestCounters:
     @pytest.mark.parametrize("width", WIDTHS)
     def test_fused_calls_per_run_equal_windows(self, tiny_dataset, monkeypatch, width):
         monkeypatch.setattr(windows, "_WIDTH", width)
-        model = _mgbr(tiny_dataset)
-        protocol = _protocol(tiny_dataset, executor="fused")
+        model = _mgbr(tiny_dataset, executor="fused")
+        protocol = _protocol(tiny_dataset)
         protocol.run(model)  # warm: candidate lists, folds, worker slots
         before = model.executor_stats()
         protocol.run(model)
@@ -172,8 +173,8 @@ class TestCounters:
         requests = {}
         for width in WIDTHS:
             monkeypatch.setattr(windows, "_WIDTH", width)
-            model = _mgbr(tiny_dataset)
-            protocol = _protocol(tiny_dataset, executor="fused")
+            model = _mgbr(tiny_dataset, executor="fused")
+            protocol = _protocol(tiny_dataset)
             before = model.executor_stats()
             protocol.run(model)
             after = model.executor_stats()
