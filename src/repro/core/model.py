@@ -203,14 +203,17 @@ class MGBR(GroupBuyingRecommender):
                 )
         return e_u, e_i, e_p, part_pos
 
-    def _planned_towers(self, emb: EmbeddingBundle, plan: ScoringPlan, heads=("a", "b")):
+    def _planned_towers(
+        self, emb: EmbeddingBundle, plan: ScoringPlan, heads=("a", "b"), rows=None
+    ):
         """Run the factorized stack over a plan → ``(g^L_A, g^L_B)``.
 
         Layer-0 partial projections are computed once per unique user /
         item / participant (:meth:`repro.core.mtl.MultiTaskModule
         .forward_planned`).  ``heads`` names the towers to compute; an
         unrequested one is ``None`` and the stack skips the banks and
-        gates only it reads.
+        gates only it reads.  ``rows`` (a plan's ``head_rows``) narrows
+        each tower to the unique rows its head's losses read.
 
         Built entirely from autograd ops — called with a live training
         ``emb`` the towers back-propagate through the gathers and
@@ -218,7 +221,8 @@ class MGBR(GroupBuyingRecommender):
         """
         e_u, e_i, e_p, part_pos = self._planned_entities(emb, plan)
         return self.mtl.forward_planned(
-            e_u, e_i, e_p, plan.user_pos, plan.item_pos, part_pos, heads=heads
+            e_u, e_i, e_p, plan.user_pos, plan.item_pos, part_pos, heads=heads,
+            rows=rows,
         )
 
     def _fused_score_plan(self, emb: EmbeddingBundle, plan: ScoringPlan, task: str):
@@ -257,8 +261,17 @@ class MGBR(GroupBuyingRecommender):
         second head's scores for just an extra MLP pass — and the
         item-corrupted triples shared by ``L'_A`` and ``L'_B`` (Eq. 21
         and 24 corrupt the same ``(u, i', p)`` set) are scored once.
+
+        Live rows: a row-grouped plan (``plan.head_rows``, set by
+        :meth:`repro.plan.PlannedBatch.build` with ``reads``) runs each
+        head's last-layer banks, gates and tower — every layer of it
+        under MGBR-M — only on the unique rows that head's losses read,
+        so ``logits_a`` covers rows ``head_rows["a"]`` and ``logits_b``
+        rows ``head_rows["b"]``; :meth:`repro.plan.PlannedBatch.scatter`
+        maps each back to its loss segments.  Any other plan gets one
+        logit per unique row from each head.
         """
-        g_a, g_b = self._planned_towers(emb, plan)
+        g_a, g_b = self._planned_towers(emb, plan, rows=plan.head_rows)
         return self.head_a(g_a), self.head_b(g_b)
 
     # ------------------------------------------------------------------

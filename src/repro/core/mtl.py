@@ -18,7 +18,12 @@ part of the stack dead.  :meth:`MultiTaskModule.live_outputs` walks
 back from the requested heads and names, per layer, the gate outputs
 that must be produced; the planned forward (and the fused mirror in
 :mod:`repro.core.fused`) skips every bank, gate, state concat and
-adjusted-gate pair logit outside that set.
+adjusted-gate pair logit outside that set.  Live rows carry the rule
+down to rows: given the unique-request span each head's losses read
+(a row-grouped training plan's ``head_rows``),
+:meth:`MultiTaskModule.live_rows` names, per layer, the span each bank
+and gate runs on, and the planned forward reads narrower spans through
+zero-copy row views and sliced ``*_pos`` arrays.
 
 Shape note (DESIGN.md §5): the general formulas make the first layer's
 expert inputs the *duplicated* concatenation ``g⁰_A || g⁰_S`` (identical
@@ -46,6 +51,45 @@ _BANK_READS = {
     True: {"a": frozenset("as"), "b": frozenset("bs"), "s": frozenset("asb")},
     False: {"a": frozenset("a"), "b": frozenset("b")},
 }
+
+# Row spans: ``(start, stop)`` ranges of a plan's unique rows, ``None``
+# for all of them (every call without row groups, which so runs exactly
+# the unpruned ops).
+
+
+def _span(start: int, stop: int, n: int):
+    return None if (start, stop) == (0, n) else (start, stop)
+
+
+def _join(spans, n: int):
+    """Smallest span covering ``spans`` (the plan's row groups make any
+    two of them overlap or touch, so the union is one range); all rows
+    when there are none."""
+    spans = list(spans)
+    if not spans or any(s is None for s in spans):
+        return None
+    return _span(min(s for s, _ in spans), max(e for _, e in spans), n)
+
+
+def _meet(spans):
+    """Rows every one of ``spans`` covers."""
+    spans = [s for s in spans if s is not None]
+    if not spans:
+        return None
+    start = max(s for s, _ in spans)
+    return (start, max(start, min(e for _, e in spans)))
+
+
+def _view(t, have, want):
+    """Rows ``want`` of ``t``, whose rows are the span ``have``.
+
+    A zero-copy row slice (a tensor node, or a NumPy view of a ``*_pos``
+    array); ``t`` itself when the spans agree.
+    """
+    if t is None or want == have:
+        return t
+    start = 0 if have is None else have[0]
+    return t[want[0] - start : want[1] - start]
 
 
 class MTLLayer(Module):
@@ -137,6 +181,8 @@ class MTLLayer(Module):
         pairs=None,
         adj_logits=None,
         live: Optional[Iterable[str]] = None,
+        rows=None,
+        in_rows=None,
     ) -> Tuple[Optional[Tensor], Optional[Tensor], Optional[Tensor]]:
         """Advance the gate states one layer.
 
@@ -152,32 +198,57 @@ class MTLLayer(Module):
         come back as ``None`` and the banks, state concats and gates
         only they need are skipped.  Inputs the live banks do not read
         may be ``None``.
+
+        ``rows`` optionally carries this layer's ``(bank spans, gate
+        spans)`` (:meth:`MultiTaskModule.live_rows`) and ``in_rows`` the
+        spans the inputs cover (the previous layer's gate spans): each
+        bank then runs on its own span, reading row views of the gate
+        states, and each gate on its span, reading row views of its
+        banks.  ``adj_logits`` must already cover the gate spans.
         """
         live = self.outputs if live is None else frozenset(live)
         banks = self.live_banks(live)
         la, lb = adj_logits if adj_logits is not None else (None, None)
-        if self.shared and not self.compact_input:
-            state_a = concat([g_a, g_s], axis=1) if "a" in banks else None  # Eq. 10
-            state_b = concat([g_b, g_s], axis=1) if "b" in banks else None
-            state_s = (                                                     # Eq. 14
-                concat([g_a, g_s, g_b], axis=1) if "s" in banks else None
-            )
-        else:
-            state_a, state_b, state_s = g_a, g_b, g_s
+        bank_rows, gate_rows = rows if rows is not None else ({}, {})
+        in_rows = in_rows or {}
+        inputs = {"a": g_a, "s": g_s, "b": g_b}
+
+        # Each bank reads Eq. 10 / 14's state concatenation, or only its
+        # own previous state when the input is compact or unshared.
+        concats = {"a": "as", "b": "bs", "s": "asb"}
+
+        def state(bank):
+            if bank not in banks:
+                return None
+            names = concats[bank] if self.shared and not self.compact_input else bank
+            want = bank_rows.get(bank)
+            parts = [_view(inputs[x], in_rows.get(x), want) for x in names]
+            return parts[0] if len(parts) == 1 else concat(parts, axis=1)
+
+        state_a, state_b, state_s = state("a"), state("b"), state("s")
         bank_a = self.experts_a(state_a) if "a" in banks else None
         bank_b = self.experts_b(state_b) if "b" in banks else None
         bank_s = self.experts_s(state_s) if "s" in banks else None
+
+        def at(t, bank, gate):
+            return _view(t, bank_rows.get(bank), gate_rows.get(gate))
+
         new_a = new_s = new_b = None
         if "a" in live:
             new_a = self.gate_a(
-                state_a, bank_a, bank_s, e_u, e_i, e_p, pairs=pairs, adj_logits=la
+                at(state_a, "a", "a"), at(bank_a, "a", "a"), at(bank_s, "s", "a"),
+                e_u, e_i, e_p, pairs=pairs, adj_logits=la,
             )
         if "b" in live:
             new_b = self.gate_b(
-                state_b, bank_b, bank_s, e_u, e_i, e_p, pairs=pairs, adj_logits=lb
+                at(state_b, "b", "b"), at(bank_b, "b", "b"), at(bank_s, "s", "b"),
+                e_u, e_i, e_p, pairs=pairs, adj_logits=lb,
             )
         if "s" in live:
-            new_s = self.gate_s(state_s, bank_a, bank_s, bank_b)
+            new_s = self.gate_s(
+                at(state_s, "s", "s"),
+                at(bank_a, "a", "s"), at(bank_s, "s", "s"), at(bank_b, "b", "s"),
+            )
         return new_a, new_s, new_b
 
     # ------------------------------------------------------------------
@@ -200,19 +271,20 @@ class MTLLayer(Module):
         e_u: Tensor,
         e_i: Tensor,
         e_p: Tensor,
-        user_pos,
-        item_pos,
-        part_pos,
+        positions,
         adj_logits=None,
         live: Optional[Iterable[str]] = None,
+        rows=None,
     ) -> Tuple[Optional[Tensor], Optional[Tensor], Optional[Tensor]]:
         """Layer-0 forward with ``g⁰`` factorized over unique entities.
 
         ``e_u``/``e_i``/``e_p`` hold one row per *unique* entity of a
         :class:`repro.plan.ScoringPlan` (gathered upstream — from a
         dense tensor or per-shard from a :class:`repro.store
-        .ShardedStore`, the stack is layout-blind); the ``*_pos`` arrays
-        map each unique request onto them.  Every layer-0 linear (expert
+        .ShardedStore`, the stack is layout-blind); ``positions(span)``
+        returns the ``(user_pos, item_pos, part_pos)`` arrays mapping the
+        unique requests of a row span (``None``: all of them) onto them.
+        Every layer-0 linear (expert
         and generic-gate, Eq. 7-10/14) reads a concatenation of ``g⁰``
         copies, so ``W·[e_u; e_i; e_p] = W_u·e_u + W_i·e_i + W_p·e_p``
         distributes into per-entity partial projections computed once
@@ -221,11 +293,16 @@ class MTLLayer(Module):
         projection is a single stacked matmul over cached fold weights
         (:meth:`repro.core.experts.ExpertBank.project_blocks`), so the
         per-entity work is one GEMM per bank rather than ``K``.
-        ``live`` prunes dead banks and gates exactly as in
-        :meth:`forward`.
+        ``live`` prunes dead banks and gates, and ``rows`` restricts
+        each bank and gate to its row span, exactly as in
+        :meth:`forward`; a bank or generic-gate logit over a span
+        gather-adds through that span's sliced ``*_pos`` arrays.
         """
         live = self.outputs if live is None else frozenset(live)
         banks = self.live_banks(live)
+        if rows is None:
+            rows = (dict.fromkeys(banks), dict.fromkeys(live))
+        bank_rows, gate_rows = rows
         if self.compact_input:
             folds_task, folds_shared = 1, 1
         elif self.shared:
@@ -236,45 +313,54 @@ class MTLLayer(Module):
         blocks_task = [self._entity_blocks(v, j, folds_task) for j in range(3)]
         blocks_shared = [self._entity_blocks(v, j, folds_shared) for j in range(3)]
 
-        def per_pair(project, blocks):
+        def per_pair(project, blocks, span):
             """Partial-project each entity table, then gather-add per request."""
+            user_pos, item_pos, part_pos = positions(span)
             return (
                 take_rows(project(e_u, blocks[0]), user_pos)
                 + take_rows(project(e_i, blocks[1]), item_pos)
                 + take_rows(project(e_p, blocks[2]), part_pos)
             )
 
-        def live_pair(name, project, blocks, needed):
-            return per_pair(project, blocks) if name in needed else None
+        def live_pair(name, project, blocks, spans):
+            """``per_pair`` over ``spans[name]``; ``None`` when not live."""
+            return per_pair(project, blocks, spans[name]) if name in spans else None
 
-        bank_a = live_pair("a", self.experts_a.project_blocks, blocks_task, banks)
-        bank_b = live_pair("b", self.experts_b.project_blocks, blocks_task, banks)
+        bank_a = live_pair("a", self.experts_a.project_blocks, blocks_task, bank_rows)
+        bank_b = live_pair("b", self.experts_b.project_blocks, blocks_task, bank_rows)
         logits_a = live_pair(
-            "a", self.gate_a.generic.attention.project_blocks, blocks_task, live
+            "a", self.gate_a.generic.attention.project_blocks, blocks_task, gate_rows
         )
         logits_b = live_pair(
-            "b", self.gate_b.generic.attention.project_blocks, blocks_task, live
+            "b", self.gate_b.generic.attention.project_blocks, blocks_task, gate_rows
         )
         la, lb = adj_logits if adj_logits is not None else (None, None)
         bank_s = logits_s = None
         if self.shared:
-            bank_s = live_pair("s", self.experts_s.project_blocks, blocks_shared, banks)
+            bank_s = live_pair("s", self.experts_s.project_blocks, blocks_shared, bank_rows)
             logits_s = live_pair(
-                "s", self.gate_s.attention.project_blocks, blocks_shared, live
+                "s", self.gate_s.attention.project_blocks, blocks_shared, gate_rows
             )
+
+        def at(t, bank, gate):
+            return _view(t, bank_rows.get(bank), gate_rows.get(gate))
+
         new_a = new_s = new_b = None
         if "a" in live:
             new_a = self.gate_a(
-                None, bank_a, bank_s, None, None, None,
+                None, at(bank_a, "a", "a"), at(bank_s, "s", "a"), None, None, None,
                 adj_logits=la, generic_logits=logits_a,
             )
         if "b" in live:
             new_b = self.gate_b(
-                None, bank_b, bank_s, None, None, None,
+                None, at(bank_b, "b", "b"), at(bank_s, "s", "b"), None, None, None,
                 adj_logits=lb, generic_logits=logits_b,
             )
         if "s" in live:
-            new_s = self.gate_s(None, bank_a, bank_s, bank_b, logits=logits_s)
+            new_s = self.gate_s(
+                None, at(bank_a, "a", "s"), at(bank_s, "s", "s"), at(bank_b, "b", "s"),
+                logits=logits_s,
+            )
         return new_a, new_s, new_b
 
 
@@ -359,6 +445,45 @@ class MultiTaskModule(Module):
             live = frozenset().union(*(reads[bank] for bank in layer.live_banks(live)))
         return per_layer[::-1]
 
+    def live_rows(self, live: List[FrozenSet[str]], rows, n: int):
+        """Per-layer ``(bank spans, gate spans)`` serving ``rows``.
+
+        ``live`` is :meth:`live_outputs`' answer and ``rows`` maps each
+        requested head to the span of the plan's ``n`` unique rows its
+        losses read (:attr:`repro.plan.ScoringPlan.head_rows`); a head
+        it leaves out is read on every row, so ``rows={}`` gives every
+        bank and gate all rows (span ``None``).  Walking back from the
+        heads, a bank runs on the union of the spans of the live gates
+        mixing it, and a gate output on the union of the spans of the
+        next layer's banks reading it.  A live gate nothing reads (only
+        ``g^L_S``, when a caller keeps it live) runs on the rows all its
+        banks already cover, so it never widens them.  Under the
+        default shared stack only the last layer narrows; under MGBR-M
+        each tower keeps its head's span throughout.
+        """
+        reads = _BANK_READS[self.config.use_shared_experts]
+        want = {
+            head: _span(*rows[head], n) if head in rows else None
+            for head in "ab" if head in live[-1]
+        }
+        per_layer = []
+        for layer, out in zip(reversed(self._layers), reversed(live)):
+            mixes = {gate: layer.live_banks(gate) for gate in out}
+            gate_rows = {gate: want[gate] for gate in out if gate in want}
+            bank_rows = {
+                bank: _join((gate_rows[g] for g in gate_rows if bank in mixes[g]), n)
+                for bank in layer.live_banks(out)
+            }
+            for gate in out - gate_rows.keys():
+                gate_rows[gate] = _meet(bank_rows[b] for b in mixes[gate])
+            per_layer.append((bank_rows, gate_rows))
+            inputs = frozenset().union(*(reads[bank] for bank in bank_rows))
+            want = {
+                x: _join((bank_rows[b] for b in bank_rows if x in reads[b]), n)
+                for x in inputs
+            }
+        return per_layer[::-1]
+
     def forward_planned(
         self,
         e_u: Tensor,
@@ -368,6 +493,7 @@ class MultiTaskModule(Module):
         item_pos,
         part_pos,
         heads: Iterable[str] = ("a", "b"),
+        rows=None,
     ) -> Tuple[Optional[Tensor], Optional[Tensor]]:
         """Run the stack over a deduplicated scoring plan.
 
@@ -390,6 +516,17 @@ class MultiTaskModule(Module):
         primitives on the same operands, so a requested tower is
         bit-identical whichever heads are asked for.
 
+        ``rows`` (live rows) optionally maps each head to the span
+        ``(start, stop)`` of unique requests its caller reads — the
+        ``head_rows`` of a row-grouped training plan.  Each bank, gate
+        and adjusted-gate pair logit then runs only on the span its
+        readers need (:meth:`live_rows`): pair logits gather through
+        sliced ``*_pos`` arrays and gate states and banks are read
+        through zero-copy row views, and each returned tower covers its
+        head's span only.  Grouping re-associates the GEMMs, so values
+        match the unpruned stack to float tolerance.  ``rows=None``
+        (evaluation and serving) runs exactly the unpruned ops.
+
         Every op here (gathers, weight-block partial projections,
         combines) records on the autograd tape, so the same path serves
         both inference (under ``no_grad``) and the planned *training*
@@ -402,10 +539,22 @@ class MultiTaskModule(Module):
         folds (tests/test_fold_cache.py).
         """
         live = self.live_outputs(heads)
+        spans = self.live_rows(live, rows or {}, len(user_pos))
+        sliced = {None: (user_pos, item_pos, part_pos)}
+
+        def positions(span):
+            # One slice per span, so every gather over it shares the
+            # index array (and its cached scatter operator).
+            if span not in sliced:
+                sliced[span] = tuple(
+                    _view(pos, None, span) for pos in (user_pos, item_pos, part_pos)
+                )
+            return sliced[span]
+
         adj_logits = []
-        for layer, out in zip(self._layers, live):
+        for layer, out, (_, gate_rows) in zip(self._layers, live, spans):
             logits_for = lambda gate, name: (
-                gate.adjusted.pair_logits(e_u, e_i, e_p, user_pos, item_pos, part_pos)
+                gate.adjusted.pair_logits(e_u, e_i, e_p, *positions(gate_rows[name]))
                 if gate.adjusted is not None and name in out
                 else None
             )
@@ -414,11 +563,12 @@ class MultiTaskModule(Module):
             )
         first = self._layers[0]
         g_a, g_s, g_b = first.forward_planned_first(
-            e_u, e_i, e_p, user_pos, item_pos, part_pos,
-            adj_logits=adj_logits[0], live=live[0],
+            e_u, e_i, e_p, positions,
+            adj_logits=adj_logits[0], live=live[0], rows=spans[0],
         )
-        for layer, logits, out in zip(self._layers[1:], adj_logits[1:], live[1:]):
+        for index, layer in enumerate(self._layers[1:], start=1):
             g_a, g_s, g_b = layer(
-                g_a, g_s, g_b, None, None, None, adj_logits=logits, live=out
+                g_a, g_s, g_b, None, None, None, adj_logits=adj_logits[index],
+                live=live[index], rows=spans[index], in_rows=spans[index - 1][1],
             )
         return g_a, g_b

@@ -248,7 +248,10 @@ def _cached_one_hot(index: np.ndarray, n_rows: int, dtype: np.dtype):
             return entry[1]
     import scipy.sparse as sp  # deferred: keep the numpy-only core lazy
 
-    order = np.argsort(index, kind="stable")
+    # NumPy's stable sort is a radix sort on 16-bit keys: about 10x
+    # faster than on int64 here, and the same permutation.
+    keys = index.astype(np.uint16) if n_rows <= 1 << 16 else index
+    order = np.argsort(keys, kind="stable")
     counts = np.bincount(index, minlength=n_rows)
     indptr = np.empty(n_rows + 1, dtype=np.int64)
     indptr[0] = 0
@@ -796,8 +799,11 @@ class Tensor:
         """Slice / fancy-index; gradients scatter-add back into place.
 
         A 1-D integer-array key (the scoring plan's scatter maps) takes
-        the :func:`_scatter_rows_add` fast backward; every other index
-        expression keeps the general ``np.add.at`` adjoint.
+        the :func:`_scatter_rows_add` fast backward.  A basic slice (a
+        ``slice`` or a tuple of them: the training plan's segment
+        windows and live-row views) adds its gradient into the parent's
+        one gradient buffer, allocated on the first touch; every other
+        index expression keeps the general ``np.add.at`` adjoint.
         """
         if isinstance(key, Tensor):
             key = key.data.astype(np.int64)
@@ -806,6 +812,9 @@ class Tensor:
             isinstance(key, np.ndarray)
             and key.ndim == 1
             and np.issubdtype(key.dtype, np.integer)
+        )
+        basic = isinstance(key, slice) or (
+            isinstance(key, tuple) and all(isinstance(k, slice) for k in key)
         )
 
         def backward(g: np.ndarray) -> None:
@@ -818,8 +827,20 @@ class Tensor:
                 )
                 return
             b = _B_STATE.backend
+            current = self.grad
+            if basic and current is not None:
+                # Bit-equal to adding a zero-filled buffer holding ``g``
+                # in the slice, ``-0.0 -> +0.0`` normalisation included.
+                b.add(current, 0.0, out=current)
+                window = current[key]
+                b.add(window, g, out=window)
+                return
             grad = b.zeros_like(self.data)
-            b.add_at(grad, key, g)
+            if basic:
+                window = grad[key]
+                b.add(window, g, out=window)
+            else:
+                b.add_at(grad, key, g)
             self._accumulate(grad, owned=True)
 
         return Tensor._make(value, (self,), backward)

@@ -24,7 +24,8 @@ built by the evaluation protocol, the batched matrix scorers in
 :mod:`repro.baselines.base`, the :mod:`repro.serving` front-end, and —
 via :class:`PlannedBatch`, which compiles a training step's
 heterogeneous positive/negative/auxiliary-corruption segments into one
-plan per head — the trainer's planned optimisation step
+plan whose rows are grouped by the head that reads them — the trainer's
+planned optimisation step
 (:mod:`repro.training.trainer`), whose gathers and scatters run as
 autograd ops so gradients flow through the dedup maps.
 
@@ -96,6 +97,11 @@ class ScoringPlan:
         list — the gather maps the factorized layer-0 projections use.
         Computed lazily: models that only consume the unique pair lists
         (the dot-product baselines) never pay for them.
+    head_rows:
+        ``{"a": (0, hi_a), "b": (lo_b, n)}`` — the unique-request rows
+        each head's losses read, set only by a :class:`PlannedBatch`
+        compiled with per-segment ``reads``; ``None`` (every evaluation
+        and serving plan) means both heads score every row.
     """
 
     out_shape: Tuple[int, ...]
@@ -103,6 +109,7 @@ class ScoringPlan:
     users: np.ndarray
     items: np.ndarray
     participants: Optional[np.ndarray] = None
+    head_rows: Optional[Dict[str, Tuple[int, int]]] = None
     _entity_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------
@@ -319,6 +326,67 @@ class ScoringPlan:
         return unique_scores[self.scatter_index].reshape(self.out_shape)
 
 
+def _group_rows(plan: ScoringPlan, windows, reads):
+    """Order ``plan``'s unique rows ``[A-only | both | B-only]``.
+
+    ``reads`` maps every segment to the heads its losses read.  A unique
+    request is read by the union of its segments' heads; the stable
+    sort keeps each group in plan order.  Returns the regrouped plan
+    (with ``head_rows`` set) and, per head, the scatter index into that
+    head's row range plus each segment's window in the head's flat
+    vector.
+    """
+    if set(reads) != set(windows):
+        raise ValueError(
+            f"reads must name every segment: got {sorted(reads)}, "
+            f"segments {sorted(windows)}"
+        )
+    n = plan.n_pairs
+    read_by = {head: np.zeros(n, dtype=bool) for head in "ab"}
+    for name, (offset, shape) in windows.items():
+        heads = reads[name]
+        if not heads or not set(heads) <= {"a", "b"}:
+            raise ValueError(
+                f"segment {name!r}: reads must be a non-empty subset of 'ab', "
+                f"got {heads!r}"
+            )
+        rows = plan.scatter_index[offset : offset + _length(shape)]
+        for head in heads:
+            read_by[head][rows] = True
+    group = np.where(read_by["a"], np.where(read_by["b"], 1, 0), 2)
+    order = np.argsort(group, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    counts = np.bincount(group, minlength=3)
+    lo_b, hi_a = int(counts[0]), int(counts[0] + counts[1])
+    head_rows = {"a": (0, hi_a), "b": (lo_b, n)}
+    scatter = rank[plan.scatter_index]
+    grouped = ScoringPlan(
+        out_shape=plan.out_shape,
+        scatter_index=scatter,
+        users=plan.users[order],
+        items=plan.items[order],
+        participants=None if plan.participants is None else plan.participants[order],
+        head_rows=head_rows,
+    )
+    head_maps = {}
+    for head, (start, _) in head_rows.items():
+        parts, local, flat = [], {}, 0
+        for name, (offset, shape) in windows.items():
+            if head in reads[name]:
+                length = _length(shape)
+                parts.append(scatter[offset : offset + length] - start)
+                local[name] = (flat, shape)
+                flat += length
+        index = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        head_maps[head] = (index, local)
+    return grouped, head_maps
+
+
+def _length(shape: Tuple[int, ...]) -> int:
+    return int(np.prod(shape)) if shape else 1
+
+
 @dataclass
 class PlannedBatch:
     """One :class:`ScoringPlan` compiled from named request *segments*.
@@ -342,6 +410,16 @@ class PlannedBatch:
     participant column is dropped entirely (a plain pair plan — the
     baseline models' Task-A shape).
 
+    Live rows: built with ``reads`` (segment → the heads whose losses
+    read it), the plan's unique rows are ordered ``[A-only | both |
+    B-only]``, stable within each group, so head A owns the contiguous
+    rows ``[0, hi_a)`` and head B ``[lo_b, n)`` (``plan.head_rows``).
+    The joint stack then runs each head's last-layer work on its own
+    range only (:meth:`repro.core.model.MGBR.planned_joint_logits`), and
+    ``scatter(logits, head)`` / ``take(flat, name, head)`` hand each
+    segment the logits of the head it reads.  Without ``reads`` the
+    plan carries no row groups and both heads score every row.
+
     ``scatter``/``take`` are duck-typed over NumPy arrays and
     :class:`repro.nn.tensor.Tensor` (both support fancy indexing,
     slicing and ``reshape``), which keeps this module dependent on NumPy
@@ -351,12 +429,18 @@ class PlannedBatch:
 
     plan: ScoringPlan
     segments: Dict[str, Tuple[int, Tuple[int, ...]]]
+    #: head -> (index into the head's rows, segment -> window), for the
+    #: segments that head reads; empty without row groups.
+    head_maps: Dict[str, Tuple[np.ndarray, Dict[str, Tuple[int, Tuple[int, ...]]]]] = field(
+        default_factory=dict
+    )
 
     @classmethod
     def build(
         cls,
         segments: Mapping[str, Sequence],
         sentinel: Optional[int] = None,
+        reads: Optional[Mapping[str, str]] = None,
     ) -> "PlannedBatch":
         """Compile ordered ``name -> (users, items, participants, shape)``.
 
@@ -364,6 +448,9 @@ class PlannedBatch:
         ``None``) and the ``shape`` the segment's scores should be
         returned in (``prod(shape)`` must equal the arrays' length —
         callers pre-repeat, e.g. ``np.repeat(users, n_negatives)``).
+        ``reads`` optionally maps every segment to the heads its losses
+        read (``"a"``, ``"b"`` or ``"ab"``) and groups the plan's rows
+        by head (see the class docstring).
         """
         if not segments:
             raise ValueError("PlannedBatch needs at least one segment")
@@ -375,7 +462,7 @@ class PlannedBatch:
             users = np.asarray(users, dtype=np.int64)
             items = np.asarray(items, dtype=np.int64)
             shape = tuple(int(s) for s in shape)
-            length = int(np.prod(shape)) if shape else 1
+            length = _length(shape)
             if users.ndim != 1 or users.shape != items.shape or len(users) != length:
                 raise ValueError(
                     f"segment {name!r}: need 1-D id arrays of length prod{shape}, "
@@ -410,36 +497,63 @@ class PlannedBatch:
             )
         else:
             plan = ScoringPlan.from_item_pairs(users_cat, items_cat)
-        return cls(plan=plan, segments=windows)
+        if reads is None:
+            return cls(plan=plan, segments=windows)
+        plan, head_maps = _group_rows(plan, windows, reads)
+        return cls(plan=plan, segments=windows, head_maps=head_maps)
 
     @property
     def n_flat(self) -> int:
         """Total request rows across all segments."""
         return self.plan.n_flat
 
+    def stats(self) -> dict:
+        """:meth:`ScoringPlan.stats` plus the row-group sizes, if grouped."""
+        out = self.plan.stats()
+        if self.plan.head_rows is not None:
+            (_, hi_a), (lo_b, n) = self.plan.head_rows["a"], self.plan.head_rows["b"]
+            out.update(rows_a_only=lo_b, rows_both=hi_a - lo_b, rows_b_only=n - hi_a)
+        return out
+
     def shard_map(self, role: str, partitioner):
         """Per-shard gather map of the underlying plan (see
         :meth:`ScoringPlan.shard_map`)."""
         return self.plan.shard_map(role, partitioner)
 
-    def scatter(self, unique_scores):
-        """Unique-request scores → the flat per-request score vector.
+    def scatter(self, unique_scores, head: Optional[str] = None):
+        """Unique-request scores → a flat per-request score vector.
 
         Works on plain arrays *and* autograd tensors: the fancy index is
         :class:`repro.nn.tensor.Tensor.__getitem__`'s scatter-add-backward
         gather, so gradients flow from every duplicated loss row back to
         the one score that produced it.
+
+        Without ``head`` the input holds every unique row and the output
+        every request row.  With ``head`` (row-grouped batches only) the
+        input holds that head's rows (``plan.head_rows[head]``) and the
+        output the rows of the segments the head reads, in segment order.
         """
+        if head is not None:
+            return unique_scores[self._head_map(head)[0]]
         if self.plan.scatter_index is None:
             return unique_scores
         return unique_scores[self.plan.scatter_index]
 
-    def take(self, flat_scores, name: str):
+    def take(self, flat_scores, name: str, head: Optional[str] = None):
         """Slice segment ``name`` out of :meth:`scatter`'s output.
 
         Returns the segment reshaped to its declared shape; accepts
-        arrays or tensors.
+        arrays or tensors.  Pass the same ``head`` as to :meth:`scatter`.
         """
-        offset, shape = self.segments[name]
-        length = int(np.prod(shape)) if shape else 1
-        return flat_scores[offset : offset + length].reshape(shape)
+        windows = self.segments if head is None else self._head_map(head)[1]
+        offset, shape = windows[name]
+        return flat_scores[offset : offset + _length(shape)].reshape(shape)
+
+    def _head_map(self, head: str):
+        try:
+            return self.head_maps[head]
+        except KeyError:
+            raise ValueError(
+                f"no rows for head {head!r}: build the batch with reads= to group "
+                "its rows by head"
+            ) from None

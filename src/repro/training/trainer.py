@@ -27,6 +27,9 @@ flows through the dedup maps into the encoder.  The Task-A pair
 requests ride in the same plan as the explicit-participant corruption
 triples via the model's ``mean_participant_id`` sentinel, and the
 item-corrupted triples shared by ``L'_A`` and ``L'_B`` are scored once.
+The batch also records which head each segment's losses read and
+groups the plan's rows by head, so each head's last-layer work runs
+only on the rows it is read on (live rows, docs/training.md).
 Every other model trains on the flat step, which is also the planned
 step's parity oracle: losses match up to float re-association (see
 tests/test_training.py's parity suite).
@@ -339,6 +342,7 @@ class Trainer:
             "pos_a": (users_a, items_a, None, (len(users_a),)),
             "neg_a": (np.repeat(users_a, n), neg_items.ravel(), None, neg_items.shape),
         }
+        reads = {"pos_a": "a", "neg_a": "a"}
         if corrupted_items is not None:
             u_rep = np.repeat(users_b, t)
             p_rep = np.repeat(parts_b, t)
@@ -347,15 +351,22 @@ class Trainer:
                     u_rep, np.repeat(items_b, t),
                     corrupted_parts.ravel(), corrupted_parts.shape,
                 )
+                reads["aux_tp"] = "a"
             segments["aux_ti"] = (
                 u_rep, corrupted_items.ravel(), p_rep, corrupted_items.shape
             )
+            # L'_A reads the item corruptions through head A, L'_B
+            # through head B (the auxiliary batch needs one of them).
+            reads["aux_ti"] = "a" * (cfg.beta_a > 0) + "b" * (cfg.beta_b > 0)
         segments["pos_b"] = (users_b, items_b, parts_b, (len(users_b),))
         segments["neg_b"] = (
             np.repeat(users_b, n), np.repeat(items_b, n),
             neg_parts.ravel(), neg_parts.shape,
         )
-        return PlannedBatch.build(segments, sentinel=self.model.mean_participant_id)
+        reads.update(pos_b="b", neg_b="b")
+        return PlannedBatch.build(
+            segments, sentinel=self.model.mean_participant_id, reads=reads
+        )
 
     def _planned_losses(self, emb, batch_a, batch_b, draws) -> Tuple:
         """The deduplicated step: compile, score unique requests, scatter.
@@ -370,25 +381,32 @@ class Trainer:
         """
         cfg = self.config
         batch = self._step_plan(batch_a, batch_b, draws)
+        # Each head's logits cover only the unique rows its losses read
+        # (the plan's live rows); the per-head scatter hands every
+        # segment the logits of the head that reads it.
         logits_a, logits_b = self.model.planned_joint_logits(emb, batch.plan)
-        flat_a = batch.scatter(logits_a)
-        flat_b = batch.scatter(logits_b)
-        loss_a = bpr_loss(batch.take(flat_a, "pos_a"), batch.take(flat_a, "neg_a"))
-        loss_b = bpr_loss(batch.take(flat_b, "pos_b"), batch.take(flat_b, "neg_b"))
+        flat_a = batch.scatter(logits_a, "a")
+        flat_b = batch.scatter(logits_b, "b")
+        seg_a = lambda name: batch.take(flat_a, name, "a")
+        seg_b = lambda name: batch.take(flat_b, name, "b")
+        loss_a = bpr_loss(seg_a("pos_a"), seg_a("neg_a"))
+        pos_b = seg_b("pos_b")
+        loss_b = bpr_loss(pos_b, seg_b("neg_b"))
         aux_a = aux_b = None
         if draws["corrupted_items"] is not None:
             # Both auxiliary losses read the same scattered corruption
             # segments (the (u, i', p) bank is scored once for L'_A and
             # L'_B; listnet's softmax normalizer is built once over that
             # bank).
+            want_a, want_b = cfg.beta_a > 0, cfg.beta_b > 0
             aux_a, aux_b = aux_losses_from_scores(
-                batch.take(flat_b, "pos_b"),
-                batch.take(flat_a, "aux_tp") if cfg.beta_a > 0 else None,
-                batch.take(flat_a, "aux_ti") if cfg.beta_a > 0 else None,
-                batch.take(flat_b, "aux_ti"),
+                pos_b,
+                seg_a("aux_tp") if want_a else None,
+                seg_a("aux_ti") if want_a else None,
+                seg_b("aux_ti") if want_b else None,
                 mode=cfg.aux_a_mode,
-                want_a=cfg.beta_a > 0,
-                want_b=cfg.beta_b > 0,
+                want_a=want_a,
+                want_b=want_b,
             )
         return loss_a, loss_b, aux_a, aux_b
 
