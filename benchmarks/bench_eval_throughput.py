@@ -78,10 +78,11 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_eval_throughput.json"
 
 #: Ceilings on the backend calls of one warm fused 1:99 window of the
 #: benchmark MGBR, per task: the values measured with live-head pruning
-#: (the unpruned program made 74 matmuls and 4 concatenates per window).
+#: and one mix per task gate (the unpruned program made 74 matmuls and
+#: 4 concatenates per window; pruned, with four mixes per task gate, 58).
 WINDOW_OP_BOUNDS = {
-    "items": {"matmul": 58, "concatenate": 2},
-    "participants": {"matmul": 58, "concatenate": 3},
+    "items": {"matmul": 49, "concatenate": 2},
+    "participants": {"matmul": 49, "concatenate": 3},
 }
 
 

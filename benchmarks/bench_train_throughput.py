@@ -56,8 +56,8 @@ MODEL_SEED = 1
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_train_throughput.json"
 
 #: Ceiling on ``zeros_like`` + ``empty_like`` calls in one planned MGBR
-#: step: 154 measured in both the smoke and the full configuration.
-MAX_STEP_ALLOCATIONS = 154
+#: step: 141 measured in both the smoke and the full configuration.
+MAX_STEP_ALLOCATIONS = 141
 
 
 def _dataset():

@@ -29,6 +29,16 @@ out ``[a | s | b]`` (or ``[b | s]`` when bank A is dead), which makes
 the first task gate's generic bank and the shared gate's bank
 zero-copy views.
 
+One mix per task gate
+---------------------
+The tape folds each task gate's three adjusted-head weights into its
+generic weights before mixing (Eq. 12 on the weights, see
+:mod:`repro.core.gates`).  :func:`_fold` does the same sums with the
+same association order, but adds them in place into slices of the
+softmax buffer the call owns, so there is no concatenate and one
+``ws.mix`` per task gate, and the output stays bit-identical to the
+tape.
+
 Returns ``None`` (caller falls back to the tape) for model
 configurations the mirror does not cover: subclassed MTL stacks/layers
 or prediction heads with a non-ReLU activation or live dropout.
@@ -96,10 +106,9 @@ def _proj_bank(ws: FusedWorkspace, bank, x: np.ndarray, key) -> np.ndarray:
     return ws.reshape(out, (x.shape[0], bank.n_experts, bank.out_dim))
 
 
-def _attend(ws: FusedWorkspace, attention, bank: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """Mirror of ``GateAttention.forward`` with precomputed logits."""
-    weights = ws.softmax(logits) if attention.softmax else logits
-    return ws.mix(weights, bank)
+def _weights(ws: FusedWorkspace, attention, logits: np.ndarray) -> np.ndarray:
+    """Mirror of ``GateAttention.weights`` with precomputed logits."""
+    return ws.softmax(logits) if attention.softmax else logits
 
 
 def _pair_logits(ws, adjusted, e_u, e_i, e_p, user_pos, item_pos, part_pos):
@@ -124,7 +133,9 @@ def _task_gate(ws, gate, state, own_bank, shared_bank, adj_logits, generic_logit
     ``generic_bank`` short-circuits the ``[own | shared]`` concatenation
     when the caller already holds the banks contiguously in that order
     (a slice view of the dense layers' combined bank buffer) — the view
-    carries the identical values the concat would copy.
+    carries the identical values the concat would copy.  The adjusted
+    weights fold into the generic weights (:func:`_fold`), so the banks
+    are mixed once.
     """
     if generic_bank is None:
         if gate.shared:
@@ -134,19 +145,33 @@ def _task_gate(ws, gate, state, own_bank, shared_bank, adj_logits, generic_logit
     attention = gate.generic.attention
     if generic_logits is None:
         generic_logits = ws.matmul(state, attention.proj.weight.data)
-    out = _attend(ws, attention, generic_bank, generic_logits)
+    weights = _weights(ws, attention, generic_logits)
     if gate.adjusted is not None:
-        other = shared_bank if gate.shared else own_bank
-        if gate.own_is_ui:
-            banks = (own_bank, other, other)
-        else:
-            banks = (other, own_bank, own_bank)
-        l_ui, l_ip, l_up = adj_logits
-        adjusted = gate.adjusted
-        term = _attend(ws, adjusted.head_ui, banks[0], l_ui)
-        term = ws.add(term, _attend(ws, adjusted.head_ip, banks[1], l_ip))
-        adj = ws.add(term, _attend(ws, adjusted.head_up, banks[2], l_up))
-        out = ws.add(out, ws.multiply(adj, ws.scalar(gate.alpha)))
+        weights = _fold(ws, gate, weights, adj_logits)
+    return ws.mix(weights, generic_bank)
+
+
+def _fold(ws, gate, weights, adj_logits):
+    """Mirror of ``gates._fold``: ``weights[:, span] += α·Σ heads``.
+
+    The sums land in place in ``weights`` (the softmax buffer this call
+    owns; a fresh workspace buffer otherwise), with the tape's
+    operands and association order.
+    """
+    adjusted = gate.adjusted
+    heads = [
+        _weights(ws, head, logits)
+        for head, logits in zip(
+            (adjusted.head_ui, adjusted.head_ip, adjusted.head_up), adj_logits
+        )
+    ]
+    out = weights if ws.owns(weights) else ws.out(weights.shape)
+    scale = ws.scalar(gate.alpha)
+    for (start, stop), idx in gate.fold_spans(heads[0].shape[1]):
+        part = heads[idx[0]]
+        for i in idx[1:]:
+            part = ws.add(part, heads[i])
+        ws.b.add(weights[:, start:stop], ws.multiply(part, scale), out=out[:, start:stop])
     return out
 
 
@@ -157,7 +182,7 @@ def _shared_gate(ws, gate, state, bank_a, bank_s, bank_b, logits, bank=None):
         bank = ws.concat([bank_a, bank_s, bank_b], axis=1)
     if logits is None:
         logits = ws.matmul(state, attention.proj.weight.data)
-    return _attend(ws, attention, bank, logits)
+    return ws.mix(_weights(ws, attention, logits), bank)
 
 
 def _experts(layer):

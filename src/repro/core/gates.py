@@ -19,16 +19,32 @@ The shared gate S has only a generic section over all three banks
 (Eq. 14).  Following the self-attention principle the paper cites, the
 attention logits are softmax-normalized (disable with
 ``gate_softmax=False`` to use raw linear weights).
+
+The Eq. 12 fold
+---------------
+Every section is an attention-weighted sum over the same two banks
+``[E_A; E_S]``, and the gate is linear in the banks, so Eq. 12 holds on
+the weights too.  :class:`TaskGate` adds the three adjusted heads'
+``(n, K)`` weights into the matching slot spans of the generic
+``(n, 2K)`` weights — gate A:
+``[w_gen_A + α·w_ui | w_gen_S + α·(w_ip + w_up)]``; gate B:
+``[w_gen_B + α·(w_ip + w_up) | w_gen_S + α·w_ui]``; MGBR-M (no bank S):
+``w_gen + α·(w_ui + w_ip + w_up)`` — and mixes ``[own | S]`` once,
+instead of four ``(n, 1, K) @ (n, K, d)`` mixes plus three adds.  The
+fold re-associates the float sums, so the output differs from the
+four-mix formula by about one ulp (``α = 0`` skips the fold and is
+unchanged).  :mod:`repro.core.fused` mirrors the same fold in place.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.nn import functional as F
+from repro.nn.backend import get_backend
 from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, concat, take_rows
+from repro.nn.tensor import Tensor, _matmul, concat, take_rows
 
 __all__ = ["GateAttention", "GenericGate", "AdjustedGate", "TaskGate", "SharedGate"]
 
@@ -58,12 +74,49 @@ class GateAttention(Module):
             raise ValueError(
                 f"bank has {bank.shape[1]} slots, attention expects {self.n_slots}"
             )
+        return self.mix(self.weights(query, logits), [bank])
+
+    def weights(self, query: Optional[Tensor], logits: Optional[Tensor] = None) -> Tensor:
+        """Attention weights ``(batch, K)``: ``softmax(query W)`` or raw logits."""
         if logits is None:
             logits = self.proj(query)
-        weights = F.softmax(logits, axis=-1) if self.softmax else logits
-        batch = weights.shape[0]
-        mixed = weights.reshape(batch, 1, self.n_slots) @ bank
-        return mixed.reshape(batch, bank.shape[2])
+        return F.softmax(logits, axis=-1) if self.softmax else logits
+
+    @staticmethod
+    def mix(weights: Tensor, banks: Sequence[Tensor]) -> Tensor:
+        """``weights (n, ΣK) × [bank_1 | bank_2 | ...] (n, ΣK, d) → (n, d)``.
+
+        The forward is the concatenation plus ``(n, 1, ΣK) @ (n, ΣK, d)``
+        batched matmul of the single-bank case.  The adjoint writes each
+        bank's gradient as its own ``wᵀ[slots] * g`` product — the
+        values the concatenation's gradient slice would hold, but fresh
+        and contiguous, so each bank adopts it without a copy.
+        """
+        b = get_backend()
+        bank = banks[0].data if len(banks) == 1 else b.concatenate(
+            [t.data for t in banks], axis=1
+        )
+        n, k = weights.shape
+        if bank.shape[1] != k:
+            raise ValueError(f"banks have {bank.shape[1]} slots, weights have {k}")
+        d = bank.shape[2]
+        w3 = b.reshape(weights.data, (n, 1, k))
+
+        def backward(g):
+            b = get_backend()
+            g3 = b.reshape(g, (n, 1, d))
+            if weights.requires_grad:
+                grad = _matmul(g3, b.swapaxes(bank, -1, -2))
+                weights._accumulate(b.reshape(grad, (n, k)), owned=True)
+            w3t = b.swapaxes(w3, -1, -2)
+            start = 0
+            for t in banks:
+                stop = start + t.shape[1]
+                if t.requires_grad:
+                    t._accumulate(_matmul(w3t[:, start:stop], g3), owned=True)
+                start = stop
+
+        return Tensor._make(b.reshape(_matmul(w3, bank), (n, d)), (weights, *banks), backward)
 
     def project_blocks(self, x: Tensor, blocks) -> Tensor:
         """Partial attention logits from the given weight-row blocks of ``W``.
@@ -155,6 +208,21 @@ class AdjustedGate(Module):
             concat([e_u, e_p], axis=1),
         )
 
+    def weights(self, e_u: Tensor, e_i: Tensor, e_p: Tensor, pairs=None, logits=None):
+        """The three heads' attention weights ``(w_ui, w_ip, w_up)``, each ``(n, K)``.
+
+        ``pairs`` optionally supplies precomputed :meth:`build_pairs`
+        output (the hot path); ``logits`` optionally supplies fully
+        factorized :meth:`pair_logits` output (the planned path), in
+        which case the embeddings and pairs are not touched at all.
+        """
+        heads = (self.head_ui, self.head_ip, self.head_up)
+        if logits is not None:
+            return tuple(head.weights(None, l) for head, l in zip(heads, logits))
+        if pairs is None:
+            pairs = self.build_pairs(e_u, e_i, e_p)
+        return tuple(head.weights(pair) for head, pair in zip(heads, pairs))
+
     def forward(
         self,
         e_u: Tensor,
@@ -169,26 +237,44 @@ class AdjustedGate(Module):
         """Sum the three pair-attention terms.
 
         Which bank each pair attends over differs between gate A and
-        gate B; the caller (:class:`TaskGate`) wires them per Eq. 11/13.
-        ``pairs`` optionally supplies precomputed :meth:`build_pairs`
-        output (the hot path); ``logits`` optionally supplies fully
-        factorized :meth:`pair_logits` output (the planned path), in
-        which case the embeddings and pairs are not touched at all.
+        gate B; the caller wires them per Eq. 11/13 (:class:`TaskGate`
+        folds the weights instead of calling this).  ``pairs`` and
+        ``logits`` are as in :meth:`weights`.
         """
-        if logits is not None:
-            l_ui, l_ip, l_up = logits
-            return (
-                self.head_ui(None, bank_ui, logits=l_ui)
-                + self.head_ip(None, bank_ip, logits=l_ip)
-                + self.head_up(None, bank_up, logits=l_up)
-            )
-        if pairs is None:
-            pairs = self.build_pairs(e_u, e_i, e_p)
-        pair_ui, pair_ip, pair_up = pairs
-        term_ui = self.head_ui(pair_ui, bank_ui)
-        term_ip = self.head_ip(pair_ip, bank_ip)
-        term_up = self.head_up(pair_up, bank_up)
-        return term_ui + term_ip + term_up
+        w_ui, w_ip, w_up = self.weights(e_u, e_i, e_p, pairs=pairs, logits=logits)
+        mix = GateAttention.mix
+        return mix(w_ui, [bank_ui]) + mix(w_ip, [bank_ip]) + mix(w_up, [bank_up])
+
+
+def _fold(generic: Tensor, heads, spans, alpha: float) -> Tensor:
+    """Eq. 12 on the attention weights: ``generic + α·Σ heads``, per slot span.
+
+    ``spans`` is :meth:`TaskGate.fold_spans`: each ``((start, stop),
+    idx)`` adds ``α·(heads[idx[0]] + heads[idx[1]] + ...)`` into the
+    ``[start, stop)`` slots of ``generic``.  One node: its adjoint hands
+    the consumed gradient to ``generic`` and each head a fresh
+    ``α·g[:, start:stop]``, so no buffer needs a first-touch copy.
+    """
+    b = get_backend()
+    w = generic.data
+    scale = w.dtype.type(alpha)
+    value = b.empty(w.shape, dtype=w.dtype)
+    for (start, stop), idx in spans:
+        part = heads[idx[0]].data
+        for i in idx[1:]:
+            part = b.add(part, heads[i].data)
+        b.add(w[:, start:stop], b.multiply(part, scale), out=value[:, start:stop])
+
+    def backward(g):
+        b = get_backend()
+        for (start, stop), idx in spans:
+            for i in idx:
+                if heads[i].requires_grad:
+                    heads[i]._accumulate(b.multiply(g[:, start:stop], scale), owned=True)
+        if generic.requires_grad:
+            generic._accumulate(g, owned=True)
+
+    return Tensor._make(value, (generic, *heads), backward)
 
 
 class TaskGate(Module):
@@ -231,6 +317,22 @@ class TaskGate(Module):
             else None
         )
 
+    def fold_spans(self, k: int):
+        """Eq. 11/13's wiring as ``((start, stop), heads)`` over the generic weights.
+
+        Adjusted heads are numbered ``0 = ui, 1 = ip, 2 = up``; each
+        lands on the slots of the bank it attends over.  Gate A sends
+        ``ui`` to its own bank (slots ``[0, k)``) and ``ip``/``up`` to
+        bank S (``[k, 2k)``), gate B the reverse; without a shared bank
+        all three land on the own bank.
+        """
+        if not self.shared:
+            return (((0, k), (0, 1, 2)),)
+        own, shared = (0, k), (k, 2 * k)
+        if self.own_is_ui:
+            return ((own, (0,)), (shared, (1, 2)))
+        return ((own, (1, 2)), (shared, (0,)))
+
     def forward(
         self,
         state: Tensor,
@@ -250,29 +352,21 @@ class TaskGate(Module):
         precomputed pair features shared across layers and towers.  On
         the planned path ``generic_logits`` / ``adj_logits`` carry
         factorized attention logits, making ``state`` and the raw
-        embeddings unnecessary (pass ``None``).
+        embeddings unnecessary (pass ``None``).  The adjusted weights
+        fold into the generic ones (see the module docstring), so the
+        banks are mixed once.
         """
+        banks = [own_bank]
         if self.shared:
             if shared_bank is None:
                 raise ValueError("TaskGate built with shared=True needs a shared bank")
-            generic_bank = concat([own_bank, shared_bank], axis=1)
-        else:
-            generic_bank = own_bank
-        out = self.generic(state, generic_bank, logits=generic_logits)
+            banks.append(shared_bank)
+        weights = self.generic.attention.weights(state, generic_logits)
         if self.adjusted is not None:
-            other = shared_bank if self.shared else own_bank
-            if self.own_is_ui:
-                # Gate A: (u,i) -> own bank; (i,p), (u,p) -> shared bank.
-                adj = self.adjusted(
-                    e_u, e_i, e_p, own_bank, other, other, pairs=pairs, logits=adj_logits
-                )
-            else:
-                # Gate B: (u,i) -> shared bank; (i,p), (u,p) -> own bank.
-                adj = self.adjusted(
-                    e_u, e_i, e_p, other, own_bank, own_bank, pairs=pairs, logits=adj_logits
-                )
-            out = out + self.alpha * adj
-        return out
+            heads = self.adjusted.weights(e_u, e_i, e_p, pairs=pairs, logits=adj_logits)
+            spans = self.fold_spans(own_bank.shape[1])
+            weights = _fold(weights, heads, spans, self.alpha)
+        return GateAttention.mix(weights, banks)
 
 
 class SharedGate(Module):
@@ -295,4 +389,5 @@ class SharedGate(Module):
         ``logits`` optionally carries factorized attention logits from
         the planned path; ``state`` may then be ``None``.
         """
-        return self.attention(state, concat([bank_a, bank_s, bank_b], axis=1), logits=logits)
+        attention = self.attention
+        return attention.mix(attention.weights(state, logits), [bank_a, bank_s, bank_b])

@@ -7,6 +7,7 @@ asserted through gradient flow.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.gates import TaskGate
 from repro.nn import tensor
@@ -63,6 +64,39 @@ class TestGateABankWiring:
         gate = TaskGate(6, 8, 2, own_is_ui=False, alpha=0.3, seed=0)
         own_grad, shared_grad = _grads_after(gate, rng)
         assert own_grad is not None and shared_grad is not None
+
+    @pytest.mark.parametrize("own_is_ui", [True, False], ids=["gate-a", "gate-b"])
+    def test_wiring_matches_eq_10_to_13_by_value(self, own_is_ui):
+        # Gradient flow cannot tell the banks apart (the generic section
+        # reads both), so compare against Eq. 10-13 written out in NumPy.
+        rng = np.random.default_rng(7)
+        n, k, d, alpha = 5, 2, 4, 0.4
+        gate = TaskGate(6, 8, k, own_is_ui=own_is_ui, alpha=alpha, seed=2)
+        state = rng.normal(size=(n, 6))
+        own, shared = rng.normal(size=(n, k, d)), rng.normal(size=(n, k, d))
+        e_u, e_i, e_p = (rng.normal(size=(n, 4)) for _ in range(3))
+        out = gate(*(tensor(x) for x in (state, own, shared, e_u, e_i, e_p))).data
+
+        def attend(attention, query, bank):
+            z = query @ attention.proj.weight.data
+            w = np.exp(z - z.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            return np.einsum("nk,nkd->nd", w, bank)
+
+        adj = gate.adjusted
+        ui, ip, up = np.hstack([e_u, e_i]), np.hstack([e_i, e_p]), np.hstack([e_u, e_p])
+        # Eq. 10: the generic section attends over [E_own; E_S].
+        g1 = attend(gate.generic.attention, state, np.concatenate([own, shared], axis=1))
+        if own_is_ui:  # Eq. 11: (u,i) over bank A, (i,p) and (u,p) over bank S.
+            banks = (own, shared, shared)
+        else:  # Eq. 13: (u,i) over bank S, (i,p) and (u,p) over bank B.
+            banks = (shared, own, own)
+        g2 = sum(
+            attend(head, pair, bank)
+            for head, pair, bank in zip((adj.head_ui, adj.head_ip, adj.head_up), (ui, ip, up), banks)
+        )
+        # Eq. 12.
+        np.testing.assert_allclose(out, g1 + alpha * g2, rtol=1e-12)
 
 
 class TestGateDeterminism:
