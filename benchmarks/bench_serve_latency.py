@@ -12,8 +12,9 @@ slowing the clients).
 Cells sweep ``offered rate × flush deadline × store layout``:
 
 * ``dense``   — GBMF over single-table stores;
-* ``sharded`` — the same tables range-partitioned 4 ways (every flush
-  regroups ids per shard);
+* ``sharded`` — the same tables range-partitioned across 4 shard worker
+  processes (:class:`repro.store.ProcessShardedStore`; every flush
+  gathers its rows over shared memory);
 * ``lru``     — the sharded layout fronted by a
   :class:`repro.store.LRUCachedStore` hot-row cache; ids are
   Zipf-skewed, so the cache absorbs the head of the distribution.
@@ -82,7 +83,7 @@ from repro.serving import (
     OverloadError,
     ServingEngine,
 )
-from repro.store import cache_hot_rows
+from repro.store import ProcessShardedStore, cache_hot_rows, iter_stores
 
 N_USERS = int(os.environ.get("REPRO_BENCH_SERVE_USERS", "3000"))
 N_ITEMS = int(os.environ.get("REPRO_BENCH_SERVE_ITEMS", "1000"))
@@ -131,6 +132,14 @@ def build_model(store: str) -> GBMF:
     model.eval()
     model.refresh_cache()
     return model
+
+
+def close_model(model: GBMF) -> None:
+    """Stop the shard workers behind a model's sharded tables (if any)."""
+    for _, store in iter_stores(model):
+        store = getattr(store, "inner", store)  # look through the LRU tier
+        if isinstance(store, ProcessShardedStore):
+            store.close()
 
 
 def make_requests(rng: np.random.Generator, n: int, width: int = CANDIDATES):
@@ -489,13 +498,16 @@ def run_benchmark(rates=RATES, deadlines=DEADLINES_MS, stores=STORES,
     }
     for store in stores:
         model = build_model(store)
-        for rate in rates:
-            for deadline in deadlines:
-                rng = np.random.default_rng(SEED + 1)
-                n = n_requests or int(min(max(rate * 1.5, 300), 3000))
-                cell = run_cell(model, rate, deadline, n, rng)
-                cell["store"] = store
-                report["cells"].append(cell)
+        try:
+            for rate in rates:
+                for deadline in deadlines:
+                    rng = np.random.default_rng(SEED + 1)
+                    n = n_requests or int(min(max(rate * 1.5, 300), 3000))
+                    cell = run_cell(model, rate, deadline, n, rng)
+                    cell["store"] = store
+                    report["cells"].append(cell)
+        finally:
+            close_model(model)
     return report
 
 

@@ -1,4 +1,4 @@
-"""Shard-gather benchmark: throughput and memory model of the shard layouts.
+"""Shard-gather benchmark: throughput and memory model of the two layouts.
 
 Measures the quantities the sharded embedding layer trades between
 (docs/sharding.md):
@@ -6,8 +6,7 @@ Measures the quantities the sharded embedding layer trades between
 * **Gather throughput** — rows/sec answering planned-style gathers
   (sorted unique id chunks, the exact shape
   :class:`repro.plan.ScoringPlan` produces) from a
-  :class:`repro.store.DenseStore`, a :class:`repro.store.ShardedStore`
-  at several shard counts, and the cross-process
+  :class:`repro.store.DenseStore` and from the cross-process
   :class:`repro.store.ProcessShardedStore` at several worker counts —
   plus the differentiable round trip (gather → scatter-add backward)
   that dominates the planned training step.
@@ -18,24 +17,22 @@ Measures the quantities the sharded embedding layer trades between
   one machine's RAM fits once shards live in separate processes.
 * **Quantised memory tier** — resident bytes/row of the int8 and fp16
   tiers (:mod:`repro.store.quant`) against the float32 baseline, across
-  the dense, 2-shard, LRU-cached and process-sharded layouts.  Gates:
+  the dense, LRU-cached and process-sharded layouts.  Gates:
   int8 ≤ 0.30× float32 bytes/row (side arrays included — needs
   ``dim ≥ 40``, so the memory cells use their own ``MEM_DIM``), fp16 ≤
   0.55×.  Process cells also record peak resident bytes (owned payload
   + the largest RPC transient at the arena dtype).
 
 Values gathered from shards are asserted bit-identical to the dense
-table, and the resident-row bound is asserted per shard count.
+table, and the resident-row bound is asserted per worker count.
 
 Cross-process scaling is gated **parallelism-aware**: worker processes
 fill their result slices concurrently, so on a host with spare cores
 forward rows/sec must rise monotonically 1→2→4 workers; on a host
 without them (``os.cpu_count()`` too small, e.g. a 1-CPU CI container)
 the workers serialize and the gate instead bounds the serialization
-overhead and still requires every cross-process cell to beat the
-in-process :class:`ShardedStore` at the same shard count.  The report
-records ``cpu_count`` and ``serialized`` so the cells read correctly
-either way.
+overhead.  The report records ``cpu_count`` and ``serialized`` so the
+cells read correctly either way.
 
 Writes ``BENCH_shard_gather.json`` at the repository root.  Run
 directly (``PYTHONPATH=src python benchmarks/bench_shard_gather.py``);
@@ -54,13 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.nn.tensor import dtype_scope, no_grad
-from repro.store import (
-    DenseStore,
-    LRUCachedStore,
-    ProcessShardedStore,
-    ShardedStore,
-    make_store,
-)
+from repro.store import DenseStore, LRUCachedStore, ProcessShardedStore, make_store
 
 ROWS = int(os.environ.get("REPRO_BENCH_SHARD_ROWS", "200000"))
 DIM = int(os.environ.get("REPRO_BENCH_SHARD_DIM", "64"))
@@ -76,7 +67,6 @@ MEM_DIM = int(os.environ.get("REPRO_BENCH_MEM_DIM", "64"))
 #: bytes/row ceilings vs the float32 baseline, per quantised mode.
 MEM_GATES = {"int8": 0.30, "fp16": 0.55}
 
-SHARD_COUNTS = (2, 4, 8)
 WORKER_COUNTS = (1, 2, 4)
 SEED = 13
 
@@ -142,38 +132,14 @@ def _check_parity(store, dense_ref: np.ndarray) -> None:
     assert np.array_equal(gathered, dense_ref[check]), "sharded gather diverged"
 
 
-def _bench_sharded(
-    values: np.ndarray, dense_ref: np.ndarray, n_shards: int, chunks: list
-) -> dict:
-    store = ShardedStore(values, n_shards, "range")
-    timing = _time_gathers(store, chunks)
-    _check_parity(store, dense_ref)
-
-    resident = store.resident_rows()
-    ceil_bound = math.ceil(ROWS / n_shards)
-    peak = max(resident) + store.stats["max_shard_gather_rows"]
-    return {
-        "n_shards": n_shards,
-        **timing,
-        "resident_rows_per_shard": resident,
-        "ceil_rows_over_shards": ceil_bound,
-        "max_shard_gather_rows": store.stats["max_shard_gather_rows"],
-        "peak_resident_rows": peak,
-        "peak_bound": ceil_bound + CHUNK,
-        "shard_touches_per_gather": round(
-            store.stats["shard_touches"] / max(store.stats["gathers"], 1), 3
-        ),
-    }
-
-
 def _bench_process(
     values: np.ndarray, dense_ref: np.ndarray, n_workers: int, chunks: list
 ) -> dict:
     """One cross-process cell: ``n_workers`` shard worker processes.
 
     ``io_chunk=CHUNK`` keeps every streaming RPC within the same chunk
-    bound the gathers obey, so the per-worker peak-resident gate is the
-    identical ``ceil(rows/n) + chunk`` the in-process cells assert.
+    bound the gathers obey, so the per-worker peak-resident gate is
+    ``ceil(rows/n) + chunk``.
     """
     store = ProcessShardedStore(values, n_workers, "range", io_chunk=CHUNK)
     try:
@@ -231,8 +197,6 @@ def _mem_cell(layout: str, mode, values: np.ndarray, cpu_count: int) -> dict:
     else:
         if layout == "dense":
             store = make_store(values, quantize=mode)
-        elif layout == "sharded2":
-            store = make_store(values, n_shards=2, quantize=mode)
         elif layout == "lru":
             store = LRUCachedStore(make_store(values, quantize=mode),
                                    capacity=rows)
@@ -250,9 +214,9 @@ def _mem_cell(layout: str, mode, values: np.ndarray, cpu_count: int) -> dict:
 
 
 def _bench_memory(cpu_count: int) -> dict:
-    """float32 vs fp16 vs int8 resident bytes across the four layouts."""
+    """float32 vs fp16 vs int8 resident bytes across the three layouts."""
     values = np.random.default_rng(SEED + 2).normal(size=(MEM_ROWS, MEM_DIM))
-    layouts = ("dense", "sharded2", "lru", "process2")
+    layouts = ("dense", "lru", "process2")
     cells = [
         _mem_cell(layout, mode, values, cpu_count)
         for layout in layouts
@@ -292,30 +256,15 @@ def run_benchmark() -> dict:
             **dense_timing,
             "resident_rows": ROWS,
         },
-        "sharded": [
-            _bench_sharded(values, dense.weight.data, n, chunks)
-            for n in SHARD_COUNTS
-        ],
         "process": [
             _bench_process(values, dense.weight.data, n, chunks)
             for n in WORKER_COUNTS
         ],
         "memory": _bench_memory(cpu_count),
     }
-    for entry in report["sharded"]:
-        entry["forward_vs_dense"] = round(
-            entry["forward_rows_per_sec"] / report["dense"]["forward_rows_per_sec"], 3
-        )
-    inproc = {e["n_shards"]: e for e in report["sharded"]}
     for entry in report["process"]:
         entry["forward_vs_dense"] = round(
             entry["forward_rows_per_sec"] / report["dense"]["forward_rows_per_sec"], 3
-        )
-        peer = inproc.get(entry["n_workers"])
-        entry["forward_vs_inprocess"] = (
-            round(entry["forward_rows_per_sec"] / peer["forward_rows_per_sec"], 3)
-            if peer
-            else None
         )
         # Workers serialize when the host cannot run them beside the
         # parent; scaling cells then measure doorbell overhead, not
@@ -324,28 +273,8 @@ def run_benchmark() -> dict:
     return report
 
 
-def check_report(report: dict, smoke: bool = False) -> None:
-    """The acceptance gates the CI smoke run also exercises.
-
-    ``smoke=True`` keeps the parity, memory-bound and serialization
-    gates but skips the cross-vs-in-process throughput comparison: at
-    the seconds-scale configuration the chunks are so small that
-    doorbell round-trips dominate, which is not the regime the
-    comparison speaks about (the full 200k-row config is).
-    """
-    for entry in report["sharded"]:
-        n = entry["n_shards"]
-        assert entry["peak_resident_rows"] <= entry["peak_bound"], (
-            f"{n}-shard peak resident rows {entry['peak_resident_rows']} exceeds "
-            f"ceil(rows/{n}) + chunk = {entry['peak_bound']}"
-        )
-        assert max(entry["resident_rows_per_shard"]) <= entry["ceil_rows_over_shards"]
-        # Sharding buys memory, not speed — but the per-shard regrouping
-        # must stay within a small constant factor of the dense gather.
-        assert entry["forward_vs_dense"] > 0.1, (
-            f"{n}-shard gather collapsed to {entry['forward_vs_dense']}x dense"
-        )
-
+def check_report(report: dict) -> None:
+    """The acceptance gates; the CI smoke run exercises the same set."""
     process = report.get("process", [])
     for entry in process:
         n = entry["n_workers"]
@@ -356,15 +285,6 @@ def check_report(report: dict, smoke: bool = False) -> None:
         assert (
             max(entry["resident_rows_per_worker"]) <= entry["ceil_rows_over_workers"]
         )
-        # The cross-process fast path (no per-gather shard map, workers
-        # write result slices directly) must beat the in-process layout
-        # at the same shard count.
-        if entry["forward_vs_inprocess"] is not None and not smoke:
-            assert entry["forward_vs_inprocess"] > 1.0, (
-                f"{n}-worker cross-process gather "
-                f"({entry['forward_rows_per_sec']} rows/s) lost to the "
-                f"in-process ShardedStore at {n} shards"
-            )
 
     memory = report.get("memory", {})
     for cell in memory.get("cells", []):
@@ -413,7 +333,7 @@ if __name__ == "__main__":
         ROWS, DIM, CHUNK, ROUNDS = 20000, 16, 1024, 1
         MEM_ROWS = 4000  # MEM_DIM stays 64: the 0.30x gate needs dim >= 40
     result = run_benchmark()
-    check_report(result, smoke=args.smoke)
+    check_report(result)
     if not args.smoke:
         OUTPUT.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))

@@ -151,7 +151,7 @@ class GroupBuyingRecommender(Module):
         self.n_users = n_users
         self.n_items = n_items
         self._cached: Optional[EmbeddingBundle] = None
-        self._executor_mode = "auto"
+        self._executor_mode = "fused"
         self._fused_ws = FusedWorkspace()
 
     # ------------------------------------------------------------------
@@ -159,12 +159,10 @@ class GroupBuyingRecommender(Module):
     # ------------------------------------------------------------------
     @property
     def executor(self) -> str:
-        """Planned-scoring executor knob: ``"auto"``/``"fused"``/``"tape"``.
+        """Planned-scoring executor knob: ``"fused"`` (default) or ``"tape"``.
 
-        ``"auto"`` (the default) runs fused under inference and defers
-        to the ``REPRO_EXECUTOR`` environment variable; gradient
-        recording always forces the tape (the fused path builds no
-        graph).  See docs/backends.md.
+        Gradient recording always forces the tape (the fused path builds
+        no graph).  See docs/backends.md.
         """
         return self._executor_mode
 

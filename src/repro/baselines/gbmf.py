@@ -34,16 +34,16 @@ class GBMF(GroupBuyingRecommender):
     n_users / n_items: entity counts.
     dim: latent factor width.
     seed: initialisation seed.
-    n_shards / partition / service: storage layout of the three tables
-        (:mod:`repro.store`); with ``n_shards >= 2`` (or ``service=True``)
-        the scoring paths gather rows straight from the shard workers and
-        no full table is ever materialised — scores stay bit-identical to
-        dense because gathers copy exact rows.  ``service=True`` moves
-        the shards into worker processes (the cross-process shard
-        service, :class:`repro.store.ProcessShardedStore`).
+    n_shards / partition: storage layout of the three tables
+        (:mod:`repro.store`); with ``n_shards >= 1`` the rows live in
+        that many shard worker processes
+        (:class:`repro.store.ProcessShardedStore`), the scoring paths
+        gather rows straight from them and no full table is ever
+        materialised — scores stay bit-identical to dense because
+        gathers copy exact rows.
     quantize: quantised memory tier (``None``/"int8"/"fp16") for the
         three tables — see docs/quantization.md.  Any quantised layout
-        hands the scoring paths the stores (like the sharded layouts),
+        hands the scoring paths the stores (like the sharded layout),
         so inference gathers read the compact tier while training
         bypasses it.
     """
@@ -56,30 +56,25 @@ class GBMF(GroupBuyingRecommender):
         seed: SeedLike = 0,
         n_shards: int = 0,
         partition: str = "range",
-        service: bool = False,
         quantize=None,
     ) -> None:
         super().__init__(n_users, n_items)
         rngs = spawn_rngs(seed, 3)
         self.initiator_table = Embedding(
             n_users, dim, seed=rngs[0], n_shards=n_shards, partition=partition,
-            service=service, quantize=quantize,
+            quantize=quantize,
         )
         self.participant_table = Embedding(
             n_users, dim, seed=rngs[1], n_shards=n_shards, partition=partition,
-            service=service, quantize=quantize,
+            quantize=quantize,
         )
         self.item_table = Embedding(
             n_items, dim, seed=rngs[2], n_shards=n_shards, partition=partition,
-            service=service, quantize=quantize,
+            quantize=quantize,
         )
         # Store-backed bundles route scoring through store.gather, which
         # is what lets the quantised tier serve inference reads.
-        self._sharded = (
-            n_shards >= 2
-            or service
-            or not isinstance(self.initiator_table.store, DenseStore)
-        )
+        self._sharded = not isinstance(self.initiator_table.store, DenseStore)
 
     def compute_embeddings(self) -> EmbeddingBundle:
         """MF has no encoder — the tables are the representations.

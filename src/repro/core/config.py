@@ -102,23 +102,20 @@ class MGBRConfig:
 
     # --- storage layout -------------------------------------------------
     #: Shard count for every layer-0 embedding table (the GCN feature
-    #: tables).  0/1 keeps the dense single-table layout; >= 2 partitions
-    #: each table across a :class:`repro.store.ShardedStore` — scores,
-    #: losses and trained weights are bit-identical to dense at float64
-    #: for any count, so the knob is purely a memory-layout decision.
+    #: tables).  0 keeps the dense single-table layout; >= 1 partitions
+    #: each table across that many shard worker *processes*
+    #: (:class:`repro.store.ProcessShardedStore`, rows gathered over
+    #: shared-memory buffers) — scores, losses and trained weights are
+    #: bit-identical to dense at float64 for any count, so the knob is
+    #: purely a memory-layout decision.
     embedding_shards: int = 0
     #: Row-to-shard assignment: "range" (contiguous blocks) or "hash"
     #: (modulo striping); see :class:`repro.store.Partitioner`.
     embedding_partition: str = "range"
-    #: Move each table's shards into worker *processes*
-    #: (:class:`repro.store.ProcessShardedStore`): rows are owned and
-    #: gathered outside the GIL over shared-memory buffers.  Same
-    #: bit-parity contract as the in-process layouts.
-    embedding_service: bool = False
     #: Quantised embedding memory tier: ``None`` (float rows), "int8"
     #: (per-row affine codes + scale/zero side arrays, ~4× rows per
-    #: byte) or "fp16" (~2×).  Training bypasses the tier (in-process
-    #: layouts keep a float master; a quantised *service* layout is
+    #: byte) or "fp16" (~2×).  Training bypasses the tier (the dense
+    #: layout keeps a float master; a quantised sharded layout is
     #: inference-only).  See docs/quantization.md.
     embedding_quantize: Optional[str] = None
 

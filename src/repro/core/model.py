@@ -69,7 +69,6 @@ class MGBR(GroupBuyingRecommender):
                 gain=self.config.gcn_gain,
                 n_shards=self.config.embedding_shards,
                 partition=self.config.embedding_partition,
-                service=self.config.embedding_service,
                 quantize=self.config.embedding_quantize,
             )
         else:
@@ -83,7 +82,6 @@ class MGBR(GroupBuyingRecommender):
                 gain=self.config.gcn_gain,
                 n_shards=self.config.embedding_shards,
                 partition=self.config.embedding_partition,
-                service=self.config.embedding_service,
                 quantize=self.config.embedding_quantize,
             )
         self.mtl = MultiTaskModule(self.config, seed=rngs[1])

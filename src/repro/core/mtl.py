@@ -281,7 +281,7 @@ class MTLLayer(Module):
         ``e_u``/``e_i``/``e_p`` hold one row per *unique* entity of a
         :class:`repro.plan.ScoringPlan` (gathered upstream — from a
         dense tensor or per-shard from a :class:`repro.store
-        .ShardedStore`, the stack is layout-blind); ``positions(span)``
+        .ProcessShardedStore`, the stack is layout-blind); ``positions(span)``
         returns the ``(user_pos, item_pos, part_pos)`` arrays mapping the
         unique requests of a row span (``None``: all of them) onto them.
         Every layer-0 linear (expert

@@ -50,7 +50,6 @@ class MultiViewEmbedding(Module):
         gain: float = 1.0,
         n_shards: int = 0,
         partition: str = "range",
-        service: bool = False,
         quantize=None,
     ) -> None:
         super().__init__()
@@ -60,23 +59,23 @@ class MultiViewEmbedding(Module):
         n_bip = views.n_nodes_bipartite
         # Each GCN binds its fixed view adjacency at construction: the
         # CSR canonicalisation (and spmm's transpose cache) happen once,
-        # not per forward pass.  ``n_shards``/``partition``/``service``
-        # choose the storage layout of each GCN's layer-0 feature table
+        # not per forward pass.  ``n_shards``/``partition`` choose the
+        # storage layout of each GCN's layer-0 feature table
         # (see repro.store) without touching the propagation math.
         self.gcn_ui = GCN(
             n_bip, dim, n_layers, feature_std=feature_std, seed=rng_ui, gain=gain,
             adjacency=views.a_ui, n_shards=n_shards, partition=partition,
-            service=service, quantize=quantize,
+            quantize=quantize,
         )
         self.gcn_pi = GCN(
             n_bip, dim, n_layers, feature_std=feature_std, seed=rng_pi, gain=gain,
             adjacency=views.a_pi, n_shards=n_shards, partition=partition,
-            service=service, quantize=quantize,
+            quantize=quantize,
         )
         self.gcn_up = GCN(
             views.n_users, dim, n_layers, feature_std=feature_std, seed=rng_up, gain=gain,
             adjacency=views.a_up, n_shards=n_shards, partition=partition,
-            service=service, quantize=quantize,
+            quantize=quantize,
         )
 
     def forward(self) -> EmbeddingBundle:
@@ -115,7 +114,6 @@ class MultiViewEmbedding(Module):
         gain: float = 1.0,
         n_shards: int = 0,
         partition: str = "range",
-        service: bool = False,
         quantize=None,
     ) -> "MultiViewEmbedding":
         """Convenience constructor building the views from deal groups."""
@@ -124,8 +122,7 @@ class MultiViewEmbedding(Module):
         )
         return cls(
             views, dim, n_layers, feature_std=feature_std, seed=seed, gain=gain,
-            n_shards=n_shards, partition=partition, service=service,
-            quantize=quantize,
+            n_shards=n_shards, partition=partition, quantize=quantize,
         )
 
 
@@ -151,7 +148,6 @@ class HINEmbedding(Module):
         gain: float = 1.0,
         n_shards: int = 0,
         partition: str = "range",
-        service: bool = False,
         quantize=None,
     ) -> None:
         super().__init__()
@@ -161,7 +157,7 @@ class HINEmbedding(Module):
         self.gcn = GCN(
             n_users + n_items, 2 * dim, n_layers, feature_std=feature_std, seed=seed,
             gain=gain, adjacency=self.adjacency, n_shards=n_shards, partition=partition,
-            service=service, quantize=quantize,
+            quantize=quantize,
         )
 
     def forward(self) -> EmbeddingBundle:

@@ -58,7 +58,6 @@ cast cache are never shared between threads, and
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -75,14 +74,8 @@ __all__ = [
 ]
 
 #: The accepted values of a model's ``executor`` attribute, the one
-#: executor switch.  ``"auto"`` defers to the ``REPRO_EXECUTOR``
-#: environment variable (read at call time, default ``"fused"``);
-#: gradients always force the tape regardless.
-VALID_EXECUTORS = ("auto", "fused", "tape")
-
-#: Environment override consulted by ``"auto"`` (CI's tape-flip lane
-#: runs the fast tests once with ``REPRO_EXECUTOR=tape``).
-EXECUTOR_ENV = "REPRO_EXECUTOR"
+#: executor switch; gradients always force the tape regardless.
+VALID_EXECUTORS = ("fused", "tape")
 
 
 def resolve_executor(mode: str, grad_enabled: bool = False) -> str:
@@ -94,13 +87,7 @@ def resolve_executor(mode: str, grad_enabled: bool = False) -> str:
     """
     if mode not in VALID_EXECUTORS:
         raise ValueError(f"executor must be one of {VALID_EXECUTORS}, got {mode!r}")
-    if grad_enabled:
-        return "tape"
-    if mode == "auto":
-        mode = os.environ.get(EXECUTOR_ENV, "fused")
-        if mode not in ("fused", "tape"):
-            mode = "fused"
-    return mode
+    return "tape" if grad_enabled else mode
 
 
 _WORKERS_LOCK = threading.Lock()

@@ -91,7 +91,6 @@ class GCN(Module):
         adjacency: Optional[sp.spmatrix] = None,
         n_shards: int = 0,
         partition: str = "range",
-        service: bool = False,
         quantize: Optional[str] = None,
     ) -> None:
         super().__init__()
@@ -102,14 +101,12 @@ class GCN(Module):
         self.dim = dim
         self.n_layers = n_layers
         self.adjacency = None if adjacency is None else self._check_adjacency(adjacency)
-        # ``n_shards``/``partition``/``service`` pick the feature table's
-        # storage layout (repro.store); propagation reads the logical
-        # table via ``features.all()`` either way, so the math is
-        # layout-blind.
+        # ``n_shards``/``partition`` pick the feature table's storage
+        # layout (repro.store); propagation reads the logical table via
+        # ``features.all()`` either way, so the math is layout-blind.
         self.features = Embedding(
             n_nodes, dim, seed=rng, std=feature_std,
-            n_shards=n_shards, partition=partition, service=service,
-            quantize=quantize,
+            n_shards=n_shards, partition=partition, quantize=quantize,
         )
         self._layers: List[GCNLayer] = []
         for layer_idx in range(n_layers):

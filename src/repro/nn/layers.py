@@ -207,14 +207,13 @@ class Embedding(Module):
     Storage is delegated to a :class:`repro.store.EmbeddingStore`: the
     default :class:`repro.store.DenseStore` keeps the historical single
     ``weight`` parameter (``emb.weight`` / ``emb.all()`` behave exactly
-    as before), while ``n_shards >= 2`` partitions the *same* initial
-    values across a :class:`repro.store.ShardedStore` whose per-shard
-    parameters register here as ``shard0..shardN-1``.  ``service=True``
-    moves those shards into worker *processes*
-    (:class:`repro.store.ProcessShardedStore`) behind the identical
-    contract.  ``quantize="int8"|"fp16"`` adds the quantised memory
-    tier on any layout (:class:`repro.store.QuantizedStore` /
-    worker-side quantisation — see docs/quantization.md).  Checkpoint
+    as before), while ``n_shards >= 1`` partitions the *same* initial
+    values across that many worker processes
+    (:class:`repro.store.ProcessShardedStore`) whose per-shard
+    parameters register here as ``shard0..shardN-1``.
+    ``quantize="int8"|"fp16"`` adds the quantised memory tier on either
+    layout (:class:`repro.store.QuantizedStore` over dense, worker-side
+    quantisation on the service — see docs/quantization.md).  Checkpoint
     state is canonical either way — one logical ``weight`` table — so a
     model saved under any layout restores under any other (see
     ``Module.state_dict``).
@@ -229,7 +228,6 @@ class Embedding(Module):
         store: Optional["EmbeddingStore"] = None,
         n_shards: int = 0,
         partition: str = "range",
-        service: bool = False,
         quantize: Optional[str] = None,
     ) -> None:
         super().__init__()
@@ -247,7 +245,6 @@ class Embedding(Module):
                 inits.normal_((num_embeddings, dim), rng, std=std),
                 n_shards=n_shards,
                 partition=partition,
-                service=service,
                 quantize=quantize,
             )
         if (store.num_rows, store.dim) != (num_embeddings, dim):

@@ -189,8 +189,8 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
     Cross-process shard parameters contribute their worker-held
     gradient's square-sum through the duck-typed ``remote_grad_sqsum``
     hook, *at their position in the parameter order* — floating-point
-    summation order is part of the bit-parity contract with the
-    in-process layouts — and are rescaled in place inside their worker.
+    summation order is part of the bit-parity contract with the dense
+    layout — and are rescaled in place inside their worker.
     """
     entries = []
     total_sq = 0.0

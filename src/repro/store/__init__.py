@@ -1,15 +1,13 @@
-"""Sharded embedding storage (ROADMAP "sharded embedding tables").
+"""Embedding storage layouts (ROADMAP "sharded embedding tables").
 
 Public surface:
 
 * :class:`EmbeddingStore` — the storage contract behind
   :class:`repro.nn.layers.Embedding`;
 * :class:`DenseStore` — the single-table layout (default);
-* :class:`ShardedStore` — rows hash/range-partitioned across N
-  in-process shard workers, gathered once per shard per planned call;
-* :class:`ProcessShardedStore` — the same partitioning with each shard
-  owned by a **worker process**, answering gathers over shared-memory
-  row buffers (the cross-process shard service, see
+* :class:`ProcessShardedStore` — rows hash/range-partitioned across N
+  shards, each owned by a **worker process** answering gathers over
+  shared-memory row buffers (the cross-process shard service, see
   :mod:`repro.store.service`);
 * :class:`LRUCachedStore` / :func:`cache_hot_rows` — hot-row LRU cache
   decorating any store (serving's skewed id streams hit it instead of
@@ -22,7 +20,6 @@ Public surface:
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
@@ -32,12 +29,10 @@ from repro.store.dense import DenseStore
 from repro.store.lru import LRUCachedStore, cache_hot_rows
 from repro.store.quant import QuantizedStore, check_quant_mode, quant_bytes_per_row
 from repro.store.service import ProcessShardedStore, RemoteShardParameter
-from repro.store.sharded import ShardedStore
 
 __all__ = [
     "EmbeddingStore",
     "DenseStore",
-    "ShardedStore",
     "ProcessShardedStore",
     "RemoteShardParameter",
     "LRUCachedStore",
@@ -51,60 +46,34 @@ __all__ = [
 ]
 
 
-def _resolve_quantize(quantize, service: bool) -> Optional[str]:
-    """Apply the ``REPRO_QUANTIZE`` process default to an unset knob.
-
-    The env default covers the *in-process* layouts only: a quantised
-    process-shard service is inference-only (grad gathers raise), so
-    turning it on implicitly would break any training construction —
-    ``service=True`` stores opt in explicitly via ``quantize=``.
-    Callers can pin the float layout against the env with
-    ``quantize="none"`` (or ``""``/``False``).
-    """
-    if quantize is None and not service:
-        quantize = os.environ.get("REPRO_QUANTIZE") or None
-    if quantize in ("none", "", False):
-        quantize = None
-    return check_quant_mode(quantize)
-
-
 def make_store(
     values: np.ndarray,
     n_shards: int = 0,
     partition: str = "range",
-    service: bool = False,
     quantize: Optional[str] = None,
 ) -> EmbeddingStore:
-    """Build the layout for an initial table: dense unless ``n_shards >= 2``.
+    """Build the layout for an initial table: ``n_shards`` alone picks it.
 
-    ``n_shards`` of 0 or 1 keeps the single-table :class:`DenseStore`
-    (bit-for-bit the historical behaviour); 2+ partitions the same
-    initial values across a :class:`ShardedStore`, so any layout built
-    from one init array scores identically.  ``service=True`` moves the
-    shards into worker *processes* (:class:`ProcessShardedStore`) —
-    same contract, same bits, rows owned and gathered outside the GIL
-    (one worker when ``n_shards`` is 0/1).
+    ``n_shards=0`` keeps the single-table :class:`DenseStore` (the
+    historical behaviour); ``n_shards >= 1`` partitions the same initial
+    values across that many worker *processes*
+    (:class:`ProcessShardedStore`) — same contract, same bits, rows
+    owned and gathered outside the GIL.  Any layout built from one init
+    array therefore scores identically.
 
     ``quantize="int8"|"fp16"`` adds the quantised memory tier
-    (docs/quantization.md): in-process layouts get a
+    (docs/quantization.md): the dense layout gets a
     :class:`QuantizedStore` wrapper over the float master (training
     bypasses it; inference gathers dequantise from the compact shadow),
-    while ``service=True`` quantises the rows *inside* each worker
-    process (inference-only).  ``quantize=None`` defers to the
-    ``REPRO_QUANTIZE`` environment default for in-process layouts;
-    ``quantize="none"`` pins the float layout regardless.
+    while the service quantises the rows *inside* each worker process
+    (inference-only).  ``quantize=None`` keeps float rows.
     """
     if n_shards < 0:
         raise ValueError(f"n_shards must be >= 0, got {n_shards}")
-    mode = _resolve_quantize(quantize, service)
-    if service:
-        return ProcessShardedStore(
-            values, max(n_shards, 1), partition, quantize=mode
-        )
-    if n_shards <= 1:
-        store: EmbeddingStore = DenseStore(values)
-    else:
-        store = ShardedStore(values, n_shards, partition)
+    mode = check_quant_mode(quantize)
+    if n_shards >= 1:
+        return ProcessShardedStore(values, n_shards, partition, quantize=mode)
+    store: EmbeddingStore = DenseStore(values)
     if mode is not None:
         store = QuantizedStore(store, mode)
     return store

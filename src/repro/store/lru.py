@@ -2,10 +2,10 @@
 
 Serving traffic is heavily skewed: a few celebrity users and head items
 appear in a large fraction of requests, while a sharded table answers
-every gather by regrouping ids and touching shard buffers.  An
+every gather with a round trip to its shard workers.  An
 :class:`LRUCachedStore` decorates any :class:`repro.store.base
-.EmbeddingStore` (in practice a :class:`repro.store.ShardedStore` — a
-dense table is already one flat buffer) and keeps the most recently
+.EmbeddingStore` (in practice a :class:`repro.store.ProcessShardedStore`
+— a dense table is already one flat buffer) and keeps the most recently
 requested ``capacity`` rows resident in a plain id→row map, so a
 serving gather only pays the inner store's shard machinery for the
 cold tail.

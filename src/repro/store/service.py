@@ -1,9 +1,9 @@
 """Cross-process shard service: multiprocessing workers + shared memory.
 
-A :class:`ProcessShardedStore` is the process-boundary sibling of
-:class:`repro.store.sharded.ShardedStore`: each shard of the logical
-``(num_rows, dim)`` table lives in a **worker process** that owns its
-rows, and every store operation is a batched RPC answered over
+A :class:`ProcessShardedStore` is the sharded layout of
+:mod:`repro.store` (``make_store(values, n_shards >= 1)``): each shard
+of the logical ``(num_rows, dim)`` table lives in a **worker process**
+that owns its rows, and every store operation is a batched RPC answered over
 **shared-memory row buffers** — no GIL coupling on the row copies, and
 no pickling of row data, ever:
 
@@ -37,12 +37,12 @@ private copy: autograd graphs outlive arbitrarily many forwards.
 Bit-identity contract
 ---------------------
 Forward rows are exact copies of the logical table, so scores match the
-dense layout bit-for-bit.  The backward mirrors the in-process sharded
-adjoint exactly: the parent splits the incoming gradient by owning
-shard (a pure permutation), ships each slice through the result arena,
-and the **worker** applies the same
-:func:`repro.nn.tensor._scatter_rows_add` + zeros-init accumulation an
-in-process shard parameter would — followed, at ``optimizer.step()``,
+dense layout bit-for-bit.  The backward splits the incoming gradient
+by owning shard (a pure permutation — stable grouping keeps each row's
+occurrence order), ships each slice through the result arena, and the
+**worker** applies the same :func:`repro.nn.tensor._scatter_rows_add` +
+zeros-init accumulation the dense table's adjoint runs on those rows —
+followed, at ``optimizer.step()``,
 by the same per-shard dense (or lazy-row) Adam/SGD arithmetic on
 worker-owned moment buffers.  Training with a ``ProcessShardedStore``
 is therefore bit-for-bit the dense run (asserted in
@@ -230,7 +230,7 @@ def _record_worker_touch(state: _WorkerState, local: np.ndarray) -> None:
 def _worker_adam(state: _WorkerState, lr, b1, b2, eps, wd, t, lazy) -> bool:
     """One Adam update on the owned rows — :class:`repro.nn.optim.Adam`
     arithmetic verbatim, so the result is bit-identical to the update
-    the in-process shard parameter would receive."""
+    the same rows receive in the dense table."""
     grad = state.grad
     if grad is None:
         return False
@@ -519,12 +519,12 @@ class _Guard:
 class RemoteShardParameter(Parameter):
     """Parent-side handle for rows owned by a shard worker.
 
-    Registers on the owning :class:`repro.nn.layers.Embedding` like an
-    in-process shard parameter, but holds **no rows** — ``data`` is an
+    Registers on the owning :class:`repro.nn.layers.Embedding` like a
+    dense table's ``weight``, but holds **no rows** — ``data`` is an
     empty ``(0, dim)`` placeholder.  Gradient and optimizer state live
     in the worker; the ``remote_*`` hooks let
     :func:`repro.nn.optim.clip_grad_norm` and the optimizers drive it
-    with the exact per-shard arithmetic they apply in process (the
+    with the exact per-row arithmetic they apply in process (the
     hooks are duck-typed, so :mod:`repro.nn.optim` never imports the
     store layer).
     """
@@ -1071,8 +1071,8 @@ class ProcessShardedStore(EmbeddingStore):
         grad = is_grad_enabled()
         if grad and self.quantize:
             # Fail before any RPC: quantised workers hold no float rows
-            # to train (the in-process QuantizedStore bypasses to its
-            # float master here; this layout deliberately has none).
+            # to train (the dense QuantizedStore bypasses to its float
+            # master here; this layout deliberately has none).
             raise RuntimeError(_QUANT_TRAIN_ERROR)
 
         smap: Optional[ShardMap] = None
@@ -1093,9 +1093,8 @@ class ProcessShardedStore(EmbeddingStore):
         # boundaries fall out of one searchsorted against the partition
         # starts; ids ship globally (workers subtract their own base),
         # so the parent does no argsort, no local-id translation and no
-        # reassembly — the parent-side work reduction that lets the
-        # cross-process store beat the in-process layout per gather
-        # despite the IPC round-trip.
+        # reassembly — the parent-side work that keeps the IPC
+        # round-trip the dominant cost of a gather.
         fast = (
             smap is None
             and self.partition == "range"
@@ -1168,8 +1167,7 @@ class ProcessShardedStore(EmbeddingStore):
         # Training path: a private row copy (autograd graphs outlive the
         # recycled arena) and a backward that ships each shard's
         # gradient slice through the arena for the worker-side
-        # scatter-add — the same split/scatter arithmetic as the
-        # in-process adjoint.
+        # scatter-add — per row, the dense adjoint's arithmetic.
         store = self
         dtype = self._dtype
 
@@ -1204,8 +1202,9 @@ class ProcessShardedStore(EmbeddingStore):
             self._transact(msgs)
 
     def _accum_empty(self) -> None:
-        """Zero-row gradient parity: the in-process store's empty gather
-        still materialises a zero gradient on shard 0."""
+        """Zero-row gradient parity: an empty gather still
+        materialises a zero gradient on shard 0, as the dense table's
+        empty gather does on its weight."""
         self._check_open()
         with self._io_lock:
             offset = self._alloc(0)
@@ -1245,7 +1244,7 @@ class ProcessShardedStore(EmbeddingStore):
 
         The forward streams the table into a parent-side array; the
         backward hands each worker its contiguous full-shard gradient
-        slice — the exact concat-split adjoint of the in-process layout
+        slice — the exact concat-split adjoint of a per-shard table
         (plus the unpermute scatter for hash partitioning).
         """
         self._check_open()

@@ -48,7 +48,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.nn.module import Module
-from repro.store import EmbeddingStore, ProcessShardedStore, ShardedStore, iter_stores
+from repro.store import EmbeddingStore, ProcessShardedStore, iter_stores
 
 __all__ = ["save_checkpoint", "load_checkpoint", "restore_model"]
 
@@ -79,9 +79,8 @@ def _base_store(store: EmbeddingStore) -> EmbeddingStore:
 def _sharded_entries(model: Module) -> Dict[str, EmbeddingStore]:
     """Canonical state-entry name → store, for every sharded table.
 
-    Covers both shard layouts — in-process :class:`ShardedStore` and the
-    cross-process :class:`ProcessShardedStore` — since both stream rows
-    per shard without materialising the logical table.  Wrapper tiers
+    The sharded layout is :class:`ProcessShardedStore`, which streams
+    rows per shard without materialising the logical table.  Wrapper tiers
     (:class:`repro.store.LRUCachedStore`,
     :class:`repro.store.QuantizedStore`) are looked *through* for the
     layout check while the wrapped store keeps handling the streaming.
@@ -89,7 +88,7 @@ def _sharded_entries(model: Module) -> Dict[str, EmbeddingStore]:
     out: Dict[str, EmbeddingStore] = {}
     if hasattr(model, "named_modules"):
         for name, store in iter_stores(model):
-            if isinstance(_base_store(store), (ShardedStore, ProcessShardedStore)):
+            if isinstance(_base_store(store), ProcessShardedStore):
                 out[f"{name}.weight" if name != "<root>" else "weight"] = store
     return out
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import MGBR, MGBRConfig
 from repro.data import GroupBuyingDataset, DealGroup, SyntheticConfig, generate_dataset
+from repro.store import EmbeddingStore, ProcessShardedStore, iter_stores
 
 
 @pytest.fixture(scope="session")
@@ -58,3 +59,28 @@ def handmade_groups():
 def rng() -> np.random.Generator:
     """Fresh deterministic RNG per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def closing():
+    """Register models or stores whose shard worker processes the test
+    opens; every :class:`ProcessShardedStore` among them is closed at
+    teardown, pass or fail.  ``closing(obj)`` returns ``obj``."""
+    owned = []
+
+    def register(obj):
+        owned.append(obj)
+        return obj
+
+    yield register
+    for obj in owned:
+        if isinstance(obj, EmbeddingStore):
+            stores = [obj]
+        else:
+            stores = [store for _, store in iter_stores(obj)]
+        for store in stores:
+            # Look through wrapper tiers (LRU cache) to the layout.
+            while store is not None and not isinstance(store, ProcessShardedStore):
+                store = getattr(store, "inner", None)
+            if store is not None:
+                store.close()

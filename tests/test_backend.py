@@ -23,7 +23,7 @@ from repro.nn import (
     tensor,
 )
 from repro.nn.tensor import _scatter_rows_add
-from repro.store import ShardedStore
+from repro.store import make_store
 
 
 @pytest.fixture()
@@ -101,9 +101,9 @@ class TestPlannedGatherCopyAudit:
         assert counting.copies == 0
 
     @pytest.mark.parametrize("partition", ["range", "hash"])
-    def test_sharded_gather_is_zero_copy(self, counting, rng, partition):
+    def test_sharded_gather_is_zero_copy(self, counting, rng, partition, closing):
         values = rng.normal(size=(23, 5))
-        store = ShardedStore(values, n_shards=3, partition=partition)
+        store = closing(make_store(values, n_shards=3, partition=partition))
         counting.reset()
         ids = np.array([0, 22, 7, 7, 13], dtype=np.int64)
         out = store.gather(ids)

@@ -85,8 +85,7 @@ class TestTaskBTailoring:
             s = model.score_participants_from(emb, u, np.array([0, 1]), p).data
             assert s[0] == pytest.approx(s[1]), name
 
-    def test_gbmf_task_b_uses_role_tables(self, tiny_dataset, monkeypatch):
-        monkeypatch.delenv("REPRO_QUANTIZE", raising=False)  # needs dense tables
+    def test_gbmf_task_b_uses_role_tables(self, tiny_dataset):
         # GBMF's Task-B inner product pairs the participant-role table
         # with the initiator-role table (they are independent).
         model = _build_all(tiny_dataset)["GBMF"]
@@ -109,8 +108,7 @@ class TestTaskBTailoring:
 
 
 class TestRoleSeparation:
-    def test_gbmf_role_tables_independent(self, tiny_dataset, monkeypatch):
-        monkeypatch.delenv("REPRO_QUANTIZE", raising=False)  # needs dense tables
+    def test_gbmf_role_tables_independent(self, tiny_dataset):
         model = _build_all(tiny_dataset)["GBMF"]
         emb = model.compute_embeddings()
         assert not np.allclose(emb.user.data, emb.participant.data)

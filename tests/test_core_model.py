@@ -81,10 +81,7 @@ class TestScoring:
         scores = tiny_mgbr.score_participants_from(emb, u, np.array([0, 1]), p)
         assert scores.data[0] != scores.data[1]
 
-    def test_public_scoring_uses_cache(self, tiny_dataset, small_config, monkeypatch):
-        # Mutates weight.data without a version bump — the quantised
-        # tier's version-keyed shadow would (correctly) not notice.
-        monkeypatch.delenv("REPRO_QUANTIZE", raising=False)
+    def test_public_scoring_uses_cache(self, tiny_dataset, small_config):
         model = MGBR(
             tiny_dataset.train, tiny_dataset.n_users, tiny_dataset.n_items,
             config=small_config,

@@ -8,16 +8,19 @@ the evaluation protocol and the serving engines — while gradient
 recording and unsupported model configurations transparently fall back
 to the tape (counted, never wrong).  The model attribute is the only
 switch: the protocol and the engines run whatever it selects and never
-change it.
+change it.  Every MGBR ablation variant and every baseline is checked
+fused-vs-tape on both tasks, so no model's tape path goes unexercised.
 """
 
 import numpy as np
 import pytest
 
 from repro.baselines.gbmf import GBMF
+from repro.cli import build_model
 from repro.core import MGBR, MGBRConfig
+from repro.core.variants import VARIANTS
 from repro.eval.protocol import EvalProtocol
-from repro.executor import EXECUTOR_ENV, VALID_EXECUTORS, resolve_executor
+from repro.executor import VALID_EXECUTORS, resolve_executor
 from repro.nn import is_grad_enabled, no_grad
 from repro.nn.tensor import dtype_scope
 from repro.plan import ScoringPlan
@@ -40,25 +43,17 @@ class TestResolveExecutor:
 
     def test_grad_forces_tape(self):
         assert resolve_executor("fused", grad_enabled=True) == "tape"
-        assert resolve_executor("auto", grad_enabled=True) == "tape"
-
-    def test_auto_defaults_to_fused(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-        assert resolve_executor("auto") == "fused"
-
-    def test_auto_reads_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "tape")
-        assert resolve_executor("auto") == "tape"
-        monkeypatch.setenv(EXECUTOR_ENV, "garbage")
-        assert resolve_executor("auto") == "fused"
+        assert resolve_executor("tape", grad_enabled=True) == "tape"
 
     def test_model_knob_validates(self, tiny_dataset):
+        assert VALID_EXECUTORS == ("fused", "tape")
         model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=4, seed=0)
-        with pytest.raises(ValueError):
-            model.executor = "jit"
+        assert model.executor == "fused"
+        for bad in ("jit", "auto"):
+            with pytest.raises(ValueError):
+                model.executor = bad
         model.executor = "tape"
         assert model.executor == "tape"
-        assert "auto" in VALID_EXECUTORS
 
 
 # ----------------------------------------------------------------------
@@ -102,8 +97,17 @@ def _both_executors(model, plan, task):
         fused = scorer(plan)
         model.executor = "tape"
         tape = scorer(plan)
-    model.executor = "auto"
+    model.executor = "fused"
     return fused, tape
+
+
+#: The six baselines; each scores plans through the base class's
+#: dot-product mirror unless it overrides a scoring hook.
+BASELINES = ("DeepMF", "DiffNet", "EATNN", "GBGCN", "GBMF", "NGCF")
+
+#: (model, task) pairs whose scoring hook is overridden, so the fused
+#: attempt falls back to the tape: EATNN scores Task B on its social view.
+OVERRIDDEN_HOOKS = {("EATNN", "participants")}
 
 
 # ----------------------------------------------------------------------
@@ -112,8 +116,8 @@ def _both_executors(model, plan, task):
 class TestBitParity:
     @pytest.mark.parametrize("shards", [0, 2])
     @pytest.mark.parametrize("task", ["items", "participants"])
-    def test_mgbr_plan_parity(self, tiny_dataset, rng, shards, task):
-        model = _mgbr(tiny_dataset, shards=shards)
+    def test_mgbr_plan_parity(self, tiny_dataset, rng, shards, task, closing):
+        model = closing(_mgbr(tiny_dataset, shards=shards))
         plan_items, plan_triples = _plans(rng, tiny_dataset)
         plan = plan_items if task == "items" else plan_triples
         fused, tape = _both_executors(model, plan, task)
@@ -124,13 +128,42 @@ class TestBitParity:
 
     @pytest.mark.parametrize("shards", [0, 3])
     @pytest.mark.parametrize("task", ["items", "participants"])
-    def test_gbmf_plan_parity(self, tiny_dataset, rng, shards, task):
-        model = _gbmf(tiny_dataset, shards=shards)
+    def test_gbmf_plan_parity(self, tiny_dataset, rng, shards, task, closing):
+        model = closing(_gbmf(tiny_dataset, shards=shards))
         plan_items, plan_triples = _plans(rng, tiny_dataset)
         plan = plan_items if task == "items" else plan_triples
         fused, tape = _both_executors(model, plan, task)
         np.testing.assert_array_equal(fused, tape)
         assert model.executor_stats()["fallbacks"] == 0
+
+    @pytest.mark.parametrize("task", ["items", "participants"])
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_variant_plan_parity(self, tiny_dataset, rng, name, task):
+        """Every ablation variant runs fused, bit-identical to its tape."""
+        model = build_model(name, tiny_dataset, dim=8, seed=3)
+        plan = _plans(rng, tiny_dataset)[task == "participants"]
+        fused, tape = _both_executors(model, plan, task)
+        assert fused.dtype == tape.dtype == np.float64
+        assert fused.tobytes() == tape.tobytes()
+        stats = model.executor_stats()
+        assert stats["fused_calls"] == 1 and stats["tape_calls"] == 1
+        assert stats["fallbacks"] == 0
+
+    @pytest.mark.parametrize("task", ["items", "participants"])
+    @pytest.mark.parametrize("name", BASELINES)
+    def test_baseline_plan_parity(self, tiny_dataset, rng, name, task):
+        """Each baseline's plan scorer: fused equals tape bit for bit,
+        and an overridden hook is a counted fallback, never a wrong score."""
+        model = build_model(name, tiny_dataset, dim=8, seed=3)
+        plan = _plans(rng, tiny_dataset)[task == "participants"]
+        fused, tape = _both_executors(model, plan, task)
+        assert fused.dtype == tape.dtype == np.float64
+        assert fused.tobytes() == tape.tobytes()
+        fell_back = (name, task) in OVERRIDDEN_HOOKS
+        stats = model.executor_stats()
+        assert stats["fallbacks"] == int(fell_back)
+        assert stats["fused_calls"] == int(not fell_back)
+        assert stats["tape_calls"] == 1 + int(fell_back)
 
     @pytest.mark.parametrize("build", [_mgbr, _gbmf])
     def test_eval_metrics_executor_invariant(self, tiny_dataset, build):
@@ -294,7 +327,7 @@ class TestServingExecutor:
         assert tape_stats["batcher"]["tape_calls"] == 2
 
     def test_engines_leave_model_executor_alone(self, tiny_dataset):
-        modes = ("tape", "fused", "auto")
+        modes = ("tape", "fused")
         models = [_mgbr(tiny_dataset) for _ in modes]
         for model, mode in zip(models, modes):
             model.executor = mode

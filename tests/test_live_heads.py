@@ -65,7 +65,7 @@ def _single(model, plan, task, executor):
         try:
             return scorer(plan)
         finally:
-            model.executor = "auto"
+            model.executor = "fused"
 
 
 def _single_and_joint(model, plan, task, executor):

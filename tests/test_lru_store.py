@@ -1,4 +1,8 @@
-"""Tests for the hot-row LRU cache decorator (repro.store.lru)."""
+"""Tests for the hot-row LRU cache decorator (repro.store.lru).
+
+The cache fronts a shard service (the layout it exists for); every test
+that opens shard workers registers them with the ``closing`` fixture.
+"""
 
 import threading
 
@@ -7,7 +11,7 @@ import pytest
 
 from repro.baselines import GBMF
 from repro.nn.tensor import dtype_scope, no_grad
-from repro.store import DenseStore, LRUCachedStore, ShardedStore, cache_hot_rows
+from repro.store import DenseStore, LRUCachedStore, cache_hot_rows, make_store
 
 
 @pytest.fixture()
@@ -16,8 +20,8 @@ def table(rng):
 
 
 @pytest.fixture()
-def cached(table):
-    return LRUCachedStore(ShardedStore(table, 4), capacity=32)
+def cached(table, closing):
+    return LRUCachedStore(closing(make_store(table, 4)), capacity=32)
 
 
 class TestConstruction:
@@ -90,7 +94,10 @@ class TestGatherSemantics:
             cached.load_logical(table * 2.0)
             np.testing.assert_array_equal(cached.gather([5]).data, table[[5]] * 2.0)
 
-    def test_optimizer_style_version_bump_invalidates(self, table, cached):
+    def test_optimizer_style_version_bump_invalidates(self, table):
+        # Dense inner store: the test mutates parameter buffers in place,
+        # and shard-service rows live in the workers.
+        cached = LRUCachedStore(DenseStore(table.copy()), capacity=32)
         with no_grad():
             before = cached.gather([7]).data.copy()
             # An in-place weight update (what Adam.step does) bumps the
@@ -112,9 +119,9 @@ class TestGatherSemantics:
 
 
 class TestAccounting:
-    def test_zipf_stream_hit_and_eviction_accounting(self, table, rng):
+    def test_zipf_stream_hit_and_eviction_accounting(self, table, rng, closing):
         """Exact counter algebra under a skewed id stream."""
-        store = LRUCachedStore(ShardedStore(table, 4), capacity=24)
+        store = LRUCachedStore(closing(make_store(table, 4)), capacity=24)
         expected_lookups = 0
         with no_grad():
             for _ in range(80):
@@ -131,8 +138,8 @@ class TestAccounting:
         hit_rate = snap["cache_hits"] / expected_lookups
         assert hit_rate > 0.3, f"Zipf stream should hit the cache, got {hit_rate:.3f}"
 
-    def test_concurrent_readers_keep_counters_consistent(self, table):
-        store = LRUCachedStore(ShardedStore(table, 2), capacity=16)
+    def test_concurrent_readers_keep_counters_consistent(self, table, closing):
+        store = LRUCachedStore(closing(make_store(table, 2)), capacity=16)
         per_thread, n_threads = 40, 4
         lookups = [0] * n_threads
         errors = []
@@ -163,9 +170,9 @@ class TestAccounting:
 
 
 class TestModelIntegration:
-    def test_cache_hot_rows_wraps_and_is_idempotent(self, tiny_dataset):
-        model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=2,
-                     n_shards=2)
+    def test_cache_hot_rows_wraps_and_is_idempotent(self, tiny_dataset, closing):
+        model = closing(GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8,
+                             seed=2, n_shards=2))
         wrapped = cache_hot_rows(model, 16)
         assert set(wrapped) == {"initiator_table", "participant_table", "item_table"}
         assert cache_hot_rows(model, 16) == {}  # second pass wraps nothing
@@ -174,11 +181,11 @@ class TestModelIntegration:
             for store in model.embedding_stores().values()
         )
 
-    def test_cached_model_scores_match_uncached(self, tiny_dataset):
-        plain = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=6,
-                     n_shards=2)
-        cached = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=6,
-                      n_shards=2)
+    def test_cached_model_scores_match_uncached(self, tiny_dataset, closing):
+        plain = closing(GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8,
+                             seed=6, n_shards=2))
+        cached = closing(GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8,
+                              seed=6, n_shards=2))
         cache_hot_rows(cached, 8)  # tiny capacity -> constant eviction churn
         users = np.array([0, 1, 2, 0])
         cands = np.array([[0, 1, 2], [3, 4, 0], [1, 1, 5], [0, 1, 2]])
@@ -187,9 +194,9 @@ class TestModelIntegration:
             cached.score_items_matrix(users, cands),
         )
 
-    def test_checkpoint_state_unchanged_by_wrapping(self, tiny_dataset):
-        model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=8,
-                     n_shards=2)
+    def test_checkpoint_state_unchanged_by_wrapping(self, tiny_dataset, closing):
+        model = closing(GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8,
+                             seed=8, n_shards=2))
         state_before = model.state_dict()
         cache_hot_rows(model, 16)
         state_after = model.state_dict()

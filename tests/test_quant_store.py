@@ -13,7 +13,7 @@ The contract under test (docs/quantization.md):
 * **Stacking** — LRU caches hold quantised payloads (hits bit-identical
   to misses, no intermediate float allocation), process-sharded workers
   own only quantised buffers (genuine per-worker shrink, inference
-  only), and all four layouts dequantise bit-identically.
+  only), and every layout dequantises bit-identically.
 * **State** — checkpoints stay canonical float: save from any layout,
   restore into a quantised one (single-file or per-shard streaming).
 """
@@ -35,7 +35,6 @@ from repro.store import (
     LRUCachedStore,
     ProcessShardedStore,
     QuantizedStore,
-    ShardedStore,
     iter_stores,
     make_store,
     quant_bytes_per_row,
@@ -221,7 +220,7 @@ class TestQuantizedStore:
 
     def test_checkpoint_state_is_canonical_float(self):
         values = _table()
-        qs = QuantizedStore(ShardedStore(values.copy(), 3), "int8")
+        qs = QuantizedStore(DenseStore(values.copy()), "int8")
         np.testing.assert_array_equal(qs.logical_state(), values)
         ids0, rows0 = qs.shard_rows(0)
         np.testing.assert_array_equal(rows0, values[ids0])
@@ -241,36 +240,16 @@ class TestQuantizedStore:
 # make_store / model thread-through
 # ---------------------------------------------------------------------------
 class TestThreadThrough:
-    def test_make_store_wraps_each_layout(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QUANTIZE", raising=False)
+    def test_make_store_wraps_each_layout(self, closing):
         dense = make_store(_table(), quantize="fp16")
         assert isinstance(dense, QuantizedStore)
         assert isinstance(dense.inner, DenseStore)
-        sharded = make_store(_table(), n_shards=3, quantize="int8")
-        assert isinstance(sharded, QuantizedStore)
-        assert isinstance(sharded.inner, ShardedStore)
-        assert sharded.n_shards == 3
+        # The sharded layout quantises inside its workers: no wrapper.
+        sharded = closing(make_store(_table(), n_shards=3, quantize="int8"))
+        assert isinstance(sharded, ProcessShardedStore)
+        assert sharded.quantize == "int8" and sharded.n_shards == 3
         plain = make_store(_table())
         assert isinstance(plain, DenseStore)  # quantize=None: no wrapper
-
-    def test_env_default_applies_to_in_process_layouts(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUANTIZE", "int8")
-        assert isinstance(make_store(_table()), QuantizedStore)
-        assert isinstance(make_store(_table(), n_shards=2), QuantizedStore)
-        # Explicit opt-out pins the float baseline under the env default.
-        assert isinstance(make_store(_table(), quantize="none"), DenseStore)
-        monkeypatch.setenv("REPRO_QUANTIZE", "bogus")
-        with pytest.raises(ValueError, match="quantize"):
-            make_store(_table())
-
-    def test_env_default_skips_service_stores(self, monkeypatch):
-        # Service tables train through the parent; the env knob must not
-        # silently flip them into the inference-only quantised mode.
-        monkeypatch.setenv("REPRO_QUANTIZE", "int8")
-        with make_store(_table(), n_shards=2, service=True) as store:
-            assert store.quantize is None
-            out = store.gather(np.arange(4))  # grad-enabled: must not raise
-            assert out.requires_grad
 
     def test_embedding_and_config_knobs(self):
         emb = Embedding(12, 48, seed=0, quantize="int8")
@@ -390,24 +369,19 @@ class TestLRUStacking:
 # ---------------------------------------------------------------------------
 class TestLayoutParity:
     @pytest.mark.parametrize("mode", ["int8", "fp16"])
-    def test_all_layouts_dequantise_bit_identically(self, mode):
+    def test_all_layouts_dequantise_bit_identically(self, mode, closing):
         values = _table(rows=53, dim=24, seed=11)
         ids = np.random.default_rng(1).integers(0, 53, size=64)
         dense = make_store(values.copy(), quantize=mode)
-        sharded = make_store(values.copy(), n_shards=3, quantize=mode)
+        sharded = closing(make_store(values.copy(), n_shards=3, quantize=mode))
         lru = LRUCachedStore(make_store(values.copy(), quantize=mode), capacity=64)
         with no_grad():
             want = dense.gather(ids).data
+            # The service arena is float64 (the store dtype); the codec
+            # output matches the dense tier bit for bit.
             np.testing.assert_array_equal(sharded.gather(ids).data, want)
             np.testing.assert_array_equal(lru.gather(ids).data, want)
             np.testing.assert_array_equal(lru.gather(ids).data, want)  # warm
-        with make_store(values.copy(), n_shards=2, service=True,
-                        quantize=mode) as service:
-            with no_grad():
-                got = service.gather(ids).data
-            # The service arena is float64 (the store dtype); the codec
-            # output matches the in-process tier bit for bit.
-            np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +448,7 @@ class TestServiceQuantisation:
         path = save_checkpoint(trained, tmp_path / "gbmf.npz", shard_files=True,
                                dtype="float32")
         serving = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=48,
-                       seed=9, n_shards=2, service=True, quantize="int8")
+                       seed=9, n_shards=2, quantize="int8")
         try:
             restore_model(serving, path, dtype="float32")
             ref = make_store(
@@ -494,14 +468,16 @@ class TestServiceQuantisation:
 # Checkpoints through wrapper tiers
 # ---------------------------------------------------------------------------
 class TestCheckpoints:
-    def test_shard_files_written_through_wrapper_tiers(self, tiny_dataset, tmp_path):
-        model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=48,
-                     seed=4, n_shards=3, quantize="int8")
+    def test_shard_files_written_through_wrapper_tiers(
+        self, tiny_dataset, tmp_path, closing
+    ):
+        model = closing(GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=48,
+                             seed=4, n_shards=3, quantize="int8"))
         from repro.store.lru import cache_hot_rows
         cache_hot_rows(model, capacity=16)
         path = save_checkpoint(model, tmp_path / "wrapped.npz", shard_files=True)
         side = sorted(p.name for p in tmp_path.iterdir() if "shard" in p.name)
-        assert len(side) == 9  # 3 tables × 3 shards despite LRU(Quant(...))
+        assert len(side) == 9  # 3 tables × 3 shards despite the LRU wrapper
         # Restore into a dense quantised layout: values re-quantise on load.
         target = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=48,
                       seed=9, quantize="int8")
@@ -531,8 +507,6 @@ class TestResidentBytes:
         assert DenseStore(values.copy()).stats_snapshot()["resident_bytes"] == (
             20 * 16 * 8
         )
-        assert ShardedStore(values.copy(), 3).stats_snapshot()[
-            "resident_bytes"] == 20 * 16 * 8
         lru = LRUCachedStore(DenseStore(values.copy()), 8)
         assert lru.stats_snapshot()["resident_bytes"] == 0  # empty cache
         with ProcessShardedStore(values.copy(), 2) as ps:

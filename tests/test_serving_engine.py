@@ -280,9 +280,9 @@ class TestFailureIsolation:
 
 
 class TestStatsAndStores:
-    def test_unified_stats_snapshot(self, tiny_dataset):
-        model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=1,
-                     n_shards=4)
+    def test_unified_stats_snapshot(self, tiny_dataset, closing):
+        model = closing(GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8,
+                             seed=1, n_shards=4))
         caches = cache_hot_rows(model, capacity=32)
         assert set(caches) == {"initiator_table", "participant_table", "item_table"}
         with ServingEngine(model, max_delay_ms=2.0) as engine:

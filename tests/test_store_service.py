@@ -2,10 +2,10 @@
 
 Covers the PR's acceptance criteria end to end:
 
-* **Bit parity at float64** — dense vs in-process shards vs worker
-  processes for GBMF and MGBR: eval metrics, planned epoch losses and
-  post-Adam weights are identical, because gathers move exact rows and
-  every worker-side update mirrors the in-process math op for op.
+* **Bit parity at float64** — dense vs worker processes for GBMF and
+  MGBR: eval metrics, planned epoch losses and post-Adam weights are
+  identical, because gathers move exact rows and every worker-side
+  update mirrors the dense per-row math op for op.
 * **Zero-copy adoption** — the planned ``no_grad`` gather hands the
   fused executor a view of the shared result arena (CountingBackend
   audit: no redundant copy between the shm buffer and the workspace).
@@ -39,7 +39,6 @@ from repro.serving import RequestBatcher, ServingEngine, ShardUnavailable
 from repro.store import (
     DenseStore,
     ProcessShardedStore,
-    ShardedStore,
     iter_stores,
     make_store,
 )
@@ -51,17 +50,17 @@ def _table(rows=67, dim=6, seed=5) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=(rows, dim))
 
 
-def _gbmf(tiny_dataset, n_shards=0, service=False):
+def _gbmf(tiny_dataset, n_shards=0):
     return GBMF(
         tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=4,
-        n_shards=n_shards, service=service,
+        n_shards=n_shards,
     )
 
 
-def _mgbr(tiny_dataset, n_shards=0, service=False):
+def _mgbr(tiny_dataset, n_shards=0):
     config = MGBRConfig.small(
         d=8, n_experts=2, mtl_layers=2, aux_negatives=4, train_negatives=3, seed=3,
-        embedding_shards=n_shards, embedding_service=service,
+        embedding_shards=n_shards,
     )
     return MGBR(
         tiny_dataset.train, tiny_dataset.n_users, tiny_dataset.n_items, config=config
@@ -116,16 +115,13 @@ class TestProcessStoreContract:
             with pytest.raises(ValueError, match="do not match the plan"):
                 store.gather(np.array([0], dtype=np.int64), plan=plan, role="users")
 
-    def test_make_store_service_layouts(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QUANTIZE", raising=False)  # default layouts
+    def test_make_store_service_layouts(self):
         values = _table()
-        store = make_store(values, 0, service=True)
-        assert isinstance(store, ProcessShardedStore) and store.n_shards == 1
-        store.close()
-        store = make_store(values, 3, service=True)
-        assert isinstance(store, ProcessShardedStore) and store.n_shards == 3
-        store.close()
-        assert isinstance(make_store(values, 3), ShardedStore)
+        for n_shards in (1, 3):
+            with make_store(values, n_shards) as store:
+                assert isinstance(store, ProcessShardedStore)
+                assert store.n_shards == n_shards
+        assert isinstance(make_store(values, 0), DenseStore)
 
     def test_training_step_parity_adam_clip(self):
         """3 gather→backward→clip→Adam rounds: weights stay bit-equal."""
@@ -170,7 +166,8 @@ class TestProcessStoreContract:
         np.testing.assert_array_equal(dense_state, svc_state)
 
     def test_lazy_adam_matches_in_process_shards(self):
-        """Worker-side lazy rows mirror the in-process touched-row record."""
+        """Worker-side lazy rows mirror the dense table's touched-row
+        record: lazy Adam in the workers equals lazy Adam in process."""
         values = _table()
         chunks = [
             np.array([1, 5, 40], dtype=np.int64),
@@ -188,7 +185,7 @@ class TestProcessStoreContract:
                 opt.step()
             return store.logical_state()
 
-        inproc = run(ShardedStore(values.copy(), 3))
+        inproc = run(DenseStore(values.copy()))
         with ProcessShardedStore(values.copy(), 3) as store:
             svc = run(store)
         np.testing.assert_array_equal(inproc, svc)
@@ -235,7 +232,7 @@ class TestStats:
             json.dumps(snap)  # the serving stats endpoints re-serialize this
 
     def test_shard_stats_through_batcher(self, tiny_dataset):
-        model = _gbmf(tiny_dataset, n_shards=2, service=True)
+        model = _gbmf(tiny_dataset, n_shards=2)
         try:
             batcher = RequestBatcher(model)
             batcher.score_items(1, [0, 1, 2, 3])
@@ -256,13 +253,10 @@ class TestStats:
 # Model-level layout parity (the acceptance criterion)
 # ---------------------------------------------------------------------------
 class TestModelParity:
-    def test_gbmf_eval_metrics_bit_identical(self, tiny_dataset, monkeypatch):
-        # Bit-parity against an in-process float reference; the env
-        # lane would quantise only the reference (service is exempt).
-        monkeypatch.delenv("REPRO_QUANTIZE", raising=False)
+    def test_gbmf_eval_metrics_bit_identical(self, tiny_dataset):
         protocol = EvalProtocol(tiny_dataset, n_negatives=5, cutoff=5, max_instances=40)
         dense = protocol.run(_gbmf(tiny_dataset)).flat()
-        service_model = _gbmf(tiny_dataset, 3, service=True)
+        service_model = _gbmf(tiny_dataset, 3)
         try:
             service = protocol.run(service_model).flat()
         finally:
@@ -272,7 +266,7 @@ class TestModelParity:
     def test_mgbr_eval_metrics_bit_identical(self, tiny_dataset):
         protocol = EvalProtocol(tiny_dataset, n_negatives=5, cutoff=5, max_instances=30)
         dense = protocol.run(_mgbr(tiny_dataset)).flat()
-        service_model = _mgbr(tiny_dataset, 2, service=True)
+        service_model = _mgbr(tiny_dataset, 2)
         try:
             service = protocol.run(service_model).flat()
         finally:
@@ -282,10 +276,10 @@ class TestModelParity:
     @pytest.mark.parametrize("build", [_gbmf, _mgbr], ids=["gbmf", "mgbr"])
     def test_planned_training_bit_identical(self, tiny_dataset, build):
         """Two planned epochs: losses AND post-Adam weights match dense
-        and the in-process sharded layout bit for bit."""
+        bit for bit."""
 
-        def run(n_shards, service):
-            model = build(tiny_dataset, n_shards, service=service)
+        def run(n_shards):
+            model = build(tiny_dataset, n_shards)
             try:
                 trainer = Trainer(
                     model, tiny_dataset,
@@ -299,13 +293,11 @@ class TestModelParity:
             finally:
                 _close_stores(model)
 
-        dense_losses, dense_state = run(0, False)
-        inproc_losses, inproc_state = run(3, False)
-        svc_losses, svc_state = run(3, True)
-        assert dense_losses == inproc_losses == svc_losses
+        dense_losses, dense_state = run(0)
+        svc_losses, svc_state = run(3)
+        assert dense_losses == svc_losses
         assert set(dense_state) == set(svc_state)
         for key in dense_state:
-            np.testing.assert_array_equal(dense_state[key], inproc_state[key])
             np.testing.assert_array_equal(dense_state[key], svc_state[key])
 
 
@@ -331,7 +323,7 @@ class TestCopyAudit:
         """GBMF's fused planned scoring over service tables: the only
         copies are the ones the dense layout also makes (none on the
         float64 gather path)."""
-        model = _gbmf(tiny_dataset, n_shards=2, service=True)
+        model = _gbmf(tiny_dataset, n_shards=2)
         try:
             users = np.array([0, 3, 5], dtype=np.int64)
             items = np.array([1, 2, 4], dtype=np.int64)
@@ -402,7 +394,7 @@ class TestFaultIsolation:
         """Task A (items) hits the dead item-table worker and resolves
         with ShardUnavailable; co-batched task B (participants) never
         touches that table and still scores."""
-        model = _gbmf(tiny_dataset, n_shards=2, service=True)
+        model = _gbmf(tiny_dataset, n_shards=2)
         try:
             item_store = model.item_table.store
             item_store._procs[0].kill()
@@ -442,8 +434,8 @@ class TestServiceCheckpoints:
     def test_per_shard_files_reshard(self, tiny_dataset, tmp_path, dst_workers):
         """Save from 3 workers, restore into M — scores bit-identical,
         logical table never materialised by the save."""
-        src = _gbmf(tiny_dataset, n_shards=3, service=True)
-        dst = _gbmf(tiny_dataset, n_shards=dst_workers, service=True)
+        src = _gbmf(tiny_dataset, n_shards=3)
+        dst = _gbmf(tiny_dataset, n_shards=dst_workers)
         try:
             path = save_checkpoint(src, tmp_path / "svc.npz", shard_files=True)
             payload = load_checkpoint(path, assemble_shards=False)
@@ -462,11 +454,10 @@ class TestServiceCheckpoints:
             _close_stores(src)
             _close_stores(dst)
 
-    def test_cross_layout_restore(self, tiny_dataset, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_QUANTIZE", raising=False)  # float bit-parity
-        """Service checkpoints restore into in-process layouts and back."""
-        src = _gbmf(tiny_dataset, n_shards=2, service=True)
-        dst = _gbmf(tiny_dataset, n_shards=4)  # in-process target
+    def test_cross_layout_restore(self, tiny_dataset, tmp_path):
+        """Per-shard service checkpoints restore into the dense layout."""
+        src = _gbmf(tiny_dataset, n_shards=2)
+        dst = _gbmf(tiny_dataset)  # dense target
         try:
             path = save_checkpoint(src, tmp_path / "x.npz", shard_files=True)
             restore_model(dst, path)
@@ -481,7 +472,7 @@ class TestServiceCheckpoints:
     def test_save_streams_without_materialising(
         self, tiny_dataset, tmp_path, monkeypatch
     ):
-        src = _gbmf(tiny_dataset, n_shards=2, service=True)
+        src = _gbmf(tiny_dataset, n_shards=2)
         try:
             calls = []
             original = ProcessShardedStore.logical_state

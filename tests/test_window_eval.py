@@ -41,13 +41,12 @@ from repro.nn import (
 )
 from repro.nn.layers import Linear
 from repro.plan import ScoringPlan
-from repro.store import ProcessShardedStore, iter_stores
 from repro.store.lru import cache_hot_rows
 
 WIDTHS = (1, 2, 4)
 
 
-def _mgbr(dataset, seed=3, executor="auto", **layout):
+def _mgbr(dataset, seed=3, executor="fused", **layout):
     config = MGBRConfig.small(d=8, n_experts=2, mtl_layers=2, seed=seed, **layout)
     model = MGBR(dataset.train, dataset.n_users, dataset.n_items, config=config)
     model.executor = executor
@@ -102,12 +101,6 @@ def _assert_width_invariant(protocol, model, monkeypatch):
             np.testing.assert_array_equal(got, ref)
 
 
-def _close_stores(model):
-    for _, store in iter_stores(model):
-        if isinstance(store, ProcessShardedStore):
-            store.close()
-
-
 class TestParity:
     @pytest.mark.parametrize("executor", ["fused", "tape"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -125,12 +118,9 @@ class TestParity:
         cache_hot_rows(model, capacity=16)
         _assert_width_invariant(_protocol(tiny_dataset), model, monkeypatch)
 
-    def test_process_sharded_store(self, tiny_dataset, monkeypatch):
-        model = _mgbr(tiny_dataset, embedding_shards=2, embedding_service=True)
-        try:
-            _assert_width_invariant(_protocol(tiny_dataset), model, monkeypatch)
-        finally:
-            _close_stores(model)
+    def test_process_sharded_store(self, tiny_dataset, monkeypatch, closing):
+        model = closing(_mgbr(tiny_dataset, embedding_shards=2))
+        _assert_width_invariant(_protocol(tiny_dataset), model, monkeypatch)
 
     def test_concurrent_runs_share_the_pool(self, tiny_dataset, monkeypatch):
         """Two runs at once oversubscribe the pool; both still finish
