@@ -22,16 +22,14 @@ the report's ``hardware.blas_pinned`` records whether the pin held.
 Run directly (``PYTHONPATH=src python benchmarks/bench_eval_throughput.py``)
 or via pytest.  ``--smoke`` runs a seconds-scale configuration, gates
 only correctness (:func:`check_report` with ``smoke=True``) and skips
-the JSON artifact.  Both modes also audit one fused 1:99 window per
-task under ``CountingBackend`` (``window_audit``): zero array copies and
-matmul / concatenate counts within :data:`WINDOW_OP_BOUNDS`.
+the JSON artifact.  Both modes also audit one warm planned 1:99 window
+per task under ``CountingBackend`` (``window_audit``): zero array copies
+and matmul / concatenate counts within :data:`WINDOW_OP_BOUNDS`.
 
 Environment knobs:
 
 * ``REPRO_BENCH_EVAL_USERS / ITEMS / GROUPS`` — dataset scale
 * ``REPRO_BENCH_EVAL_INSTANCES`` — instances per task per protocol
-* ``REPRO_BENCH_EVAL_FUSED_CHUNK / FUSED_PAIRS`` — fused-executor cell:
-  scoring chunk size and number of interleaved tape/fused timing pairs
 """
 
 from __future__ import annotations
@@ -69,17 +67,18 @@ USERS = int(os.environ.get("REPRO_BENCH_EVAL_USERS", "300"))
 ITEMS = int(os.environ.get("REPRO_BENCH_EVAL_ITEMS", "80"))
 GROUPS = int(os.environ.get("REPRO_BENCH_EVAL_GROUPS", "1200"))
 INSTANCES = int(os.environ.get("REPRO_BENCH_EVAL_INSTANCES", "120"))
-FUSED_CHUNK = int(os.environ.get("REPRO_BENCH_EVAL_FUSED_CHUNK", "512"))
-FUSED_PAIRS = int(os.environ.get("REPRO_BENCH_EVAL_FUSED_PAIRS", "11"))
+#: Unique pairs per audited window.
+AUDIT_CHUNK = 512
 DATA_SEED = 7
 MODEL_SEED = 1
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_eval_throughput.json"
 
-#: Ceilings on the backend calls of one warm fused 1:99 window of the
-#: benchmark MGBR, per task: the values measured with live-head pruning
-#: and one mix per task gate (the unpruned program made 74 matmuls and
-#: 4 concatenates per window; pruned, with four mixes per task gate, 58).
+#: Ceilings on the backend calls of one warm planned 1:99 window of the
+#: benchmark MGBR, per task: the values measured with live-head pruning,
+#: one mix per task gate and each layer's banks in one buffer (the
+#: unpruned program made 74 matmuls and 4 concatenates per window;
+#: pruned, with four mixes per task gate, 58).
 WINDOW_OP_BOUNDS = {
     "items": {"matmul": 49, "concatenate": 2},
     "participants": {"matmul": 49, "concatenate": 3},
@@ -226,7 +225,7 @@ def _bench_model(model, dataset) -> dict:
 
 
 def _windows(dataset):
-    """The 1:99 plans of both tasks, each cut into FUSED_CHUNK windows."""
+    """The 1:99 plans of both tasks, each cut into AUDIT_CHUNK windows."""
     protocol = EvalProtocol(
         dataset, n_negatives=99, cutoff=100, max_instances=INSTANCES
     )
@@ -239,108 +238,39 @@ def _windows(dataset):
     }
     return {
         task: [
-            plan.pair_slice(slice(start, min(start + FUSED_CHUNK, plan.n_pairs)))
-            for start in range(0, plan.n_pairs, FUSED_CHUNK)
+            plan.pair_slice(slice(start, min(start + AUDIT_CHUNK, plan.n_pairs)))
+            for start in range(0, plan.n_pairs, AUDIT_CHUNK)
         ]
         for task, plan in plans.items()
-    }, plans
+    }
 
 
 def _window_audit(model, dataset) -> dict:
-    """Backend calls of one warm fused window per task (``CountingBackend``).
+    """Backend calls of one warm planned window per task (``CountingBackend``).
 
     Deterministic for a given model configuration: the counts depend on
     the program's structure, not on timing or window size.  Each window
-    is scored once before counting so fold-cache builds stay out.
+    is scored once before counting so fold-cache builds and first pool
+    allocations stay out.
     """
-    windows, _ = _windows(dataset)
-    previous = model.executor
-    model.executor = "fused"
+    windows = _windows(dataset)
     audit = {}
-    try:
-        with no_grad():
-            model.refresh_cache()
-            for task, subs in windows.items():
-                scorer = (
-                    model.score_item_plan if task == "items"
-                    else model.score_participant_plan
-                )
+    with no_grad():
+        model.refresh_cache()
+        for task, subs in windows.items():
+            scorer = (
+                model.score_item_plan if task == "items"
+                else model.score_participant_plan
+            )
+            scorer(subs[0])
+            counting = CountingBackend()
+            with backend_scope(counting):
                 scorer(subs[0])
-                before = model.executor_stats()["fused_calls"]
-                counting = CountingBackend()
-                with backend_scope(counting):
-                    scorer(subs[0])
-                audit[task] = {
-                    "nn_counts": dict(sorted(counting.counts.items())),
-                    "copies": counting.copies,
-                    "fused": model.executor_stats()["fused_calls"] == before + 1,
-                }
-    finally:
-        model.executor = previous
+            audit[task] = {
+                "nn_counts": dict(sorted(counting.counts.items())),
+                "copies": counting.copies,
+            }
     return audit
-
-
-def _bench_fused(model, dataset) -> dict:
-    """Fused no-tape executor vs the tape on 1:99 planned scoring.
-
-    A single tape-vs-fused time comparison is unreliable on a shared
-    box, so each repetition interleaves one full tape pass with one full
-    fused pass (chunked planned scoring over both tasks' 1:99 lists,
-    plan slicing excluded from the timed region) and the headline
-    ``fused_speedup`` is the **median of per-repetition ratios** —
-    co-tenant noise lands on both sides of each pair roughly equally.
-    """
-    windows, plans = _windows(dataset)
-    jobs = [
-        (model.score_item_plan, windows["items"]),
-        (model.score_participant_plan, windows["participants"]),
-    ]
-
-    def one_pass(executor):
-        model.executor = executor
-        elapsed = 0.0
-        scores = []
-        with no_grad():
-            model.refresh_cache()
-            for scorer, subs in jobs:
-                started = time.perf_counter()
-                chunks = [scorer(sub) for sub in subs]
-                elapsed += time.perf_counter() - started
-                scores.append(np.concatenate(chunks))
-        return scores, elapsed
-
-    previous = model.executor
-    try:
-        tape_ref, _ = one_pass("tape")  # warm caches + parity reference
-        fused_ref, _ = one_pass("fused")
-        identical = all(np.array_equal(t, f) for t, f in zip(tape_ref, fused_ref))
-        ratios, tape_times, fused_times = [], [], []
-        for _ in range(FUSED_PAIRS):
-            _, tape_seconds = one_pass("tape")
-            _, fused_seconds = one_pass("fused")
-            ratios.append(tape_seconds / fused_seconds)
-            tape_times.append(tape_seconds)
-            fused_times.append(fused_seconds)
-        stats = model.executor_stats()
-    finally:
-        model.executor = previous
-    n_pairs = sum(plan.n_pairs for plan in plans.values())
-    tape_best, fused_best = min(tape_times), min(fused_times)
-    return {
-        "chunk": FUSED_CHUNK,
-        "paired_repeats": FUSED_PAIRS,
-        "pairs_scored_per_pass": n_pairs,
-        "tape_seconds": round(tape_best, 4),
-        "fused_seconds": round(fused_best, 4),
-        "tape_pairs_per_sec": round(n_pairs / tape_best, 1),
-        "fused_pairs_per_sec": round(n_pairs / fused_best, 1),
-        "fused_speedup": round(float(np.median(ratios)), 2),
-        "fused_speedup_min": round(float(min(ratios)), 2),
-        "fused_speedup_max": round(float(max(ratios)), 2),
-        "scores_identical_to_tape": identical,
-        "executor_stats": stats,
-        "window_audit": _window_audit(model, dataset),
-    }
 
 
 #: Documented accuracy bounds of quantised serving (max |Δ| over the
@@ -437,8 +367,8 @@ def run_benchmark() -> dict:
             "MGBR": _bench_model(mgbr, dataset),
             "GBMF": _bench_model(gbmf, dataset),
         },
-        # Fused no-tape executor vs the tape on the MGBR 1:99 lists.
-        "fused_executor": _bench_fused(mgbr, dataset),
+        # Backend calls of one warm planned MGBR 1:99 window per task.
+        "window_audit": _window_audit(mgbr, dataset),
         # int8/fp16 serving vs the float baseline on the same weights.
         "quantized_accuracy": _bench_quantized_accuracy(dataset),
     }
@@ -448,26 +378,19 @@ def check_report(report: dict, smoke: bool = False) -> None:
     """The acceptance gates the CI smoke run also exercises.
 
     ``smoke=True`` keeps the correctness gates (loop/``run()`` metric
-    parity, fused-vs-tape score parity, the per-window op audit,
-    quantised metric bounds) but skips the speedup floors: at the
-    seconds-scale configuration the timings sit too close to their
-    floors to gate on shared runners.
+    parity, the per-window op audit, quantised metric bounds) but skips
+    the speedup floors: at the seconds-scale configuration the timings
+    sit too close to their floors to gate on shared runners.
     """
     for model, protocols in report["models"].items():
         for proto, stats in protocols.items():
             assert stats["metrics_identical_to_loop"], (
                 f"{model} {proto}: run() metrics diverged from loop"
             )
-    # The fused no-tape executor must be bit-identical to the tape.
-    fused = report["fused_executor"]
-    assert fused["scores_identical_to_tape"], (
-        "fused executor scores diverged from the tape"
-    )
-    # One warm window per task: fused, copy-free, and no more matmuls or
+    # One warm window per task: copy-free, and no more matmuls or
     # concatenates than the live-head-pruned program makes.
     for task, bounds in WINDOW_OP_BOUNDS.items():
-        cell = fused["window_audit"][task]
-        assert cell["fused"], f"{task} window fell back to the tape"
+        cell = report["window_audit"][task]
         assert cell["copies"] == 0, f"{task} window made {cell['copies']} array copies"
         for prim, bound in bounds.items():
             count = cell["nn_counts"].get(prim, 0)
@@ -491,11 +414,6 @@ def check_report(report: dict, smoke: bool = False) -> None:
     for proto, floor in (("1:9", 5.0), ("1:99", 2.0)):
         speedup = mgbr[proto]["speedup"]
         assert speedup >= floor, f"MGBR {proto} loop/run speedup {speedup}x < {floor}x"
-    # The fused executor must beat the tape by ≥1.5× (median of
-    # interleaved paired repeats) on the MGBR 1:99 planned-scoring cell.
-    assert fused["fused_speedup"] >= 1.5, (
-        f"fused-vs-tape median speedup {fused['fused_speedup']}x < 1.5x"
-    )
 
 
 def test_eval_throughput():
@@ -516,7 +434,7 @@ if __name__ == "__main__":
     args = parser.parse_args()
     if args.smoke:
         USERS, ITEMS, GROUPS, INSTANCES, REPEATS = 120, 40, 400, 40, 1
-        PAIRS = FUSED_PAIRS = 2
+        PAIRS = 2
     result = run_benchmark()
     check_report(result, smoke=args.smoke)
     if not args.smoke:

@@ -42,8 +42,8 @@ contract, not raw speed:
   rate runs, because anything older is shed before planning;
 * the drop rate (rejected + shed) absorbs the offered excess.
 
-**Fused-scaling cells** measure the 1/2/4-worker scored/sec curve with
-the fused no-tape executor (``fused_scaling`` in the report).  Unlike
+**Worker-scaling cells** measure the 1/2/4-worker scored/sec curve
+(``worker_scaling`` in the report).  Unlike
 the overload cells — whose budgets assume each extra worker brings a
 fresh core — this probe keeps the *single-worker* queue depth per
 worker and scales the age budget with fleet size, so a bigger fleet
@@ -59,7 +59,7 @@ across hosts.
 Writes ``BENCH_serve_latency.json`` at the repository root.  Run
 directly (``PYTHONPATH=src python benchmarks/bench_serve_latency.py``);
 ``--smoke`` runs a seconds-scale configuration (one steady cell per
-store + one overload cell + a two-point fused-scaling probe) and skips
+store + one overload cell + a two-point worker-scaling probe) and skips
 the artifact.  Environment knobs:
 ``REPRO_BENCH_SERVE_USERS / ITEMS / DIM / CANDIDATES / SLACK_MS /
 SCALING_TRIALS``.
@@ -110,7 +110,7 @@ OVERLOAD_DEADLINE_MS = 5.0           # flush deadline == age budget
 #: genuinely offer several times the engine's capacity.
 OVERLOAD_CANDIDATES = 10 * CANDIDATES
 
-#: Flood repetitions per fleet size in the fused-scaling probe (median
+#: Flood repetitions per fleet size in the worker-scaling probe (median
 #: reported; trials interleave across fleet sizes so host noise lands
 #: on every curve point evenly).
 SCALING_TRIALS = int(os.environ.get("REPRO_BENCH_SERVE_SCALING_TRIALS", "5"))
@@ -366,13 +366,11 @@ def run_overload_cell(n_workers: int, capacity_rps: float, deadline_ms: float,
 
 def _scaling_flood(n_workers: int, rows_per_worker: int,
                    probe_seconds: float, rng: np.random.Generator) -> dict:
-    """One fused flood against an ``n_workers`` fleet → scored/sec."""
+    """One flood against an ``n_workers`` fleet → scored/sec."""
     pool_users, pool_candidates = make_requests(
         rng, 1024, width=OVERLOAD_CANDIDATES
     )
     models = [build_model("dense") for _ in range(n_workers)]
-    for model in models:
-        model.executor = "fused"
     engine = MultiWorkerEngine(
         models,
         max_delay_ms=OVERLOAD_DEADLINE_MS,
@@ -401,9 +399,6 @@ def _scaling_flood(n_workers: int, rows_per_worker: int,
         elapsed = time.perf_counter() - t0
         agg = engine.stats()["aggregate"]
     assert all(t.ready for t in tickets), "stranded tickets in scaling probe"
-    assert agg["fused_calls"] > 0 and agg["tape_calls"] == 0, (
-        "scaling probe did not run on the fused executor"
-    )
     scored = sum(1 for t in tickets if not t.failed)
     return {
         "scored_per_sec": scored / elapsed,
@@ -412,9 +407,9 @@ def _scaling_flood(n_workers: int, rows_per_worker: int,
     }
 
 
-def measure_fused_scaling(workers=OVERLOAD_WORKERS, probe_seconds: float = 1.2,
-                          trials: int = 0) -> dict:
-    """Scored/sec of fused 1/2/4-worker fleets — the scaling curve.
+def measure_worker_scaling(workers=OVERLOAD_WORKERS, probe_seconds: float = 1.2,
+                           trials: int = 0) -> dict:
+    """Scored/sec of 1/2/4-worker fleets — the scaling curve.
 
     The overload cells size budgets for core-per-worker scaling; this
     probe instead measures *fleet batching capacity*: every worker keeps
@@ -450,7 +445,6 @@ def measure_fused_scaling(workers=OVERLOAD_WORKERS, probe_seconds: float = 1.2,
         })
     rates = [point["scored_per_sec"] for point in curve]
     out = {
-        "executor": "fused",
         # The gate's parallelism-awareness hinges on these two: how
         # many cores the host really has, and which array backend the
         # flush threads inherited from the thread that started them.
@@ -561,13 +555,13 @@ def check_report(report: dict) -> None:
                 f"{label}: drop_frac {cell['drop_frac']} < {floor:.3f} "
                 f"at {mult}x capacity — overload was not absorbed"
             )
-    scaling = report.get("fused_scaling")
+    scaling = report.get("worker_scaling")
     if scaling:
         rates = [point["scored_per_sec"] for point in scaling["curve"]]
         workers = [point["n_workers"] for point in scaling["curve"]]
         for (wa, a), (wb, b) in zip(zip(workers, rates), zip(workers[1:], rates[1:])):
             assert b > a, (
-                f"fused scaling curve not strictly increasing: "
+                f"worker scaling curve not strictly increasing: "
                 f"{wa} workers → {a}/s but {wb} workers → {b}/s"
             )
         # Parallelism-aware tightening: on a host with real cores each
@@ -581,7 +575,7 @@ def check_report(report: dict) -> None:
                 zip(workers, rates), zip(workers[1:], rates[1:])
             ):
                 assert b >= 1.05 * a, (
-                    f"fused scaling step {wa}→{wb} workers only "
+                    f"worker scaling step {wa}→{wb} workers only "
                     f"{b / a:.3f}x on a {scaling['cpu_count']}-cpu host "
                     f"(needs ≥1.05x)"
                 )
@@ -607,13 +601,13 @@ if __name__ == "__main__":
             rates=(500.0,), deadlines=(5.0,), n_requests=250
         )
         result["overload_cells"] = run_overload_cells(workers=(2,))
-        result["fused_scaling"] = measure_fused_scaling(
+        result["worker_scaling"] = measure_worker_scaling(
             workers=(1, 2), probe_seconds=0.5, trials=2
         )
     else:
         result = run_benchmark()
         result["overload_cells"] = run_overload_cells()
-        result["fused_scaling"] = measure_fused_scaling()
+        result["worker_scaling"] = measure_worker_scaling()
     add_overload_config(result)
     check_report(result)
     if not args.smoke:

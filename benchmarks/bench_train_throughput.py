@@ -56,8 +56,9 @@ MODEL_SEED = 1
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_train_throughput.json"
 
 #: Ceiling on ``zeros_like`` + ``empty_like`` calls in one planned MGBR
-#: step: 141 measured in both the smoke and the full configuration.
-MAX_STEP_ALLOCATIONS = 141
+#: step: 108 measured in both the smoke and the full configuration (141
+#: before the gather-adds and expert banks became single tape nodes).
+MAX_STEP_ALLOCATIONS = 108
 
 
 def _dataset():

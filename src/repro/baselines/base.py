@@ -40,16 +40,10 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.executor import (
-    FusedWorkspace,
-    VALID_EXECUTORS,
-    current_slot,
-    resolve_executor,
-)
 from repro.plan import ScoringPlan
 from repro.nn import functional as F
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, get_default_dtype, is_grad_enabled, take_rows
+from repro.nn.tensor import Tensor, take_rows
 from repro.store import EmbeddingStore, iter_stores
 
 __all__ = ["EmbeddingBundle", "GroupBuyingRecommender", "bundle_rows", "as_matrix"]
@@ -57,6 +51,9 @@ __all__ = ["EmbeddingBundle", "GroupBuyingRecommender", "bundle_rows", "as_matri
 #: Serialises the first build of :meth:`EmbeddingBundle.mean_participant`
 #: (concurrent evaluation windows may all miss at once).
 _MEAN_LOCK = threading.Lock()
+
+#: Guards the planned-call counters (evaluation windows score concurrently).
+_CALLS_LOCK = threading.Lock()
 
 #: A bundle slot: either a materialised tensor (encoder output / dense
 #: table) or a sharded/dense :class:`repro.store.EmbeddingStore` whose
@@ -151,41 +148,13 @@ class GroupBuyingRecommender(Module):
         self.n_users = n_users
         self.n_items = n_items
         self._cached: Optional[EmbeddingBundle] = None
-        self._executor_mode = "fused"
-        self._fused_ws = FusedWorkspace()
-
-    # ------------------------------------------------------------------
-    # Executor selection (fused no-tape inference vs. autograd tape)
-    # ------------------------------------------------------------------
-    @property
-    def executor(self) -> str:
-        """Planned-scoring executor knob: ``"fused"`` (default) or ``"tape"``.
-
-        Gradient recording always forces the tape (the fused path builds
-        no graph).  See docs/backends.md.
-        """
-        return self._executor_mode
-
-    @executor.setter
-    def executor(self, mode: str) -> None:
-        if mode not in VALID_EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {VALID_EXECUTORS}, got {mode!r}"
-            )
-        self._executor_mode = mode
-
-    def _fused_workspace(self) -> FusedWorkspace:
-        """The calling thread's fused buffer pool + executor counters.
-
-        One workspace per worker slot (:func:`repro.executor.worker_slot`);
-        outside a window-parallel run every call gets slot 0's.
-        """
-        return self._fused_ws.worker(current_slot())
+        self._tape_calls = 0
 
     def executor_stats(self) -> Dict[str, int]:
-        """Executor counters summed over every worker slot: calls per
-        path, fallbacks, buffer reuse, invalidations."""
-        return self._fused_ws.snapshot()
+        """Program counters: ``tape_calls`` counts the planned scoring
+        calls (:meth:`score_item_plan` / :meth:`score_participant_plan`),
+        every one of which runs the tape."""
+        return {"tape_calls": self._tape_calls}
 
     # ------------------------------------------------------------------
     # To be provided by concrete models
@@ -325,72 +294,19 @@ class GroupBuyingRecommender(Module):
             )
         return self.score_participants(plan.users, plan.items, plan.participants)
 
-    def _fused_score_plan(self, emb: EmbeddingBundle, plan: ScoringPlan, task: str):
-        """Fused no-tape unique-request logits, or ``None`` to fall back.
-
-        The base implementation mirrors the default dot-product scorers
-        (``(e_u * e_i).sum(axis=1)`` / ``(e_u * e_p).sum(axis=1)``) with
-        workspace-buffered backend calls — bit-identical at float64 —
-        and covers every model that keeps the default scoring hooks
-        (GBMF and the other MF-style baselines).  A model overriding any
-        hook in the dispatch chain is excluded so the fused result can
-        never diverge from what its tape path would compute; MGBR
-        overrides this with the factorized stack mirror
-        (:func:`repro.core.fused.fused_planned_scores`).
-        """
-        base = GroupBuyingRecommender
-        if task == "items":
-            if not (
-                type(self).score_items is base.score_items
-                and type(self).score_items_from is base.score_items_from
-                and type(self)._score_item_plan is base._score_item_plan
-            ):
-                return None
-            e_u = bundle_rows(emb.user, plan.users, plan=plan, role="pair_users")
-            e_v = bundle_rows(emb.item, plan.items, plan=plan, role="pair_items")
-        else:
-            if not (
-                type(self).score_participants is base.score_participants
-                and type(self).score_participants_from is base.score_participants_from
-                and type(self)._score_participant_plan is base._score_participant_plan
-            ):
-                return None
-            e_u = bundle_rows(emb.user, plan.users, plan=plan, role="pair_users")
-            e_v = bundle_rows(
-                emb.participant, plan.participants, plan=plan, role="pair_participants"
-            )
-        ws = self._fused_workspace()
-        ws.begin(get_default_dtype())
-        return ws.sum(ws.multiply(e_u.data, e_v.data), axis=1)
-
     def _run_plan(self, plan: ScoringPlan, task: str) -> np.ndarray:
-        """Dispatch one plan to the resolved executor → ``(P,)`` float64.
-
-        The fused result is copied out (``np.array``) because it lives
-        in workspace buffers that the next flush recycles; the tape
-        result goes through the same dtype normalisation as before.
-        """
-        emb = self._bundle()
-        ws = self._fused_workspace()
-        if resolve_executor(self._executor_mode, is_grad_enabled()) == "fused":
-            scores = self._fused_score_plan(emb, plan, task)
-            if scores is not None:
-                ws.stats["fused_calls"] += 1
-                return np.array(scores, dtype=np.float64).ravel()
-            ws.stats["fallbacks"] += 1
-        ws.stats["tape_calls"] += 1
+        """Score one plan on its task's hook → ``(P,)`` float64."""
+        with _CALLS_LOCK:
+            self._tape_calls += 1
         hook = self._score_item_plan if task == "items" else self._score_participant_plan
-        return np.asarray(hook(emb, plan).data, dtype=np.float64).ravel()
+        return np.asarray(hook(self._bundle(), plan).data, dtype=np.float64).ravel()
 
     def score_item_plan(self, plan: ScoringPlan) -> np.ndarray:
         """Unique-request Task-A scores for ``plan`` → ``(P,)`` float64.
 
         Callers (the evaluation protocol's chunked runner, the serving
         front-end) scatter the result back to their request shape with
-        :meth:`ScoringPlan.scatter`.  Runs on the fused no-tape executor
-        when the :attr:`executor` knob resolves to it (bit-identical at
-        float64); gradient recording or an unsupported configuration
-        falls back to the tape hooks.
+        :meth:`ScoringPlan.scatter`.
         """
         if plan.is_triple:
             raise ValueError("item scoring got a participant (triple) plan")

@@ -21,7 +21,7 @@ import numpy as np
 from repro.nn.backend import get_backend
 from repro.nn.layers import FOLD_LOCK, Linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, stack
+from repro.nn.tensor import Tensor, _matmul, get_default_dtype
 from repro.utils.rng import SeedLike, as_rng
 
 __all__ = ["ExpertBank"]
@@ -53,18 +53,46 @@ class ExpertBank(Module):
             self._experts.append(expert)
         self._bank_fold_cache = {}  # blocks -> (expert versions, stacked ndarray)
 
-    def forward(self, gate_state: Tensor) -> Tensor:
+    def forward(self, gate_state: Tensor, out=None) -> Tensor:
         """Apply every expert to ``gate_state`` → ``(batch, K, d)``.
 
         ``gate_state`` is the concatenation the relevant equation calls
-        for (A/B: two gates; S: three gates).
+        for (A/B: two gates; S: three gates).  Each expert's product is
+        written straight into its ``[:, k, :]`` slot of one buffer —
+        ``out`` when given (a slot range of the layer's combined bank
+        buffer, in the default dtype), else a fresh one — so there is no
+        per-expert result and no stack copy.  Per-expert GEMMs, not one
+        stacked GEMM: BLAS re-association would change the bits.  The
+        adjoint runs the experts last to first, each adding its
+        ``g[:, k] Wₖᵀ`` into the state's gradient and ``stateᵀ g[:, k]``
+        into its weight, the order the per-expert graph ran them in.
         """
         if gate_state.shape[-1] != self.in_dim:
             raise ValueError(
                 f"expert bank expects input width {self.in_dim}, got {gate_state.shape[-1]}"
             )
-        outputs = [expert(gate_state) for expert in self._experts]
-        return stack(outputs, axis=1)
+        b = get_backend()
+        x = gate_state.data
+        weights = [expert.weight for expert in self._experts]
+        if out is None:
+            out = b.empty(
+                (x.shape[0], self.n_experts, self.out_dim), dtype=get_default_dtype()
+            )
+        for k, weight in enumerate(weights):
+            b.matmul(x, weight.data, out=out[:, k, :])
+
+        def backward(g: np.ndarray) -> None:
+            b = get_backend()
+            for k in reversed(range(len(weights))):
+                g_k = g[:, k, :]
+                if gate_state.requires_grad:
+                    gate_state._accumulate(
+                        _matmul(g_k, b.swapaxes(weights[k].data, -1, -2)), owned=True
+                    )
+                if weights[k].requires_grad:
+                    weights[k]._accumulate(_matmul(b.swapaxes(x, -1, -2), g_k), owned=True)
+
+        return Tensor._make(out, (gate_state, *weights), backward)
 
     def project_blocks(self, x: Tensor, blocks) -> Tensor:
         """Per-entity partial bank: every expert's weight-row blocks on ``x``.
@@ -118,10 +146,8 @@ class ExpertBank(Module):
     def stacked_folds_raw(self, blocks) -> np.ndarray:
         """The cached ``(width, K·d)`` stacked fold as a raw array.
 
-        Shares the version-keyed cache with :meth:`_stacked_folds`; the
-        fused no-tape executor reads the bank fold through this accessor
-        so both executors multiply the identical cached array (needed
-        for float64 bit-parity).  Callers must not mutate the result.
+        Shares the version-keyed cache with :meth:`_stacked_folds`.
+        Callers must not mutate the result.
         A miss builds under :data:`repro.nn.layers.FOLD_LOCK`, so
         concurrent readers build each fold once and share it.
         """

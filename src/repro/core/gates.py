@@ -33,20 +33,48 @@ the weights too.  :class:`TaskGate` adds the three adjusted heads'
 instead of four ``(n, 1, K) @ (n, K, d)`` mixes plus three adds.  The
 fold re-associates the float sums, so the output differs from the
 four-mix formula by about one ulp (``α = 0`` skips the fold and is
-unchanged).  :mod:`repro.core.fused` mirrors the same fold in place.
+unchanged).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from numpy.lib.stride_tricks import as_strided
+
 from repro.nn import functional as F
 from repro.nn.backend import get_backend
 from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, _matmul, concat, take_rows
+from repro.nn.tensor import Tensor, _matmul, concat, gather_add
 
 __all__ = ["GateAttention", "GenericGate", "AdjustedGate", "TaskGate", "SharedGate"]
+
+
+def _joined(arrays):
+    """The ``(n, ΣK, d)`` view spanning ``arrays`` when each starts where
+    the previous one's slots end in one buffer (same rows, same strides);
+    ``None`` otherwise."""
+    first = arrays[0]
+    base = first.base
+    if base is None:
+        return None
+    n, _, d = first.shape
+    strides = first.strides
+    end = first.__array_interface__["data"][0]
+    slots = 0
+    for arr in arrays:
+        if (
+            arr.base is not base
+            or arr.strides != strides
+            or arr.shape[0] != n
+            or arr.shape[2] != d
+            or arr.__array_interface__["data"][0] != end
+        ):
+            return None
+        end += arr.shape[1] * strides[1]
+        slots += arr.shape[1]
+    return as_strided(first, (n, slots, d), strides, writeable=False)
 
 
 class GateAttention(Module):
@@ -86,16 +114,21 @@ class GateAttention(Module):
     def mix(weights: Tensor, banks: Sequence[Tensor]) -> Tensor:
         """``weights (n, ΣK) × [bank_1 | bank_2 | ...] (n, ΣK, d) → (n, d)``.
 
-        The forward is the concatenation plus ``(n, 1, ΣK) @ (n, ΣK, d)``
-        batched matmul of the single-bank case.  The adjoint writes each
-        bank's gradient as its own ``wᵀ[slots] * g`` product — the
-        values the concatenation's gradient slice would hold, but fresh
-        and contiguous, so each bank adopts it without a copy.
+        The forward is ``(n, 1, ΣK) @ (n, ΣK, d)`` over the banks laid
+        side by side.  When they already are — consecutive slot ranges
+        of one buffer, as :class:`repro.core.mtl.MTLLayer` lays out its
+        live banks — the product reads the zero-copy view spanning them;
+        otherwise it concatenates them first.  Either way the operand
+        holds the same values.  The adjoint writes each bank's gradient
+        as its own ``wᵀ[slots] * g`` product — the values the
+        concatenation's gradient slice would hold, but fresh and
+        contiguous, so each bank adopts it without a copy.
         """
         b = get_backend()
-        bank = banks[0].data if len(banks) == 1 else b.concatenate(
-            [t.data for t in banks], axis=1
-        )
+        arrays = [t.data for t in banks]
+        bank = arrays[0] if len(arrays) == 1 else _joined(arrays)
+        if bank is None:
+            bank = b.concatenate(arrays, axis=1)
         n, k = weights.shape
         if bank.shape[1] != k:
             raise ValueError(f"banks have {bank.shape[1]} slots, weights have {k}")
@@ -182,16 +215,17 @@ class AdjustedGate(Module):
         """
         v = e_u.shape[-1]
         lo, hi = [(0, v)], [(v, 2 * v)]
-        l_ui = take_rows(self.head_ui.project_blocks(e_u, lo), user_pos) + take_rows(
-            self.head_ui.project_blocks(e_i, hi), item_pos
+
+        def logits(head, x_a, pos_a, x_b, pos_b):
+            return gather_add(
+                [head.project_blocks(x_a, lo), head.project_blocks(x_b, hi)], [pos_a, pos_b]
+            )
+
+        return (
+            logits(self.head_ui, e_u, user_pos, e_i, item_pos),
+            logits(self.head_ip, e_i, item_pos, e_p, part_pos),
+            logits(self.head_up, e_u, user_pos, e_p, part_pos),
         )
-        l_ip = take_rows(self.head_ip.project_blocks(e_i, lo), item_pos) + take_rows(
-            self.head_ip.project_blocks(e_p, hi), part_pos
-        )
-        l_up = take_rows(self.head_up.project_blocks(e_u, lo), user_pos) + take_rows(
-            self.head_up.project_blocks(e_p, hi), part_pos
-        )
-        return l_ui, l_ip, l_up
 
     @staticmethod
     def build_pairs(e_u: Tensor, e_i: Tensor, e_p: Tensor):

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.baselines.base import EmbeddingBundle, GroupBuyingRecommender, bundle_rows
 from repro.core.config import MGBRConfig
-from repro.core.fused import fused_planned_scores
 from repro.core.mtl import MultiTaskModule
 from repro.core.prediction import PredictionHead
 from repro.core.views import HINEmbedding, MultiViewEmbedding
@@ -161,10 +160,9 @@ class MGBR(GroupBuyingRecommender):
     def _planned_entities(self, emb: EmbeddingBundle, plan: ScoringPlan):
         """Gather a plan's unique-entity rows → ``(e_u, e_i, e_p, part_pos)``.
 
-        Shared by the tape and fused executors, so store statistics, the
-        hot-row LRU and the plan's cached shard maps behave identically
-        on both paths.  The participant slot handles all three plan
-        shapes:
+        Store gathers pass the plan, so store statistics, the hot-row
+        LRU and the plan's cached shard maps see every planned call.  The
+        participant slot handles all three plan shapes:
 
         * pair plans (no participant column): Task A's averaged
           participant is a single shared row — the broadcast ``e_p`` of
@@ -222,23 +220,6 @@ class MGBR(GroupBuyingRecommender):
             e_u, e_i, e_p, plan.user_pos, plan.item_pos, part_pos, heads=heads,
             rows=rows,
         )
-
-    def _fused_score_plan(self, emb: EmbeddingBundle, plan: ScoringPlan, task: str):
-        """Fused no-tape planned logits, or ``None`` to use the tape.
-
-        Only taken when the planned hooks are un-overridden — a subclass
-        customising ``_planned_towers`` or a score hook would otherwise
-        silently diverge from what the fused mirror computes.
-        """
-        base = MGBR
-        if type(self)._planned_towers is not base._planned_towers:
-            return None
-        if type(self)._planned_entities is not base._planned_entities:
-            return None
-        hook = "_score_item_plan" if task == "items" else "_score_participant_plan"
-        if getattr(type(self), hook) is not getattr(base, hook):
-            return None
-        return fused_planned_scores(self, emb, plan, task)
 
     def _score_item_plan(self, emb: EmbeddingBundle, plan: ScoringPlan) -> Tensor:
         """Task-A raw logits for a plan's unique requests (factorized)."""

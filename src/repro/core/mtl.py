@@ -16,14 +16,17 @@ Live heads: the last layer's ``g^L_A`` / ``g^L_B`` each feed one
 tower and ``g^L_S`` feeds nothing, so a caller reading one head leaves
 part of the stack dead.  :meth:`MultiTaskModule.live_outputs` walks
 back from the requested heads and names, per layer, the gate outputs
-that must be produced; the planned forward (and the fused mirror in
-:mod:`repro.core.fused`) skips every bank, gate, state concat and
-adjusted-gate pair logit outside that set.  Live rows carry the rule
-down to rows: given the unique-request span each head's losses read
-(a row-grouped training plan's ``head_rows``),
+that must be produced; the planned forward skips every bank, gate,
+state concat and adjusted-gate pair logit outside that set.  Live
+rows carry the rule down to rows: given the unique-request span each
+head's losses read (a row-grouped training plan's ``head_rows``),
 :meth:`MultiTaskModule.live_rows` names, per layer, the span each bank
 and gate runs on, and the planned forward reads narrower spans through
 zero-copy row views and sliced ``*_pos`` arrays.
+
+Bank layout: each layer writes its live banks into one buffer laid out
+``[a | s | b]`` (``[b | s]`` when bank A is dead), so the gates mix
+consecutive banks through a zero-copy view (:meth:`MTLLayer._bank_slots`).
 
 Shape note (DESIGN.md §5): the general formulas make the first layer's
 expert inputs the *duplicated* concatenation ``g⁰_A || g⁰_S`` (identical
@@ -39,8 +42,9 @@ from typing import FrozenSet, Iterable, List, Optional, Tuple
 from repro.core.config import MGBRConfig
 from repro.core.experts import ExpertBank
 from repro.core.gates import AdjustedGate, SharedGate, TaskGate
+from repro.nn.backend import get_backend
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, concat, take_rows
+from repro.nn.tensor import Tensor, concat, gather_add, get_default_dtype
 from repro.utils.rng import SeedLike, spawn_rngs
 
 __all__ = ["MTLLayer", "MultiTaskModule"]
@@ -170,6 +174,27 @@ class MTLLayer(Module):
             return live | {"s"}
         return live
 
+    def _bank_slots(self, banks, bank_rows, rows_of):
+        """Slot ranges of one buffer for the live banks, by bank name.
+
+        The layout is ``[a | s | b]`` with dead banks dropped, or
+        ``[b | s]`` when bank A is dead, so gate A's ``[a | s]``, gate
+        S's ``[a | s | b]`` and (bank A dead) gate B's ``[b | s]`` are
+        consecutive slots that :meth:`GateAttention.mix` reads as one
+        zero-copy view instead of concatenating.  Each bank writes its
+        own slot range.  Returns ``{}`` (each bank gets its own buffer)
+        without a shared bank, or when live rows give the banks
+        different spans.  ``rows_of(span)`` counts the rows of a span.
+        """
+        spans = {bank_rows.get(x) for x in banks}
+        if not self.shared or len(spans) != 1:
+            return {}
+        order = [x for x in ("asb" if "a" in banks else "bs") if x in banks]
+        k, d = self.experts_a.n_experts, self.experts_a.out_dim
+        shape = (rows_of(spans.pop()), len(order) * k, d)
+        buf = get_backend().empty(shape, dtype=get_default_dtype())
+        return {name: buf[:, i * k : (i + 1) * k] for i, name in enumerate(order)}
+
     def forward(
         self,
         g_a: Optional[Tensor],
@@ -225,10 +250,26 @@ class MTLLayer(Module):
             parts = [_view(inputs[x], in_rows.get(x), want) for x in names]
             return parts[0] if len(parts) == 1 else concat(parts, axis=1)
 
-        state_a, state_b, state_s = state("a"), state("b"), state("s")
-        bank_a = self.experts_a(state_a) if "a" in banks else None
-        bank_b = self.experts_b(state_b) if "b" in banks else None
-        bank_s = self.experts_s(state_s) if "s" in banks else None
+        state_s, state_b = state("s"), state("b")
+        if (
+            state_s is not None
+            and "a" in banks
+            and not self.compact_input
+            and not state_s.requires_grad
+            and bank_rows.get("a") == bank_rows.get("s")
+        ):
+            # [g_a | g_s] is a prefix of [g_a | g_s | g_b]: read it as a
+            # view.  (Under a graph the view's adjoint would need a
+            # full-width gradient buffer, so recording concatenates.)
+            state_a = state_s[:, : self.in_task]
+        else:
+            state_a = state("a")
+        states = {"a": state_a, "s": state_s, "b": state_b}
+        rows_in = lambda span: states[next(iter(banks))].shape[0]
+        slots = self._bank_slots(banks, bank_rows, rows_in)
+        bank_a = self.experts_a(state_a, out=slots.get("a")) if "a" in banks else None
+        bank_b = self.experts_b(state_b, out=slots.get("b")) if "b" in banks else None
+        bank_s = self.experts_s(state_s, out=slots.get("s")) if "s" in banks else None
 
         def at(t, bank, gate):
             return _view(t, bank_rows.get(bank), gate_rows.get(gate))
@@ -313,21 +354,22 @@ class MTLLayer(Module):
         blocks_task = [self._entity_blocks(v, j, folds_task) for j in range(3)]
         blocks_shared = [self._entity_blocks(v, j, folds_shared) for j in range(3)]
 
-        def per_pair(project, blocks, span):
+        def per_pair(project, blocks, span, out=None):
             """Partial-project each entity table, then gather-add per request."""
-            user_pos, item_pos, part_pos = positions(span)
-            return (
-                take_rows(project(e_u, blocks[0]), user_pos)
-                + take_rows(project(e_i, blocks[1]), item_pos)
-                + take_rows(project(e_p, blocks[2]), part_pos)
-            )
+            tables = [project(x, block) for x, block in zip((e_u, e_i, e_p), blocks)]
+            return gather_add(tables, positions(span), out=out)
 
-        def live_pair(name, project, blocks, spans):
+        def live_pair(name, project, blocks, spans, out=None):
             """``per_pair`` over ``spans[name]``; ``None`` when not live."""
-            return per_pair(project, blocks, spans[name]) if name in spans else None
+            return per_pair(project, blocks, spans[name], out) if name in spans else None
 
-        bank_a = live_pair("a", self.experts_a.project_blocks, blocks_task, bank_rows)
-        bank_b = live_pair("b", self.experts_b.project_blocks, blocks_task, bank_rows)
+        slots = self._bank_slots(banks, bank_rows, lambda span: len(positions(span)[0]))
+        bank_a = live_pair(
+            "a", self.experts_a.project_blocks, blocks_task, bank_rows, slots.get("a")
+        )
+        bank_b = live_pair(
+            "b", self.experts_b.project_blocks, blocks_task, bank_rows, slots.get("b")
+        )
         logits_a = live_pair(
             "a", self.gate_a.generic.attention.project_blocks, blocks_task, gate_rows
         )
@@ -337,7 +379,9 @@ class MTLLayer(Module):
         la, lb = adj_logits if adj_logits is not None else (None, None)
         bank_s = logits_s = None
         if self.shared:
-            bank_s = live_pair("s", self.experts_s.project_blocks, blocks_shared, bank_rows)
+            bank_s = live_pair(
+                "s", self.experts_s.project_blocks, blocks_shared, bank_rows, slots.get("s")
+            )
             logits_s = live_pair(
                 "s", self.gate_s.attention.project_blocks, blocks_shared, gate_rows
             )

@@ -38,14 +38,12 @@ request compiled into a :class:`repro.plan.ScoringPlan` — repeated
 rebuilds the full score matrix.  The baselines score flat chunks of
 (instance × candidate) rows: their near-free scorers lose more to the
 plan build than they save.  Duplicate requests receive bit-equal scores
-on both paths, so ties (and therefore metrics) are unaffected.  Planned
-calls run on the executor the model's own ``executor`` attribute
-selects (``docs/backends.md``).
+on both paths, so ties (and therefore metrics) are unaffected.
 
 Both tasks compile their plans first, and then all their windows run
 window-parallel on one work queue (:mod:`repro.eval.windows`): the
-calling thread plus one pool thread per extra CPU, each on its own
-fused workspace.  The window grid and each window's operands are the
+calling thread plus one pool thread per extra CPU, each scoring into
+its own thread's output pool.  The window grid and each window's operands are the
 serial loop's, so scores and metrics are bit-identical for any number
 of CPUs.
 

@@ -11,9 +11,7 @@ threads, where ``W`` is the number of CPUs this process may run on.
   reduction therefore sees the operands it sees serially, and scores
   are bit-identical for any ``W``.
 * **Scopes.** Each participant runs under the caller's ``no_grad``,
-  ``dtype_scope`` and ``backend_scope``, and inside
-  :func:`repro.executor.worker_slot` with its own slot number, so a
-  model hands it a private :class:`repro.executor.FusedWorkspace`.
+  ``dtype_scope`` and ``backend_scope``.
 * **No deadlock.** The caller claims windows itself, so a run finishes
   even when every pool thread is busy (a saturated pool, or a run
   started from inside another run's window); it is only slower.
@@ -33,7 +31,6 @@ import queue
 import threading
 from typing import Callable, List, Optional, Sequence
 
-from repro.executor import worker_slot
 from repro.nn.backend import backend_scope, get_backend
 from repro.nn.tensor import dtype_scope, get_default_dtype, is_grad_enabled, no_grad
 
@@ -65,13 +62,7 @@ class _Job:
         self.error: Optional[BaseException] = None
         self._next = 0
         self._running = 0
-        self._slots = 0
         self._cond = threading.Condition()
-
-    def take_slot(self) -> int:
-        with self._cond:
-            self._slots += 1
-            return self._slots
 
     def _claim(self) -> Optional[int]:
         with self._cond:
@@ -90,11 +81,10 @@ class _Job:
             if self._running == 0:
                 self._cond.notify_all()
 
-    def drain(self, slot: int) -> None:
-        """Claim and run windows until none are left, as ``slot``."""
+    def drain(self) -> None:
+        """Claim and run windows until none are left."""
         grad = contextlib.nullcontext() if self.grad else no_grad()
-        with grad, dtype_scope(self.dtype), backend_scope(self.backend), \
-                worker_slot(slot):
+        with grad, dtype_scope(self.dtype), backend_scope(self.backend):
             while True:
                 index = self._claim()
                 if index is None:
@@ -125,7 +115,7 @@ class _Pool:
     def _loop(self, tickets: "queue.SimpleQueue[_Job]") -> None:
         while True:
             job = tickets.get()
-            job.drain(job.take_slot())
+            job.drain()
 
     def submit(self, job: _Job, helpers: int) -> None:
         """Ask ``helpers`` pool threads to join ``job``."""
@@ -165,7 +155,7 @@ def run_windows(windows: Sequence[Callable[[], None]]) -> None:
     job = _Job(windows)
     _POOL.submit(job, participants - 1)
     try:
-        job.drain(0)
+        job.drain()
         job.wait()
     finally:
         job.windows = ()  # late pool threads find nothing; free the closures

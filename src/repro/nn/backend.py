@@ -99,7 +99,7 @@ PRIMITIVES = (
 
 
 class ArrayBackend:
-    """The primitive contract the tape and the fused executor rely on.
+    """The primitive contract the tape relies on.
 
     Semantics are NumPy's exactly — a conforming backend must be
     bit-identical to :class:`NumpyBackend` at float64 (the conformance

@@ -159,10 +159,9 @@ class Linear(Module):
     def folded_blocks_raw(self, blocks: Tuple[Tuple[int, int], ...]) -> np.ndarray:
         """The cached fold values as a raw array (no graph node).
 
-        Shares the version-keyed cache with :meth:`folded_blocks`; the
-        fused no-tape executor reads folds through this accessor so both
-        executors see the identical cached array (a prerequisite for the
-        float64 bit-parity guarantee).  Callers must not mutate the
+        Shares the version-keyed cache with :meth:`folded_blocks`, so
+        every planned call in a step (and every evaluation window) reads
+        the identical cached array.  Callers must not mutate the
         returned array.
         """
         weight = self.weight

@@ -101,6 +101,7 @@ __all__ = [
     "concat",
     "stack",
     "take_rows",
+    "gather_add",
     "scatter_rows_sum",
     "scatter_cache_stats",
     "clear_scatter_cache",
@@ -954,6 +955,48 @@ def take_rows(source: Tensor, index: ArrayLike) -> Tensor:
             )
 
     return Tensor._make(value, (source,), backward)
+
+
+def gather_add(sources: Sequence[Tensor], indices: Sequence[np.ndarray], out=None) -> Tensor:
+    """``sources[0][indices[0]] + sources[1][indices[1]] + ...`` as one node.
+
+    The gathers are summed left to right into a single buffer, so the
+    value is bit-identical to chaining :func:`take_rows` and ``+``
+    without allocating a fresh array per gather and per add.  ``out``
+    optionally names the array to write the sum into (a slot range of a
+    combined expert-bank buffer, see :class:`repro.core.mtl.MTLLayer`);
+    it must have the result's shape and the default dtype.  The adjoint
+    scatter-adds the one incoming gradient into every source.
+
+    ``indices`` must hold in-range rows — the position maps of a
+    :class:`repro.plan.ScoringPlan`, which index the unique entity rows
+    the plan gathered (bounds-checked) upstream; the gathers here skip
+    the bounds check.
+    """
+    b = _B_STATE.backend
+    indices = [np.asarray(index, dtype=np.int64) for index in indices]
+    first = sources[0].data
+    n = len(indices[0])
+    shape = (n,) + first.shape[1:]
+    dtype = _STATE.default_dtype
+    if out is None:
+        out = b.empty(shape, dtype=dtype)
+    b.take(first, indices[0], out=out)
+    if len(sources) > 1:
+        part = b.empty(shape, dtype=dtype)
+        for source, index in zip(sources[1:], indices[1:]):
+            b.take(source.data, index, out=part)
+            b.add(out, part, out=out)
+
+    def backward(g: np.ndarray) -> None:
+        for source, index in zip(sources, indices):
+            if source.requires_grad:
+                source._accumulate(
+                    _scatter_rows_add(index, g, source.data.shape[0], source.data.dtype),
+                    owned=True,
+                )
+
+    return Tensor._make(out, tuple(sources), backward)
 
 
 def scatter_rows_sum(rows: Tensor, index: ArrayLike, n_rows: int) -> Tensor:

@@ -270,10 +270,9 @@ class ScoringCore:
             "failed_flushes": 0,
             "flat_rows": 0,
             "unique_pairs": 0,
-            # Per-flush executor accounting: how many planned model calls
-            # ran fused vs on the tape (see docs/backends.md).  Stays
-            # zero for models without executor counters.
-            "fused_calls": 0,
+            # Planned model calls the flushes made (the model's
+            # ``tape_calls`` counter).  Stays zero for models without
+            # program counters.
             "tape_calls": 0,
         }
 
@@ -397,22 +396,21 @@ class ScoringCore:
         return None
 
     def _executor_snapshot(self) -> Optional[Dict[str, int]]:
-        """The model's executor counters before a flush (delta baseline)."""
+        """The model's program counters before a flush (delta baseline)."""
         snapshot = getattr(self.model, "executor_stats", None)
         return snapshot() if snapshot is not None else None
 
     def _note_executor_calls(self, before: Optional[Dict[str, int]]) -> None:
-        """Fold one flush's fused/tape call deltas into ``self.stats``.
+        """Fold one flush's planned-call delta into ``self.stats``.
 
-        The model's workspace counters are lifetime totals shared with
-        every other caller (eval, direct scoring), so the flush accounts
-        only for its own delta.
+        The model's counters are lifetime totals shared with every other
+        caller (eval, direct scoring), so the flush accounts only for
+        its own delta.
         """
         if before is None:
             return
         after = self.model.executor_stats()
-        for key in ("fused_calls", "tape_calls"):
-            self.stats[key] += after[key] - before[key]
+        self.stats["tape_calls"] += after["tape_calls"] - before["tape_calls"]
 
     def _fail_tickets(self, tickets: List[PendingScores], exc: BaseException) -> None:
         for ticket in tickets:

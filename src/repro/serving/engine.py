@@ -110,10 +110,6 @@ class ServingEngine:
         via a registered fallback model; served tickets carry
         ``degraded=True``.
 
-    Planned calls run on the executor each model's own ``executor``
-    attribute selects (``docs/backends.md``); the engine never changes
-    it.
-
     The flush thread runs under the array backend of the thread that
     called :meth:`start` (captured once per start), so an enclosing
     ``backend_scope`` — e.g. a :class:`repro.nn.CountingBackend` audit —

@@ -59,8 +59,7 @@ class MultiWorkerEngine:
         forwarded to every per-worker
         :class:`repro.serving.engine.ServingEngine` (budgets are per
         worker).  Every worker inherits the array backend of the thread
-        calling :meth:`start`, and each replica serves on the executor
-        its own ``executor`` attribute selects.
+        calling :meth:`start`.
     degradation: ``None``, one shared fallback-free
         :class:`repro.serving.degrade.DegradationPolicy`, or a sequence
         of per-worker policies (required when policies carry fallback
@@ -264,7 +263,7 @@ class MultiWorkerEngine:
             "submitted": 0, "served": 0, "flushes": 0, "pending_rows": 0,
             "accepted": 0, "rejected": 0, "shed": 0, "aborted": 0,
             "degraded": 0, "requests": 0, "flat_rows": 0, "unique_pairs": 0,
-            "fused_calls": 0, "tape_calls": 0,
+            "tape_calls": 0,
         }
         for snap in workers:
             engine_stats, overload, batcher = (
@@ -276,8 +275,7 @@ class MultiWorkerEngine:
             aggregate["pending_rows"] += sum(engine_stats["pending_rows"].values())
             for key in ("accepted", "rejected", "shed", "aborted", "degraded"):
                 aggregate[key] += overload[key]
-            for key in ("requests", "flat_rows", "unique_pairs",
-                        "fused_calls", "tape_calls"):
+            for key in ("requests", "flat_rows", "unique_pairs", "tape_calls"):
                 aggregate[key] += batcher[key]
         aggregate["degraded_active_workers"] = sum(
             1 for snap in workers if snap["overload"]["degraded_active"]

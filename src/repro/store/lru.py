@@ -28,8 +28,8 @@ Correctness contract
   ``gather_quantized``), the cache holds the *quantised* rows (int8
   codes + per-row scale/zero, or fp16 rows) instead of float copies, so
   the same cache RAM covers ~4× (int8) / ~2× (fp16) the hot set.  A hit
-  dequantises straight into the output block — the buffer the fused
-  executor adopts — with no intermediate float allocation, and is
+  dequantises straight into the output block — the buffer planned
+  scoring adopts — with no intermediate float allocation, and is
   bit-identical to an inner-store miss gather (single shared codec).
 * **Threads** — cache mutations and the hit/miss counters share the
   store's lock, so the serving engine's scorer thread and any stats
@@ -168,7 +168,7 @@ class LRUCachedStore(EmbeddingStore):
         block = np.empty((len(unique), self.dim), dtype=get_default_dtype())
         if self._quantized:
             # Dequantise each payload straight into its output row — the
-            # block the fused executor adopts; no intermediate float
+            # block planned scoring adopts; no intermediate float
             # allocation, bit-identical to a bulk inner gather.
             for pos, i in enumerate(unique.tolist()):
                 q, scale, zero = found[i]

@@ -14,13 +14,12 @@ no pickling of row data, ever:
   into its slice of the shared result arena** — row bytes cross the
   process boundary exactly once, in the worker's copy;
 * under ``no_grad`` the returned tensor *is* a view of that arena, so
-  the fused executor (:mod:`repro.executor`) consumes gathered rows
-  with zero re-copies (the copy-audit test pins this down).
+  planned scoring consumes gathered rows with zero re-copies (the
+  copy-audit test pins this down).
 
 Result-arena recycling contract
 -------------------------------
-Like :class:`repro.executor.FusedWorkspace` buffers, ``no_grad`` gather
-results live in a recycled arena: a result stays valid while the
+``no_grad`` gather results live in a recycled arena: a result stays valid while the
 returned array object is alive, and in any case for the next 7 store
 operations (the allocator refuses to overwrite a live result or any of
 the last 8 allocations in place — it grows a fresh segment instead and
@@ -29,7 +28,7 @@ the last 8 allocations in place — it grows a fresh segment instead and
 concurrent readers safe: window-parallel evaluation threads gather
 while other threads still compute on their rows.  Callers that keep
 rows only through a derived view (a slice of the result) must copy
-them — every in-repo consumer (the fused planned flush, the chunked
+them — every in-repo consumer (the planned scoring call, the chunked
 eval protocol, the LRU row cache) finishes with or copies the rows
 within one call.  Grad-enabled gathers always return a
 private copy: autograd graphs outlive arbitrarily many forwards.
@@ -1037,7 +1036,7 @@ class ProcessShardedStore(EmbeddingStore):
         — when the bump cursor would land on one, the arena grows into a
         fresh segment instead (retiring the old one keeps outstanding
         views valid).  This is what makes the zero-copy ``no_grad``
-        views safe for the fused executor's multi-role gathers.
+        views safe for planned scoring's multi-role gathers.
         """
         if n > self._cap:
             self._grow_arena(n)
@@ -1151,7 +1150,7 @@ class ProcessShardedStore(EmbeddingStore):
         self._record_gather(n, len(pieces), max_rows)
         if not grad:
             # Identity results are views of the shared result arena —
-            # the zero-copy hand-off the fused executor consumes (see
+            # the zero-copy hand-off planned scoring consumes (see
             # the recycling contract in the module docstring).
             return Tensor(result)
 

@@ -1,15 +1,16 @@
-"""The fused no-tape executor: bit-parity, fallbacks, buffer reuse.
+"""The planned scoring program: golden scores, returned scores, serving.
 
-The contract under test (see ``docs/backends.md``): with
-``model.executor = "fused"`` every planned scoring call at float64 is
-**bit-identical** to the tape — for the MGBR expert/gate stack and the
-dot-product baselines, dense or sharded stores, via direct plan calls,
-the evaluation protocol and the serving engines — while gradient
-recording and unsupported model configurations transparently fall back
-to the tape (counted, never wrong).  The model attribute is the only
-switch: the protocol and the engines run whatever it selects and never
-change it.  Every MGBR ablation variant and every baseline is checked
-fused-vs-tape on both tasks, so no model's tape path goes unexercised.
+Every planned scoring call runs one program on the autograd tape.
+Under test:
+
+* at float64 every MGBR ablation variant, every baseline and the small
+  MGBR / GBMF profiles (dense and process-sharded tables) score the
+  fixed plans of ``tests/golden_scores.py`` to the stored goldens byte
+  for byte, and each call counts one ``tape_calls``;
+* returned scores and cross-call caches stay put across later calls,
+  a dtype switch leaves no stale state, and out-of-range ids raise;
+* the serving engines return the direct planned scores and count the
+  planned calls each flush made.
 """
 
 import numpy as np
@@ -20,40 +21,12 @@ from repro.cli import build_model
 from repro.core import MGBR, MGBRConfig
 from repro.core.variants import VARIANTS
 from repro.eval.protocol import EvalProtocol
-from repro.executor import VALID_EXECUTORS, resolve_executor
-from repro.nn import is_grad_enabled, no_grad
+from repro.nn import no_grad
 from repro.nn.tensor import dtype_scope
 from repro.plan import ScoringPlan
-from repro.serving.degrade import DegradationPolicy
 from repro.serving.engine import ServingEngine
 from repro.serving.multi import MultiWorkerEngine
-
-
-# ----------------------------------------------------------------------
-# Knob resolution
-# ----------------------------------------------------------------------
-class TestResolveExecutor:
-    def test_valid_modes(self):
-        assert resolve_executor("fused") == "fused"
-        assert resolve_executor("tape") == "tape"
-
-    def test_invalid_mode_raises(self):
-        with pytest.raises(ValueError):
-            resolve_executor("jit")
-
-    def test_grad_forces_tape(self):
-        assert resolve_executor("fused", grad_enabled=True) == "tape"
-        assert resolve_executor("tape", grad_enabled=True) == "tape"
-
-    def test_model_knob_validates(self, tiny_dataset):
-        assert VALID_EXECUTORS == ("fused", "tape")
-        model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=4, seed=0)
-        assert model.executor == "fused"
-        for bad in ("jit", "auto"):
-            with pytest.raises(ValueError):
-                model.executor = bad
-        model.executor = "tape"
-        assert model.executor == "tape"
+from tests import golden_scores as golden
 
 
 # ----------------------------------------------------------------------
@@ -83,217 +56,80 @@ def _plans(rng, dataset):
     )
 
 
-def _both_executors(model, plan, task):
-    """Score ``plan`` fused then on the tape; return both vectors.
-
-    Runs under ``no_grad`` — with recording on, resolution would force
-    the tape regardless of the knob (tested separately below).
-    """
-    scorer = (
-        model.score_item_plan if task == "items" else model.score_participant_plan
-    )
-    with no_grad():
-        model.executor = "fused"
-        fused = scorer(plan)
-        model.executor = "tape"
-        tape = scorer(plan)
-    model.executor = "fused"
-    return fused, tape
+def _assert_golden(model, dataset, case, task):
+    """``model`` scores the golden plan of ``task`` to the stored bytes,
+    in one counted planned call."""
+    before = model.executor_stats()["tape_calls"]
+    scores = golden.score(model, golden.plans(dataset)[task], task)
+    want = golden.expected(case, task)
+    assert scores.dtype == want.dtype == np.float64
+    assert scores.tobytes() == want.tobytes()
+    assert model.executor_stats()["tape_calls"] == before + 1
 
 
-#: The six baselines; each scores plans through the base class's
-#: dot-product mirror unless it overrides a scoring hook.
-BASELINES = ("DeepMF", "DiffNet", "EATNN", "GBGCN", "GBMF", "NGCF")
-
-#: (model, task) pairs whose scoring hook is overridden, so the fused
-#: attempt falls back to the tape: EATNN scores Task B on its social view.
-OVERRIDDEN_HOOKS = {("EATNN", "participants")}
+BASELINES = golden.BASELINES
 
 
 # ----------------------------------------------------------------------
-# Bit parity at float64
+# Golden scores at float64
 # ----------------------------------------------------------------------
 class TestBitParity:
     @pytest.mark.parametrize("shards", [0, 2])
     @pytest.mark.parametrize("task", ["items", "participants"])
-    def test_mgbr_plan_parity(self, tiny_dataset, rng, shards, task, closing):
+    def test_mgbr_plan_parity(self, tiny_dataset, shards, task, closing):
         model = closing(_mgbr(tiny_dataset, shards=shards))
-        plan_items, plan_triples = _plans(rng, tiny_dataset)
-        plan = plan_items if task == "items" else plan_triples
-        fused, tape = _both_executors(model, plan, task)
-        np.testing.assert_array_equal(fused, tape)
-        stats = model.executor_stats()
-        assert stats["fused_calls"] == 1 and stats["tape_calls"] == 1
-        assert stats["fallbacks"] == 0
+        _assert_golden(model, tiny_dataset, "mgbr-small", task)
 
     @pytest.mark.parametrize("shards", [0, 3])
     @pytest.mark.parametrize("task", ["items", "participants"])
-    def test_gbmf_plan_parity(self, tiny_dataset, rng, shards, task, closing):
+    def test_gbmf_plan_parity(self, tiny_dataset, shards, task, closing):
         model = closing(_gbmf(tiny_dataset, shards=shards))
-        plan_items, plan_triples = _plans(rng, tiny_dataset)
-        plan = plan_items if task == "items" else plan_triples
-        fused, tape = _both_executors(model, plan, task)
-        np.testing.assert_array_equal(fused, tape)
-        assert model.executor_stats()["fallbacks"] == 0
+        _assert_golden(model, tiny_dataset, "gbmf", task)
 
     @pytest.mark.parametrize("task", ["items", "participants"])
     @pytest.mark.parametrize("name", sorted(VARIANTS))
-    def test_variant_plan_parity(self, tiny_dataset, rng, name, task):
-        """Every ablation variant runs fused, bit-identical to its tape."""
+    def test_variant_plan_parity(self, tiny_dataset, name, task):
+        """Every ablation variant scores its goldens bit for bit."""
         model = build_model(name, tiny_dataset, dim=8, seed=3)
-        plan = _plans(rng, tiny_dataset)[task == "participants"]
-        fused, tape = _both_executors(model, plan, task)
-        assert fused.dtype == tape.dtype == np.float64
-        assert fused.tobytes() == tape.tobytes()
-        stats = model.executor_stats()
-        assert stats["fused_calls"] == 1 and stats["tape_calls"] == 1
-        assert stats["fallbacks"] == 0
+        _assert_golden(model, tiny_dataset, f"model/{name}", task)
 
     @pytest.mark.parametrize("task", ["items", "participants"])
     @pytest.mark.parametrize("name", BASELINES)
-    def test_baseline_plan_parity(self, tiny_dataset, rng, name, task):
-        """Each baseline's plan scorer: fused equals tape bit for bit,
-        and an overridden hook is a counted fallback, never a wrong score."""
+    def test_baseline_plan_parity(self, tiny_dataset, name, task):
+        """Each baseline's plan scorer (EATNN's own Task-B hook included)."""
         model = build_model(name, tiny_dataset, dim=8, seed=3)
-        plan = _plans(rng, tiny_dataset)[task == "participants"]
-        fused, tape = _both_executors(model, plan, task)
-        assert fused.dtype == tape.dtype == np.float64
-        assert fused.tobytes() == tape.tobytes()
-        fell_back = (name, task) in OVERRIDDEN_HOOKS
-        stats = model.executor_stats()
-        assert stats["fallbacks"] == int(fell_back)
-        assert stats["fused_calls"] == int(not fell_back)
-        assert stats["tape_calls"] == 1 + int(fell_back)
+        _assert_golden(model, tiny_dataset, f"model/{name}", task)
 
-    @pytest.mark.parametrize("build", [_mgbr, _gbmf])
-    def test_eval_metrics_executor_invariant(self, tiny_dataset, build):
-        model = build(tiny_dataset)
-        protocol = EvalProtocol(
-            dataset=tiny_dataset, n_negatives=5, cutoff=5, max_instances=40
-        )
-        results = {}
-        for executor in ("fused", "tape"):
-            model.executor = executor
-            results[executor] = protocol.run(model).flat()
-            assert model.executor == executor  # run() left the knob alone
-        assert results["fused"] == results["tape"]
-
-    @pytest.mark.parametrize("executor", ["fused", "tape"])
-    def test_eval_runs_on_the_model_executor(self, tiny_dataset, executor):
+    def test_float32_scope_stays_close(self, tiny_dataset):
         model = _mgbr(tiny_dataset)
-        model.executor = executor
-        protocol = EvalProtocol(
-            dataset=tiny_dataset, n_negatives=5, cutoff=5, max_instances=40
-        )
-        before = model.executor_stats()
-        protocol.run(model)
-        after = model.executor_stats()
-        ran = after[f"{executor}_calls"] - before[f"{executor}_calls"]
-        other = "tape" if executor == "fused" else "fused"
-        assert ran > 0
-        assert after[f"{other}_calls"] == before[f"{other}_calls"]
-        assert after["fallbacks"] == before["fallbacks"]
-
-    def test_float32_scope_stays_close(self, tiny_dataset, rng):
-        model = _mgbr(tiny_dataset)
-        plan, _ = _plans(rng, tiny_dataset)
-        with no_grad(), dtype_scope("float32"):
-            fused, tape = _both_executors(model, plan, "items")
+        plan = golden.plans(tiny_dataset)["items"]
+        with dtype_scope("float32"):
+            scores = golden.score(model, plan, "items")
         model.invalidate_cache()
-        np.testing.assert_allclose(fused, tape, rtol=1e-5, atol=1e-6)
-
-
-# ----------------------------------------------------------------------
-# Fallback paths
-# ----------------------------------------------------------------------
-class TestFallbacks:
-    def test_grad_recording_routes_to_tape(self, tiny_dataset, rng):
-        model = _mgbr(tiny_dataset)
-        model.executor = "fused"
-        plan, _ = _plans(rng, tiny_dataset)
-        assert is_grad_enabled()  # tests run with recording on by default
-        model.score_item_plan(plan)
-        stats = model.executor_stats()
-        assert stats["fused_calls"] == 0
-        assert stats["tape_calls"] == 1
-        assert stats["fallbacks"] == 0  # resolution, not a mirror gap
-
-    def test_overridden_hook_counts_fallback(self, tiny_dataset, rng):
-        class CustomMGBR(MGBR):
-            def _score_item_plan(self, emb, plan):
-                return super()._score_item_plan(emb, plan)
-
-        config = MGBRConfig.small(d=8, n_experts=2, mtl_layers=2)
-        model = CustomMGBR(
-            tiny_dataset.train, tiny_dataset.n_users, tiny_dataset.n_items,
-            config=config, seed=3,
+        np.testing.assert_allclose(
+            scores, golden.expected("mgbr-small", "items"), rtol=1e-5, atol=1e-6
         )
-        model.executor = "fused"
-        plan, triples = _plans(rng, tiny_dataset)
-        with no_grad():
-            fused_attempt = model.score_item_plan(plan)
-            stats = model.executor_stats()
-            assert stats["fallbacks"] == 1 and stats["tape_calls"] == 1
-            # The untouched participant hook still runs fused.
-            model.score_participant_plan(triples)
-            assert model.executor_stats()["fused_calls"] == 1
-            # And the fallback's scores equal the reference model's tape run.
-            reference = _mgbr(tiny_dataset)
-            reference.executor = "tape"
-            np.testing.assert_array_equal(
-                fused_attempt, reference.score_item_plan(plan)
-            )
-
-    def test_overridden_baseline_hook_counts_fallback(self, tiny_dataset, rng):
-        class CustomGBMF(GBMF):
-            def score_items_from(self, emb, users, items, **kwargs):
-                return super().score_items_from(emb, users, items, **kwargs)
-
-        model = CustomGBMF(tiny_dataset.n_users, tiny_dataset.n_items,
-                           dim=8, seed=3)
-        model.executor = "fused"
-        plan, _ = _plans(rng, tiny_dataset)
-        with no_grad():
-            model.score_item_plan(plan)
-        stats = model.executor_stats()
-        assert stats["fallbacks"] == 1 and stats["fused_calls"] == 0
 
 
 # ----------------------------------------------------------------------
-# Buffer reuse
+# Returned scores and cross-call state
 # ----------------------------------------------------------------------
 class TestWorkspaceReuse:
-    def test_repeat_flushes_hit_buffers(self, tiny_dataset, rng):
+    def test_dtype_switch_invalidates(self, tiny_dataset):
+        """A float32 call between two float64 calls leaves no stale
+        state behind: the float64 scores still match the goldens."""
         model = _mgbr(tiny_dataset)
-        model.executor = "fused"
-        plan, _ = _plans(rng, tiny_dataset)
-        with no_grad():
-            model.score_item_plan(plan)
-            first = model.executor_stats()
-            assert first["buffer_misses"] > 0 and first["buffer_hits"] == 0
-            model.score_item_plan(plan)
-            second = model.executor_stats()
-        # Same plan shape → the whole pool is reused, no new allocations.
-        assert second["buffer_misses"] == first["buffer_misses"]
-        assert second["buffer_hits"] == first["buffer_misses"]
-        assert second["invalidations"] == 0
-
-    def test_dtype_switch_invalidates(self, tiny_dataset, rng):
-        model = _mgbr(tiny_dataset)
-        model.executor = "fused"
-        plan, _ = _plans(rng, tiny_dataset)
-        with no_grad():
-            model.score_item_plan(plan)
-            with dtype_scope("float32"):
-                model.score_item_plan(plan)
+        plan = golden.plans(tiny_dataset)["items"]
+        want = golden.expected("mgbr-small", "items").tobytes()
+        assert golden.score(model, plan, "items").tobytes() == want
+        with dtype_scope("float32"):
+            assert golden.score(model, plan, "items").tobytes() != want
         model.invalidate_cache()
-        assert model.executor_stats()["invalidations"] >= 1
+        assert golden.score(model, plan, "items").tobytes() == want
 
     def test_results_detached_from_workspace(self, tiny_dataset, rng):
-        # Two flushes reuse the same buffers; the first result must not
-        # be overwritten by the second (scores are copied out).
+        # The first result must not be overwritten by a later call.
         model = _mgbr(tiny_dataset)
-        model.executor = "fused"
         plan, _ = _plans(rng, tiny_dataset)
         with no_grad():
             first = model.score_item_plan(plan)
@@ -303,63 +139,96 @@ class TestWorkspaceReuse:
             model.score_item_plan(ScoringPlan.from_item_pairs(users, items))
         np.testing.assert_array_equal(first, snapshot)
 
+    @pytest.mark.parametrize("build", [_mgbr, _gbmf])
+    def test_out_of_range_ids_raise_and_results_stay_put(self, tiny_dataset, build):
+        """Entity gathers stay bounds-checked (no silent clipping), and
+        returned scores never alias buffers a later call writes."""
+        model = build(tiny_dataset)
+        n_u, n_i = tiny_dataset.n_users, tiny_dataset.n_items
+        users, items = np.array([0, 1, 2]), np.array([[0, 1], [1, 2], [2, 0]])
+        with no_grad():
+            with pytest.raises(IndexError):
+                model.score_items_matrix(users, np.array([[0, n_i], [1, 2], [2, 0]]))
+            with pytest.raises(IndexError):
+                model.score_items_matrix(np.array([0, n_u, 2]), items)
+            with pytest.raises(IndexError):
+                # n_users itself is the planned mean-participant sentinel.
+                model.score_participants_matrix(
+                    users, np.array([0, 1, 2]), np.array([[0, n_u + 1], [1, 2], [2, 0]])
+                )
+            with pytest.raises(IndexError):
+                model.score_item_plan(ScoringPlan.from_item_pairs([0, 1], [1, n_i]))
+            first = model.score_item_plan(ScoringPlan.from_item_pairs([0, 1, 2], [0, 1, 2]))
+            second = model.score_item_plan(ScoringPlan.from_item_pairs([3, 4, 5], [2, 1, 0]))
+            kept = first.copy(), second.copy()
+            model.score_item_plan(ScoringPlan.from_item_pairs([6, 7, 8], [1, 2, 0]))
+        np.testing.assert_array_equal(first, kept[0])
+        np.testing.assert_array_equal(second, kept[1])
+
+    def test_cross_call_caches_survive_repeat_runs(self, tiny_dataset):
+        """The lazily built mean-participant row outlives the call that
+        builds it: later calls must never overwrite it, and repeated
+        scoring and evaluation runs agree exactly."""
+        model = _mgbr(tiny_dataset)
+        users = np.arange(6)
+        cands = np.arange(12).reshape(6, 2) % tiny_dataset.n_items
+        with no_grad():
+            model.refresh_cache()
+            bundle = model._bundle()
+            first = model.score_items_matrix(users, cands)
+            mean = bundle.mean_participant().data.copy()
+            second = model.score_items_matrix(users, cands)
+            assert model._bundle() is bundle
+            assert bundle.mean_participant().data.tobytes() == mean.tobytes()
+        np.testing.assert_array_equal(first, second)
+        protocol = EvalProtocol(
+            dataset=tiny_dataset, n_negatives=5, cutoff=5, max_instances=40
+        )
+        assert protocol.run(model).flat() == protocol.run(model).flat()
+
 
 # ----------------------------------------------------------------------
 # Serving integration
 # ----------------------------------------------------------------------
+def _direct(model, user, items=None, item=None, participants=None):
+    with no_grad():
+        if participants is None:
+            plan = ScoringPlan.from_item_pairs([user] * len(items), items)
+            return plan.scatter(model.score_item_plan(plan))
+        n = len(participants)
+        plan = ScoringPlan.from_triples([user] * n, [item] * n, participants)
+        return plan.scatter(model.score_participant_plan(plan))
+
+
 class TestServingExecutor:
-    def _serve(self, model, executor):
-        model.executor = executor
+    def test_served_scores_bit_identical(self, tiny_dataset):
+        model = _mgbr(tiny_dataset)
         with ServingEngine(model, max_delay_ms=1.0) as engine:
             a = engine.score_items(3, [0, 1, 2, 5], timeout=5.0)
             b = engine.score_participants(3, 1, [4, 5, 6], timeout=5.0)
             stats = engine.stats()
-        return a, b, stats
-
-    def test_served_scores_bit_identical(self, tiny_dataset):
-        fused_a, fused_b, fused_stats = self._serve(_mgbr(tiny_dataset), "fused")
-        tape_a, tape_b, tape_stats = self._serve(_mgbr(tiny_dataset), "tape")
-        np.testing.assert_array_equal(fused_a, tape_a)
-        np.testing.assert_array_equal(fused_b, tape_b)
-        assert fused_stats["batcher"]["fused_calls"] == 2
-        assert fused_stats["batcher"]["tape_calls"] == 0
-        assert tape_stats["batcher"]["fused_calls"] == 0
-        assert tape_stats["batcher"]["tape_calls"] == 2
-
-    def test_engines_leave_model_executor_alone(self, tiny_dataset):
-        modes = ("tape", "fused")
-        models = [_mgbr(tiny_dataset) for _ in modes]
-        for model, mode in zip(models, modes):
-            model.executor = mode
-        fallback = _gbmf(tiny_dataset)
-        fallback.executor = "tape"
-        ServingEngine(
-            models[0],
-            degradation=DegradationPolicy(watermark_rows=64, fallback_model=fallback),
+        reference = _mgbr(tiny_dataset)
+        np.testing.assert_array_equal(a, _direct(reference, 3, items=[0, 1, 2, 5]))
+        np.testing.assert_array_equal(
+            b, _direct(reference, 3, item=1, participants=[4, 5, 6])
         )
-        MultiWorkerEngine(models)
-        assert [model.executor for model in models] == list(modes)
-        assert fallback.executor == "tape"
+        assert stats["batcher"]["tape_calls"] == 2
 
     def test_multi_worker_parity_and_aggregation(self, tiny_dataset):
-        def replicas(executor):
-            models = [_mgbr(tiny_dataset, seed=3) for _ in range(2)]
-            for model in models:
-                model.executor = executor
-            return models
-
-        scores = {}
-        for executor in ("fused", "tape"):
-            with MultiWorkerEngine(replicas(executor), max_delay_ms=1.0) as engine:
-                scores[executor] = [
-                    engine.score_items(0, [0, 1, 2], timeout=5.0),
-                    engine.score_items(1, [0, 1, 2], timeout=5.0),
-                    engine.score_participants(1, 0, [2, 3], timeout=5.0),
-                ]
-                aggregate = engine.stats()["aggregate"]
-            key = f"{executor}_calls"
-            assert aggregate[key] >= 3
-            other = "tape_calls" if executor == "fused" else "fused_calls"
-            assert aggregate[other] == 0
-        for fused, tape in zip(scores["fused"], scores["tape"]):
-            np.testing.assert_array_equal(fused, tape)
+        models = [_mgbr(tiny_dataset, seed=3) for _ in range(2)]
+        with MultiWorkerEngine(models, max_delay_ms=1.0) as engine:
+            scores = [
+                engine.score_items(0, [0, 1, 2], timeout=5.0),
+                engine.score_items(1, [0, 1, 2], timeout=5.0),
+                engine.score_participants(1, 0, [2, 3], timeout=5.0),
+            ]
+            aggregate = engine.stats()["aggregate"]
+        assert aggregate["tape_calls"] >= 3
+        reference = _mgbr(tiny_dataset, seed=3)
+        expected = [
+            _direct(reference, 0, items=[0, 1, 2]),
+            _direct(reference, 1, items=[0, 1, 2]),
+            _direct(reference, 1, item=0, participants=[2, 3]),
+        ]
+        for got, want in zip(scores, expected):
+            np.testing.assert_array_equal(got, want)

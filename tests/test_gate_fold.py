@@ -8,17 +8,13 @@ formula at a tolerance; ``α = 0`` (no fold) and the list-of-banks mix
 adjoint are exact.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from repro.core import MGBR, MGBRConfig
 from repro.core.gates import GateAttention, SharedGate, TaskGate
 from repro.nn import functional as F
-from repro.nn import no_grad
 from repro.nn.tensor import Tensor, concat
-from repro.plan import ScoringPlan
+from tests import golden_scores as golden
 from tests.test_live_rows import CASES, _close, _two_steps
 
 N, K, D, STATE, PAIR = 7, 3, 4, 10, 8
@@ -194,30 +190,14 @@ def test_planned_step_matches_unfolded_step(tiny_dataset, monkeypatch, case):
 
 
 # ----------------------------------------------------------------------
-# The fused mirror folds like the tape (raw attention weights too)
+# Raw (unsoftmaxed) attention weights fold too
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("task", ["items", "participants"])
 def test_fused_fold_bit_parity_without_softmax(tiny_dataset, shared, task):
-    config = dataclasses.replace(
-        MGBRConfig.small(d=8, seed=3), gate_softmax=False, use_shared_experts=shared
-    )
-    model = MGBR(tiny_dataset.train, tiny_dataset.n_users, tiny_dataset.n_items, config=config)
-    rng = np.random.default_rng(5)
-    users = rng.integers(0, tiny_dataset.n_users, size=60)
-    items = rng.integers(0, tiny_dataset.n_items, size=60)
-    if task == "items":
-        plan, scorer = ScoringPlan.from_item_pairs(users, items), model.score_item_plan
-    else:
-        parts = rng.integers(0, tiny_dataset.n_users, size=60)
-        plan = ScoringPlan.from_triples(users, items, parts)
-        scorer = model.score_participant_plan
-    scores = {}
-    with no_grad():
-        for executor in ("tape", "fused"):
-            model.executor = executor
-            before = model.executor_stats()["fused_calls"]
-            scores[executor] = scorer(plan)
-            ran_fused = model.executor_stats()["fused_calls"] > before
-            assert ran_fused == (executor == "fused")
-    assert scores["fused"].tobytes() == scores["tape"].tobytes()
+    """With ``gate_softmax=False`` the folded gates score the stored
+    goldens bit for bit."""
+    model = golden.CASES[f"raw-gates/{'shared' if shared else 'solo'}"](tiny_dataset)
+    scores = golden.score(model, golden.plans(tiny_dataset)[task], task)
+    want = golden.expected(f"raw-gates/{'shared' if shared else 'solo'}", task)
+    assert scores.tobytes() == want.tobytes()

@@ -5,11 +5,16 @@ computes the gates and expert banks that tower reaches
 (:meth:`repro.core.mtl.MultiTaskModule.live_outputs`).  Every surviving
 op is the same primitive on the same operands, so the contract under
 test is exact: each single-head score equals the matching head of the
-full two-tower program bit for bit at float64, on both executors and
+full two-tower program bit for bit at float64, and the stored goldens,
 across the stack's configurations, and a pruned training step is
 byte-identical to an unpruned one.
+
+Single-head calls run both ways the program runs: ``fused`` without a
+graph (the path evaluation and serving take) and ``tape`` recording
+one (as training does).
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -21,17 +26,15 @@ from repro.nn import CountingBackend, backend_scope, no_grad
 from repro.nn.tensor import dtype_scope
 from repro.plan import ScoringPlan
 from repro.training import TrainConfig, Trainer
+from tests import golden_scores as golden
 
 _BASE = MGBRConfig.small(d=8, seed=3)  # the small profile: K = 3, L = 2
 
-CONFIGS = {
-    "default": {},
-    "no-shared": {"use_shared_experts": False},
-    "no-adjusted": {"use_adjusted_gates": False},
-    "layers-1": {"mtl_layers": 1},
-    "layers-3": {"mtl_layers": 3},
-    "compact": {"first_layer_compact": True},
-}
+CONFIGS = golden.LIVE_CONFIGS
+
+#: How a single-head call runs: ``fused`` under ``no_grad``, ``tape``
+#: recording a graph.
+MODES = {"fused": no_grad, "tape": contextlib.nullcontext}
 
 
 def _config(name, **extra):
@@ -57,20 +60,16 @@ def _plan(dataset, task):
     return ScoringPlan.from_triples(users, items, participants)
 
 
-def _single(model, plan, task, executor):
-    """One head scored alone on ``executor``."""
+def _single(model, plan, task, mode):
+    """One head scored alone, run as ``mode`` names (:data:`MODES`)."""
     scorer = model.score_item_plan if task == "items" else model.score_participant_plan
-    with no_grad():
-        model.executor = executor
-        try:
-            return scorer(plan)
-        finally:
-            model.executor = "fused"
+    with MODES[mode]():
+        return scorer(plan)
 
 
-def _single_and_joint(model, plan, task, executor):
-    """One head scored alone on ``executor``, and the joint program's."""
-    single = _single(model, plan, task, executor)
+def _single_and_joint(model, plan, task, mode):
+    """One head scored alone in ``mode``, and the joint program's."""
+    single = _single(model, plan, task, mode)
     with no_grad():
         logits_a, logits_b = model.planned_joint_logits(model._bundle(), plan)
     joint = (logits_a if task == "items" else logits_b).data
@@ -138,35 +137,35 @@ def test_dead_outputs_are_none(tiny_dataset, models):
 # ----------------------------------------------------------------------
 # Single head == the joint program's head, bit for bit
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("executor", ["fused", "tape"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("task", ["items", "participants"])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_single_head_matches_joint(tiny_dataset, models, name, task, executor):
+def test_single_head_matches_joint(tiny_dataset, models, name, task, mode):
     model = models[name]
-    single, joint = _single_and_joint(model, _plan(tiny_dataset, task), task, executor)
+    single, joint = _single_and_joint(model, _plan(tiny_dataset, task), task, mode)
     assert np.array_equal(single, joint)
 
 
 @pytest.mark.parametrize("task", ["items", "participants"])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_fused_matches_tape(tiny_dataset, models, name, task):
+    """Both ways of running a single head score the stored goldens."""
     model = models[name]
-    plan = _plan(tiny_dataset, task)
-    fused, _ = _single_and_joint(model, plan, task, "fused")
-    tape, _ = _single_and_joint(model, plan, task, "tape")
-    assert np.array_equal(fused, tape)
-    assert model.executor_stats()["fallbacks"] == 0
+    plan = golden.plans(tiny_dataset)[task]
+    want = golden.expected(f"live/{name}", task).tobytes()
+    for mode in MODES:
+        assert _single(model, plan, task, mode).tobytes() == want
 
 
-@pytest.mark.parametrize("executor", ["fused", "tape"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("task", ["items", "participants"])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_single_head_float32_close(tiny_dataset, models, name, task, executor):
+def test_single_head_float32_close(tiny_dataset, models, name, task, mode):
     model = models[name]
     plan = _plan(tiny_dataset, task)
     model.invalidate_cache()
     with dtype_scope("float32"):
-        single, joint = _single_and_joint(model, plan, task, executor)
+        single, joint = _single_and_joint(model, plan, task, mode)
     model.invalidate_cache()
     np.testing.assert_allclose(single, joint, rtol=1e-5, atol=1e-5)
 
@@ -175,24 +174,24 @@ def _everything_live(self, heads):
     return [layer.outputs for layer in self._layers]
 
 
-def _matmuls(model, plan, task, executor):
+def _matmuls(model, plan, task, mode):
     counting = CountingBackend()
     with backend_scope(counting):
-        _single(model, plan, task, executor)
+        _single(model, plan, task, mode)
     return counting.counts.get("matmul", 0)
 
 
-@pytest.mark.parametrize("executor", ["fused", "tape"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("task", ["items", "participants"])
 @pytest.mark.parametrize("name", ["default", "no-shared"])
 def test_single_head_skips_dead_work(tiny_dataset, models, monkeypatch, name, task,
-                                     executor):
+                                     mode):
     model = models[name]
     plan = _plan(tiny_dataset, task)
-    pruned = _matmuls(model, plan, task, executor)
+    pruned = _matmuls(model, plan, task, mode)
     with monkeypatch.context() as patch:
         patch.setattr(MultiTaskModule, "live_outputs", _everything_live)
-        full = _matmuls(model, plan, task, executor)
+        full = _matmuls(model, plan, task, mode)
     assert pruned < full
 
 

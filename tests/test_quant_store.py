@@ -324,7 +324,7 @@ class TestLRUStacking:
 
     def test_warm_hit_path_is_allocation_free(self):
         """A warm planned gather dequantises payload rows straight into
-        the output block the fused executor adopts: the counting backend
+        the output block the planned scoring path adopts: the counting backend
         sees zero coercion copies."""
         qs = make_store(_table(rows=60, dim=32, seed=2), quantize="int8")
         lru = LRUCachedStore(qs, capacity=64)

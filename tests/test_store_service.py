@@ -7,8 +7,8 @@ Covers the PR's acceptance criteria end to end:
   identical, because gathers move exact rows and every worker-side
   update mirrors the dense per-row math op for op.
 * **Zero-copy adoption** — the planned ``no_grad`` gather hands the
-  fused executor a view of the shared result arena (CountingBackend
-  audit: no redundant copy between the shm buffer and the workspace).
+  scoring program a view of the shared result arena (CountingBackend
+  audit: no redundant copy between the shm buffer and the scorer).
 * **Fault isolation** — a dead worker resolves only the affected
   task's tickets with :class:`repro.serving.errors.ShardUnavailable`;
   co-batched tasks keep scoring (the PR-6 contract).
@@ -307,8 +307,8 @@ class TestModelParity:
 class TestCopyAudit:
     def test_planned_gather_adopts_arena_view(self):
         """``no_grad`` gathers return a view of the shm result arena —
-        no copy sits between the workers' writes and the fused
-        executor's reads."""
+        no copy sits between the workers' writes and the planned
+        scorer's reads."""
         values = _table()
         with ProcessShardedStore(values.copy(), 3) as store:
             ids = np.sort(np.random.default_rng(2).permutation(67)[:24])
@@ -320,7 +320,7 @@ class TestCopyAudit:
             np.testing.assert_array_equal(out.data, values[ids])
 
     def test_planned_hot_path_copy_free_through_model(self, tiny_dataset):
-        """GBMF's fused planned scoring over service tables: the only
+        """GBMF's planned scoring over service tables: the only
         copies are the ones the dense layout also makes (none on the
         float64 gather path)."""
         model = _gbmf(tiny_dataset, n_shards=2)

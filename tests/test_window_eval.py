@@ -1,15 +1,13 @@
 """Window-parallel planned evaluation (``repro.eval.windows``).
 
 ``EvalProtocol.run`` puts both tasks' unique-pair windows on one work
-queue drained by the calling thread plus pool threads, one fused
-workspace per worker slot.  Under test:
+queue drained by the calling thread plus pool threads.  Under test:
 
 * scores and metrics are bit-identical for widths 1, 2 and 4 across
-  executors, dtypes and store layouts (baselines evaluate flat on the
-  calling thread, so GBMF's case pins that the flat path ignores the
-  width);
-* per-run counters are width-invariant: ``executor_stats()`` merges
-  every slot's workspace and ``CountingBackend`` tallies are exact;
+  dtypes and store layouts (baselines evaluate flat on the calling
+  thread, so GBMF's case pins that the flat path ignores the width);
+* per-run counters are width-invariant: ``executor_stats()`` counts
+  every window's call and ``CountingBackend`` tallies are exact;
 * the lazily built model caches are safe under concurrent readers;
 * a failing window surfaces from ``run()`` and leaves the runner usable.
 
@@ -31,7 +29,6 @@ from repro.baselines.gbmf import GBMF
 from repro.core import MGBR, MGBRConfig
 from repro.core.experts import ExpertBank
 from repro.eval import EvalProtocol, windows
-from repro.executor import worker_slot
 from repro.nn import (
     CountingBackend,
     backend_scope,
@@ -46,11 +43,9 @@ from repro.store.lru import cache_hot_rows
 WIDTHS = (1, 2, 4)
 
 
-def _mgbr(dataset, seed=3, executor="fused", **layout):
+def _mgbr(dataset, seed=3, **layout):
     config = MGBRConfig.small(d=8, n_experts=2, mtl_layers=2, seed=seed, **layout)
-    model = MGBR(dataset.train, dataset.n_users, dataset.n_items, config=config)
-    model.executor = executor
-    return model
+    return MGBR(dataset.train, dataset.n_users, dataset.n_items, config=config)
 
 
 def _protocol(dataset, **kwargs):
@@ -102,11 +97,10 @@ def _assert_width_invariant(protocol, model, monkeypatch):
 
 
 class TestParity:
-    @pytest.mark.parametrize("executor", ["fused", "tape"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_mgbr(self, tiny_dataset, monkeypatch, executor, dtype):
+    def test_mgbr(self, tiny_dataset, monkeypatch, dtype):
         protocol = _protocol(tiny_dataset, dtype=dtype)
-        model = _mgbr(tiny_dataset, executor=executor)
+        model = _mgbr(tiny_dataset)
         _assert_width_invariant(protocol, model, monkeypatch)
 
     def test_gbmf(self, tiny_dataset, monkeypatch):
@@ -146,43 +140,21 @@ class TestParity:
 
 class TestCounters:
     @pytest.mark.parametrize("width", WIDTHS)
-    def test_fused_calls_per_run_equal_windows(self, tiny_dataset, monkeypatch, width):
+    def test_planned_calls_per_run_equal_windows(self, tiny_dataset, monkeypatch, width):
         monkeypatch.setattr(windows, "_WIDTH", width)
-        model = _mgbr(tiny_dataset, executor="fused")
+        model = _mgbr(tiny_dataset)
         protocol = _protocol(tiny_dataset)
-        protocol.run(model)  # warm: candidate lists, folds, worker slots
-        before = model.executor_stats()
+        protocol.run(model)  # warm: candidate lists, folds
+        before = model.executor_stats()["tape_calls"]
         protocol.run(model)
-        after = model.executor_stats()
-        delta = {key: after[key] - before[key] for key in after}
-        assert delta["fused_calls"] == _n_windows(protocol)
-        assert delta["tape_calls"] == delta["fallbacks"] == 0
-        assert delta["invalidations"] == 0
-
-    def test_buffer_requests_width_invariant(self, tiny_dataset, monkeypatch):
-        requests = {}
-        for width in WIDTHS:
-            monkeypatch.setattr(windows, "_WIDTH", width)
-            model = _mgbr(tiny_dataset, executor="fused")
-            protocol = _protocol(tiny_dataset)
-            before = model.executor_stats()
-            protocol.run(model)
-            after = model.executor_stats()
-            requests[width] = sum(
-                after[key] - before[key] for key in ("buffer_hits", "buffer_misses")
-            )
-        assert requests[2] == requests[4] == requests[1] > 0
+        assert model.executor_stats()["tape_calls"] - before == _n_windows(protocol)
 
     def test_counting_backend_exact_across_widths(self, tiny_dataset, monkeypatch):
         model = _mgbr(tiny_dataset)
         protocol = _protocol(tiny_dataset)
-        # Build the fold caches and size both slots' buffers for every
-        # window outside the measured runs: which windows a slot sees
-        # depends on scheduling, and so would its buffer growth.
+        # Build the fold caches outside the measured runs.
         monkeypatch.setattr(windows, "_WIDTH", 1)
-        for slot in (0, 1):
-            with worker_slot(slot):
-                protocol.run(model)
+        protocol.run(model)
         tallies = {}
         for width in (1, 2):
             monkeypatch.setattr(windows, "_WIDTH", width)
