@@ -57,15 +57,18 @@ class ExpertBank(Module):
         """Apply every expert to ``gate_state`` → ``(batch, K, d)``.
 
         ``gate_state`` is the concatenation the relevant equation calls
-        for (A/B: two gates; S: three gates).  Each expert's product is
-        written straight into its ``[:, k, :]`` slot of one buffer —
-        ``out`` when given (a slot range of the layer's combined bank
-        buffer, in the default dtype), else a fresh one — so there is no
-        per-expert result and no stack copy.  Per-expert GEMMs, not one
-        stacked GEMM: BLAS re-association would change the bits.  The
-        adjoint runs the experts last to first, each adding its
-        ``g[:, k] Wₖᵀ`` into the state's gradient and ``stateᵀ g[:, k]``
-        into its weight, the order the per-expert graph ran them in.
+        for (A/B: two gates; S: three gates).  The bank is one GEMM
+        ``x @ [W_1|…|W_K]`` written straight into ``out`` — a slot range
+        of the layer's combined bank buffer, in the default dtype, or a
+        fresh buffer — through its ``(batch, K·d)`` view, so there is no
+        per-expert result and no stack copy.  Each output column is the
+        same dot product as in a per-expert GEMM, so the value keeps the
+        per-expert bits (``tests/golden_scores.npz`` guards this per BLAS
+        build).  The column-stacked weight comes from the version-keyed
+        fold cache.  The adjoint stays per expert, last to first: each
+        adds its ``g[:, k] Wₖᵀ`` into the state's gradient and
+        ``stateᵀ g[:, k]`` into its weight, the order the per-expert
+        graph ran them in; a stacked dX would re-associate its sum.
         """
         if gate_state.shape[-1] != self.in_dim:
             raise ValueError(
@@ -74,12 +77,12 @@ class ExpertBank(Module):
         b = get_backend()
         x = gate_state.data
         weights = [expert.weight for expert in self._experts]
+        n, width = x.shape[0], self.n_experts * self.out_dim
         if out is None:
-            out = b.empty(
-                (x.shape[0], self.n_experts, self.out_dim), dtype=get_default_dtype()
-            )
-        for k, weight in enumerate(weights):
-            b.matmul(x, weight.data, out=out[:, k, :])
+            out = b.empty((n, self.n_experts, self.out_dim), dtype=get_default_dtype())
+        flat = b.reshape(out, (n, width))
+        assert flat.base is (out if out.base is None else out.base), "slot must reshape to a view"
+        b.matmul(x, self.stacked_folds_raw(((0, self.in_dim),)), out=flat)
 
         def backward(g: np.ndarray) -> None:
             b = get_backend()

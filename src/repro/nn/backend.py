@@ -253,9 +253,14 @@ class NumpyBackend(ArrayBackend):
         The ``out=`` form assumes **in-range** indices (the planned path
         validates ids at request admission): ``mode="clip"`` skips
         NumPy's bounds-checked buffered gather — about 3x faster — and
-        is bit-identical to ``a[index]`` for valid indices.
+        is bit-identical to ``a[index]`` for valid indices.  ``out`` must
+        be C-contiguous: for a strided target NumPy gathers into a
+        full-size temporary and copies it back, so that raises
+        ``ValueError`` instead of silently paying the extra pass.
         """
         if out is not None:
+            if not out.flags.c_contiguous:
+                raise ValueError("take(out=) needs a C-contiguous target")
             return a.take(index, axis=0, out=out, mode="clip")
         return a[index]
 

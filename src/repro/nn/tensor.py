@@ -960,13 +960,17 @@ def take_rows(source: Tensor, index: ArrayLike) -> Tensor:
 def gather_add(sources: Sequence[Tensor], indices: Sequence[np.ndarray], out=None) -> Tensor:
     """``sources[0][indices[0]] + sources[1][indices[1]] + ...`` as one node.
 
-    The gathers are summed left to right into a single buffer, so the
+    The gathers are summed left to right, ``((s0 + s1) + s2)``, so the
     value is bit-identical to chaining :func:`take_rows` and ``+``
     without allocating a fresh array per gather and per add.  ``out``
     optionally names the array to write the sum into (a slot range of a
     combined expert-bank buffer, see :class:`repro.core.mtl.MTLLayer`);
-    it must have the result's shape and the default dtype.  The adjoint
-    scatter-adds the one incoming gradient into every source.
+    it must have the result's shape and the default dtype.  A strided
+    ``out`` is never a ``take`` target (NumPy would gather into a
+    full-size temporary and copy it back): the sum accumulates in a
+    contiguous scratch buffer and the last ``add`` writes the slot.  At
+    most two n-row scratch buffers are live.  The adjoint scatter-adds
+    the one incoming gradient into every source.
 
     ``indices`` must hold in-range rows — the position maps of a
     :class:`repro.plan.ScoringPlan`, which index the unique entity rows
@@ -981,12 +985,16 @@ def gather_add(sources: Sequence[Tensor], indices: Sequence[np.ndarray], out=Non
     dtype = _STATE.default_dtype
     if out is None:
         out = b.empty(shape, dtype=dtype)
-    b.take(first, indices[0], out=out)
+    acc = out if out.flags.c_contiguous else b.empty(shape, dtype=dtype)
+    b.take(first, indices[0], out=acc)
     if len(sources) > 1:
         part = b.empty(shape, dtype=dtype)
-        for source, index in zip(sources[1:], indices[1:]):
-            b.take(source.data, index, out=part)
-            b.add(out, part, out=out)
+        last = len(sources) - 1
+        for k in range(1, len(sources)):
+            b.take(sources[k].data, indices[k], out=part)
+            b.add(acc, part, out=out if k == last else acc)
+    elif acc is not out:
+        out[...] = acc
 
     def backward(g: np.ndarray) -> None:
         for source, index in zip(sources, indices):

@@ -83,6 +83,17 @@ class TestCountingSemantics:
         counting.ensure_contiguous(a[:, ::2])    # strided view: one copy
         assert counting.copies == 1
 
+    def test_take_rejects_strided_out(self, counting):
+        # A strided target would make NumPy gather into a full-size
+        # temporary and copy it back; the backend refuses it.
+        a = np.arange(12, dtype=np.float64).reshape(6, 2)
+        index = np.array([5, 0, 0, 3])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            counting.take(a, index, out=np.empty((4, 4))[:, :2])
+        out = np.empty((4, 2))
+        assert counting.take(a, index, out=out) is out
+        np.testing.assert_array_equal(out, a[index])
+
     def test_reset_zeroes_counters(self, counting):
         counting.asarray(np.ones(2), np.float32)
         counting.matmul(np.ones((2, 2)), np.ones((2, 2)))

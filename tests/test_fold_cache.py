@@ -1,10 +1,14 @@
 """Fused weight-block folds and their parameter-versioned cache.
 
-Two ROADMAP "Planned-step follow-ons" under test:
+Under test:
 
 * :meth:`repro.core.experts.ExpertBank.project_blocks` computes the
   whole bank with one stacked matmul (parity against the per-expert
   loop it replaced);
+* :meth:`repro.core.experts.ExpertBank.forward` runs one GEMM over the
+  cached ``[W_1|…|W_K]``, byte-equal to the per-expert GEMMs, into a
+  strided bank slot too, and rebuilds the stacked weight after every
+  weight change;
 * fold weights are cached across a step's planned calls and invalidated
   by the parameter-version bumps every in-place mutation site performs
   (``optimizer.step``, ``load_state_dict``) — the regression suite
@@ -20,6 +24,7 @@ import pytest
 from repro.core.experts import ExpertBank
 from repro.nn.layers import Linear
 from repro.nn.optim import SGD, Adam
+from repro.nn.gradcheck import gradcheck
 from repro.nn.tensor import no_grad, stack, tensor
 
 
@@ -175,3 +180,59 @@ class TestLinearFoldCache:
         assert layer.weight.version > v0
         layer.load_state_dict(layer.state_dict())
         assert layer.weight.version > v0 + 1
+
+
+class TestStackedBankForward:
+    """``ExpertBank.forward``: one GEMM over the cached ``[W_1|…|W_K]``."""
+
+    @staticmethod
+    def _per_expert(bank, x):
+        return np.stack([x @ expert.weight.data for expert in bank._experts], axis=1)
+
+    @pytest.mark.parametrize("shape", [(5, 6, 3, 4), (257, 96, 32, 3), (64, 48, 16, 6)])
+    def test_value_byte_equal_to_per_expert_loop(self, shape):
+        n, in_dim, d, k = shape
+        bank = ExpertBank(in_dim, d, k, seed=1)
+        x = np.random.default_rng(5).normal(size=(n, in_dim))
+        expected = self._per_expert(bank, x).tobytes()
+        with no_grad():
+            assert bank(tensor(x)).data.tobytes() == expected
+            # Into a strided slot range of a wider [a|s|b] buffer.
+            buf = np.full((n, 3 * k, d), -1.0)
+            out = bank(tensor(x), out=buf[:, k : 2 * k, :])
+        assert out.data.base is buf
+        assert np.ascontiguousarray(buf[:, k : 2 * k]).tobytes() == expected
+        assert np.all(buf[:, :k] == -1.0) and np.all(buf[:, 2 * k :] == -1.0)
+
+    @pytest.mark.parametrize("slot", [False, True])
+    def test_gradcheck(self, slot):
+        bank = _bank(in_dim=5, out_dim=3, n_experts=3, seed=2)
+        x = tensor(np.random.default_rng(6).normal(size=(4, 5)), requires_grad=True)
+        weights = [expert.weight for expert in bank._experts]
+
+        def fn(x, *ws):
+            # gradcheck perturbs weights in place; bump like any other
+            # in-place mutation site so the stacked cache sees it.
+            for w in ws:
+                w.bump_version()
+            out = np.zeros((4, 9, 3))[:, 3:6, :] if slot else None
+            return bank(x, out=out)
+
+        assert gradcheck(fn, [x, *weights])
+
+    def test_rebuilt_after_optimizer_step(self):
+        bank = _bank(seed=3)
+        x = tensor(np.random.default_rng(7).normal(size=(5, 6)))
+        bank(x).sum().backward()
+        Adam([bank._experts[2].weight], lr=0.5).step()
+        assert bank(x).data.tobytes() == self._per_expert(bank, x.data).tobytes()
+
+    def test_rebuilt_after_load_state_dict(self):
+        bank = _bank(seed=4)
+        x = tensor(np.random.default_rng(8).normal(size=(5, 6)))
+        with no_grad():
+            before = np.array(bank(x).data)
+            bank.load_state_dict(_bank(seed=99).state_dict())
+            after = bank(x).data
+        assert after.tobytes() == self._per_expert(bank, x.data).tobytes()
+        assert not np.array_equal(before, after)

@@ -24,6 +24,7 @@ from repro.nn import (
     tensor,
     zeros,
 )
+from repro.nn.tensor import gather_add
 
 
 @pytest.fixture(autouse=True, params=available_backends())
@@ -349,3 +350,74 @@ class TestGatherScatter:
         gathered = source[idx]
         gathered.backward(np.ones(len(idx)))
         np.testing.assert_allclose(source.grad, [3.0, 1.0, 0.0, 2.0, 0.0])
+
+
+class TestGatherAdd:
+    """``gather_add``: the layer-0 per-pair sum of gathered partials."""
+
+    N, K, D = 48, 3, 4
+
+    def _case(self, rng, n_sources, rows=7):
+        sources = [_t(rng, rows, self.K, self.D) for _ in range(n_sources)]
+        # More pairs than rows, so every index repeats.
+        indices = [rng.integers(0, rows, size=self.N) for _ in range(n_sources)]
+        return sources, indices
+
+    @staticmethod
+    def _chained(sources, indices):
+        total = take_rows(sources[0], indices[0])
+        for source, index in zip(sources[1:], indices[1:]):
+            total = total + take_rows(source, index)
+        return total.data
+
+    @pytest.mark.parametrize("n_sources", [1, 2, 3])
+    def test_value_matches_chained_take_rows(self, rng, n_sources):
+        sources, indices = self._case(rng, n_sources)
+        out = gather_add(sources, indices)
+        assert out.shape == (self.N, self.K, self.D)
+        assert out.data.tobytes() == self._chained(sources, indices).tobytes()
+
+    @pytest.mark.parametrize("n_sources", [1, 2, 3])
+    def test_strided_slot_target_is_byte_equal(self, rng, n_sources):
+        sources, indices = self._case(rng, n_sources)
+        buf = np.full((self.N, 9, self.D), 7.5)
+        slot = buf[:, 3:6, :]
+        assert not slot.flags.c_contiguous
+        out = gather_add(sources, indices, out=slot)
+        assert out.data is slot
+        expected = self._chained(sources, indices)
+        assert np.ascontiguousarray(slot).tobytes() == expected.tobytes()
+        # Nothing outside the slot range moved.
+        assert np.all(buf[:, :3] == 7.5) and np.all(buf[:, 6:] == 7.5)
+
+    @pytest.mark.parametrize("slot", [False, True])
+    @pytest.mark.parametrize("n_sources", [1, 2, 3])
+    def test_gradcheck_every_source(self, rng, n_sources, slot):
+        sources, indices = self._case(rng, n_sources, rows=4)
+        indices = [index[:6] for index in indices]
+
+        def fn(*srcs):
+            out = np.zeros((6, 9, self.D))[:, 3:6, :] if slot else None
+            return gather_add(srcs, indices, out=out)
+
+        assert gradcheck(fn, sources)
+
+    def test_slot_target_peak_is_two_scratch_buffers(self, rng):
+        import tracemalloc
+
+        n, rows = 2048, 64
+        sources = [_t(rng, rows, self.K, 16) for _ in range(3)]
+        indices = [rng.integers(0, rows, size=n) for _ in range(3)]
+        buf = np.zeros((n, 9, 16))
+        slot = buf[:, 3:6, :]
+        scratch = n * self.K * 16 * buf.itemsize
+        # The ``add`` into the strided slot may use the ufunc's fixed
+        # buffer; it does not grow with n.
+        slack = np.getbufsize() * buf.itemsize + 16 * 1024
+        tracemalloc.start()
+        try:
+            gather_add(sources, indices, out=slot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * scratch + slack, f"peak {peak} B > two {scratch} B buffers"
