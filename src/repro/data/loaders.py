@@ -9,7 +9,7 @@ and run every experiment in this repository on real data:
     <initiator_id> \t <item_id> \t <participant_id>,<participant_id>,...
 
 One deal group per line; the participant list may be empty (a launched
-group nobody joined).  Ids are arbitrary non-negative integers and are
+group nobody joined).  Ids are non-negative integers below 2**63 and are
 remapped to contiguous ranges on load.  :func:`load_groups_txt` applies
 the same Sec. III-A2 preprocessing (min-interaction filter, 7:3:1 group
 split) as the synthetic pipeline, so downstream code sees an identical

@@ -5,12 +5,26 @@ purchase records … then removed each group including the filtered users
 (no matter initiator or participant)".  Removing groups can push other
 users below the threshold, so the filter iterates to a fixed point.
 After filtering, user/item ids are remapped to contiguous ranges.
+
+The filter runs in array rounds, not per-group Python passes.  The
+groups are flattened once into a member array (each group's initiator,
+then its participants) and a parallel group-id array.  Each round
+``bincount``s the members of the surviving groups, flags the users with
+``0 < count < min_interactions`` and drops every group with a flagged
+member; ``FilterStats.rounds`` counts the last round, which flags
+nobody.  Ids are then remapped in order of first appearance (group by
+group, initiator before participants).  The dict-based filter in
+``tests/reference_data.py`` is the oracle: ``tests/test_data_oracle.py``
+checks both return equal data, maps and stats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.data.schema import DealGroup
 
@@ -45,13 +59,46 @@ class FilterStats:
     groups_removed: int
 
 
-def _interaction_counts(groups: Sequence[DealGroup]) -> Dict[int, int]:
-    counts: Dict[int, int] = {}
-    for g in groups:
-        counts[g.initiator] = counts.get(g.initiator, 0) + 1
-        for p in g.participants:
-            counts[p] = counts.get(p, 0) + 1
-    return counts
+def _flatten(groups: Sequence[DealGroup]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Members (each group's initiator, then its participants), member counts and items."""
+    n = len(groups)
+    sizes = np.fromiter((1 + len(g.participants) for g in groups), np.int64, n)
+    members = np.fromiter(
+        chain.from_iterable(g.members() for g in groups), np.int64, int(sizes.sum())
+    )
+    items = np.fromiter((g.item for g in groups), np.int64, n)
+    return members, sizes, items
+
+
+def _first_appearance(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``ids`` in order of first appearance, and each id's rank there."""
+    distinct, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return distinct[order], rank[inverse]
+
+
+def _remap(
+    members: np.ndarray, sizes: np.ndarray, items: np.ndarray
+) -> Tuple[List[DealGroup], Dict[int, int], Dict[int, int]]:
+    users, member_ids = _first_appearance(members)
+    item_keys, item_ids = _first_appearance(items)
+    flat = member_ids.tolist()
+    out: List[DealGroup] = []
+    start = 0
+    for size, item in zip(sizes.tolist(), item_ids.tolist()):
+        out.append(
+            DealGroup(
+                initiator=flat[start],
+                item=item,
+                participants=tuple(flat[start + 1:start + size]),
+            )
+        )
+        start += size
+    user_map = dict(zip(users.tolist(), range(users.size)))
+    item_map = dict(zip(item_keys.tolist(), range(item_keys.size)))
+    return out, user_map, item_map
 
 
 def filter_min_interactions(
@@ -74,29 +121,26 @@ def filter_min_interactions(
     (FilteredData, FilterStats)
         Remapped surviving data plus removal statistics.
     """
-    current: List[DealGroup] = list(groups)
+    members, sizes, items = _flatten(groups)
+    users, member_users = np.unique(members, return_inverse=True)
+    member_group = np.repeat(np.arange(sizes.size), sizes)
+    alive = np.ones(sizes.size, dtype=bool)
     rounds = 0
-    removed_users: set = set()
     while True:
         rounds += 1
-        counts = _interaction_counts(current)
-        bad = {u for u, c in counts.items() if c < min_interactions}
-        if not bad:
+        counts = np.bincount(member_users[alive[member_group]], minlength=users.size)
+        bad = (counts > 0) & (counts < min_interactions)
+        if not bad.any():
             break
-        removed_users |= bad
-        current = [
-            g
-            for g in current
-            if g.initiator not in bad and not any(p in bad for p in g.participants)
-        ]
-        if not current:
+        alive[member_group[bad[member_users]]] = False
+        if not alive.any():
             break
-    remapped, user_map, item_map = remap_ids(current)
+    remapped, user_map, item_map = _remap(members[alive[member_group]], sizes[alive], items[alive])
     stats = FilterStats(
         rounds=rounds,
         users_removed=n_users - len(user_map),
         items_removed=n_items - len(item_map),
-        groups_removed=len(groups) - len(current),
+        groups_removed=len(groups) - len(remapped),
     )
     data = FilteredData(
         groups=remapped,
@@ -116,25 +160,4 @@ def remap_ids(
     Embedding tables are sized by max id, so gaps left by filtering would
     waste parameters and distort the Table V parameter counts.
     """
-    user_map: Dict[int, int] = {}
-    item_map: Dict[int, int] = {}
-
-    def uid(u: int) -> int:
-        if u not in user_map:
-            user_map[u] = len(user_map)
-        return user_map[u]
-
-    def iid(i: int) -> int:
-        if i not in item_map:
-            item_map[i] = len(item_map)
-        return item_map[i]
-
-    out = [
-        DealGroup(
-            initiator=uid(g.initiator),
-            item=iid(g.item),
-            participants=tuple(uid(p) for p in g.participants),
-        )
-        for g in groups
-    ]
-    return out, user_map, item_map
+    return _remap(*_flatten(groups))

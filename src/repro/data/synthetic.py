@@ -26,6 +26,30 @@ preferences, social co-group structure, popularity skew, role asymmetry)
 is present, relative model orderings — the thing our experiments
 reproduce — are preserved; absolute metric values of course differ from
 the Beibei numbers.
+
+**Speed without moving a bit.**  :func:`generate_groups` returns exactly
+the groups, and leaves the RNG in exactly the state, of a plain loop that
+calls ``Generator.choice`` for every draw and rebuilds every distribution
+per group.  Within one call it builds each distribution once instead:
+
+* the initiator-activity CDF;
+* each initiator's launch CDF over all items (when ``n_items <=
+  candidate_pool``; a sampled pool is drawn, scored and normalised per
+  group as before);
+* each item's join column ``item_weight * affinity(all users, item)``
+  and each community's ``social_weight * same-community`` column.
+
+A group's join scores are the two columns with the initiator's entry cut
+out; candidate ``j`` is user ``j``, or ``j + 1`` past the initiator.
+Every float operation keeps its operands and order, so the probabilities
+are bit-equal, and :func:`_choice_without_replacement` replays
+``Generator.choice``'s sampling loop and its ``ValueError`` checks on
+them.  The cached arrays live for one call only and stop growing at
+:data:`_CACHE_BYTES` (64 MiB); past it they are rebuilt per group, which
+changes the speed but not the output.  ``tests/test_data_oracle.py``
+holds this contract against the plain loop in
+``tests/reference_data.py``, over a grid of configs and seeds, with the
+default budget and with a budget of zero.
 """
 
 from __future__ import annotations
@@ -78,9 +102,11 @@ class SyntheticConfig:
     min_interactions: Sec. III-A2 filter — users with fewer total
         purchase records are removed along with their groups.
     split_ratios: train/validation/test ratio (paper: 7:3:1).
-    candidate_pool: softmax over all items is exact below this count;
-        above it, item choice uses a sampled candidate pool of this size
-        to keep generation O(n_groups · pool).
+    candidate_pool: softmax over all items is exact up to this count;
+        above it, the launch step draws its item from a sampled candidate
+        pool of this size, O(pool) per group.  The pool bounds only the
+        launch: the join step still scores every user, O(n_users) per
+        group.
     """
 
     n_users: int = 600
@@ -110,11 +136,12 @@ class SyntheticConfig:
         check_positive("max_group_size", self.max_group_size)
         check_positive("mean_group_size", self.mean_group_size)
         check_positive("affinity_temperature", self.affinity_temperature)
-        if self.social_weight < 0:
-            raise ValueError(f"social_weight must be >= 0, got {self.social_weight}")
-        if self.item_weight < 0:
-            raise ValueError(f"item_weight must be >= 0, got {self.item_weight}")
-        if self.join_temperature is not None and self.join_temperature <= 0:
+        check_positive("candidate_pool", self.candidate_pool)
+        for name in ("social_weight", "item_weight"):
+            weight = getattr(self, name)
+            if not (np.isfinite(weight) and weight >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {weight}")
+        if self.join_temperature is not None and not self.join_temperature > 0:
             raise ValueError(
                 f"join_temperature must be positive, got {self.join_temperature}"
             )
@@ -190,7 +217,7 @@ def _sample_group_size(config: SyntheticConfig, rng: np.random.Generator) -> int
     """Truncated geometric group size in ``[1, max_group_size]``."""
     p = 1.0 / max(config.mean_group_size, 1.0)
     size = int(rng.geometric(p))
-    return int(np.clip(size, 1, config.max_group_size))
+    return int(min(max(size, 1), config.max_group_size))
 
 
 def _softmax(scores: np.ndarray, temperature: float) -> np.ndarray:
@@ -198,6 +225,80 @@ def _softmax(scores: np.ndarray, temperature: float) -> np.ndarray:
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
+
+
+#: Bytes :func:`generate_groups` may hold in launch CDFs and join/social
+#: columns during one call; past it, those arrays are rebuilt per group.
+_CACHE_BYTES = 64 << 20
+
+#: ``Generator.choice``'s tolerance on ``sum(p) - 1`` for float64 ``p``.
+_SUM_ATOL = np.sqrt(np.finfo(np.float64).eps)
+
+
+def _check_probabilities(p: np.ndarray) -> None:
+    """Raise the ``ValueError`` ``Generator.choice`` raises for a bad ``p``."""
+    total = p.sum()
+    if np.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _SUM_ATOL:
+        raise ValueError("Probabilities do not sum to 1")
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The normalised CDF ``Generator.choice(a, p=p)`` searches for one draw."""
+    _check_probabilities(p)
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """One draw from :func:`_cdf` output, as ``Generator.choice`` makes it."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _choice_without_replacement(
+    rng: np.random.Generator, p: np.ndarray, size: int
+) -> List[int]:
+    """Indices ``rng.choice(len(p), size, replace=False, p=p)`` returns.
+
+    Replays ``Generator.choice``'s loop, so the draws, the result and the
+    generator state afterwards are the same: draw one uniform per missing
+    index, zero the indices already found, search the renormalised CDF
+    and keep each round's first occurrences in order.  Overwrites ``p``.
+    """
+    _check_probabilities(p)
+    if np.count_nonzero(p > 0) < size:
+        raise ValueError("Fewer non-zero entries in p than size")
+    found: List[int] = []
+    while len(found) < size:
+        x = rng.random(size - len(found))
+        if found:
+            p[found] = 0
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        fresh = dict.fromkeys(cdf.searchsorted(x, side="right").tolist())
+        found.extend(fresh)
+    return found
+
+
+class _Cache:
+    """Arrays built once per key while they fit in :data:`_CACHE_BYTES`."""
+
+    def __init__(self) -> None:
+        self._free = _CACHE_BYTES
+        self._arrays: dict = {}
+
+    def get(self, key: tuple, build, *args) -> np.ndarray:
+        array = self._arrays.get(key)
+        if array is None:
+            array = build(*args)
+            if array.nbytes <= self._free:
+                self._free -= array.nbytes
+                self._arrays[key] = array
+        return array
 
 
 def generate_groups(
@@ -209,35 +310,62 @@ def generate_groups(
     config = world.config
     rng = as_rng(seed)
     total = n_groups if n_groups is not None else config.n_groups
-    users = np.arange(config.n_users)
+    n_users = config.n_users
     items = np.arange(config.n_items)
+    sampled_pool = config.n_items > config.candidate_pool
+    join_temp = (
+        config.join_temperature
+        if config.join_temperature is not None
+        else config.affinity_temperature
+    )
+    factors, item_factors = world.user_factors, world.item_factors
+    popularity, community = world.item_popularity, world.user_community
+
+    def launch_cdf(initiator: int, pool: np.ndarray = items) -> np.ndarray:
+        scores = (factors[initiator] * item_factors[pool]).sum(axis=1) + popularity[pool]
+        return _cdf(_softmax(scores, config.affinity_temperature))
+
+    def join_column(item: int) -> np.ndarray:
+        affinity = (factors * item_factors[item]).sum(axis=1) + popularity[item]
+        return config.item_weight * affinity
+
+    def social_column(circle: int) -> np.ndarray:
+        return config.social_weight * (community == circle).astype(np.float64)
+
+    cache = _Cache()
+    activity_cdf = _cdf(world.user_activity)
+    scores = np.empty(n_users - 1)
     groups: List[DealGroup] = []
     for _ in range(total):
         # Phase 1: pick the initiator, then the item they launch.
-        initiator = int(rng.choice(users, p=world.user_activity))
-        if config.n_items > config.candidate_pool:
+        initiator = _draw(rng, activity_cdf)
+        if sampled_pool:
             pool = rng.choice(items, size=config.candidate_pool, replace=False)
+            item = int(pool[_draw(rng, launch_cdf(initiator, pool))])
         else:
-            pool = items
-        launch_scores = world.affinity(np.full(pool.shape, initiator), pool)
-        item = int(rng.choice(pool, p=_softmax(launch_scores, config.affinity_temperature)))
+            item = _draw(rng, cache.get(("launch", initiator), launch_cdf, initiator))
 
-        # Phase 2: draw the participants one by one without replacement.
-        size = _sample_group_size(config, rng)
-        candidates = np.delete(users, initiator)
-        item_scores = world.affinity(candidates, np.full(candidates.shape, item))
-        social = world.social_affinity(initiator, candidates)
-        join_scores = config.item_weight * item_scores + config.social_weight * social
-        join_temp = (
-            config.join_temperature
-            if config.join_temperature is not None
-            else config.affinity_temperature
-        )
-        probs = _softmax(join_scores, join_temp)
-        size = min(size, candidates.size)
-        chosen = rng.choice(candidates, size=size, replace=False, p=probs)
+        # Phase 2: draw the participants one by one without replacement
+        # from every user but the initiator (candidate j is user j, or
+        # j + 1 past the initiator).
+        size = min(_sample_group_size(config, rng), n_users - 1)
+        join = cache.get(("join", item), join_column, item)
+        circle = int(community[initiator])
+        social = cache.get(("social", circle), social_column, circle)
+        np.add(join[:initiator], social[:initiator], out=scores[:initiator])
+        np.add(join[initiator + 1:], social[initiator + 1:], out=scores[initiator:])
+        # _softmax(scores, join_temp), in place.
+        scores /= join_temp
+        scores -= scores.max()
+        np.exp(scores, out=scores)
+        scores /= scores.sum()
+        chosen = _choice_without_replacement(rng, scores, size)
         groups.append(
-            DealGroup(initiator=initiator, item=item, participants=tuple(int(p) for p in chosen))
+            DealGroup(
+                initiator=initiator,
+                item=item,
+                participants=tuple(j + (j >= initiator) for j in chosen),
+            )
         )
     return groups
 

@@ -28,6 +28,12 @@ class TestConfigValidation:
             ("affinity_temperature", 0.0),
             ("social_weight", -0.1),
             ("min_interactions", -1),
+            ("candidate_pool", 0),
+            ("social_weight", float("nan")),
+            ("item_weight", float("inf")),
+            ("item_weight", float("nan")),
+            ("affinity_temperature", float("nan")),
+            ("join_temperature", float("nan")),
         ],
     )
     def test_invalid_fields(self, field, value):
