@@ -11,7 +11,7 @@ experts and auxiliary losses pull co-group objects together.
 
 This claim is the embedding-level signature of the -M-R ablation.  At
 this reproduction's dense synthetic scale the -M family does not
-collapse (see EXPERIMENTS.md's Table IV notes), so the tightness gap is
+collapse (see ``bench_table4_ablation.py``'s shape notes), so the tightness gap is
 not guaranteed either; the bench asserts the study's structure and
 *records* the ratio comparison with an explicit CONFIRMED /
 NOT-REPRODUCED verdict instead of hard-failing on the sign.

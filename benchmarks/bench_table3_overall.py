@@ -80,7 +80,7 @@ def test_table3_overall_comparison(benchmark, bench_dataset, table3_results):
     # MGBR competitive on Task A: best, or within 10% of the best
     # baseline.  (On Beibei MGBR wins Task A by ~10%; on the synthetic
     # world Task A sits near its learnability ceiling for all models, so
-    # the spread is compressed — see EXPERIMENTS.md.)
+    # the spread is compressed.)
     assert mgbr.task_a["MRR@10"] > 0.90 * best_a
 
 

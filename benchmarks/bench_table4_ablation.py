@@ -13,7 +13,7 @@ Paper reference values (Beibei, MRR@10):
     MGBR-D     0.5189   0.4494
     MGBR       0.6401   0.6484
 
-Shape notes (see EXPERIMENTS.md for the honest ledger):
+Shape notes:
 
 * The **auxiliary-loss ablation (-R)** reproduces directly: removing
   ``L'_A``/``L'_B`` costs Task-B accuracy — asserted below.  This is the
@@ -111,7 +111,7 @@ def test_table4_report_m_family(table4_results):
 
     At paper scale -M collapses; at this dense synthetic scale the
     two-tower variant stays competitive.  The bench records the signed
-    deltas so EXPERIMENTS.md can track them across substrate changes.
+    deltas so they can be tracked across substrate changes.
     """
     text_lines = []
     for name in ("MGBR-M", "MGBR-M-R"):

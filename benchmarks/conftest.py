@@ -1,8 +1,8 @@
 """Shared infrastructure for the experiment benchmarks.
 
 Each ``bench_table*.py`` / ``bench_fig*.py`` regenerates one table or
-figure of the paper on the synthetic Beibei-style dataset (see DESIGN.md
-for the per-experiment index and the scale note).  All experiments share
+figure of the paper on the synthetic Beibei-style dataset (see
+:mod:`repro.data.synthetic`).  All experiments share
 one dataset and one training budget so their numbers are comparable the
 way the paper's are; candidate lists use a fixed seed so every model is
 ranked on identical instances.

@@ -24,7 +24,7 @@ def parameter_breakdown(model: Module, depth: int = 1) -> Dict[str, int]:
     """Parameter counts grouped by the first ``depth`` name components.
 
     ``depth=1`` groups by top-level submodule (encoder / mtl / heads…),
-    which is how DESIGN.md attributes MGBR's size to its components.
+    which attributes MGBR's size to its components.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")

@@ -20,7 +20,7 @@ L       2      layer number of experts and gates
 ====== ======= ==================================================
 
 :meth:`MGBRConfig.small` gives a scaled-down profile for tests and the
-benchmark harness (NumPy substrate; see DESIGN.md scale note).
+benchmark harness (NumPy substrate).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class MGBRConfig:
     ``first_layer_compact``
                         feed ``g⁰`` once at layer 1 instead of the
                         duplicated concatenation — see the shape note in
-                        DESIGN.md §5.
+                        :mod:`repro.core.mtl`.
     ``use_shared_experts``  disable for the MGBR-M ablation.
     ``use_aux_losses``      disable for the MGBR-R ablation.
     ``use_hin_views``       enable for the MGBR-D ablation (one HIN GCN
@@ -78,7 +78,7 @@ class MGBRConfig:
     feature_std: float = 1.0     # paper: X⁰ ~ Gaussian(0, 1)
     gcn_gain: float = 3.0        # Xavier gain of the GCN weights; >1 keeps the
                                  # sigmoid layers out of their flat region at
-                                 # small d (see DESIGN.md scale note)
+                                 # small d
     train_negatives: int = 9     # 1:9 positive:negative training ratio
 
     # --- ablation switches --------------------------------------------

@@ -40,8 +40,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from numpy.lib.stride_tricks import as_strided
-
 from repro.nn import functional as F
 from repro.nn.backend import get_backend
 from repro.nn.layers import Linear
@@ -49,32 +47,6 @@ from repro.nn.module import Module
 from repro.nn.tensor import Tensor, _matmul, concat, gather_add
 
 __all__ = ["GateAttention", "GenericGate", "AdjustedGate", "TaskGate", "SharedGate"]
-
-
-def _joined(arrays):
-    """The ``(n, ΣK, d)`` view spanning ``arrays`` when each starts where
-    the previous one's slots end in one buffer (same rows, same strides);
-    ``None`` otherwise."""
-    first = arrays[0]
-    base = first.base
-    if base is None:
-        return None
-    n, _, d = first.shape
-    strides = first.strides
-    end = first.__array_interface__["data"][0]
-    slots = 0
-    for arr in arrays:
-        if (
-            arr.base is not base
-            or arr.strides != strides
-            or arr.shape[0] != n
-            or arr.shape[2] != d
-            or arr.__array_interface__["data"][0] != end
-        ):
-            return None
-        end += arr.shape[1] * strides[1]
-        slots += arr.shape[1]
-    return as_strided(first, (n, slots, d), strides, writeable=False)
 
 
 class GateAttention(Module):
@@ -111,35 +83,36 @@ class GateAttention(Module):
         return F.softmax(logits, axis=-1) if self.softmax else logits
 
     @staticmethod
-    def mix(weights: Tensor, banks: Sequence[Tensor]) -> Tensor:
+    def mix(weights: Tensor, banks: Sequence[Tensor], operand=None) -> Tensor:
         """``weights (n, ΣK) × [bank_1 | bank_2 | ...] (n, ΣK, d) → (n, d)``.
 
         The forward is ``(n, 1, ΣK) @ (n, ΣK, d)`` over the banks laid
-        side by side.  When they already are — consecutive slot ranges
-        of one buffer, as :class:`repro.core.mtl.MTLLayer` lays out its
-        live banks — the product reads the zero-copy view spanning them;
-        otherwise it concatenates them first.  Either way the operand
-        holds the same values.  The adjoint writes each bank's gradient
-        as its own ``wᵀ[slots] * g`` product — the values the
-        concatenation's gradient slice would hold, but fresh and
-        contiguous, so each bank adopts it without a copy.
+        side by side.  ``operand`` optionally supplies that ``(n, ΣK, d)``
+        array, already joined: :class:`repro.core.mtl.MTLLayer` lays its
+        banks out so that a gate's banks are, where it pays, consecutive
+        slots of one buffer, and passes that slice.  Without it one bank
+        is read as is and several are concatenated.  Either way the operand holds the
+        banks' values.  The adjoint writes each bank's gradient as its
+        own ``wᵀ[slots] @ g`` outer product (one ``einsum``, see
+        :func:`repro.nn.tensor._matmul`) into the bank tensors, in
+        order — the values the operand's gradient slice would hold, but
+        fresh and contiguous, so each bank adopts it without a copy.
         """
         b = get_backend()
-        arrays = [t.data for t in banks]
-        bank = arrays[0] if len(arrays) == 1 else _joined(arrays)
-        if bank is None:
-            bank = b.concatenate(arrays, axis=1)
+        if operand is None:
+            arrays = [t.data for t in banks]
+            operand = arrays[0] if len(arrays) == 1 else b.concatenate(arrays, axis=1)
         n, k = weights.shape
-        if bank.shape[1] != k:
-            raise ValueError(f"banks have {bank.shape[1]} slots, weights have {k}")
-        d = bank.shape[2]
+        if operand.shape[1] != k:
+            raise ValueError(f"banks have {operand.shape[1]} slots, weights have {k}")
+        d = operand.shape[2]
         w3 = b.reshape(weights.data, (n, 1, k))
 
         def backward(g):
             b = get_backend()
             g3 = b.reshape(g, (n, 1, d))
             if weights.requires_grad:
-                grad = _matmul(g3, b.swapaxes(bank, -1, -2))
+                grad = _matmul(g3, b.swapaxes(operand, -1, -2))
                 weights._accumulate(b.reshape(grad, (n, k)), owned=True)
             w3t = b.swapaxes(w3, -1, -2)
             start = 0
@@ -149,7 +122,7 @@ class GateAttention(Module):
                     t._accumulate(_matmul(w3t[:, start:stop], g3), owned=True)
                 start = stop
 
-        return Tensor._make(b.reshape(_matmul(w3, bank), (n, d)), (weights, *banks), backward)
+        return Tensor._make(b.reshape(_matmul(w3, operand), (n, d)), (weights, *banks), backward)
 
     def project_blocks(self, x: Tensor, blocks) -> Tensor:
         """Partial attention logits from the given weight-row blocks of ``W``.
@@ -378,6 +351,7 @@ class TaskGate(Module):
         pairs=None,
         adj_logits=None,
         generic_logits=None,
+        operand=None,
     ) -> Tensor:
         """Produce ``g^l`` for this task.
 
@@ -388,7 +362,8 @@ class TaskGate(Module):
         factorized attention logits, making ``state`` and the raw
         embeddings unnecessary (pass ``None``).  The adjusted weights
         fold into the generic ones (see the module docstring), so the
-        banks are mixed once.
+        banks are mixed once; ``operand`` optionally carries the joined
+        ``[own | S]`` array (:meth:`GateAttention.mix`).
         """
         banks = [own_bank]
         if self.shared:
@@ -400,7 +375,7 @@ class TaskGate(Module):
             heads = self.adjusted.weights(e_u, e_i, e_p, pairs=pairs, logits=adj_logits)
             spans = self.fold_spans(own_bank.shape[1])
             weights = _fold(weights, heads, spans, self.alpha)
-        return GateAttention.mix(weights, banks)
+        return GateAttention.mix(weights, banks, operand)
 
 
 class SharedGate(Module):
@@ -417,11 +392,15 @@ class SharedGate(Module):
         bank_s: Tensor,
         bank_b: Tensor,
         logits: Optional[Tensor] = None,
+        operand=None,
     ) -> Tensor:
         """``state`` is ``g^{l-1}_A || g^{l-1}_S || g^{l-1}_B``.
 
         ``logits`` optionally carries factorized attention logits from
-        the planned path; ``state`` may then be ``None``.
+        the planned path; ``state`` may then be ``None``.  ``operand``
+        optionally carries the joined ``[A | S | B]`` array
+        (:meth:`GateAttention.mix`).
         """
         attention = self.attention
-        return attention.mix(attention.weights(state, logits), [bank_a, bank_s, bank_b])
+        weights = attention.weights(state, logits)
+        return attention.mix(weights, [bank_a, bank_s, bank_b], operand)

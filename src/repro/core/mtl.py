@@ -24,11 +24,16 @@ head's losses read (a row-grouped training plan's ``head_rows``),
 and gate runs on, and the planned forward reads narrower spans through
 zero-copy row views and sliced ``*_pos`` arrays.
 
-Bank layout: each layer writes its live banks into one buffer laid out
-``[a | s | b]`` (``[b | s]`` when bank A is dead), so the gates mix
-consecutive banks through a zero-copy view (:meth:`MTLLayer._bank_slots`).
+Bank layout: each bank writes its output once, into a slot of a buffer
+shared with the banks it is mixed with, so a gate reads its operand as
+one slice instead of concatenating (:meth:`MTLLayer._bank_slots`).  A
+layer with a live gate S writes ``[a | s | b]``: gate S reads all of it,
+gate A its ``[a | s]`` columns, and gate B, whose ``[b | s]`` is not
+consecutive there, concatenates.  The last layer (gate S dead) gives
+each live task gate its own ``[own | s]`` buffer over its rows; gate B's
+rows of bank S are copied into its buffer.
 
-Shape note (DESIGN.md §5): the general formulas make the first layer's
+Shape note: the general formulas make the first layer's
 expert inputs the *duplicated* concatenation ``g⁰_A || g⁰_S`` (identical
 vectors).  ``first_layer_compact=True`` feeds ``g⁰`` once instead,
 matching the papers' annotated ``6d``/``9d`` first-layer sizes under its
@@ -94,6 +99,17 @@ def _view(t, have, want):
         return t
     start = 0 if have is None else have[0]
     return t[want[0] - start : want[1] - start]
+
+
+def _copy(mirror) -> None:
+    """Write ``mirror = (src, dst)``'s ``src`` into ``dst`` (no-op for ``None``).
+
+    Adding ``-0.0`` returns every float unchanged, signed zeros and NaN
+    included, so this is an exact copy through a counted primitive.
+    """
+    if mirror is not None:
+        src, dst = mirror
+        get_backend().add(src, src.dtype.type(-0.0), out=dst)
 
 
 class MTLLayer(Module):
@@ -174,26 +190,67 @@ class MTLLayer(Module):
             return live | {"s"}
         return live
 
-    def _bank_slots(self, banks, bank_rows, rows_of):
-        """Slot ranges of one buffer for the live banks, by bank name.
+    def _bank_slots(self, banks, live, rows, n_rows):
+        """Buffers for the live banks: each bank's slot and each gate's operand.
 
-        The layout is ``[a | s | b]`` with dead banks dropped, or
-        ``[b | s]`` when bank A is dead, so gate A's ``[a | s]``, gate
-        S's ``[a | s | b]`` and (bank A dead) gate B's ``[b | s]`` are
-        consecutive slots that :meth:`GateAttention.mix` reads as one
-        zero-copy view instead of concatenating.  Each bank writes its
-        own slot range.  Returns ``{}`` (each bank gets its own buffer)
-        without a shared bank, or when live rows give the banks
-        different spans.  ``rows_of(span)`` counts the rows of a span.
+        Every bank writes its output once, into a slot of a buffer laid
+        out so that the gates mixing it read one slice of that buffer
+        instead of concatenating.  When gate S is live the layer has one
+        buffer ``[a | s | b]``: gate S mixes all of it and gate A its
+        ``[a | s]`` columns, while gate B's ``[b | s]`` is not
+        consecutive, so gate B concatenates.  Otherwise (the last layer)
+        each live task gate gets its own ``[own | s]`` buffer, which it
+        reads whole: bank S writes the first one, and gate B's rows of
+        it are copied into the second (the ``s′`` columns).  A wider
+        ``[a | s | b | s′]`` buffer, which would spare gate B's
+        concatenation in every layer, measured slower: its sparser views
+        cost the mixes more than the concatenation does.
+
+        ``rows`` is the layer's ``(bank spans, gate spans)``; a buffer
+        covers its first bank's span (``n_rows`` rows for bank S, whose
+        span holds every other), and each slot and operand the rows of
+        its own span.  Returns ``(slots, operands, mirror)``: gates
+        without an operand concatenate (:meth:`GateAttention.mix`), and
+        ``mirror`` is the ``(s, s′)`` pair to copy once bank S is
+        written (``None`` without one).  Without a shared bank every
+        gate mixes a single bank: ``({}, {}, None)``.
         """
-        spans = {bank_rows.get(x) for x in banks}
-        if not self.shared or len(spans) != 1:
-            return {}
-        order = [x for x in ("asb" if "a" in banks else "bs") if x in banks]
+        if not self.shared:
+            return {}, {}, None
+        bank_rows, gate_rows = rows
         k, d = self.experts_a.n_experts, self.experts_a.out_dim
-        shape = (rows_of(spans.pop()), len(order) * k, d)
-        buf = get_backend().empty(shape, dtype=get_default_dtype())
-        return {name: buf[:, i * k : (i + 1) * k] for i, name in enumerate(order)}
+        home = bank_rows.get("s")
+
+        def at(span, cover):
+            """Rows of ``span`` inside a buffer covering ``cover``."""
+            start = 0 if cover is None else cover[0]
+            return slice(None) if span is None else slice(span[0] - start, span[1] - start)
+
+        def empty(span, slots):
+            n = n_rows if span == home else span[1] - span[0]
+            return get_backend().empty((n, slots * k, d), dtype=get_default_dtype())
+
+        if "s" in live:
+            buf = empty(home, 3)
+            slots = {x: buf[at(bank_rows.get(x), home), i * k : (i + 1) * k]
+                     for i, x in enumerate("asb")}
+            width = {"a": 2 * k, "s": 3 * k}
+            operands = {x: buf[at(gate_rows.get(x), home), : width[x]]
+                        for x in live if x in width}
+            return slots, operands, None
+        slots, operands, mirror = {}, {}, None
+        for i, x in enumerate(x for x in "ab" if x in live):
+            # Bank S writes the first buffer, which so covers its rows.
+            cover = bank_rows.get(x) if i else home
+            buf = empty(cover, 2)
+            rows_x = at(gate_rows.get(x), cover)
+            slots[x] = buf[at(bank_rows.get(x), cover), :k]
+            operands[x] = buf[rows_x]
+            if i:
+                mirror = (slots["s"][at(gate_rows.get(x), home)], buf[rows_x, k:])
+            else:
+                slots["s"] = buf[:, k:]
+        return slots, operands, mirror
 
     def forward(
         self,
@@ -264,12 +321,12 @@ class MTLLayer(Module):
             state_a = state_s[:, : self.in_task]
         else:
             state_a = state("a")
-        states = {"a": state_a, "s": state_s, "b": state_b}
-        rows_in = lambda span: states[next(iter(banks))].shape[0]
-        slots = self._bank_slots(banks, bank_rows, rows_in)
+        n_rows = state_s.shape[0] if state_s is not None else 0
+        slots, operands, mirror = self._bank_slots(banks, live, (bank_rows, gate_rows), n_rows)
         bank_a = self.experts_a(state_a, out=slots.get("a")) if "a" in banks else None
         bank_b = self.experts_b(state_b, out=slots.get("b")) if "b" in banks else None
         bank_s = self.experts_s(state_s, out=slots.get("s")) if "s" in banks else None
+        _copy(mirror)
 
         def at(t, bank, gate):
             return _view(t, bank_rows.get(bank), gate_rows.get(gate))
@@ -278,17 +335,18 @@ class MTLLayer(Module):
         if "a" in live:
             new_a = self.gate_a(
                 at(state_a, "a", "a"), at(bank_a, "a", "a"), at(bank_s, "s", "a"),
-                e_u, e_i, e_p, pairs=pairs, adj_logits=la,
+                e_u, e_i, e_p, pairs=pairs, adj_logits=la, operand=operands.get("a"),
             )
         if "b" in live:
             new_b = self.gate_b(
                 at(state_b, "b", "b"), at(bank_b, "b", "b"), at(bank_s, "s", "b"),
-                e_u, e_i, e_p, pairs=pairs, adj_logits=lb,
+                e_u, e_i, e_p, pairs=pairs, adj_logits=lb, operand=operands.get("b"),
             )
         if "s" in live:
             new_s = self.gate_s(
                 at(state_s, "s", "s"),
                 at(bank_a, "a", "s"), at(bank_s, "s", "s"), at(bank_b, "b", "s"),
+                operand=operands.get("s"),
             )
         return new_a, new_s, new_b
 
@@ -363,7 +421,8 @@ class MTLLayer(Module):
             """``per_pair`` over ``spans[name]``; ``None`` when not live."""
             return per_pair(project, blocks, spans[name], out) if name in spans else None
 
-        slots = self._bank_slots(banks, bank_rows, lambda span: len(positions(span)[0]))
+        n_rows = len(positions(bank_rows.get("s"))[0])
+        slots, operands, mirror = self._bank_slots(banks, live, rows, n_rows)
         bank_a = live_pair(
             "a", self.experts_a.project_blocks, blocks_task, bank_rows, slots.get("a")
         )
@@ -385,6 +444,7 @@ class MTLLayer(Module):
             logits_s = live_pair(
                 "s", self.gate_s.attention.project_blocks, blocks_shared, gate_rows
             )
+        _copy(mirror)
 
         def at(t, bank, gate):
             return _view(t, bank_rows.get(bank), gate_rows.get(gate))
@@ -393,17 +453,17 @@ class MTLLayer(Module):
         if "a" in live:
             new_a = self.gate_a(
                 None, at(bank_a, "a", "a"), at(bank_s, "s", "a"), None, None, None,
-                adj_logits=la, generic_logits=logits_a,
+                adj_logits=la, generic_logits=logits_a, operand=operands.get("a"),
             )
         if "b" in live:
             new_b = self.gate_b(
                 None, at(bank_b, "b", "b"), at(bank_s, "s", "b"), None, None, None,
-                adj_logits=lb, generic_logits=logits_b,
+                adj_logits=lb, generic_logits=logits_b, operand=operands.get("b"),
             )
         if "s" in live:
             new_s = self.gate_s(
                 None, at(bank_a, "a", "s"), at(bank_s, "s", "s"), at(bank_b, "b", "s"),
-                logits=logits_s,
+                logits=logits_s, operand=operands.get("s"),
             )
         return new_a, new_s, new_b
 

@@ -1,8 +1,9 @@
 """``repro.data`` — group-buying datasets, sampling, and persistence.
 
 Provides the data substrate the paper's experiments need: a synthetic
-Beibei-style generator (the real dump is proprietary — see DESIGN.md for
-the substitution argument), the Sec. III-A2 preprocessing filter, task
+Beibei-style generator (the real dump is proprietary — see
+:mod:`repro.data.synthetic` for the substitution argument), the Sec.
+III-A2 preprocessing filter, task
 A/B positive-sample extraction, the three negative samplers, 7:3:1
 splits, batch iterators, npz/json persistence and Table-I statistics.
 """

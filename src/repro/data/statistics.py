@@ -3,8 +3,8 @@
 Beyond the three rows the paper reports (user / item / deal group), we
 compute the derived quantities the models' behaviour depends on: group
 size distribution, interaction density per view, and role-overlap (how
-many users act as both initiator and participant), which the README and
-EXPERIMENTS.md use to characterise the synthetic substitute.
+many users act as both initiator and participant), which characterise
+the synthetic substitute (``benchmarks/results/table1_dataset.txt``).
 """
 
 from __future__ import annotations

@@ -73,6 +73,7 @@ PRIMITIVES = (
     "divide",
     "power",
     "matmul",
+    "einsum",
     "exp",
     "log",
     "log1p",
@@ -176,6 +177,9 @@ class NumpyBackend(ArrayBackend):
 
     def matmul(self, a, b, out=None):
         return np.matmul(a, b, out=out) if out is not None else a @ b
+
+    def einsum(self, subscripts, *operands):
+        return np.einsum(subscripts, *operands)
 
     # -- transcendental / elementwise ----------------------------------
     def exp(self, a, out=None):

@@ -128,6 +128,41 @@ def tanh(x: Tensor) -> Tensor:
     return Tensor._make(value, (x,), backward)
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(a, axis=-1, keepdims=True)``, bit for bit, in column passes.
+
+    NumPy reduces a short trailing axis about 3x slower than a few
+    whole-column adds (325 against 100 µs at ``(11000, 6)``), so for a
+    C-contiguous 2-D ``a`` from 2 to 128 columns (one block of NumPy's
+    pairwise sum) this replays NumPy's order with column ``add`` calls:
+    the reduction starts from ``+0.0``;
+    below 8 columns it folds the columns left to right; from 8 it keeps
+    eight strided accumulators, combines them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the tail columns
+    left to right.  Other shapes and layouts go to ``sum``.
+    """
+    b = get_backend()
+    width = a.shape[-1] if a.ndim == 2 else 0
+    if not 2 <= width <= 128 or not a.flags.c_contiguous:
+        return b.sum(a, axis=-1, keepdims=True)
+    if width < 8:
+        out = b.add(a[:, 0:1], a.dtype.type(0))
+        start = 1
+    else:
+        start = width - width % 8
+        acc = a[:, 0:8]
+        for i in range(8, start, 8):
+            acc = b.add(acc, a[:, i : i + 8])
+        c = [acc[:, j : j + 1] for j in range(8)]
+        left = b.add(b.add(c[0], c[1]), b.add(c[2], c[3]))
+        out = b.add(left, b.add(b.add(c[4], c[5]), b.add(c[6], c[7])))
+        # The block's value is added to the reduction's +0.0 start.
+        b.add(out, a.dtype.type(0), out=out)
+    for j in range(start, width):
+        b.add(out, a[:, j : j + 1], out=out)
+    return out
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis`` (shift-stabilised).
 
@@ -139,12 +174,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     sweep of ``maximum`` rather than ``amax(axis=-1)``, which NumPy
     reduces about 10x slower over a short trailing axis; max is
     order-independent and ``maximum`` propagates NaN like ``amax``, so
-    the result is bit-identical.  The exp *sum* stays ``sum(axis)``:
-    float addition is order-dependent.
+    the result is bit-identical.  Float addition is order-dependent, so
+    the row sums (the forward normaliser and the backward ``g·value``
+    dot) go through :func:`_row_sum`, which adds the columns in NumPy's
+    own ``sum`` order.
     """
     b = get_backend()
     data = x.data
-    if data.ndim == 2 and axis in (-1, 1) and data.shape[1] >= 2:
+    rows = data.ndim == 2 and axis in (-1, 1) and data.shape[1] >= 2
+    if rows:
         top = b.maximum(data[:, 0:1], data[:, 1:2])
         for j in range(2, data.shape[1]):
             b.maximum(top, data[:, j : j + 1], out=top)
@@ -152,11 +190,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         top = b.amax(data, axis=axis, keepdims=True)
     value = b.subtract(data, top)
     b.exp(value, out=value)
-    b.divide(value, b.sum(value, axis=axis, keepdims=True), out=value)
+    total = _row_sum(value) if rows else b.sum(value, axis=axis, keepdims=True)
+    b.divide(value, total, out=value)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            dot = (g * value).sum(axis=axis, keepdims=True)
+            gv = g * value
+            dot = _row_sum(gv) if rows else gv.sum(axis=axis, keepdims=True)
             x._accumulate(value * (g - dot), owned=True)
 
     return Tensor._make(value, (x,), backward)

@@ -313,18 +313,19 @@ def _scatter_rows_add(
 
 
 def _matmul(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``a @ c``, with contraction width 1 run as a broadcast product.
+    """``a @ c``, with contraction width 1 run as one ``einsum``.
 
     A ``(..., m, 1) @ (..., 1, n)`` product is an outer product: every
-    output element is the single product ``a[..., i, 0] * c[..., 0, j]``,
-    so the broadcast ``multiply`` yields the same values (and the same
-    batch broadcasting) without a batched GEMM call per matrix.  The
-    gate-mix adjoint ``weightsᵀ @ g`` hits this shape on every planned
-    training step.
+    output element is the single product ``a[..., i, 0] * c[..., 0, j]``
+    added to a zeroed output, exactly as ``matmul`` computes it (so
+    ``-0.0`` products come out ``+0.0`` there too, which a broadcast
+    ``multiply`` would not give), with the same batch broadcasting and
+    no batched GEMM call per matrix.  The gate-mix adjoint
+    ``weightsᵀ @ g`` hits this shape on every planned training step.
     """
     b = _B_STATE.backend
     if a.ndim >= 2 and c.ndim >= 2 and a.shape[-1] == 1 and c.shape[-2] == 1:
-        return b.multiply(a, c)
+        return b.einsum("...ki,...id->...kd", a, c)
     return b.matmul(a, c)
 
 

@@ -1,8 +1,8 @@
 """Tests for the synthetic Beibei-style generator.
 
 Beyond mechanical checks, these verify the generator produces the
-*structural signals* the models rely on (DESIGN.md substitution
-argument): preference-aligned launches/joins and community-driven
+*structural signals* the models rely on (the substitution argument in
+:mod:`repro.data.synthetic`): preference-aligned launches/joins and community-driven
 social co-occurrence.
 """
 

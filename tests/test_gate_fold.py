@@ -30,8 +30,12 @@ def _attend(attention, query, bank, logits):
 
 
 def _unfolded(self, state, own_bank, shared_bank, e_u, e_i, e_p,
-              pairs=None, adj_logits=None, generic_logits=None):
-    """``TaskGate.forward`` as four mixes: ``g_1 + α·(t_ui + t_ip + t_up)``."""
+              pairs=None, adj_logits=None, generic_logits=None, operand=None):
+    """``TaskGate.forward`` as four mixes: ``g_1 + α·(t_ui + t_ip + t_up)``.
+
+    ``operand`` (the layer's joined ``[own | S]`` view) is ignored: the
+    reference concatenates the banks itself.
+    """
     generic_bank = concat([own_bank, shared_bank], axis=1) if self.shared else own_bank
     out = _attend(self.generic.attention, state, generic_bank, generic_logits)
     if self.adjusted is None:

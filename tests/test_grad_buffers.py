@@ -18,6 +18,7 @@ import pytest
 
 from repro.baselines import GBMF
 from repro.core import MGBR
+from repro.core.mtl import MTLLayer
 from repro.nn import CountingBackend, Tensor, backend_scope, concat, get_backend, stack, tensor
 from repro.nn import functional as F
 from repro.nn.tensor import _unbroadcast, dtype_scope
@@ -363,6 +364,37 @@ def test_k1_matmul_matches_numpy(name, dtype):
     assert np.array_equal(c.grad, _unbroadcast(grad_c, shape_c))
 
 
+def _zero_bearing(rng, shape):
+    """Normals with a third of the entries set to +0.0 or -0.0."""
+    x = rng.normal(size=shape)
+    pick = rng.integers(0, 6, size=shape)
+    return np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, x))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(_K1_SHAPES))
+def test_k1_matmul_bytes_match_numpy_with_signed_zeros(name, dtype):
+    """``array_equal`` calls -0.0 and +0.0 equal; the bytes do not.  A
+    product with a zero factor is +0.0 in ``matmul`` (it adds the product
+    to a zeroed output) whatever the factors' signs."""
+    shape_a, shape_c = _K1_SHAPES[name]
+    rng = np.random.default_rng(9)
+    with dtype_scope(dtype):
+        a = tensor(_zero_bearing(rng, shape_a), requires_grad=True)
+        c = tensor(_zero_bearing(rng, shape_c), requires_grad=True)
+        out = a @ c
+        expected = np.matmul(a.data, c.data)
+        assert out.data.tobytes() == expected.tobytes()
+        upstream = _zero_bearing(rng, expected.shape).astype(dtype)
+        out.backward(upstream)
+    # The root adopts ``upstream + 0.0`` (the tape's first-touch copy).
+    upstream = upstream + dtype(0.0)
+    grad_a = _unbroadcast(np.matmul(upstream, np.swapaxes(c.data, -1, -2)), shape_a)
+    grad_c = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), upstream), shape_c)
+    assert a.grad.tobytes() == grad_a.tobytes()
+    assert c.grad.tobytes() == grad_c.tobytes()
+
+
 def test_k1_dispatch_skips_gemm():
     rng = np.random.default_rng(8)
     w = tensor(rng.normal(size=(6, 1, 3)), requires_grad=True)
@@ -372,6 +404,7 @@ def test_k1_dispatch_skips_gemm():
         (w @ bank).sum().backward()
     # Forward and grad_self contract over 3 and 4; grad_other is k=1.
     assert counting.counts["matmul"] == 2
+    assert counting.counts["einsum"] == 1
 
 
 def test_mismatched_k1_shapes_still_raise():
@@ -429,5 +462,37 @@ def test_planned_steps_match_reference_tape(name, tiny_dataset, small_config):
         for key in want:
             assert np.array_equal(got[key], want[key]), f"step {step} grad {key}"
     assert state.keys() == ref_state.keys()
+    for key in ref_state:
+        assert state[key].tobytes() == ref_state[key].tobytes(), f"post-Adam {key}"
+
+
+# ----------------------------------------------------------------------
+# Oracle: the bank layout moves no bit of a training step
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_bank_layout_matches_concatenating_layout(layers, tiny_dataset, small_config, monkeypatch):
+    """Slot buffers, the last layer's per-gate ``[own | s]`` buffers and
+    their ``s′`` copy change where the banks live, not the step: every
+    gradient and the post-Adam weights match, byte for byte, a layout
+    where each bank has its own buffer and every mix concatenates."""
+    build = lambda: _mgbr(tiny_dataset, small_config, mtl_layers=layers)
+    mirrors = []
+    bank_slots = MTLLayer._bank_slots
+
+    def recording(self, *args):
+        slots, operands, mirror = bank_slots(self, *args)
+        mirrors.append(mirror is not None)
+        return slots, operands, mirror
+
+    monkeypatch.setattr(MTLLayer, "_bank_slots", recording)
+    losses, grads, state = _three_steps(build(), tiny_dataset)
+    assert any(mirrors), "no step ran gates A and B in one layer without gate S"
+    monkeypatch.setattr(MTLLayer, "_bank_slots", lambda self, *args: ({}, {}, None))
+    ref_losses, ref_grads, ref_state = _three_steps(build(), tiny_dataset)
+    assert losses == ref_losses
+    for step, (got, want) in enumerate(zip(grads, ref_grads)):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), f"step {step} grad {key}"
     for key in ref_state:
         assert state[key].tobytes() == ref_state[key].tobytes(), f"post-Adam {key}"
