@@ -25,11 +25,8 @@ only correctness (:func:`check_report` with ``smoke=True``) and skips
 the JSON artifact.  Both modes also audit one warm planned 1:99 window
 per task under ``CountingBackend`` (``window_audit``): zero array copies
 and matmul / concatenate counts within :data:`WINDOW_OP_BOUNDS`.
-
-Environment knobs:
-
-* ``REPRO_BENCH_EVAL_USERS / ITEMS / GROUPS`` — dataset scale
-* ``REPRO_BENCH_EVAL_INSTANCES`` — instances per task per protocol
+The dataset scale and instance count are the module constants
+``USERS`` / ``ITEMS`` / ``GROUPS`` / ``INSTANCES``.
 """
 
 from __future__ import annotations
@@ -63,10 +60,11 @@ from repro.plan import ScoringPlan
 from repro.training import TrainConfig, Trainer
 from repro.training.checkpoint import restore_model, save_checkpoint
 
-USERS = int(os.environ.get("REPRO_BENCH_EVAL_USERS", "300"))
-ITEMS = int(os.environ.get("REPRO_BENCH_EVAL_ITEMS", "80"))
-GROUPS = int(os.environ.get("REPRO_BENCH_EVAL_GROUPS", "1200"))
-INSTANCES = int(os.environ.get("REPRO_BENCH_EVAL_INSTANCES", "120"))
+USERS = 300
+ITEMS = 80
+GROUPS = 1200
+#: Instances per task per protocol.
+INSTANCES = 120
 #: Unique pairs per audited window.
 AUDIT_CHUNK = 512
 DATA_SEED = 7

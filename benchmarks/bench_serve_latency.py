@@ -60,9 +60,9 @@ Writes ``BENCH_serve_latency.json`` at the repository root.  Run
 directly (``PYTHONPATH=src python benchmarks/bench_serve_latency.py``);
 ``--smoke`` runs a seconds-scale configuration (one steady cell per
 store + one overload cell + a two-point worker-scaling probe) and skips
-the artifact.  Environment knobs:
-``REPRO_BENCH_SERVE_USERS / ITEMS / DIM / CANDIDATES / SLACK_MS /
-SCALING_TRIALS``.
+the artifact.  Its p95 gates take 100 ms of scheduler slack instead of
+the full run's :data:`SLACK_MS`; the cell functions take the slack as
+their ``slack_ms`` argument.
 """
 
 from __future__ import annotations
@@ -85,14 +85,18 @@ from repro.serving import (
 )
 from repro.store import ProcessShardedStore, cache_hot_rows, iter_stores
 
-N_USERS = int(os.environ.get("REPRO_BENCH_SERVE_USERS", "3000"))
-N_ITEMS = int(os.environ.get("REPRO_BENCH_SERVE_ITEMS", "1000"))
-DIM = int(os.environ.get("REPRO_BENCH_SERVE_DIM", "32"))
-CANDIDATES = int(os.environ.get("REPRO_BENCH_SERVE_CANDIDATES", "20"))
+N_USERS = 3000
+N_ITEMS = 1000
+DIM = 32
+CANDIDATES = 20
 #: Scheduler/GIL slack added on top of the latency model before the
 #: p95 assertion — generous for shared CI runners, still far below the
 #: deadlines it guards.
-SLACK_MS = float(os.environ.get("REPRO_BENCH_SERVE_SLACK_MS", "25.0"))
+SLACK_MS = 25.0
+#: The slack of the short ``--smoke`` sweep: 250 requests span ~0.5 s,
+#: so one scheduler stall on a shared CI runner moves p95 (still far
+#: below unbounded-queueing latencies).
+SMOKE_SLACK_MS = 100.0
 
 RATES = (200.0, 800.0, 2000.0)       # offered requests/sec
 DEADLINES_MS = (2.0, 10.0)           # engine max_delay_ms
@@ -113,7 +117,7 @@ OVERLOAD_CANDIDATES = 10 * CANDIDATES
 #: Flood repetitions per fleet size in the worker-scaling probe (median
 #: reported; trials interleave across fleet sizes so host noise lands
 #: on every curve point evenly).
-SCALING_TRIALS = int(os.environ.get("REPRO_BENCH_SERVE_SCALING_TRIALS", "5"))
+SCALING_TRIALS = 5
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_serve_latency.json"
 
@@ -149,7 +153,7 @@ def make_requests(rng: np.random.Generator, n: int, width: int = CANDIDATES):
 
 
 def run_cell(model: GBMF, rate: float, deadline_ms: float, n_requests: int,
-             rng: np.random.Generator) -> dict:
+             rng: np.random.Generator, slack_ms: float = SLACK_MS) -> dict:
     users, candidates = make_requests(rng, n_requests)
     arrivals = np.cumsum(rng.exponential(1.0 / rate, size=n_requests))
     engine = ServingEngine(model, max_delay_ms=deadline_ms, max_pending=8192)
@@ -207,7 +211,7 @@ def run_cell(model: GBMF, rate: float, deadline_ms: float, n_requests: int,
         if stats["cache"]["stores"]
         else None,
         "p95_bound_ms": round(
-            deadline_ms + engine_stats["max_flush_seconds"] * 1000.0 + SLACK_MS, 3
+            deadline_ms + engine_stats["max_flush_seconds"] * 1000.0 + slack_ms, 3
         ),
     }
     return cell
@@ -286,7 +290,8 @@ def measure_capacity(n_workers: int, deadline_ms: float,
 
 
 def run_overload_cell(n_workers: int, capacity_rps: float, deadline_ms: float,
-                      n_requests: int, rng: np.random.Generator) -> dict:
+                      n_requests: int, rng: np.random.Generator,
+                      slack_ms: float = SLACK_MS) -> dict:
     """One overload cell: offered ≫ capacity against armed budgets."""
     offered = OVERLOAD_MULT * capacity_rps
     max_queue_rows = overload_budget_rows(capacity_rps, n_workers, deadline_ms)
@@ -360,7 +365,7 @@ def run_overload_cell(n_workers: int, capacity_rps: float, deadline_ms: float,
             "max": round(float(scored_lat.max()), 3),
         },
         "max_flush_ms": round(max_flush_ms, 3),
-        "p95_bound_ms": round(deadline_ms + max_flush_ms + SLACK_MS, 3),
+        "p95_bound_ms": round(deadline_ms + max_flush_ms + slack_ms, 3),
     }
 
 
@@ -467,26 +472,27 @@ def measure_worker_scaling(workers=OVERLOAD_WORKERS, probe_seconds: float = 1.2,
     return out
 
 
-def run_overload_cells(workers=OVERLOAD_WORKERS, n_requests: int = 0) -> list:
+def run_overload_cells(workers=OVERLOAD_WORKERS, n_requests: int = 0,
+                       slack_ms: float = SLACK_MS) -> list:
     cells = []
     for n_workers in workers:
         rng = np.random.default_rng(SEED + 2 + n_workers)
         capacity = measure_capacity(n_workers, OVERLOAD_DEADLINE_MS, rng)
         n = n_requests or int(min(max(capacity * OVERLOAD_MULT * 1.0, 600), 4000))
         cells.append(
-            run_overload_cell(n_workers, capacity, OVERLOAD_DEADLINE_MS, n, rng)
+            run_overload_cell(n_workers, capacity, OVERLOAD_DEADLINE_MS, n, rng, slack_ms)
         )
     return cells
 
 
 def run_benchmark(rates=RATES, deadlines=DEADLINES_MS, stores=STORES,
-                  n_requests: int = 0) -> dict:
+                  n_requests: int = 0, slack_ms: float = SLACK_MS) -> dict:
     report = {
         "config": {
             "n_users": N_USERS, "n_items": N_ITEMS, "dim": DIM,
             "candidates_per_request": CANDIDATES, "n_shards": N_SHARDS,
             "lru_capacity": LRU_CAPACITY, "zipf_a": ZIPF_A,
-            "slack_ms": SLACK_MS,
+            "slack_ms": slack_ms,
         },
         "cells": [],
     }
@@ -497,7 +503,7 @@ def run_benchmark(rates=RATES, deadlines=DEADLINES_MS, stores=STORES,
                 for deadline in deadlines:
                     rng = np.random.default_rng(SEED + 1)
                     n = n_requests or int(min(max(rate * 1.5, 300), 3000))
-                    cell = run_cell(model, rate, deadline, n, rng)
+                    cell = run_cell(model, rate, deadline, n, rng, slack_ms)
                     cell["store"] = store
                     report["cells"].append(cell)
         finally:
@@ -592,15 +598,10 @@ if __name__ == "__main__":
     )
     args = parser.parse_args()
     if args.smoke:
-        if "REPRO_BENCH_SERVE_SLACK_MS" not in os.environ:
-            # 250 requests span ~0.5s: one scheduler stall on a shared
-            # CI runner moves p95, so the smoke gate gets wider slack
-            # (still far below unbounded-queueing latencies).
-            SLACK_MS = 100.0
         result = run_benchmark(
-            rates=(500.0,), deadlines=(5.0,), n_requests=250
+            rates=(500.0,), deadlines=(5.0,), n_requests=250, slack_ms=SMOKE_SLACK_MS
         )
-        result["overload_cells"] = run_overload_cells(workers=(2,))
+        result["overload_cells"] = run_overload_cells(workers=(2,), slack_ms=SMOKE_SLACK_MS)
         result["worker_scaling"] = measure_worker_scaling(
             workers=(1, 2), probe_seconds=0.5, trials=2
         )

@@ -36,8 +36,9 @@ cells read correctly either way.
 
 Writes ``BENCH_shard_gather.json`` at the repository root.  Run
 directly (``PYTHONPATH=src python benchmarks/bench_shard_gather.py``);
-``--smoke`` runs a seconds-scale configuration and skips the artifact.
-Environment knobs: ``REPRO_BENCH_SHARD_ROWS / DIM / CHUNK / ROUNDS``.
+``--smoke`` runs a seconds-scale configuration and skips the artifact;
+the full run's table is the module constants ``ROWS`` / ``DIM`` /
+``CHUNK`` / ``ROUNDS``.
 """
 
 from __future__ import annotations
@@ -53,16 +54,16 @@ import numpy as np
 from repro.nn.tensor import dtype_scope, no_grad
 from repro.store import DenseStore, LRUCachedStore, ProcessShardedStore, make_store
 
-ROWS = int(os.environ.get("REPRO_BENCH_SHARD_ROWS", "200000"))
-DIM = int(os.environ.get("REPRO_BENCH_SHARD_DIM", "64"))
-CHUNK = int(os.environ.get("REPRO_BENCH_SHARD_CHUNK", "4096"))
-ROUNDS = int(os.environ.get("REPRO_BENCH_SHARD_ROUNDS", "3"))
+ROWS = 200000
+DIM = 64
+CHUNK = 4096
+ROUNDS = 3
 
 # Memory-tier cells use their own table: the 0.30× int8 gate needs
 # dim >= 40 ((dim + 8) / 4·dim), so MEM_DIM must not follow the smoke
 # run's tiny DIM.
-MEM_ROWS = int(os.environ.get("REPRO_BENCH_MEM_ROWS", "20000"))
-MEM_DIM = int(os.environ.get("REPRO_BENCH_MEM_DIM", "64"))
+MEM_ROWS = 20000
+MEM_DIM = 64
 
 #: bytes/row ceilings vs the float32 baseline, per quantised mode.
 MEM_GATES = {"int8": 0.30, "fp16": 0.55}

@@ -24,14 +24,14 @@ allocations), gated in :func:`check_report`.
 
 Writes ``BENCH_train_throughput.json`` at the repository root.  Run
 directly (``PYTHONPATH=src python benchmarks/bench_train_throughput.py``);
-``--smoke`` runs a seconds-scale configuration and skips the artifact.
-Environment knobs: ``REPRO_BENCH_TRAIN_USERS / ITEMS / GROUPS / EPOCHS``.
+``--smoke`` runs a seconds-scale configuration and skips the artifact;
+the full run's scale is the module constants ``USERS`` / ``ITEMS`` /
+``GROUPS`` / ``EPOCHS``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.baselines import GBMF
@@ -40,10 +40,10 @@ from repro.data import SyntheticConfig, generate_dataset
 from repro.nn import CountingBackend, backend_scope
 from repro.training import TrainConfig, Trainer
 
-USERS = int(os.environ.get("REPRO_BENCH_TRAIN_USERS", "300"))
-ITEMS = int(os.environ.get("REPRO_BENCH_TRAIN_ITEMS", "120"))
-GROUPS = int(os.environ.get("REPRO_BENCH_TRAIN_GROUPS", "900"))
-EPOCHS = int(os.environ.get("REPRO_BENCH_TRAIN_EPOCHS", "2"))
+USERS = 300
+ITEMS = 120
+GROUPS = 900
+EPOCHS = 2
 
 # Paper loop hyper-parameters (Table II): |B| = 64, 1:9, |T| = 99.
 BATCH_SIZE = 64
@@ -144,7 +144,7 @@ def _step_audit(build_model, dataset) -> dict:
     Deterministic for a given configuration: the counts depend on the
     graph's structure, not on timing.  ``allocations`` sums the
     ``zeros_like`` and ``empty_like`` calls — the gradient buffers the
-    tape could not adopt from a closure (see docs/training.md,
+    tape could not adopt from a route (see docs/training.md,
     "Gradient buffers").
     """
     trainer = Trainer(build_model(dataset), dataset, _train_config())

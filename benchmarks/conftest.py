@@ -5,17 +5,13 @@ figure of the paper on the synthetic Beibei-style dataset (see
 :mod:`repro.data.synthetic`).  All experiments share
 one dataset and one training budget so their numbers are comparable the
 way the paper's are; candidate lists use a fixed seed so every model is
-ranked on identical instances.
-
-Environment knobs (for quick smoke runs):
-
-* ``REPRO_BENCH_EPOCHS``  — training epochs per model (default 24)
-* ``REPRO_BENCH_USERS/ITEMS/GROUPS`` — synthetic dataset scale
+ranked on identical instances.  The scale and budget are the module
+constants below; ``benchmarks/results/table1_dataset.txt`` fingerprints
+the dataset they generate.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
@@ -26,10 +22,10 @@ from repro.data import SyntheticConfig, generate_dataset
 from repro.eval import evaluate_model
 from repro.training import TrainConfig, Trainer
 
-BENCH_EPOCHS = int(os.environ.get("REPRO_BENCH_EPOCHS", "18"))
-BENCH_USERS = int(os.environ.get("REPRO_BENCH_USERS", "150"))
-BENCH_ITEMS = int(os.environ.get("REPRO_BENCH_ITEMS", "50"))
-BENCH_GROUPS = int(os.environ.get("REPRO_BENCH_GROUPS", "800"))
+BENCH_EPOCHS = 18
+BENCH_USERS = 150
+BENCH_ITEMS = 50
+BENCH_GROUPS = 800
 DATA_SEED = 7
 MODEL_SEED = 1
 EVAL_MAX = 150

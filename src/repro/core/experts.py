@@ -19,7 +19,7 @@ from typing import List
 import numpy as np
 
 from repro.nn.backend import get_backend
-from repro.nn.layers import FOLD_LOCK, Linear
+from repro.nn.layers import FOLD_LOCK, Linear, unfold_grad
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, _matmul, get_default_dtype
 from repro.utils.rng import SeedLike, as_rng
@@ -65,8 +65,8 @@ class ExpertBank(Module):
         same dot product as in a per-expert GEMM, so the value keeps the
         per-expert bits (``tests/golden_scores.npz`` guards this per BLAS
         build).  The column-stacked weight comes from the version-keyed
-        fold cache.  The adjoint stays per expert, last to first: each
-        adds its ``g[:, k] Wₖᵀ`` into the state's gradient and
+        fold cache.  The routes stay per expert, last to first: each
+        sends its ``g[:, k] Wₖᵀ`` into the state's gradient and
         ``stateᵀ g[:, k]`` into its weight, the order the per-expert
         graph ran them in; a stacked dX would re-associate its sum.
         """
@@ -84,18 +84,14 @@ class ExpertBank(Module):
         assert flat.base is (out if out.base is None else out.base), "slot must reshape to a view"
         b.matmul(x, self.stacked_folds_raw(((0, self.in_dim),)), out=flat)
 
-        def backward(g: np.ndarray) -> None:
-            b = get_backend()
-            for k in reversed(range(len(weights))):
-                g_k = g[:, k, :]
-                if gate_state.requires_grad:
-                    gate_state._accumulate(
-                        _matmul(g_k, b.swapaxes(weights[k].data, -1, -2)), owned=True
-                    )
-                if weights[k].requires_grad:
-                    weights[k]._accumulate(_matmul(b.swapaxes(x, -1, -2), g_k), owned=True)
+        def expert(k):
+            w = weights[k]
+            return (
+                (gate_state, lambda g: _matmul(g[:, k, :], get_backend().swapaxes(w.data, -1, -2))),
+                (w, lambda g: _matmul(get_backend().swapaxes(x, -1, -2), g[:, k, :])),
+            )
 
-        return Tensor._make(out, (gate_state, *weights), backward)
+        return Tensor._make(out, *(r for k in reversed(range(len(weights))) for r in expert(k)))
 
     def project_blocks(self, x: Tensor, blocks) -> Tensor:
         """Per-entity partial bank: every expert's weight-row blocks on ``x``.
@@ -129,22 +125,15 @@ class ExpertBank(Module):
         into that expert's weight blocks, so cached values can never be
         stale and cached nodes are never shared between graphs.
         """
-        stacked = self.stacked_folds_raw(blocks)
-        weights = [expert.weight for expert in self._experts]
         d = self.out_dim
 
-        def backward(g: np.ndarray) -> None:
-            backend = get_backend()
-            for k, weight in enumerate(weights):
-                if not weight.requires_grad:
-                    continue
-                grad = backend.zeros_like(weight.data)
-                g_k = g[:, k * d : (k + 1) * d]
-                for start, stop in blocks:
-                    grad[start:stop] += g_k
-                weight._accumulate(grad, owned=True)
+        def fold(k, weight):
+            return weight, lambda g: unfold_grad(g[:, k * d : (k + 1) * d], blocks, weight.data)
 
-        return Tensor._make(stacked, tuple(weights), backward)
+        return Tensor._make(
+            self.stacked_folds_raw(blocks),
+            *(fold(k, expert.weight) for k, expert in enumerate(self._experts)),
+        )
 
     def stacked_folds_raw(self, blocks) -> np.ndarray:
         """The cached ``(width, K·d)`` stacked fold as a raw array.

@@ -92,11 +92,10 @@ class GateAttention(Module):
         banks out so that a gate's banks are, where it pays, consecutive
         slots of one buffer, and passes that slice.  Without it one bank
         is read as is and several are concatenated.  Either way the operand holds the
-        banks' values.  The adjoint writes each bank's gradient as its
-        own ``wᵀ[slots] @ g`` outer product (one ``einsum``, see
-        :func:`repro.nn.tensor._matmul`) into the bank tensors, in
-        order — the values the operand's gradient slice would hold, but
-        fresh and contiguous, so each bank adopts it without a copy.
+        banks' values.  Each bank's route is its own ``wᵀ[slots] @ g``
+        outer product (one ``einsum``, see
+        :func:`repro.nn.tensor._matmul`): the values the operand's
+        gradient slice would hold, but fresh and contiguous.
         """
         b = get_backend()
         if operand is None:
@@ -108,21 +107,19 @@ class GateAttention(Module):
         d = operand.shape[2]
         w3 = b.reshape(weights.data, (n, 1, k))
 
-        def backward(g):
+        def grad_weights(g):
             b = get_backend()
-            g3 = b.reshape(g, (n, 1, d))
-            if weights.requires_grad:
-                grad = _matmul(g3, b.swapaxes(operand, -1, -2))
-                weights._accumulate(b.reshape(grad, (n, k)), owned=True)
-            w3t = b.swapaxes(w3, -1, -2)
-            start = 0
-            for t in banks:
-                stop = start + t.shape[1]
-                if t.requires_grad:
-                    t._accumulate(_matmul(w3t[:, start:stop], g3), owned=True)
-                start = stop
+            grad = _matmul(b.reshape(g, (n, 1, d)), b.swapaxes(operand, -1, -2))
+            return b.reshape(grad, (n, k))
 
-        return Tensor._make(b.reshape(_matmul(w3, operand), (n, d)), (weights, *banks), backward)
+        def grad_bank(start, stop):
+            return lambda g: _matmul(weights.data[:, start:stop, None], g[:, None, :])
+
+        routes, start = [(weights, grad_weights)], 0
+        for t in banks:
+            routes.append((t, grad_bank(start, start + t.shape[1])))
+            start += t.shape[1]
+        return Tensor._make(b.reshape(_matmul(w3, operand), (n, d)), *routes)
 
     def project_blocks(self, x: Tensor, blocks) -> Tensor:
         """Partial attention logits from the given weight-row blocks of ``W``.
@@ -258,9 +255,11 @@ def _fold(generic: Tensor, heads, spans, alpha: float) -> Tensor:
 
     ``spans`` is :meth:`TaskGate.fold_spans`: each ``((start, stop),
     idx)`` adds ``α·(heads[idx[0]] + heads[idx[1]] + ...)`` into the
-    ``[start, stop)`` slots of ``generic``.  One node: its adjoint hands
-    the consumed gradient to ``generic`` and each head a fresh
-    ``α·g[:, start:stop]``, so no buffer needs a first-touch copy.
+    ``[start, stop)`` slots of ``generic``.  One node: ``generic``'s
+    route is the consumed gradient itself and each head's a fresh
+    ``α·g[:, start:stop]``.  The routes run generic first, then head by
+    head, so the node's parents keep the order ``(generic, *heads)``
+    that fixes where the backward sort visits them.
     """
     b = get_backend()
     w = generic.data
@@ -272,16 +271,14 @@ def _fold(generic: Tensor, heads, spans, alpha: float) -> Tensor:
             part = b.add(part, heads[i].data)
         b.add(w[:, start:stop], b.multiply(part, scale), out=value[:, start:stop])
 
-    def backward(g):
-        b = get_backend()
-        for (start, stop), idx in spans:
-            for i in idx:
-                if heads[i].requires_grad:
-                    heads[i]._accumulate(b.multiply(g[:, start:stop], scale), owned=True)
-        if generic.requires_grad:
-            generic._accumulate(g, owned=True)
+    def head(i, start, stop):
+        return heads[i], lambda g: get_backend().multiply(g[:, start:stop], scale)
 
-    return Tensor._make(value, (generic, *heads), backward)
+    return Tensor._make(
+        value,
+        (generic, lambda g: g),
+        *(head(i, *span) for i in range(len(heads)) for span, idx in spans if i in idx),
+    )
 
 
 class TaskGate(Module):

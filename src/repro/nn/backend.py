@@ -3,7 +3,7 @@
 Every array primitive the tape executes — arithmetic, matmuls,
 transcendentals, reductions, gathers/scatters, shape ops — routes
 through an :class:`ArrayBackend` so the :class:`repro.nn.tensor.Tensor`
-graph machinery (parents, closures, ``_unbroadcast``) stays array-library
+graph machinery (parents, routes, ``_unbroadcast``) stays array-library
 agnostic.  NumPy remains the reference backend; an accelerated backend
 only has to implement these primitives to inherit the whole model zoo,
 and the conformance lane in ``tests/test_nn_tensor.py`` runs every

@@ -37,12 +37,7 @@ __all__ = [
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically-stable elementwise logistic function ``1/(1+e^-x)``."""
     value = _stable_sigmoid(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * value * (1.0 - value), owned=True)
-
-    return Tensor._make(value, (x,), backward)
+    return Tensor._make(value, (x, lambda g: g * value * (1.0 - value)))
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -68,12 +63,7 @@ def logsigmoid(x: Tensor) -> Tensor:
     ``log σ(s_pos - s_neg)``.
     """
     value = -_stable_softplus(-x.data)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * _stable_sigmoid(-x.data), owned=True)
-
-    return Tensor._make(value, (x,), backward)
+    return Tensor._make(value, (x, lambda g: g * _stable_sigmoid(-x.data)))
 
 
 def _stable_softplus(z: np.ndarray) -> np.ndarray:
@@ -85,47 +75,27 @@ def _stable_softplus(z: np.ndarray) -> np.ndarray:
 def softplus(x: Tensor) -> Tensor:
     """Stable elementwise softplus ``log(1 + e^x)``."""
     value = _stable_softplus(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * _stable_sigmoid(x.data), owned=True)
-
-    return Tensor._make(value, (x,), backward)
+    return Tensor._make(value, (x, lambda g: g * _stable_sigmoid(x.data)))
 
 
 def relu(x: Tensor) -> Tensor:
     """Rectified linear unit ``max(x, 0)``."""
     b = get_backend()
     mask = b.greater(x.data, 0)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(get_backend().multiply(g, mask), owned=True)
-
-    return Tensor._make(b.multiply(x.data, mask), (x,), backward)
+    return Tensor._make(b.multiply(x.data, mask), (x, lambda g: get_backend().multiply(g, mask)))
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     """LeakyReLU, the activation NGCF's propagation layers use."""
     mask = x.data > 0
     scale = np.where(mask, 1.0, negative_slope)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * scale, owned=True)
-
-    return Tensor._make(x.data * scale, (x,), backward)
+    return Tensor._make(x.data * scale, (x, lambda g: g * scale))
 
 
 def tanh(x: Tensor) -> Tensor:
     """Elementwise hyperbolic tangent."""
     value = get_backend().tanh(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * (1.0 - value**2), owned=True)
-
-    return Tensor._make(value, (x,), backward)
+    return Tensor._make(value, (x, lambda g: g * (1.0 - value**2)))
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
@@ -193,13 +163,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     total = _row_sum(value) if rows else b.sum(value, axis=axis, keepdims=True)
     b.divide(value, total, out=value)
 
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            gv = g * value
-            dot = _row_sum(gv) if rows else gv.sum(axis=axis, keepdims=True)
-            x._accumulate(value * (g - dot), owned=True)
+    def grad(g: np.ndarray) -> np.ndarray:
+        gv = g * value
+        dot = _row_sum(gv) if rows else gv.sum(axis=axis, keepdims=True)
+        return value * (g - dot)
 
-    return Tensor._make(value, (x,), backward)
+    return Tensor._make(value, (x, grad))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -209,12 +178,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     log_z = b.log(b.sum(b.exp(shifted), axis=axis, keepdims=True))
     value = shifted - log_z
     soft = b.exp(value)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g - soft * g.sum(axis=axis, keepdims=True), owned=True)
-
-    return Tensor._make(value, (x,), backward)
+    return Tensor._make(value, (x, lambda g: g - soft * g.sum(axis=axis, keepdims=True)))
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -224,12 +188,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     if not training or p == 0.0:
         return x
     keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * keep, owned=True)
-
-    return Tensor._make(x.data * keep, (x,), backward)
+    return Tensor._make(x.data * keep, (x, lambda g: g * keep))
 
 
 def binary_cross_entropy(pred: Tensor, target: np.ndarray, eps: float = 1e-12) -> Tensor:

@@ -56,6 +56,14 @@ def resolve_activation(activation) -> Activation:
         ) from exc
 
 
+def unfold_grad(g: np.ndarray, blocks, like: np.ndarray) -> np.ndarray:
+    """Adjoint of a row-block fold: ``g`` added into each ``[start, stop)`` block of zeros."""
+    grad = get_backend().zeros_like(like)
+    for start, stop in blocks:
+        grad[start:stop] += g
+    return grad
+
+
 class Identity(Module):
     """No-op module, useful as a placeholder in ablations."""
 
@@ -144,17 +152,9 @@ class Linear(Module):
         training (no scoring while the optimizer steps).
         """
         weight = self.weight
-        folded = self.folded_blocks_raw(blocks)
-
-        def backward(g: np.ndarray) -> None:
-            if not weight.requires_grad:
-                return
-            grad = get_backend().zeros_like(weight.data)
-            for start, stop in blocks:
-                grad[start:stop] += g
-            weight._accumulate(grad, owned=True)
-
-        return Tensor._make(folded, (weight,), backward)
+        return Tensor._make(
+            self.folded_blocks_raw(blocks), (weight, lambda g: unfold_grad(g, blocks, weight.data))
+        )
 
     def folded_blocks_raw(self, blocks: Tuple[Tuple[int, int], ...]) -> np.ndarray:
         """The cached fold values as a raw array (no graph node).

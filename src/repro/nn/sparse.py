@@ -104,9 +104,4 @@ def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     dtype = get_default_dtype()
     csr, csr_t = _cached_operands(matrix, dtype)
     value = csr @ dense.data.astype(dtype, copy=False)
-
-    def backward(g: np.ndarray) -> None:
-        if dense.requires_grad:
-            dense._accumulate(csr_t @ g, owned=True)
-
-    return Tensor._make(np.asarray(value), (dense,), backward)
+    return Tensor._make(np.asarray(value), (dense, lambda g: csr_t @ g))

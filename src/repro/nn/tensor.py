@@ -12,16 +12,24 @@ Design notes
 ------------
 * A :class:`Tensor` wraps an ``np.ndarray`` (``float64`` by default so the
   finite-difference gradient checker in :mod:`repro.nn.gradcheck` is
-  meaningful) plus an optional gradient buffer and a backward closure.
+  meaningful) plus an optional gradient buffer and, on graph nodes, the
+  backward :meth:`Tensor._make` built for it.
 * The graph is a DAG of tensors; :meth:`Tensor.backward` runs a
   depth-first topological sort and accumulates gradients with ``+=`` so
   shared sub-expressions (e.g. the GCN embeddings feeding three gates)
   receive the sum of their downstream gradients.
+* Every op builds its node with :meth:`Tensor._make`, passing one
+  route ``(parent, vjp)`` per gradient contribution: ``vjp(g)`` returns
+  that parent's share of the node's gradient ``g`` and nothing else.
+  The node's one backward, built there, is the tape's only gradient
+  router: it walks the routes in order, skips parents that need no
+  gradient and ``None`` results, and accumulates the rest.
 * Gradient buffers are single-owner: an interior node's ``.grad`` is
-  released once its closure has consumed it, and a buffer the closure
-  owns (freshly computed, or the consumed gradient itself) becomes a
-  parent's ``.grad`` without a copy.  Only leaves keep ``.grad`` after
-  :meth:`Tensor.backward` (docs/training.md, "Gradient buffers").
+  released once its backward has consumed it, and the router lets a
+  parent adopt each route's result as its ``.grad`` without a copy,
+  unless the same array went to an earlier route of the node (``a + b``).
+  Only leaves keep ``.grad`` after :meth:`Tensor.backward`
+  (docs/training.md, "Gradient buffers").
 * Broadcasting follows NumPy semantics; :func:`_unbroadcast` folds a
   gradient back onto the operand's original shape by summing the
   broadcast axes.
@@ -63,7 +71,7 @@ Array backends
 Every array primitive (arithmetic, matmuls, transcendentals, reductions,
 gathers/scatters) is executed through the thread-local
 :class:`repro.nn.backend.ArrayBackend` — the tape itself only knows
-about graph plumbing (parents, closures, :func:`_unbroadcast`).  NumPy
+about graph plumbing (routes, views, :func:`_unbroadcast`).  NumPy
 is the reference backend; see :mod:`repro.nn.backend` for the contract
 and the instrumented counting backend used by the copy-audit tests.
 
@@ -79,9 +87,10 @@ care which one is active.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 from collections import OrderedDict
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -191,7 +200,7 @@ def no_grad():
     """Context manager that disables autograd graph construction.
 
     Inside the block every operation produces constant tensors with
-    ``requires_grad=False`` and no backward closure, exactly like
+    ``requires_grad=False`` and no backward, exactly like
     ``torch.no_grad()``.  Used by evaluation, serving flushes and the
     trainers' embedding pre-computation step.  Thread-local: only the
     entering thread stops recording.
@@ -349,6 +358,29 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return b.reshape(grad, shape)
 
 
+def _route(routes, g: np.ndarray) -> None:
+    """The backward of every node: send ``g`` down ``routes`` (see :meth:`Tensor._make`)."""
+    handed = []
+    for parent, vjp in routes:
+        if not parent.requires_grad:
+            continue
+        grad = vjp(g)
+        if grad is None:
+            continue
+        parent._accumulate(grad, owned=not any(grad is h for h in handed))
+        handed.append(grad)
+
+
+def _gather_route(source: "Tensor", index: np.ndarray):
+    """Route of a row gather ``source[index]``: scatter-add ``g`` back."""
+    return source, lambda g: _scatter_rows_add(index, g, source.data.shape[0], source.data.dtype)
+
+
+def _window_route(parent: "Tensor", index: tuple):
+    """Route reading one disjoint region ``g[index]`` of the node's gradient."""
+    return parent, lambda g: g[index]
+
+
 class Tensor:
     """A NumPy array with reverse-mode automatic differentiation.
 
@@ -359,7 +391,7 @@ class Tensor:
     grad:
         Accumulated gradient of the same shape, or ``None`` before
         :meth:`backward` (or for constants).  Only leaves (tensors
-        without a backward closure: parameters and user inputs) keep
+        :meth:`_make` did not build: parameters and user inputs) keep
         it; :meth:`backward` releases interior nodes' gradients.
     requires_grad:
         Whether this tensor participates in differentiation.
@@ -371,8 +403,6 @@ class Tensor:
         self,
         data: ArrayLike,
         requires_grad: bool = False,
-        _parents: Tuple["Tensor", ...] = (),
-        _backward: Optional[Callable[[np.ndarray], None]] = None,
         name: str = "",
         dtype=None,
     ) -> None:
@@ -385,8 +415,8 @@ class Tensor:
         self.data = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and state.grad_enabled
-        self._parents = _parents if self.requires_grad or _parents else ()
-        self._backward = _backward
+        self._parents: Tuple[Tensor, ...] = ()
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -428,10 +458,8 @@ class Tensor:
         return float(self.data)
 
     def detach(self) -> "Tensor":
-        """Return a constant tensor sharing this tensor's data."""
-        out = Tensor(self.data)
-        out.requires_grad = False
-        return out
+        """Return a constant tensor sharing this tensor's data (and dtype)."""
+        return Tensor(self.data, dtype=self.data.dtype)
 
     # ------------------------------------------------------------------
     # Autograd machinery
@@ -439,14 +467,12 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
         """Add ``grad`` into this tensor's gradient buffer.
 
-        ``owned`` declares that no one else holds or reads ``grad`` (a
-        buffer the caller freshly allocated, or the consumed upstream
-        gradient or a disjoint slice of it): on first touch it becomes
+        ``owned`` declares that no one else holds or reads ``grad`` (the
+        router in :meth:`_make` decides it): on first touch it becomes
         this tensor's buffer with no copy, provided it already has the
         data's shape and dtype and is a writeable C-contiguous array.
         Any other first touch costs one pass, ``grad + 0.0`` into a new
-        buffer; later touches add in place.  See "Gradient buffers" in
-        docs/training.md for the single-owner rule.
+        buffer; later touches add in place.
         """
         b = _B_STATE.backend
         current = self.grad
@@ -482,7 +508,7 @@ class Tensor:
             read, never mutated.
 
         Each interior node's ``.grad`` is released (set to ``None``) as
-        soon as its closure has consumed it; leaves accumulate across
+        soon as its backward has consumed it; leaves accumulate across
         calls until :meth:`zero_grad`.
         """
         if not self.requires_grad:
@@ -513,26 +539,33 @@ class Tensor:
         visit(self)
         self._accumulate(grad, owned=owned)
         for node in reversed(order):
-            closure = node._backward
-            if closure is not None and node.grad is not None:
+            route = node._backward
+            if route is not None and node.grad is not None:
                 # Interior gradients are released once consumed; the
-                # closure may hand the buffer on to one parent.
+                # router may hand the buffer on to one parent.
                 g, node.grad = node.grad, None
-                closure(g)
+                route(g)
 
     @staticmethod
-    def _make(
-        data: np.ndarray,
-        parents: Tuple["Tensor", ...],
-        backward: Callable[[np.ndarray], None],
-    ) -> "Tensor":
-        """Construct a graph node whose grad flows to ``parents``."""
-        needs = _STATE.grad_enabled and any(p.requires_grad for p in parents)
+    def _make(data: np.ndarray, *routes: Tuple["Tensor", Callable]) -> "Tensor":
+        """Construct a graph node; each route ``(parent, vjp)`` feeds one parent.
+
+        ``vjp(g)`` returns that parent's contribution given the node's
+        gradient ``g``, or ``None`` when it has nothing to add.  A parent
+        may have several routes; they run in the order given, so the
+        order of each parent's contributions is the order of its routes.
+        The node's backward is the tape's one gradient router: it skips
+        parents that need no gradient, and a parent adopts each result
+        as its buffer unless the same array went to an earlier route of
+        this node (``a + b``: ``b`` gets a copy of the ``g`` ``a``
+        adopted).  The node's parents, which order the backward sort,
+        are the routes' parents in order of first appearance.
+        """
         out = Tensor(data)
-        if needs:
+        if _STATE.grad_enabled and any(p.requires_grad for p, _ in routes):
             out.requires_grad = True
-            out._parents = tuple(p for p in parents if p.requires_grad)
-            out._backward = backward
+            out._parents = tuple(dict.fromkeys(p for p, _ in routes if p.requires_grad))
+            out._backward = functools.partial(_route, routes)
         return out
 
     # ------------------------------------------------------------------
@@ -540,29 +573,19 @@ class Tensor:
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = _as_tensor(other)
-
-        def backward(g: np.ndarray) -> None:
-            # ``_unbroadcast`` returns ``g`` itself or a fresh reduction;
-            # ``g`` goes to the first parent that takes it, never to both.
-            handed = False
-            if self.requires_grad:
-                grad = _unbroadcast(g, self.data.shape)
-                handed = grad is g
-                self._accumulate(grad, owned=True)
-            if other.requires_grad:
-                grad = _unbroadcast(g, other.data.shape)
-                other._accumulate(grad, owned=not (handed and grad is g))
-
-        return Tensor._make(_B_STATE.backend.add(self.data, other.data), (self, other), backward)
+        return Tensor._make(
+            _B_STATE.backend.add(self.data, other.data),
+            (self, lambda g: _unbroadcast(g, self.data.shape)),
+            (other, lambda g: _unbroadcast(g, other.data.shape)),
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_B_STATE.backend.negative(g), owned=True)
-
-        return Tensor._make(_B_STATE.backend.negative(self.data), (self,), backward)
+        return Tensor._make(
+            _B_STATE.backend.negative(self.data),
+            (self, lambda g: _B_STATE.backend.negative(g)),
+        )
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-_as_tensor(other))
@@ -572,20 +595,16 @@ class Tensor:
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = _as_tensor(other)
-
-        def backward(g: np.ndarray) -> None:
-            b = _B_STATE.backend
-            if self.requires_grad:
-                self._accumulate(
-                    _unbroadcast(b.multiply(g, other.data), self.data.shape), owned=True
-                )
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(b.multiply(g, self.data), other.data.shape), owned=True
-                )
-
         return Tensor._make(
-            _B_STATE.backend.multiply(self.data, other.data), (self, other), backward
+            _B_STATE.backend.multiply(self.data, other.data),
+            (
+                self,
+                lambda g: _unbroadcast(_B_STATE.backend.multiply(g, other.data), self.data.shape),
+            ),
+            (
+                other,
+                lambda g: _unbroadcast(_B_STATE.backend.multiply(g, self.data), other.data.shape),
+            ),
         )
 
     __rmul__ = __mul__
@@ -593,26 +612,15 @@ class Tensor:
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = _as_tensor(other)
 
-        def backward(g: np.ndarray) -> None:
+        def grad_other(g: np.ndarray) -> np.ndarray:
             b = _B_STATE.backend
-            if self.requires_grad:
-                self._accumulate(
-                    _unbroadcast(b.divide(g, other.data), self.data.shape), owned=True
-                )
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(
-                        b.divide(
-                            b.multiply(b.negative(g), self.data),
-                            b.power(other.data, 2),
-                        ),
-                        other.data.shape,
-                    ),
-                    owned=True,
-                )
+            grad = b.divide(b.multiply(b.negative(g), self.data), b.power(other.data, 2))
+            return _unbroadcast(grad, other.data.shape)
 
         return Tensor._make(
-            _B_STATE.backend.divide(self.data, other.data), (self, other), backward
+            _B_STATE.backend.divide(self.data, other.data),
+            (self, lambda g: _unbroadcast(_B_STATE.backend.divide(g, other.data), self.data.shape)),
+            (other, grad_other),
         )
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
@@ -622,44 +630,39 @@ class Tensor:
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
 
-        def backward(g: np.ndarray) -> None:
+        def grad(g: np.ndarray) -> np.ndarray:
             b = _B_STATE.backend
-            if self.requires_grad:
-                self._accumulate(
-                    b.multiply(b.multiply(g, exponent), b.power(self.data, exponent - 1)),
-                    owned=True,
-                )
+            return b.multiply(b.multiply(g, exponent), b.power(self.data, exponent - 1))
 
-        return Tensor._make(_B_STATE.backend.power(self.data, exponent), (self,), backward)
+        return Tensor._make(_B_STATE.backend.power(self.data, exponent), (self, grad))
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = _as_tensor(other)
 
-        def backward(g: np.ndarray) -> None:
+        def grad_self(g: np.ndarray) -> np.ndarray:
             b = _B_STATE.backend
-            if self.requires_grad:
-                if other.data.ndim == 1:
-                    # (..., n) @ (n,) -> (...): outer-product adjoint.
-                    grad_self = b.multiply(b.expand_dims(g, -1), other.data)
-                else:
-                    grad_self = _matmul(g, b.swapaxes(other.data, -1, -2))
-                if self.data.ndim == 1 and grad_self.ndim > 1:
-                    grad_self = b.sum(grad_self, axis=tuple(range(grad_self.ndim - 1)))
-                self._accumulate(_unbroadcast(grad_self, self.data.shape), owned=True)
-            if other.requires_grad:
-                if self.data.ndim == 1:
-                    grad_other = b.multiply(b.expand_dims(self.data, -1), b.expand_dims(g, -2))
-                elif other.data.ndim == 1:
-                    grad_other = _matmul(
-                        b.swapaxes(self.data, -1, -2), b.expand_dims(g, -1)
-                    )[..., 0]
-                    if grad_other.ndim > 1:
-                        grad_other = b.sum(grad_other, axis=tuple(range(grad_other.ndim - 1)))
-                else:
-                    grad_other = _matmul(b.swapaxes(self.data, -1, -2), g)
-                other._accumulate(_unbroadcast(grad_other, other.data.shape), owned=True)
+            if other.data.ndim == 1:
+                # (..., n) @ (n,) -> (...): outer-product adjoint.
+                grad = b.multiply(b.expand_dims(g, -1), other.data)
+            else:
+                grad = _matmul(g, b.swapaxes(other.data, -1, -2))
+            if self.data.ndim == 1 and grad.ndim > 1:
+                grad = b.sum(grad, axis=tuple(range(grad.ndim - 1)))
+            return _unbroadcast(grad, self.data.shape)
 
-        return Tensor._make(_matmul(self.data, other.data), (self, other), backward)
+        def grad_other(g: np.ndarray) -> np.ndarray:
+            b = _B_STATE.backend
+            if self.data.ndim == 1:
+                grad = b.multiply(b.expand_dims(self.data, -1), b.expand_dims(g, -2))
+            elif other.data.ndim == 1:
+                grad = _matmul(b.swapaxes(self.data, -1, -2), b.expand_dims(g, -1))[..., 0]
+                if grad.ndim > 1:
+                    grad = b.sum(grad, axis=tuple(range(grad.ndim - 1)))
+            else:
+                grad = _matmul(b.swapaxes(self.data, -1, -2), g)
+            return _unbroadcast(grad, other.data.shape)
+
+        return Tensor._make(_matmul(self.data, other.data), (self, grad_self), (other, grad_other))
 
     # ------------------------------------------------------------------
     # Elementwise transcendental functions
@@ -667,52 +670,41 @@ class Tensor:
     def exp(self) -> "Tensor":
         """Elementwise exponential."""
         value = _B_STATE.backend.exp(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_B_STATE.backend.multiply(g, value), owned=True)
-
-        return Tensor._make(value, (self,), backward)
+        return Tensor._make(value, (self, lambda g: _B_STATE.backend.multiply(g, value)))
 
     def log(self) -> "Tensor":
         """Elementwise natural logarithm."""
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_B_STATE.backend.divide(g, self.data), owned=True)
-
-        return Tensor._make(_B_STATE.backend.log(self.data), (self,), backward)
+        return Tensor._make(
+            _B_STATE.backend.log(self.data),
+            (self, lambda g: _B_STATE.backend.divide(g, self.data)),
+        )
 
     def sqrt(self) -> "Tensor":
         """Elementwise square root."""
         value = _B_STATE.backend.sqrt(self.data)
 
-        def backward(g: np.ndarray) -> None:
+        def grad(g: np.ndarray) -> np.ndarray:
             b = _B_STATE.backend
-            if self.requires_grad:
-                self._accumulate(b.divide(b.multiply(g, 0.5), value), owned=True)
+            return b.divide(b.multiply(g, 0.5), value)
 
-        return Tensor._make(value, (self,), backward)
+        return Tensor._make(value, (self, grad))
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value (subgradient 0 at 0)."""
 
-        def backward(g: np.ndarray) -> None:
+        def grad(g: np.ndarray) -> np.ndarray:
             b = _B_STATE.backend
-            if self.requires_grad:
-                self._accumulate(b.multiply(g, b.sign(self.data)), owned=True)
+            return b.multiply(g, b.sign(self.data))
 
-        return Tensor._make(_B_STATE.backend.absolute(self.data), (self,), backward)
+        return Tensor._make(_B_STATE.backend.absolute(self.data), (self, grad))
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values to ``[low, high]``; gradient is zero outside."""
         mask = (self.data >= low) & (self.data <= high)
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_B_STATE.backend.multiply(g, mask), owned=True)
-
-        return Tensor._make(_B_STATE.backend.clip(self.data, low, high), (self,), backward)
+        return Tensor._make(
+            _B_STATE.backend.clip(self.data, low, high),
+            (self, lambda g: _B_STATE.backend.multiply(g, mask)),
+        )
 
     # ------------------------------------------------------------------
     # Reductions
@@ -720,20 +712,17 @@ class Tensor:
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
         """Sum over ``axis`` (all axes when ``None``)."""
 
-        def backward(g: np.ndarray) -> None:
+        def grad(g: np.ndarray) -> np.ndarray:
             b = _B_STATE.backend
-            if not self.requires_grad:
-                return
-            grad = g
             if axis is not None and not keepdims:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                axes = tuple(a % self.data.ndim for a in axes)
-                for a in sorted(axes):
-                    grad = b.expand_dims(grad, a)
-            self._accumulate(b.broadcast_to(grad, self.data.shape))
+                for a in sorted(a % self.data.ndim for a in axes):
+                    g = b.expand_dims(g, a)
+            # A read-only broadcast view: the first touch copies it.
+            return b.broadcast_to(g, self.data.shape)
 
         return Tensor._make(
-            _B_STATE.backend.sum(self.data, axis=axis, keepdims=keepdims), (self,), backward
+            _B_STATE.backend.sum(self.data, axis=axis, keepdims=keepdims), (self, grad)
         )
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
@@ -749,28 +738,22 @@ class Tensor:
         """Maximum over ``axis``; ties split gradient equally."""
         value = _B_STATE.backend.amax(self.data, axis=axis, keepdims=True)
 
-        def backward(g: np.ndarray) -> None:
+        def grad(g: np.ndarray) -> np.ndarray:
             b = _B_STATE.backend
-            if not self.requires_grad:
-                return
-            grad = g
             if axis is not None and not keepdims:
-                grad = b.expand_dims(grad, axis)
+                g = b.expand_dims(g, axis)
             elif axis is None and not keepdims:
-                grad = b.broadcast_to(grad, (1,) * self.data.ndim)
+                g = b.broadcast_to(g, (1,) * self.data.ndim)
             mask = self.data == value
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(
-                b.divide(b.multiply(b.broadcast_to(grad, self.data.shape), mask), counts),
-                owned=True,
-            )
+            return b.divide(b.multiply(b.broadcast_to(g, self.data.shape), mask), counts)
 
         out_value = (
             value if keepdims or axis is None else _B_STATE.backend.squeeze(value, axis=axis)
         )
         if axis is None and not keepdims:
             out_value = np.asarray(out_value).reshape(())
-        return Tensor._make(out_value, (self,), backward)
+        return Tensor._make(out_value, (self, grad))
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -779,22 +762,16 @@ class Tensor:
         """Return a reshaped view of this tensor."""
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_B_STATE.backend.reshape(g, self.data.shape), owned=True)
-
-        return Tensor._make(_B_STATE.backend.reshape(self.data, shape), (self,), backward)
+        return Tensor._make(
+            _B_STATE.backend.reshape(self.data, shape),
+            (self, lambda g: _B_STATE.backend.reshape(g, self.data.shape)),
+        )
 
     def transpose(self, axis0: int = -2, axis1: int = -1) -> "Tensor":
         """Swap two axes (defaults transpose the trailing matrix dims)."""
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_B_STATE.backend.swapaxes(g, axis0, axis1), owned=True)
-
         return Tensor._make(
-            _B_STATE.backend.swapaxes(self.data, axis0, axis1), (self,), backward
+            _B_STATE.backend.swapaxes(self.data, axis0, axis1),
+            (self, lambda g: _B_STATE.backend.swapaxes(g, axis0, axis1)),
         )
 
     def __getitem__(self, key) -> "Tensor":
@@ -810,24 +787,13 @@ class Tensor:
         if isinstance(key, Tensor):
             key = key.data.astype(np.int64)
         value = self.data[key]
-        fast_rows = (
-            isinstance(key, np.ndarray)
-            and key.ndim == 1
-            and np.issubdtype(key.dtype, np.integer)
-        )
+        if isinstance(key, np.ndarray) and key.ndim == 1 and np.issubdtype(key.dtype, np.integer):
+            return Tensor._make(value, _gather_route(self, key))
         basic = isinstance(key, slice) or (
             isinstance(key, tuple) and all(isinstance(k, slice) for k in key)
         )
 
-        def backward(g: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            if fast_rows:
-                self._accumulate(
-                    _scatter_rows_add(key, g, self.data.shape[0], self.data.dtype),
-                    owned=True,
-                )
-                return
+        def grad(g: np.ndarray) -> Optional[np.ndarray]:
             b = _B_STATE.backend
             current = self.grad
             if basic and current is not None:
@@ -836,16 +802,16 @@ class Tensor:
                 b.add(current, 0.0, out=current)
                 window = current[key]
                 b.add(window, g, out=window)
-                return
-            grad = b.zeros_like(self.data)
+                return None
+            buf = b.zeros_like(self.data)
             if basic:
-                window = grad[key]
+                window = buf[key]
                 b.add(window, g, out=window)
             else:
-                b.add_at(grad, key, g)
-            self._accumulate(grad, owned=True)
+                b.add_at(buf, key, g)
+            return buf
 
-        return Tensor._make(value, (self,), backward)
+        return Tensor._make(value, (self, grad))
 
     # ------------------------------------------------------------------
     # Convenience constructors on instances
@@ -901,19 +867,15 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         raise ValueError("concat() needs at least one tensor")
     value = _B_STATE.backend.concatenate([t.data for t in tensors], axis=axis)
     ax = axis % value.ndim
-    sizes = [t.data.shape[ax] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray) -> None:
-        # Disjoint slices of ``g``: each region has one owner even when
-        # an operand repeats (``concat([x, x])``).
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[ax] = slice(int(start), int(stop))
-                t._accumulate(g[tuple(index)], owned=True)
-
-    return Tensor._make(value, tuple(tensors), backward)
+    offsets = np.cumsum([0] + [t.data.shape[ax] for t in tensors])
+    lead = (slice(None),) * ax
+    return Tensor._make(
+        value,
+        *(
+            _window_route(t, lead + (slice(int(start), int(stop)),))
+            for t, start, stop in zip(tensors, offsets[:-1], offsets[1:])
+        ),
+    )
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -926,15 +888,8 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("stack() needs at least one tensor")
     value = _B_STATE.backend.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g: np.ndarray) -> None:
-        # Disjoint slices of ``g``, as in :func:`concat`.
-        slices = np.moveaxis(g, axis, 0)
-        for t, piece in zip(tensors, slices):
-            if t.requires_grad:
-                t._accumulate(piece, owned=True)
-
-    return Tensor._make(value, tuple(tensors), backward)
+    lead = (slice(None),) * (axis % value.ndim)
+    return Tensor._make(value, *(_window_route(t, lead + (i,)) for i, t in enumerate(tensors)))
 
 
 def take_rows(source: Tensor, index: ArrayLike) -> Tensor:
@@ -946,16 +901,7 @@ def take_rows(source: Tensor, index: ArrayLike) -> Tensor:
     scoring plans hitting the same entity) accumulate correctly.
     """
     idx = np.asarray(index, dtype=np.int64)
-    value = _B_STATE.backend.take(source.data, idx)
-
-    def backward(g: np.ndarray) -> None:
-        if source.requires_grad:
-            source._accumulate(
-                _scatter_rows_add(idx, g, source.data.shape[0], source.data.dtype),
-                owned=True,
-            )
-
-    return Tensor._make(value, (source,), backward)
+    return Tensor._make(_B_STATE.backend.take(source.data, idx), _gather_route(source, idx))
 
 
 def gather_add(sources: Sequence[Tensor], indices: Sequence[np.ndarray], out=None) -> Tensor:
@@ -996,16 +942,7 @@ def gather_add(sources: Sequence[Tensor], indices: Sequence[np.ndarray], out=Non
             b.add(acc, part, out=out if k == last else acc)
     elif acc is not out:
         out[...] = acc
-
-    def backward(g: np.ndarray) -> None:
-        for source, index in zip(sources, indices):
-            if source.requires_grad:
-                source._accumulate(
-                    _scatter_rows_add(index, g, source.data.shape[0], source.data.dtype),
-                    owned=True,
-                )
-
-    return Tensor._make(out, tuple(sources), backward)
+    return Tensor._make(out, *map(_gather_route, sources, indices))
 
 
 def scatter_rows_sum(rows: Tensor, index: ArrayLike, n_rows: int) -> Tensor:
@@ -1016,9 +953,4 @@ def scatter_rows_sum(rows: Tensor, index: ArrayLike, n_rows: int) -> Tensor:
     """
     idx = np.asarray(index, dtype=np.int64)
     value = _scatter_rows_add(idx, rows.data, n_rows, rows.data.dtype)
-
-    def backward(g: np.ndarray) -> None:
-        if rows.requires_grad:
-            rows._accumulate(_B_STATE.backend.take(g, idx), owned=True)
-
-    return Tensor._make(value, (rows,), backward)
+    return Tensor._make(value, (rows, lambda g: _B_STATE.backend.take(g, idx)))

@@ -558,6 +558,16 @@ class RemoteShardParameter(Parameter):
         return self._store._shard_sgd_step(self._shard, lr, momentum, weight_decay)
 
 
+def _shipping_routes(parents, ship):
+    """Routes of a node whose gradient lives in the shard workers.
+
+    The first route's ``ship(g)`` sends every shard its slice in one
+    transaction; no route hands the parent process a buffer (each
+    returns ``None``), the others only list their shard as a parent.
+    """
+    return [(parents[0], ship)] + [(p, lambda g: None) for p in parents[1:]]
+
+
 class ProcessShardedStore(EmbeddingStore):
     """N-way partitioned embedding table served by worker processes.
 
@@ -1170,7 +1180,7 @@ class ProcessShardedStore(EmbeddingStore):
         store = self
         dtype = self._dtype
 
-        def backward(g: np.ndarray) -> None:
+        def ship(g: np.ndarray) -> None:
             if inverse is not None:
                 # take_rows(grouped, inverse) adjoint: regroup the
                 # incoming gradient into shard order (a permutation).
@@ -1180,10 +1190,8 @@ class ProcessShardedStore(EmbeddingStore):
                 return
             store._accum_shards(locals_by_shard, g)
 
-        parents = tuple(self._params[k] for k, _, _, _ in locals_by_shard) or (
-            self._params[0],
-        )
-        return Tensor._make(values, parents, backward)
+        parents = [self._params[k] for k, _, _, _ in locals_by_shard] or [self._params[0]]
+        return Tensor._make(values, *_shipping_routes(parents, ship))
 
     def _accum_shards(
         self, locals_by_shard: List[Tuple[int, int, int, np.ndarray]], g: np.ndarray
@@ -1257,15 +1265,15 @@ class ProcessShardedStore(EmbeddingStore):
         perm = self._all_perm
         dtype = self._dtype
 
-        def backward(g: np.ndarray) -> None:
+        def ship(g: np.ndarray) -> None:
             if perm is not None:
                 g = _scatter_rows_add(perm, g, n, dtype)
             store._accum_all(g)
 
-        parents = tuple(
+        parents = [
             p for k, p in enumerate(self._params) if self.partitioner.shard_size(k)
-        ) or (self._params[0],)
-        return Tensor._make(value, parents, backward)
+        ] or [self._params[0]]
+        return Tensor._make(value, *_shipping_routes(parents, ship))
 
     def _accum_all(self, g: np.ndarray) -> None:
         """Full-table gradient: one contiguous slice per non-empty shard."""

@@ -24,7 +24,7 @@ from repro.nn import (
     tensor,
     zeros,
 )
-from repro.nn.tensor import gather_add
+from repro.nn.tensor import dtype_scope, gather_add
 
 
 @pytest.fixture(autouse=True, params=available_backends())
@@ -60,6 +60,16 @@ class TestConstruction:
     def test_detach_breaks_graph(self, rng):
         a = _t(rng, 3)
         d = a.detach()
+        assert not d.requires_grad
+
+    @pytest.mark.parametrize("scope", ["float32", "float64"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_detach_shares_data_under_any_scope(self, dtype, scope):
+        a = Tensor(np.arange(3.0), requires_grad=True, dtype=dtype)
+        with dtype_scope(scope):
+            d = a.detach()
+        assert d.data.dtype == dtype
+        assert np.shares_memory(d.data, a.data)
         assert not d.requires_grad
 
     def test_len_and_repr(self, rng):
