@@ -1,4 +1,4 @@
-"""``repro.serving`` — request batching and the async serving engines.
+"""``repro.serving`` — request batching behind the async serving engines.
 
 Coalesces incoming (user, candidates) scoring requests into one
 :class:`repro.plan.ScoringPlan` per task and scatters the scores back to
@@ -10,9 +10,7 @@ each caller.  Layers:
 * :mod:`repro.serving.core` — the pure queue/plan/scatter core
   (tickets, request queue with admission budget, flush execution with
   failure isolation);
-* :class:`RequestBatcher` — the synchronous shell (caller owns the
-  flush clock);
-* :class:`ServingEngine` — the asynchronous shell: thread-safe submits,
+* :class:`ServingEngine` — the serving shell: thread-safe submits,
   a worker thread owning the flush clock (deadline / size budget /
   drain), admission control, age-based load shedding, optional
   :class:`DegradationPolicy`, and a unified ``stats()`` snapshot;
@@ -32,11 +30,9 @@ from repro.serving.errors import (
     ShardUnavailable,
     TicketTimeout,
 )
-from repro.serving.frontend import RequestBatcher
 from repro.serving.multi import MultiWorkerEngine
 
 __all__ = [
-    "RequestBatcher",
     "ServingEngine",
     "MultiWorkerEngine",
     "DegradationPolicy",

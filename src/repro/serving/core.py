@@ -1,15 +1,10 @@
 """Serving core: tickets, the pending-request queue, and flush execution.
 
 This module is the *pure* half of the serving layer — it knows nothing
-about clocks or threads.  Two shells drive it:
-
-* :class:`repro.serving.frontend.RequestBatcher` — the synchronous
-  front-end: the caller owns the flush clock (explicit ``flush()``,
-  lazy flush on ``scores``, size-triggered auto-flush);
-* :class:`repro.serving.engine.ServingEngine` — the asynchronous
-  front-end: a dedicated worker thread owns the flush clock
-  (deadline / size budget / drain) and is the **only** thread that ever
-  calls the model.
+about clocks or threads.  :class:`repro.serving.engine.ServingEngine`
+drives it: a dedicated worker thread owns the flush clock (deadline /
+size budget / drain) and is the **only** thread that ever calls the
+model.
 
 Split of responsibilities:
 
@@ -19,7 +14,7 @@ Split of responsibilities:
   :meth:`PendingScores.wait`.
 * :class:`RequestQueue` — plain pending-request state (request tuples,
   per-task pending row counts, oldest-enqueue timestamp).  No locks: the
-  owning shell serializes access.
+  engine serializes access.
 * :class:`ScoringCore` — validation and flush execution: compiles each
   task's drained requests into one :class:`repro.plan.ScoringPlan`,
   runs the planned model call under ``no_grad``/``dtype_scope``, and
@@ -55,11 +50,10 @@ class PendingScores:
     the real failure instead of a generic "never resolved" error).
     """
 
-    __slots__ = ("_owner", "_scores", "_error", "_event", "_pad_to",
-                 "resolved_at", "degraded")
+    __slots__ = ("_scores", "_error", "_event", "_pad_to", "resolved_at",
+                 "degraded")
 
-    def __init__(self, owner) -> None:
-        self._owner = owner
+    def __init__(self) -> None:
         self._scores: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
         self._event = threading.Event()
@@ -94,8 +88,7 @@ class PendingScores:
     def wait(self, timeout: Optional[float] = None) -> np.ndarray:
         """Block until resolution; return the scores.
 
-        On a synchronous front-end this triggers a flush; on the async
-        engine it blocks on the ticket's event until the worker's clock
+        Blocks on the ticket's event until the engine worker's clock
         fires (``timeout`` in seconds bounds the wait).  Raises the
         flush's exception if the model call failed, or
         :class:`repro.serving.errors.TicketTimeout` (a typed
@@ -103,8 +96,7 @@ class PendingScores:
         still **unresolved** — in which case the ticket stays live and
         may still resolve later.
         """
-        if not self._event.is_set():
-            self._owner._wait_ticket(self, timeout)
+        self._event.wait(timeout)
         if self._error is not None:
             raise self._error
         if self._scores is None:
@@ -116,7 +108,7 @@ class PendingScores:
 
     @property
     def scores(self) -> np.ndarray:
-        """The request's score vector (blocks/flushes if still pending)."""
+        """The request's score vector (blocks while still pending)."""
         return self.wait()
 
     def _resolve(self, scores: np.ndarray) -> None:
@@ -142,7 +134,7 @@ class PendingScores:
 class RequestQueue:
     """Pending request tuples plus the bookkeeping a flush policy needs.
 
-    Pure state — the owning shell provides locking.  ``first_enqueued_at``
+    Pure state — the owning engine provides locking.  ``first_enqueued_at``
     is the ``time.monotonic()`` of the oldest pending request (the
     deadline clock's anchor); ``last_seq`` is the submission sequence
     number of the newest (drain targets).
@@ -157,7 +149,7 @@ class RequestQueue:
     ``max_rows`` is the optional **admission (depth) budget**: total
     pending flat rows across both tasks beyond which :meth:`admit`
     rejects with :class:`repro.serving.errors.OverloadError` — the
-    fail-fast half of overload control (the shells call it before
+    fail-fast half of overload control (the engine calls it before
     enqueueing, so a rejected submit creates no ticket).
     """
 
@@ -214,15 +206,14 @@ class RequestQueue:
             self.first_enqueued_at = now
 
     def add_items(self, user: int, candidates: np.ndarray, ticket: PendingScores,
-                  seq: int = 0, now: Optional[float] = None) -> None:
-        now = time.monotonic() if now is None else now
+                  seq: int) -> None:
+        now = time.monotonic()
         self.items.append((int(user), candidates, ticket, now))
         self._note("items", candidates.size, seq, now)
 
     def add_participants(self, user: int, item: int, candidates: np.ndarray,
-                         ticket: PendingScores, seq: int = 0,
-                         now: Optional[float] = None) -> None:
-        now = time.monotonic() if now is None else now
+                         ticket: PendingScores, seq: int) -> None:
+        now = time.monotonic()
         self.participants.append((int(user), int(item), candidates, ticket, now))
         self._note("participants", candidates.size, seq, now)
 
@@ -279,42 +270,45 @@ class ScoringCore:
     # ------------------------------------------------------------------
     # Submission-side validation
     # ------------------------------------------------------------------
-    def _check_ids(self, kind: str, ids, bound_attr: str) -> None:
-        """Reject out-of-range ids at submit time.
+    def _check_ids(self, kind: str, ids, bound_attr: str) -> np.ndarray:
+        """Reject non-integer or out-of-range ids at submit time.
 
         A malformed id that only exploded inside a flush would fail
         every co-batched ticket; validating here keeps one bad request
-        from poisoning its neighbours' flush.
+        from poisoning its neighbours' flush.  Floats, bools and strings
+        are refused rather than cast, which would score a truncated id.
+        Returns the ids as ``int64``.
         """
         bound = getattr(self.model, bound_attr, None)
         ids = np.asarray(ids)
+        if ids.dtype.kind not in "iu":
+            raise ValueError(f"{kind} ids must be integers, got dtype {ids.dtype}")
         low = int(ids.min()) if ids.size else 0
         high = int(ids.max()) if ids.size else -1
         if low < 0 or (bound is not None and high >= bound):
             raise ValueError(
                 f"{kind} ids must lie in [0, {bound}), got range [{low}, {high}]"
             )
+        return ids.astype(np.int64, copy=False)
 
     def check_item_request(self, user: int, candidate_items: Sequence[int]) -> np.ndarray:
         """Validate a Task-A request; return the canonical candidate array."""
-        candidates = np.asarray(candidate_items, dtype=np.int64).ravel()
+        candidates = np.asarray(candidate_items).ravel()
         if candidates.size == 0:
             raise ValueError("a scoring request needs at least one candidate")
         self._check_ids("user", [user], "n_users")
-        self._check_ids("item", candidates, "n_items")
-        return candidates
+        return self._check_ids("item", candidates, "n_items")
 
     def check_participant_request(
         self, user: int, item: int, candidate_users: Sequence[int]
     ) -> np.ndarray:
         """Validate a Task-B request; return the canonical candidate array."""
-        candidates = np.asarray(candidate_users, dtype=np.int64).ravel()
+        candidates = np.asarray(candidate_users).ravel()
         if candidates.size == 0:
             raise ValueError("a scoring request needs at least one candidate")
         self._check_ids("user", [user], "n_users")
         self._check_ids("item", [item], "n_items")
-        self._check_ids("participant", candidates, "n_users")
-        return candidates
+        return self._check_ids("participant", candidates, "n_users")
 
     # ------------------------------------------------------------------
     # Flush execution
@@ -325,9 +319,8 @@ class ScoringCore:
         Every ticket in ``items``/``participants`` is resolved — with
         scores on success, with the captured exception if its task's
         model call raised.  One task failing never skips the other; the
-        first exception is re-raised after both ran so a synchronous
-        caller still sees it (the async engine catches it and keeps
-        serving).
+        first exception is re-raised after both ran (the engine catches
+        it and keeps serving).
         """
         if not items and not participants:
             return
@@ -462,6 +455,6 @@ class ScoringCore:
                 self.model.refresh_cache()
 
     def release(self) -> None:
-        """Drop the model's serving cache (after flushing, see shells)."""
+        """Drop the model's serving cache (after the engine stopped)."""
         if hasattr(self.model, "invalidate_cache"):
             self.model.invalidate_cache()

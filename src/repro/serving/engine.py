@@ -1,8 +1,6 @@
 """Asynchronous serving engine: a worker thread owns the flush clock.
 
-:class:`repro.serving.frontend.RequestBatcher` is synchronous by design
-— the caller decides when to flush.  Production traffic has no such
-caller: requests arrive concurrently from many submitters and *someone*
+Serving requests arrive concurrently from many submitters and *someone*
 must trade latency against batch size.  :class:`ServingEngine` is that
 someone — a dedicated worker thread that flushes the shared
 :class:`repro.serving.core.RequestQueue` when the first of three
@@ -33,10 +31,11 @@ so :meth:`stats` can snapshot them from any thread mid-flush.  Weight
 swaps route through :meth:`refresh`, which the worker executes between
 flushes — never concurrently with one.
 
-Scores are **bit-identical** to a synchronous
-``RequestBatcher.flush`` over the same co-batched requests: both shells
-drive the same :class:`repro.serving.core.ScoringCore`, so the plan,
-the model call and the scatter are literally the same computation.
+Scores are **bit-identical** to one direct planned call
+(``score_item_plan`` / ``score_participant_plan``) over the
+:class:`repro.plan.ScoringPlan` of the same co-batched requests: the
+flush's :class:`repro.serving.core.ScoringCore` builds that plan, makes
+that call under ``no_grad`` and scatters the result.
 
 A flush whose model call raises fails that task's tickets with the
 captured exception (submitters see the real error from ``wait()``) and
@@ -280,8 +279,8 @@ class ServingEngine:
     def release(self) -> None:
         """Stop (draining) and drop the model's serving cache.
 
-        The float32 analogue of ``RequestBatcher.release()``: call
-        before handing the model back to training or analysis code.
+        Call before handing the model back to training or analysis code,
+        so no float32 serving cache leaks out of serving.
         """
         self.stop()
         self._core.release()
@@ -301,12 +300,12 @@ class ServingEngine:
         ticket exists.
         """
         candidates = self._core.check_item_request(user, candidate_items)
-        ticket = PendingScores(self)
+        ticket = PendingScores()
         with self._cv:
             self._require_running_locked()
             self._queue.admit(candidates.size)
             self._seq += 1
-            self._queue.add_items(user, candidates, ticket, seq=self._seq)
+            self._queue.add_items(user, candidates, ticket, self._seq)
             self._note_submit_locked()
         return ticket
 
@@ -318,12 +317,12 @@ class ServingEngine:
         Same typed-failure contract as :meth:`submit_items`.
         """
         candidates = self._core.check_participant_request(user, item, candidate_users)
-        ticket = PendingScores(self)
+        ticket = PendingScores()
         with self._cv:
             self._require_running_locked()
             self._queue.admit(candidates.size)
             self._seq += 1
-            self._queue.add_participants(user, item, candidates, ticket, seq=self._seq)
+            self._queue.add_participants(user, item, candidates, ticket, self._seq)
             self._note_submit_locked()
         return ticket
 
@@ -352,10 +351,6 @@ class ServingEngine:
                            timeout: Optional[float] = None) -> np.ndarray:
         """Submit a Task-B request and block until its flush resolves it."""
         return self.submit_participants(user, item, candidate_users).wait(timeout)
-
-    def _wait_ticket(self, ticket: PendingScores, timeout: Optional[float]) -> None:
-        """Ticket resolution hook: block until the worker's clock fires."""
-        ticket._event.wait(timeout)
 
     # ------------------------------------------------------------------
     # Explicit drain / weight swap (any thread)

@@ -37,7 +37,7 @@ Correctness contract
   the lock is uncontended in the common case.
 
 ``stats`` gains ``cache_hits`` / ``cache_misses`` / ``cache_evictions``
-counters, surfaced through ``RequestBatcher.shard_stats()`` /
+counters, surfaced through ``ServingEngine.shard_stats()`` /
 ``ServingEngine.stats()`` next to the inner store's gather counters.
 """
 

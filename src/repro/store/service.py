@@ -804,7 +804,7 @@ class ProcessShardedStore(EmbeddingStore):
 
         The worker rows are written inside the worker processes (no RPC
         to read them) and aggregated here into the same
-        JSON-serializable snapshot ``RequestBatcher.shard_stats()`` and
+        JSON-serializable snapshot ``ServingEngine.shard_stats()`` and
         ``ServingEngine.stats()`` surface for every other layout.
         """
         snap = super().stats_snapshot()

@@ -12,7 +12,7 @@ Training state is float64 (the substrate pins :class:`repro.nn.module
 ``save_checkpoint(..., dtype="float32")`` exports a half-size archive,
 and ``restore_model(..., dtype="float32")`` rebinds the model's
 parameter buffers to float32 so a serving process (e.g. one feeding a
-:class:`repro.serving.RequestBatcher`) never materialises double
+:class:`repro.serving.ServingEngine`) never materialises double
 precision weights at all.  The stored dtype is recorded in the metadata
 header; loading with no explicit ``dtype`` keeps the model's own
 parameter dtype (values are cast on assignment), so training round-trips

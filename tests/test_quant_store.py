@@ -29,7 +29,7 @@ from repro.nn import CountingBackend, backend_scope
 from repro.nn.layers import Embedding
 from repro.nn.tensor import dtype_scope, no_grad
 from repro.plan import ScoringPlan
-from repro.serving import RequestBatcher, ServingEngine
+from repro.serving import ServingEngine
 from repro.store import (
     DenseStore,
     LRUCachedStore,
@@ -41,6 +41,8 @@ from repro.store import (
 )
 from repro.store.quant import dequantize_rows, quantize_rows
 from repro.training.checkpoint import restore_model, save_checkpoint
+
+from serving_oracle import direct_scores, serve_together
 
 
 def _table(rows=41, dim=48, seed=0):
@@ -269,19 +271,22 @@ class TestThreadThrough:
         quant.load_state_dict(base.state_dict())
         stores = list(iter_stores(quant))
         assert stores and all(isinstance(s, QuantizedStore) for _, s in stores)
-        want = RequestBatcher(base).score_items(0, [0, 1, 2])
-        got = RequestBatcher(quant).score_items(0, [0, 1, 2])
+        request = [("a", 0, [0, 1, 2])]
+        (want,) = direct_scores(base, request)
+        (got,) = direct_scores(quant, request)
         np.testing.assert_allclose(got, want, atol=0.05)
 
     def test_gbmf_quantized_routes_scoring_through_store(self, tiny_dataset):
         model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=48,
                      seed=4, quantize="int8")
         assert model._sharded  # wrapped stores hand the scoring paths stores
-        batcher = RequestBatcher(model)
-        scores = batcher.score_items(0, [0, 1, 2])
+        request = [("a", 0, [0, 1, 2])]
+        (ticket,), _ = serve_together(model, request)
+        scores = ticket.scores
         assert np.isfinite(scores).all()
+        np.testing.assert_array_equal(scores, direct_scores(model, request)[0])
         ref = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=48, seed=4)
-        want = RequestBatcher(ref).score_items(0, [0, 1, 2])
+        (want,) = direct_scores(ref, request)
         np.testing.assert_allclose(scores, want, atol=1e-2)
 
 
@@ -482,9 +487,9 @@ class TestCheckpoints:
         target = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=48,
                       seed=9, quantize="int8")
         restore_model(target, path)
-        with no_grad():
-            want = RequestBatcher(model).score_items(0, [0, 1, 2])
-            got = RequestBatcher(target).score_items(0, [0, 1, 2])
+        request = [("a", 0, [0, 1, 2])]
+        (want,) = direct_scores(model, request)
+        (got,) = direct_scores(target, request)
         np.testing.assert_array_equal(got, want)
 
     def test_round_trip_is_float_exact(self, tmp_path):

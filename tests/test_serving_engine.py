@@ -10,8 +10,10 @@ import pytest
 from repro.baselines import GBMF
 from repro.core import MGBR
 from repro.nn import CountingBackend, backend_scope
-from repro.serving import MultiWorkerEngine, RequestBatcher, ServingEngine
+from repro.serving import MultiWorkerEngine, ServingEngine
 from repro.store import cache_hot_rows
+
+from serving_oracle import assert_conserved, direct_scores, serve_together
 
 
 class _BoomGBMF(GBMF):
@@ -143,32 +145,19 @@ class TestFlushClock:
 
 
 class TestScoreParity:
-    def test_bit_identical_to_sync_flush_over_same_requests(self, tiny_mgbr):
-        """Acceptance gate: engine == RequestBatcher.flush at float64, bitwise.
+    def test_mgbr_bit_identical_to_direct_oracle_in_one_flush(self, tiny_mgbr):
+        """Acceptance gate: engine == direct planned calls at float64, bitwise.
 
-        Both shells are held to one flush over the identical request
-        sequence, so they compile the identical plan and run the same
-        planned model call.
+        The parked engine serves every request in one flush, so its plan
+        per task is the oracle's combined plan over the same requests.
         """
-        requests_a = [(u, [0, 3, 5, 3, u % 7]) for u in range(6)]
-        requests_b = [(u, u % 5, [1, 2, 1, 8 + u]) for u in range(4)]
-
-        sync = RequestBatcher(tiny_mgbr)
-        sync_a = [sync.submit_items(u, c) for u, c in requests_a]
-        sync_b = [sync.submit_participants(u, i, c) for u, i, c in requests_b]
-        sync.flush()
-
-        engine = ServingEngine(tiny_mgbr, max_delay_ms=60_000.0, max_pending=10**6)
-        with engine:
-            eng_a = [engine.submit_items(u, c) for u, c in requests_a]
-            eng_b = [engine.submit_participants(u, i, c) for u, i, c in requests_b]
-            engine.drain(timeout=30.0)
-        assert engine.stats()["engine"]["flushes"] == 1
-        for s, e in zip(sync_a, eng_a):
-            np.testing.assert_array_equal(s.scores, e.scores)
-        for s, e in zip(sync_b, eng_b):
-            np.testing.assert_array_equal(s.scores, e.scores)
-        sync.release()
+        requests = [("a", u, [0, 3, 5, 3, u % 7]) for u in range(6)]
+        requests += [("b", u, u % 5, [1, 2, 1, 8 + u]) for u in range(4)]
+        tickets, stats = serve_together(tiny_mgbr, requests)
+        assert stats["engine"]["flushes"] == 1
+        for ticket, want in zip(tickets, direct_scores(tiny_mgbr, requests)):
+            assert ticket.scores.dtype == np.float64
+            np.testing.assert_array_equal(ticket.scores, want)
         tiny_mgbr.invalidate_cache()
 
     def test_threaded_submitters_match_serial_replay(self, tiny_dataset):
@@ -211,24 +200,20 @@ class TestScoreParity:
         stats = engine.stats()
         assert stats["batcher"]["requests"] == n_threads * per_thread
 
-        replay = RequestBatcher(model)
+        # GBMF scores each pair on its own, so any co-batching must
+        # match the request scored alone.
         for tid, requests in plans.items():
             for k, (user, cands) in enumerate(requests):
-                np.testing.assert_array_equal(
-                    results[tid][k], replay.score_items(user, cands)
-                )
-        replay.release()
+                (want,) = direct_scores(model, [("a", user, cands)])
+                np.testing.assert_array_equal(results[tid][k], want)
 
 
 class TestFailureIsolation:
-    def test_sync_flush_failure_reresolves_tickets_with_error(self, tiny_dataset):
+    def test_flush_failure_resolves_tickets_with_error(self, tiny_dataset):
         model = _BoomGBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=4, seed=0)
-        front = RequestBatcher(model)
-        bad = front.submit_items(0, [0, 1])
-        bad2 = front.submit_items(1, [2])
-        ok = front.submit_participants(0, 1, [2, 3])
-        with pytest.raises(ValueError, match="kaboom"):
-            front.flush()
+        (bad, bad2, ok), stats = serve_together(
+            model, [("a", 0, [0, 1]), ("a", 1, [2]), ("b", 0, 1, [2, 3])]
+        )
         # Failed tickets re-raise the captured model error, not a
         # generic "never resolved" RuntimeError...
         for ticket in (bad, bad2):
@@ -237,7 +222,8 @@ class TestFailureIsolation:
                 _ = ticket.scores
         # ...and the co-batched OTHER task still flushed fine.
         assert ok.scores.shape == (2,)
-        assert front.stats["failed_flushes"] == 1
+        assert stats["engine"]["flushes"] == 1
+        assert stats["batcher"]["failed_flushes"] == 1
 
     def test_wrong_length_scores_fail_tickets_instead_of_stranding(
         self, tiny_dataset
@@ -255,14 +241,12 @@ class TestFailureIsolation:
     def test_both_tasks_failing_counts_one_failed_flush(self, tiny_dataset):
         model = _DoubleBoomGBMF(tiny_dataset.n_users, tiny_dataset.n_items,
                                 dim=4, seed=0)
-        front = RequestBatcher(model)
-        t_a = front.submit_items(0, [0, 1])
-        t_b = front.submit_participants(0, 1, [2])
-        with pytest.raises(ValueError, match="kaboom"):
-            front.flush()
+        (t_a, t_b), stats = serve_together(
+            model, [("a", 0, [0, 1]), ("b", 0, 1, [2])]
+        )
         assert t_a.failed and t_b.failed
-        assert front.stats["flushes"] == 1
-        assert front.stats["failed_flushes"] == 1
+        assert stats["batcher"]["flushes"] == 1
+        assert stats["batcher"]["failed_flushes"] == 1
 
     def test_engine_survives_flush_failure(self, tiny_dataset):
         model = _BoomGBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=4, seed=0)
@@ -286,12 +270,12 @@ class TestStatsAndStores:
         caches = cache_hot_rows(model, capacity=32)
         assert set(caches) == {"initiator_table", "participant_table", "item_table"}
         with ServingEngine(model, max_delay_ms=2.0) as engine:
-            for u in range(8):
-                engine.submit_items(u % 3, [0, 1, 2, u % 5])
+            tickets = [engine.submit_items(u % 3, [0, 1, 2, u % 5]) for u in range(8)]
             engine.drain(timeout=10.0)
             stats = engine.stats()
         # Serializable end to end (the bench embeds it verbatim).
         json.dumps(stats)
+        assert_conserved(stats, tickets)
         assert set(stats) == {"engine", "overload", "batcher", "stores", "cache",
                               "memory"}
         assert stats["overload"]["accepted"] == 8
@@ -321,8 +305,8 @@ class TestStatsAndStores:
             engine.refresh()
             after = engine.score_items(0, [0, 1, 2], timeout=5.0)
             assert not np.allclose(before, after)
-            reference = RequestBatcher(other).score_items(0, [0, 1, 2])
-            np.testing.assert_allclose(after, reference)
+        (reference,) = direct_scores(other, [("a", 0, [0, 1, 2])])
+        np.testing.assert_array_equal(after, reference)
 
 
 class TestBackendInheritance:

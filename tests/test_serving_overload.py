@@ -21,21 +21,18 @@ from repro.serving import (
     EngineStopped,
     MultiWorkerEngine,
     OverloadError,
-    RequestBatcher,
     ServingEngine,
     ServingError,
     TicketTimeout,
 )
+
+from serving_oracle import PARKED, assert_conserved, direct_scores
 
 N_USERS, N_ITEMS, DIM = 40, 25, 8
 
 
 def make_model(seed: int = 0) -> GBMF:
     return GBMF(N_USERS, N_ITEMS, dim=DIM, seed=seed)
-
-
-#: Engine kwargs that park the flush clock: only drain()/stop() flush.
-PARKED = dict(max_delay_ms=60_000.0, max_pending=10**6)
 
 
 class TestErrorHierarchy:
@@ -74,7 +71,7 @@ class TestAdmissionControl:
 
     def test_budget_frees_up_after_flush(self):
         with ServingEngine(make_model(), max_queue_rows=4, **PARKED) as engine:
-            engine.submit_items(0, [0, 1, 2, 3])
+            first = engine.submit_items(0, [0, 1, 2, 3])
             with pytest.raises(OverloadError):
                 engine.submit_items(1, [0])
             engine.drain(timeout=10.0)
@@ -82,6 +79,9 @@ class TestAdmissionControl:
             ticket = engine.submit_items(1, [0, 1])
             engine.drain(timeout=10.0)
             assert ticket.scores.shape == (2,)
+            stats = engine.stats()
+        assert_conserved(stats, [first, ticket])
+        assert stats["overload"]["rejected"] == 1
 
     def test_rejected_submit_creates_no_ticket_and_no_seq(self):
         with ServingEngine(make_model(), max_queue_rows=3, **PARKED) as engine:
@@ -99,16 +99,6 @@ class TestAdmissionControl:
             ServingEngine(make_model(), max_queue_rows=0)
         with pytest.raises(ValueError):
             ServingEngine(make_model(), max_queue_age_ms=0.0)
-
-    def test_sync_batcher_depth_budget(self):
-        front = RequestBatcher(make_model(), max_queue_rows=5)
-        front.submit_items(0, [0, 1, 2])
-        with pytest.raises(OverloadError):
-            front.submit_items(1, [0, 1, 2])
-        assert front.rejected == 1
-        front.flush()
-        assert front.submit_items(1, [0, 1, 2]).scores.shape == (3,)
-        front.release()
 
 
 class TestLoadShedding:
@@ -260,7 +250,7 @@ class TestDegradation:
             assert np.all(np.isneginf(scores[2:]))  # unscored tail ranks last
             assert engine.stats()["overload"]["degraded"] == 1
         # The scored head matches full-fidelity scoring of those candidates.
-        reference = RequestBatcher(make_model()).score_items(0, [0, 1])
+        (reference,) = direct_scores(make_model(), [("a", 0, [0, 1])])
         np.testing.assert_array_equal(scores[:2], reference)
 
     def test_trigger_streak_and_recovery(self):
@@ -298,7 +288,7 @@ class TestDegradation:
             assert stats["overload"]["degraded"] == 1
             assert stats["fallback"]["flushes"] == 1
         # Degraded scores are the fallback's, bit-identical.
-        reference = RequestBatcher(make_model(seed=9)).score_items(3, [0, 1, 2])
+        (reference,) = direct_scores(make_model(seed=9), [("a", 3, [0, 1, 2])])
         np.testing.assert_array_equal(scores, reference)
 
     def test_undegraded_flushes_stay_on_primary(self):
@@ -311,7 +301,7 @@ class TestDegradation:
             engine.drain(timeout=10.0)
             scores = ticket.scores
             assert engine.stats()["fallback"]["flushes"] == 0
-        reference = RequestBatcher(make_model()).score_items(3, [0, 1, 2])
+        (reference,) = direct_scores(make_model(), [("a", 3, [0, 1, 2])])
         np.testing.assert_array_equal(scores, reference)
 
 
@@ -478,9 +468,11 @@ class TestMultiWorkerEngine:
             stats = engine.stats()
         for b, a in zip(before, after):
             assert not np.allclose(b, a)
-        reference = RequestBatcher(make_model(seed=7))
-        for u, a in zip((0, 1), after):
-            np.testing.assert_allclose(a, reference.score_items(u, [0, 1, 2]))
+        reference = direct_scores(
+            make_model(seed=7), [("a", u, [0, 1, 2]) for u in (0, 1)]
+        )
+        for a, want in zip(after, reference):
+            np.testing.assert_array_equal(a, want)
         # No ticket was rejected, shed or aborted across the swap.
         agg = stats["aggregate"]
         assert agg["accepted"] == 4

@@ -25,7 +25,7 @@ from repro.nn.layers import Embedding
 from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import no_grad
 from repro.plan import PlannedBatch, ScoringPlan
-from repro.serving import RequestBatcher
+from repro.serving import ServingEngine
 from repro.store import (
     DenseStore,
     Partitioner,
@@ -35,6 +35,8 @@ from repro.store import (
 )
 from repro.training import TrainConfig, Trainer
 from repro.training.checkpoint import load_checkpoint, restore_model, save_checkpoint
+
+from serving_oracle import PARKED, direct_scores, serve_together
 
 
 def _table(rows=23, dim=5, seed=0):
@@ -589,31 +591,35 @@ class TestSparseUpdates:
 # ---------------------------------------------------------------------------
 class TestServingWithShards:
     def test_batcher_flush_matches_dense(self, tiny_dataset, closing):
-        dense = _gbmf(tiny_dataset)
-        sharded = closing(_gbmf(tiny_dataset, n_shards=4))
-        batch_dense = RequestBatcher(dense)
-        batch_sharded = RequestBatcher(sharded)
-        tickets = []
+        """One flush of co-batched Task A and B requests equals the direct
+        planned calls bitwise on the dense layout, and the sharded
+        layout serves the same bytes."""
+        requests = []
         for user in (0, 3, 3, 17):
             cands = [(user * 3 + j) % tiny_dataset.n_items for j in range(6)]
-            tickets.append(
-                (batch_dense.submit_items(user, cands),
-                 batch_sharded.submit_items(user, cands))
-            )
-        batch_dense.flush()
-        batch_sharded.flush()
-        for t_dense, t_sharded in tickets:
-            np.testing.assert_array_equal(t_dense.scores, t_sharded.scores)
+            requests.append(("a", user, cands))
+            requests.append(("b", user, user % tiny_dataset.n_items,
+                             [(user + 5 * j) % tiny_dataset.n_users for j in range(4)]))
+        dense = _gbmf(tiny_dataset)
+        assert isinstance(dense.item_table.store, DenseStore)
+        served, stats = serve_together(dense, requests)
+        assert stats["engine"]["flushes"] == 1
+        for ticket, want in zip(served, direct_scores(dense, requests)):
+            np.testing.assert_array_equal(ticket.scores, want)
+        sharded = closing(_gbmf(tiny_dataset, n_shards=4))
+        for ticket, other in zip(served, serve_together(sharded, requests)[0]):
+            np.testing.assert_array_equal(ticket.scores, other.scores)
 
     def test_shard_stats_exposed(self, tiny_dataset, closing):
         sharded = closing(_gbmf(tiny_dataset, n_shards=4))
-        batcher = RequestBatcher(sharded)
-        batcher.score_items(1, [0, 1, 2, 3])
-        stats = batcher.shard_stats()
+        with ServingEngine(sharded, **PARKED) as engine:
+            engine.submit_items(1, [0, 1, 2, 3])
+            engine.drain(timeout=10.0)
+            stats = engine.shard_stats()
         assert set(stats) == {"initiator_table", "participant_table", "item_table"}
         assert stats["initiator_table"]["n_shards"] == 4
         assert stats["item_table"]["gathers"] >= 1
         # Dense models have no store-backed tables to report… unless the
         # table *is* a (single-shard) store, which GBMF's dense layout is.
-        dense_stats = RequestBatcher(_gbmf(tiny_dataset)).shard_stats()
+        dense_stats = ServingEngine(_gbmf(tiny_dataset)).shard_stats()
         assert all(entry["n_shards"] == 1 for entry in dense_stats.values())

@@ -35,7 +35,7 @@ from repro.nn import CountingBackend, backend_scope
 from repro.nn.optim import SGD, Adam, clip_grad_norm
 from repro.nn.tensor import no_grad
 from repro.plan import ScoringPlan
-from repro.serving import RequestBatcher, ServingEngine, ShardUnavailable
+from repro.serving import ServingEngine, ShardUnavailable
 from repro.store import (
     DenseStore,
     ProcessShardedStore,
@@ -44,6 +44,8 @@ from repro.store import (
 )
 from repro.training import TrainConfig, Trainer
 from repro.training.checkpoint import load_checkpoint, restore_model, save_checkpoint
+
+from serving_oracle import direct_scores, serve_together
 
 
 def _table(rows=67, dim=6, seed=5) -> np.ndarray:
@@ -232,11 +234,15 @@ class TestStats:
             json.dumps(snap)  # the serving stats endpoints re-serialize this
 
     def test_shard_stats_through_batcher(self, tiny_dataset):
+        """One flush over the process layout equals the direct planned
+        calls bitwise, and its shard counters reach the engine."""
         model = _gbmf(tiny_dataset, n_shards=2)
+        requests = [("a", 1, [0, 1, 2, 3]), ("b", 1, 2, [0, 5, 5, 9]),
+                    ("a", 4, [3, 2, 1]), ("b", 4, 0, [1, 2])]
         try:
-            batcher = RequestBatcher(model)
-            batcher.score_items(1, [0, 1, 2, 3])
-            stats = batcher.shard_stats()
+            served, engine_stats = serve_together(model, requests)
+            assert engine_stats["engine"]["flushes"] == 1
+            stats = engine_stats["stores"]
             assert set(stats) == {
                 "initiator_table", "participant_table", "item_table",
             }
@@ -245,6 +251,8 @@ class TestStats:
                 assert entry["layout"] == "process"
             assert stats["item_table"]["worker_rows_served"] >= 4
             json.dumps(stats)
+            for ticket, want in zip(served, direct_scores(model, requests)):
+                np.testing.assert_array_equal(ticket.scores, want)
         finally:
             _close_stores(model)
 
