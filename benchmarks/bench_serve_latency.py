@@ -31,7 +31,7 @@ offered rate and the engine kept up) must respect the latency model
 **Overload cells** drive the engine far past saturation on purpose:
 offered rate = ``OVERLOAD_MULT`` × a measured closed-loop capacity
 probe, against 1/2/4-worker :class:`repro.serving.MultiWorkerEngine`
-fleets with admission (``max_queue_rows``) and age
+fleets (every worker scoring one shared model) with admission (``max_queue_rows``) and age
 (``max_queue_age_ms``) budgets armed.  The gates are the overload
 contract, not raw speed:
 
@@ -230,9 +230,9 @@ def overload_budget_rows(capacity_rps: float, n_workers: int,
 
 def build_overload_engine(n_workers: int, capacity_rps: float,
                           deadline_ms: float) -> MultiWorkerEngine:
-    models = [build_model("dense") for _ in range(n_workers)]
     return MultiWorkerEngine(
-        models,
+        build_model("dense"),
+        n_workers,
         max_delay_ms=deadline_ms,
         max_pending=8192,
         max_queue_rows=overload_budget_rows(capacity_rps, n_workers, deadline_ms),
@@ -253,10 +253,9 @@ def measure_capacity(n_workers: int, deadline_ms: float,
     shedding active: the same regime the overload cells run in, so
     ``OVERLOAD_MULT`` × this is unambiguous overload.
     """
-    models = [build_model("dense") for _ in range(n_workers)]
     users, candidates = make_requests(rng, 600, width=OVERLOAD_CANDIDATES)
-    with MultiWorkerEngine(models, max_delay_ms=deadline_ms,
-                           max_pending=8192) as engine:
+    with MultiWorkerEngine(build_model("dense"), n_workers,
+                           max_delay_ms=deadline_ms, max_pending=8192) as engine:
         for k in range(64):
             engine.submit_items(int(users[k]), candidates[k])
         engine.drain(timeout=60.0)
@@ -375,9 +374,9 @@ def _scaling_flood(n_workers: int, rows_per_worker: int,
     pool_users, pool_candidates = make_requests(
         rng, 1024, width=OVERLOAD_CANDIDATES
     )
-    models = [build_model("dense") for _ in range(n_workers)]
     engine = MultiWorkerEngine(
-        models,
+        build_model("dense"),
+        n_workers,
         max_delay_ms=OVERLOAD_DEADLINE_MS,
         max_pending=8192,
         max_queue_rows=rows_per_worker,

@@ -207,9 +207,9 @@ class GroupBuyingRecommender(Module):
         The cache is unsynchronized model state: a rebuild must not overlap
         any scoring.  Concurrent *scoring* against a built cache is safe
         (window-parallel evaluation refreshes first, then fans out; the
-        fold caches lock their builds).  The serving engine upholds the
-        rule on its worker thread; ``ServingEngine.refresh()`` routes
-        weight-swap rebuilds through that same thread.
+        fold caches lock their builds).  The serving engines build the
+        cache before their workers start, and ``ServingEngine.refresh()``
+        parks every worker between flushes while it rebuilds.
         """
         self._cached = self.compute_embeddings()
 

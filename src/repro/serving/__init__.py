@@ -14,9 +14,10 @@ each caller.  Layers:
   a worker thread owning the flush clock (deadline / size budget /
   drain), admission control, age-based load shedding, optional
   :class:`DegradationPolicy`, and a unified ``stats()`` snapshot;
-* :class:`MultiWorkerEngine` — n per-worker engines partitioned by
-  ``user % n_workers`` so per-worker caches stay coherent, with
-  fleet-level ``stats()`` / ``drain()`` / ``refresh()``.
+* :class:`MultiWorkerEngine` — n worker engines over one model,
+  partitioned by ``user % n_workers`` so each worker's queue and plan
+  dedup stay local, with fleet-level ``stats()`` / ``drain()`` /
+  ``refresh()``.
 """
 
 from repro.serving.core import PendingScores, RequestQueue, ScoringCore

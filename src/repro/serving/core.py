@@ -3,8 +3,9 @@
 This module is the *pure* half of the serving layer — it knows nothing
 about clocks or threads.  :class:`repro.serving.engine.ServingEngine`
 drives it: a dedicated worker thread owns the flush clock (deadline /
-size budget / drain) and is the **only** thread that ever calls the
-model.
+size budget / drain) and makes the model calls; the workers of a
+:class:`repro.serving.multi.MultiWorkerEngine` share one model and
+score it concurrently under ``no_grad``.
 
 Split of responsibilities:
 
@@ -261,9 +262,9 @@ class ScoringCore:
             "failed_flushes": 0,
             "flat_rows": 0,
             "unique_pairs": 0,
-            # Planned model calls the flushes made (the model's
-            # ``tape_calls`` counter).  Stays zero for models without
-            # program counters.
+            # Planned model calls this core's flushes made.  Counted
+            # here, not read off the model: the model's lifetime counter
+            # also moves with every other worker sharing it.
             "tape_calls": 0,
         }
 
@@ -329,24 +330,16 @@ class ScoringCore:
         # deliberately kept across flushes (recomputing it per flush
         # would defeat serving): under float32 the model therefore holds
         # a reduced-precision cache for as long as it serves — hand the
-        # model back to training/analysis via release().
-        was_training = getattr(self.model, "training", False)
-        if was_training:
-            # Serve in eval mode (no dropout etc.), like EvalProtocol.run.
-            self.model.eval()
+        # model back to training/analysis via release().  The engine
+        # switches the model to eval mode once at start, not per flush:
+        # another worker may be mid-flush on the same model.
         error: Optional[BaseException] = None
-        before = self._executor_snapshot()
-        try:
-            with no_grad(), dtype_scope(self.dtype):
-                if items:
-                    error = self._execute_items(items)
-                if participants:
-                    participant_error = self._execute_participants(participants)
-                    error = error or participant_error
-        finally:
-            if was_training:
-                self.model.train()
-            self._note_executor_calls(before)
+        with no_grad(), dtype_scope(self.dtype):
+            if items:
+                error = self._execute_items(items)
+            if participants:
+                participant_error = self._execute_participants(participants)
+                error = error or participant_error
         if error is not None:
             self.stats["failed_flushes"] += 1
             raise error
@@ -364,6 +357,7 @@ class ScoringCore:
             )
             items = np.concatenate([cands for _, cands, *_ in requests])
             plan = ScoringPlan.from_item_pairs(users, items)
+            self.stats["tape_calls"] += 1
             self._scatter(plan, self.model.score_item_plan(plan),
                           [(len(cands), ticket) for _, cands, ticket, *_ in requests])
         except Exception as exc:
@@ -381,29 +375,13 @@ class ScoringCore:
             )
             participants = np.concatenate([c for _, _, c, *_ in requests])
             plan = ScoringPlan.from_triples(users, items, participants)
+            self.stats["tape_calls"] += 1
             self._scatter(plan, self.model.score_participant_plan(plan),
                           [(len(c), ticket) for _, _, c, ticket, *_ in requests])
         except Exception as exc:
             self._fail_tickets([req[-2] for req in requests], exc)
             return exc
         return None
-
-    def _executor_snapshot(self) -> Optional[Dict[str, int]]:
-        """The model's program counters before a flush (delta baseline)."""
-        snapshot = getattr(self.model, "executor_stats", None)
-        return snapshot() if snapshot is not None else None
-
-    def _note_executor_calls(self, before: Optional[Dict[str, int]]) -> None:
-        """Fold one flush's planned-call delta into ``self.stats``.
-
-        The model's counters are lifetime totals shared with every other
-        caller (eval, direct scoring), so the flush accounts only for
-        its own delta.
-        """
-        if before is None:
-            return
-        after = self.model.executor_stats()
-        self.stats["tape_calls"] += after["tape_calls"] - before["tape_calls"]
 
     def _fail_tickets(self, tickets: List[PendingScores], exc: BaseException) -> None:
         for ticket in tickets:
@@ -445,6 +423,16 @@ class ScoringCore:
             for name, store in iter_stores(self.model):
                 out[name] = dict(store.stats_snapshot(), n_shards=store.n_shards)
         return out
+
+    def prepare(self) -> None:
+        """Build the model's serving cache if it has none yet.
+
+        Every flush reads the cache; building it before any worker
+        starts keeps two first flushes from racing on the lazy build.
+        """
+        if hasattr(self.model, "_bundle"):
+            with no_grad(), dtype_scope(self.dtype):
+                self.model._bundle()
 
     def refresh(self) -> None:
         """Re-run the encoder after a weight update (checkpoint swap)."""

@@ -56,8 +56,10 @@ class DegradationPolicy:
     fallback_model:
         Score degraded flushes with this model (same ``n_users`` /
         ``n_items`` catalog) instead of the primary.  ``None`` disables
-        routing.  The fallback is driven by the engine's worker thread
-        only — it must not be shared with another live engine.
+        routing.  Like the primary, the fallback is shared by every
+        worker of a :class:`repro.serving.multi.MultiWorkerEngine`, which
+        starts, refreshes and releases it with the primary; it must not
+        also be served by another live engine.
 
     At least one of ``top_k`` / ``fallback_model`` must be set.
     """

@@ -21,15 +21,18 @@ Threading model — the single-scorer invariant
 thread: they validate, enqueue under the engine lock, and return a
 :class:`repro.serving.core.PendingScores` ticket whose
 :meth:`~repro.serving.core.PendingScores.wait` blocks on an event until
-the worker's clock fires.  The **model** is only ever touched by the
-worker thread (asserted in ``_flush``): the encoder cache
-(``refresh_cache``) and the plan entity caches are plain state that
-relies on this serialization (fold caches additionally lock their
-builds, see :meth:`repro.nn.layers.Linear.folded_blocks`).  Store
-gather *counters* are lock-guarded too (see :mod:`repro.store.base`),
-so :meth:`stats` can snapshot them from any thread mid-flush.  Weight
-swaps route through :meth:`refresh`, which the worker executes between
-flushes — never concurrently with one.
+the worker's clock fires.  The worker thread owns the engine's **flush
+clock**: only it drains the queue and flushes (asserted in ``_flush``).
+It does not own the model: the workers of a
+:class:`repro.serving.multi.MultiWorkerEngine` score one model
+concurrently under ``no_grad``.  A flush only *reads* the encoder
+cache, and the shared caches and counters it writes lock (fold caches,
+:meth:`repro.nn.layers.Linear.folded_blocks`; store counters,
+:mod:`repro.store.base` — so :meth:`stats` may snapshot them mid-flush).
+Only a cache rebuild must not overlap a flush: the first start sets
+eval mode and builds the cache before any worker runs (the last stop
+restores the mode), and :meth:`refresh` parks every worker on the
+model between two flushes while it rebuilds once.
 
 Scores are **bit-identical** to one direct planned call
 (``score_item_plan`` / ``score_participant_plan``) over the
@@ -71,7 +74,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional, Sequence
+from contextlib import contextmanager
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -81,6 +85,82 @@ from repro.serving.degrade import DegradationPolicy
 from repro.serving.errors import DeadlineExceeded, EngineStopped
 
 __all__ = ["ServingEngine"]
+
+
+class _ModelGate:
+    """What every worker scoring one model shares: its mode and its barrier.
+
+    Any number of flushes may run at once; :meth:`rebuild` waits for
+    the flushes in progress to end and holds new ones back until the
+    caches are rebuilt, so each worker parks between two flushes while
+    its queue keeps admitting.  A stopped or dead worker holds no flush,
+    so a rebuild never waits for it.  The first worker to start switches
+    the models to eval mode and builds their caches; the last to stop
+    restores the mode.
+    """
+
+    def __init__(self, cores: List[ScoringCore]) -> None:
+        self._cores = cores            # primary (+ fallback) core
+        self._cv = threading.Condition()
+        self._flushing = 0
+        self._rebuilding = False
+        self._workers = 0
+        self._was_training: list = []
+
+    def attach(self) -> None:
+        with self._cv:
+            if self._workers == 0:
+                models = [core.model for core in self._cores]
+                self._was_training = [m for m in models if getattr(m, "training", False)]
+                for model in self._was_training:
+                    model.eval()  # serve without dropout, like EvalProtocol.run
+                try:
+                    for core in self._cores:
+                        core.prepare()
+                except BaseException:
+                    self._restore_mode()
+                    raise
+            self._workers += 1
+
+    def detach(self) -> None:
+        with self._cv:
+            self._workers -= 1
+            if self._workers == 0:
+                self._restore_mode()
+
+    def _restore_mode(self) -> None:
+        for model in self._was_training:
+            model.train()
+        self._was_training = []
+
+    @contextmanager
+    def flush(self):
+        with self._cv:
+            while self._rebuilding:
+                self._cv.wait()
+            self._flushing += 1
+        try:
+            yield
+        finally:
+            with self._cv:
+                self._flushing -= 1
+                self._cv.notify_all()
+
+    def rebuild(self) -> None:
+        """Rebuild every core's cache once, with no flush in progress."""
+        with self._cv:
+            while self._rebuilding:
+                self._cv.wait()
+            self._rebuilding = True
+            while self._flushing:
+                self._cv.wait()
+        try:
+            for core in self._cores:
+                core.refresh()
+        finally:
+            with self._cv:
+                self._rebuilding = False
+                self._cv.notify_all()
 
 
 class ServingEngine:
@@ -158,13 +238,16 @@ class ServingEngine:
             degradation.check_compatible(model)
             if degradation.fallback_model is not None:
                 self._fallback_core = ScoringCore(degradation.fallback_model, dtype)
+        # A MultiWorkerEngine hands every worker engine 0's gate.
+        self._gate = _ModelGate(
+            [self._core] + ([self._fallback_core] if self._fallback_core else [])
+        )
         self._cv = threading.Condition()
         self._queue = RequestQueue(max_rows=max_queue_rows)
         self._seq = 0              # newest submitted request
         self._served_seq = 0       # newest request a finished flush covered
         self._size_due = False
         self._drain_requested = False
-        self._refresh_requested = False
         self._stopping = False
         self._worker: Optional[threading.Thread] = None
         self._worker_error: Optional[BaseException] = None
@@ -213,6 +296,9 @@ class ServingEngine:
         with self._cv:
             if self._worker is not None and self._worker.is_alive():
                 raise RuntimeError("serving engine is already running")
+            if self._worker is not None:  # a dead worker never stopped
+                self._gate.detach()
+                self._worker = None
             self._stopping = False
             self._worker_error = None
             # Capture the starting thread's backend NOW: the worker
@@ -220,6 +306,7 @@ class ServingEngine:
             # enclosing backend_scope (the thread-local does not cross
             # spawns).
             self._worker_backend = get_backend()
+            self._gate.attach()
             self._worker = threading.Thread(
                 target=self._run_worker, name="repro-serving-engine", daemon=True
             )
@@ -255,6 +342,8 @@ class ServingEngine:
         if worker is not None:
             worker.join()
         with self._cv:
+            if self._worker is not None:
+                self._gate.detach()
             self._worker = None
 
     @property
@@ -280,7 +369,9 @@ class ServingEngine:
         """Stop (draining) and drop the model's serving cache.
 
         Call before handing the model back to training or analysis code,
-        so no float32 serving cache leaks out of serving.
+        so no float32 serving cache leaks out of serving.  A
+        :class:`repro.serving.multi.MultiWorkerEngine` releases once,
+        after stopping every worker.
         """
         self.stop()
         self._core.release()
@@ -378,37 +469,15 @@ class ServingEngine:
     def refresh(self) -> None:
         """Re-run the encoder after a weight update (checkpoint swap).
 
-        The refresh is executed *by the worker thread between flushes*
-        — the single-scorer invariant covers cache rebuilds too — and
-        this call blocks until it completed.  The request is routed to
-        the worker whenever it is **alive**, even mid-``stop()`` (the
-        worker serves refresh requests before exiting, and a stopping
-        worker may still be scoring its final drain flush — an inline
-        refresh would race it).  Only with the worker fully gone does
-        the refresh run inline, where no concurrent scorer can exist.
+        Parks every worker scoring this model (all of a
+        :class:`repro.serving.multi.MultiWorkerEngine`'s) between two
+        flushes, rebuilds the primary and fallback caches once on the
+        calling thread under the backend captured at :meth:`start`, and
+        resumes them; queues keep admitting throughout and no ticket is
+        dropped.  With no worker running the rebuild simply runs.
         """
-        with self._cv:
-            worker = self._worker
-            if worker is not None and worker.is_alive():
-                self._refresh_requested = True
-                self._cv.notify_all()
-                while self._refresh_requested:
-                    if not worker.is_alive():
-                        # The worker exited (stop or crash) before
-                        # serving the request; it is no longer scoring,
-                        # so falling through to inline is safe.
-                        self._refresh_requested = False
-                        break
-                    self._cv.wait(0.05)
-                else:
-                    return  # the worker performed the refresh
-        self._refresh_cores()
-
-    def _refresh_cores(self) -> None:
-        """Rebuild the primary (and fallback, if any) serving caches."""
-        self._core.refresh()
-        if self._fallback_core is not None:
-            self._fallback_core.refresh()
+        with backend_scope(self._worker_backend or get_backend()):
+            self._gate.rebuild()
 
     # ------------------------------------------------------------------
     # Worker
@@ -448,28 +517,19 @@ class ServingEngine:
                 with self._cv:
                     while True:
                         cause = self._due_cause_locked()
-                        if cause or self._stopping or self._refresh_requested:
+                        if cause or self._stopping:
                             break
                         self._cv.wait(self._poll_timeout_locked())
-                    refresh = self._refresh_requested
-                    batch = None
-                    if cause or (self._stopping and self._queue.has_pending):
-                        depth = self._queue.total_rows
-                        items, participants, last_seq = self._queue.swap()
-                        self._size_due = False
-                        self._drain_requested = False
-                        degraded = self._update_pressure_locked(depth)
-                        batch = (items, participants, last_seq,
-                                 cause or "stop", degraded)
-                    elif self._stopping and not refresh:
-                        return
-                if refresh:
-                    self._refresh_cores()
-                    with self._cv:
-                        self._refresh_requested = False
-                        self._cv.notify_all()
-                if batch is not None:
-                    self._flush(*batch)
+                    if not self._queue.has_pending:
+                        return  # stopping, and nothing left to flush
+                    depth = self._queue.total_rows
+                    items, participants, last_seq = self._queue.swap()
+                    self._size_due = False
+                    self._drain_requested = False
+                    degraded = self._update_pressure_locked(depth)
+                with self._gate.flush():
+                    self._flush(items, participants, last_seq,
+                                cause or "stop", degraded)
         except BaseException as exc:  # failsafe: never strand tickets
             with self._cv:
                 self._worker_error = exc
@@ -526,9 +586,8 @@ class ServingEngine:
 
     def _flush(self, items, participants, last_seq: int, cause: str,
                degraded: bool = False) -> None:
-        # The single-scorer invariant: ONLY this thread may touch the
-        # model (encoder cache, fold caches, plan caches) while the
-        # engine runs.
+        # The single-scorer invariant: ONLY this thread flushes this
+        # engine's queue (other engines' workers may score the model).
         assert threading.current_thread() is self._worker, (
             "ServingEngine._flush must run on the engine worker thread"
         )
@@ -582,6 +641,10 @@ class ServingEngine:
         cache hit rates.  Safe to call from any thread while the engine
         serves.
         """
+        return {**self._worker_stats(), **self._store_stats()}
+
+    def _worker_stats(self) -> dict:
+        """This worker's clock, overload and batching counters."""
         with self._cv:
             flushes = self._flush_count
             engine = {
@@ -617,6 +680,13 @@ class ServingEngine:
                 if self._fallback_core is not None
                 else None
             )
+        out = {"engine": engine, "overload": overload, "batcher": batcher}
+        if fallback is not None:
+            out["fallback"] = fallback
+        return out
+
+    def _store_stats(self) -> dict:
+        """The served model's store counters, cache hit rates and bytes."""
         stores = self._core.shard_stats()
         hits = sum(s.get("cache_hits", 0) for s in stores.values())
         misses = sum(s.get("cache_misses", 0) for s in stores.values())
@@ -639,14 +709,4 @@ class ServingEngine:
             "resident_bytes": sum(tier_bytes(s) for s in stores.values()),
             "stores": {name: tier_bytes(s) for name, s in stores.items()},
         }
-        out = {
-            "engine": engine,
-            "overload": overload,
-            "batcher": batcher,
-            "stores": stores,
-            "cache": cache,
-            "memory": memory,
-        }
-        if fallback is not None:
-            out["fallback"] = fallback
-        return out
+        return {"stores": stores, "cache": cache, "memory": memory}

@@ -32,9 +32,10 @@ Correctness contract
   scoring adopts — with no intermediate float allocation, and is
   bit-identical to an inner-store miss gather (single shared codec).
 * **Threads** — cache mutations and the hit/miss counters share the
-  store's lock, so the serving engine's scorer thread and any stats
-  reader interleave safely; the engine's single-scorer invariant means
-  the lock is uncontended in the common case.
+  store's lock, so the serving workers sharing one model and any stats
+  reader interleave safely.  The inner fetch runs outside the lock, so
+  two workers may both miss a row and fetch it; the first insert wins
+  and the byte count stays exact.
 
 ``stats`` gains ``cache_hits`` / ``cache_misses`` / ``cache_evictions``
 counters, surfaced through ``ServingEngine.shard_stats()`` /
@@ -156,6 +157,8 @@ class LRUCachedStore(EmbeddingStore):
             with self._lock:
                 if epoch == self._epoch:  # a writer may have raced the fetch
                     for i, payload in zip(missing, payloads):
+                        if i in self._rows:  # another thread's miss got here first
+                            continue
                         self._rows[i] = payload
                         self._cache_nbytes += self._payload_nbytes(payload)
                     while len(self._rows) > self.capacity:

@@ -215,15 +215,18 @@ class TestServingExecutor:
         assert stats["batcher"]["tape_calls"] == 2
 
     def test_multi_worker_parity_and_aggregation(self, tiny_dataset):
-        models = [_mgbr(tiny_dataset, seed=3) for _ in range(2)]
-        with MultiWorkerEngine(models, max_delay_ms=1.0) as engine:
+        model = _mgbr(tiny_dataset, seed=3)
+        before = model.executor_stats()["tape_calls"]
+        with MultiWorkerEngine(model, 2, max_delay_ms=1.0) as engine:
             scores = [
                 engine.score_items(0, [0, 1, 2], timeout=5.0),
                 engine.score_items(1, [0, 1, 2], timeout=5.0),
                 engine.score_participants(1, 0, [2, 3], timeout=5.0),
             ]
             aggregate = engine.stats()["aggregate"]
-        assert aggregate["tape_calls"] >= 3
+        # Each request was scored alone: one planned call apiece.
+        assert aggregate["tape_calls"] == 3
+        assert model.executor_stats()["tape_calls"] - before == 3
         reference = _mgbr(tiny_dataset, seed=3)
         expected = [
             _direct(reference, 0, items=[0, 1, 2]),

@@ -169,6 +169,39 @@ class TestAccounting:
         assert snap["cache_rows"] <= 16
 
 
+    def test_racing_misses_count_row_bytes_once(self, table):
+        """Two threads missing the same rows insert them once, bytes exact."""
+        barrier = threading.Barrier(2)
+
+        class BarrierStore(DenseStore):
+            def gather(self, ids, plan=None, role=None):
+                barrier.wait(timeout=10.0)  # both threads have missed
+                return super().gather(ids, plan=plan, role=role)
+
+        store = LRUCachedStore(BarrierStore(table), capacity=8)
+        errors = []
+
+        def reader():
+            try:
+                with no_grad():
+                    store.gather(np.array([1, 2]))
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        alone = LRUCachedStore(DenseStore(table), capacity=8)
+        with no_grad():
+            alone.gather(np.array([1, 2]))
+        assert store.stats_snapshot()["cache_misses"] == 4
+        assert store.cached_rows == 2
+        assert store.resident_nbytes() == alone.resident_nbytes() > 0
+
+
 class TestModelIntegration:
     def test_cache_hot_rows_wraps_and_is_idempotent(self, tiny_dataset, closing):
         model = closing(GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8,

@@ -333,9 +333,8 @@ class TestBackendInheritance:
 
     def test_multi_worker_start_shares_scope_backend(self, tiny_dataset):
         counting = CountingBackend()
-        replicas = [GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8,
-                         seed=3) for _ in range(2)]
-        engine = MultiWorkerEngine(replicas, max_delay_ms=1.0)
+        model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=3)
+        engine = MultiWorkerEngine(model, 2, max_delay_ms=1.0)
         with backend_scope(counting):
             engine.start()
         try:

@@ -26,7 +26,7 @@ from repro.serving import (
     TicketTimeout,
 )
 
-from serving_oracle import PARKED, assert_conserved, direct_scores
+from serving_oracle import PARKED, assert_conserved, direct_scores, submit
 
 N_USERS, N_ITEMS, DIM = 40, 25, 8
 
@@ -305,47 +305,69 @@ class TestDegradation:
         np.testing.assert_array_equal(scores, reference)
 
 
+class _CountingGBMF(GBMF):
+    """GBMF that counts its encoder passes (cache builds)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.encoder_passes = 0
+
+    def compute_embeddings(self):
+        self.encoder_passes += 1
+        return super().compute_embeddings()
+
+
+def partition_scores(model, requests, n_workers) -> list:
+    """The direct oracle per worker partition: each worker's one flush."""
+    out = [None] * len(requests)
+    for worker in range(n_workers):
+        picked = [k for k, r in enumerate(requests) if r[1] % n_workers == worker]
+        scores = direct_scores(model, [requests[k] for k in picked])
+        for k, got in zip(picked, scores):
+            out[k] = got
+    return out
+
+
+def mixed_requests(seed, n_users, n_items, n=24) -> list:
+    rng = np.random.default_rng(seed)
+    requests = []
+    for k in range(n):
+        user = int(rng.integers(n_users))
+        if k % 3 == 2:
+            requests.append(("b", user, int(rng.integers(n_items)),
+                             rng.integers(n_users, size=4).tolist()))
+        else:
+            requests.append(("a", user, rng.integers(n_items, size=6).tolist()))
+    return requests
+
+
 class TestMultiWorkerEngine:
     def test_construction_validation(self):
         model = make_model()
-        with pytest.raises(ValueError, match="at least one"):
-            MultiWorkerEngine([])
-        with pytest.raises(ValueError, match="distinct objects"):
-            MultiWorkerEngine([model, model])
-        with pytest.raises(ValueError, match="catalog"):
-            MultiWorkerEngine([model, GBMF(N_USERS + 1, N_ITEMS, dim=DIM, seed=0)])
-        with pytest.raises(ValueError, match="fallback"):
+        with pytest.raises(ValueError, match="n_workers"):
+            MultiWorkerEngine(model, 0)
+        with pytest.raises(ValueError, match="different model"):
             MultiWorkerEngine(
-                [make_model(), make_model()],
+                model, 2,
+                degradation=DegradationPolicy(watermark_rows=8, fallback_model=model),
+            )
+        with pytest.raises(ValueError, match="n_users"):
+            MultiWorkerEngine(
+                model, 2,
                 degradation=DegradationPolicy(
-                    watermark_rows=8, fallback_model=make_model(seed=1)
+                    watermark_rows=8,
+                    fallback_model=GBMF(N_USERS + 1, N_ITEMS, dim=DIM, seed=0),
                 ),
-            )
-        shared_fallback = make_model(seed=1)
-        with pytest.raises(ValueError, match="fallback"):
-            MultiWorkerEngine(
-                [make_model(), make_model()],
-                degradation=[
-                    DegradationPolicy(watermark_rows=8, fallback_model=shared_fallback),
-                    DegradationPolicy(watermark_rows=8, fallback_model=shared_fallback),
-                ],
-            )
-        with pytest.raises(ValueError, match="policies"):
-            MultiWorkerEngine(
-                [make_model(), make_model()],
-                degradation=[DegradationPolicy(watermark_rows=8, top_k=2)],
             )
 
     def test_user_partitioning_is_stable(self):
-        replicas = [make_model() for _ in range(3)]
-        engine = MultiWorkerEngine(replicas)
+        engine = MultiWorkerEngine(make_model(), 3)
         assert engine.n_workers == 3
         for user in range(12):
             assert engine.worker_of(user) == user % 3
 
     def test_requests_land_on_their_users_worker(self):
-        replicas = [make_model() for _ in range(2)]
-        with MultiWorkerEngine(replicas, **PARKED) as engine:
+        with MultiWorkerEngine(make_model(), 2, **PARKED) as engine:
             engine.submit_items(0, [0, 1])        # worker 0
             engine.submit_items(1, [0, 1, 2])     # worker 1
             engine.submit_participants(3, 0, [1])  # initiator 3 -> worker 1
@@ -354,6 +376,31 @@ class TestMultiWorkerEngine:
         per_worker = [w["overload"]["accepted"] for w in stats["workers"]]
         assert per_worker == [1, 2]
         assert stats["aggregate"]["accepted"] == 3
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["gbmf-dense", "gbmf-sharded", "mgbr"])
+    def test_one_model_matches_direct_oracle(self, kind, n_workers, tiny_dataset,
+                                             small_config, closing):
+        """Acceptance gate: workers sharing one model serve the direct
+        planned call over each worker's partition, byte for byte."""
+        from repro.core import MGBR
+
+        n_users, n_items = tiny_dataset.n_users, tiny_dataset.n_items
+        if kind == "mgbr":
+            model = MGBR(tiny_dataset.train, n_users, n_items, config=small_config)
+        else:
+            model = closing(GBMF(n_users, n_items, dim=DIM, seed=2,
+                                 n_shards=4 if kind == "gbmf-sharded" else 0))
+        requests = mixed_requests(13, n_users, n_items)
+        with MultiWorkerEngine(model, n_workers, **PARKED) as engine:
+            tickets = [submit(engine, request) for request in requests]
+            engine.drain(timeout=30.0)
+            stats = engine.stats()
+        # Parked clocks: each worker served its partition in one flush.
+        assert [w["engine"]["flushes"] for w in stats["workers"]] == [1] * n_workers
+        for ticket, want in zip(tickets, partition_scores(model, requests, n_workers)):
+            assert ticket.scores.dtype == np.float64
+            np.testing.assert_array_equal(ticket.scores, want)
 
     def test_four_workers_bit_identical_to_single_engine(self):
         """Acceptance gate: 4-worker float64 scores == single-engine scores."""
@@ -370,7 +417,7 @@ class TestMultiWorkerEngine:
             )
             for _ in range(20)
         ]
-        multi = MultiWorkerEngine([make_model() for _ in range(4)], max_delay_ms=1.0)
+        multi = MultiWorkerEngine(make_model(), 4, max_delay_ms=1.0)
         with multi:
             multi_a = [multi.submit_items(u, c) for u, c in requests_a]
             multi_b = [multi.submit_participants(u, i, c) for u, i, c in requests_b]
@@ -411,7 +458,7 @@ class TestMultiWorkerEngine:
             )
             for _ in range(12)
         ]
-        multi = MultiWorkerEngine([mk() for _ in range(3)], **PARKED)
+        multi = MultiWorkerEngine(mk(), 3, **PARKED)
         with multi:  # parked clock: each partition co-batches in one flush
             tickets = [multi.submit_items(u, c) for u, c in reqs]
             multi.drain(timeout=30.0)
@@ -429,9 +476,44 @@ class TestMultiWorkerEngine:
         for idx, ticket in enumerate(tickets):
             np.testing.assert_array_equal(ticket.scores, reference[idx])
 
+    def test_tape_calls_count_each_workers_own_calls(self):
+        """Concurrent flushes on one model: each counts only its own calls."""
+        barrier = threading.Barrier(4)
+
+        class BarrierGBMF(GBMF):
+            def score_item_plan(self, plan):
+                barrier.wait(timeout=10.0)  # all four flushes in flight
+                return super().score_item_plan(plan)
+
+        model = BarrierGBMF(N_USERS, N_ITEMS, dim=DIM, seed=0)
+        before = model.executor_stats()["tape_calls"]
+        with MultiWorkerEngine(model, 4, max_delay_ms=1.0) as engine:
+            tickets = [engine.submit_items(u, [0, 1, 2]) for u in range(4)]
+            engine.drain(timeout=30.0)
+            stats = engine.stats()
+        assert all(t.scores.shape == (3,) for t in tickets)
+        assert [w["batcher"]["tape_calls"] for w in stats["workers"]] == [1] * 4
+        assert stats["aggregate"]["tape_calls"] == 4
+        assert model.executor_stats()["tape_calls"] - before == 4
+
+    def test_one_policy_with_fallback_serves_every_worker(self):
+        policy = DegradationPolicy(watermark_rows=1, trigger_flushes=1,
+                                   fallback_model=make_model(seed=9))
+        with MultiWorkerEngine(make_model(), 2, degradation=policy,
+                               **PARKED) as engine:
+            tickets = [engine.submit_items(u, [0, 1, 2]) for u in (0, 1)]
+            engine.drain(timeout=10.0)
+            stats = engine.stats()
+        assert all(t.degraded for t in tickets)
+        assert [w["fallback"]["flushes"] for w in stats["workers"]] == [1, 1]
+        assert stats["aggregate"]["degraded"] == 2
+        reference = direct_scores(make_model(seed=9),
+                                  [("a", u, [0, 1, 2]) for u in (0, 1)])
+        for ticket, want in zip(tickets, reference):
+            np.testing.assert_array_equal(ticket.scores, want)
+
     def test_overload_error_propagates_from_worker(self):
-        replicas = [make_model() for _ in range(2)]
-        with MultiWorkerEngine(replicas, max_queue_rows=4, **PARKED) as engine:
+        with MultiWorkerEngine(make_model(), 2, max_queue_rows=4, **PARKED) as engine:
             engine.submit_items(0, [0, 1, 2, 3])      # fills worker 0's budget
             with pytest.raises(OverloadError):
                 engine.submit_items(2, [0])           # same worker: rejected
@@ -442,7 +524,7 @@ class TestMultiWorkerEngine:
             assert engine.stats()["aggregate"]["rejected"] == 1
 
     def test_stop_without_drain_aborts_all_workers(self):
-        engine = MultiWorkerEngine([make_model() for _ in range(2)], **PARKED)
+        engine = MultiWorkerEngine(make_model(), 2, **PARKED)
         engine.start()
         tickets = [engine.submit_items(u, [0, 1]) for u in range(4)]
         engine.stop(drain=False)
@@ -452,16 +534,16 @@ class TestMultiWorkerEngine:
             engine.submit_items(0, [0])
 
     def test_refresh_swaps_weights_on_all_workers_without_dropping(self):
-        replicas = [make_model() for _ in range(2)]
+        model = _CountingGBMF(N_USERS, N_ITEMS, dim=DIM, seed=0)
         fresh = make_model(seed=7)
-        with MultiWorkerEngine(replicas, max_delay_ms=2.0) as engine:
+        with MultiWorkerEngine(model, 2, max_delay_ms=2.0) as engine:
             before = [
                 engine.score_items(u, [0, 1, 2], timeout=10.0) for u in (0, 1)
             ]
-            state = fresh.state_dict()
-            for model in engine.models:
-                model.load_state_dict(state)
+            model.load_state_dict(fresh.state_dict())
+            passes = model.encoder_passes
             engine.refresh()
+            assert model.encoder_passes == passes + 1  # one rebuild, not one per worker
             after = [
                 engine.score_items(u, [0, 1, 2], timeout=10.0) for u in (0, 1)
             ]
@@ -478,10 +560,154 @@ class TestMultiWorkerEngine:
         assert agg["accepted"] == 4
         assert agg["rejected"] == agg["shed"] == agg["aborted"] == 0
 
+    def test_refresh_under_live_traffic(self):
+        """Acceptance gate: a refresh on 2 busy workers rebuilds once,
+        strands nothing, and every later request scores the new weights."""
+        model = _CountingGBMF(N_USERS, N_ITEMS, dim=DIM, seed=0)
+        fresh = make_model(seed=7)
+        requests = [("a", u % N_USERS, [u % N_ITEMS, 3, 5]) for u in range(400)]
+        tickets, after_refresh = [], []
+        refreshed = threading.Event()
+        engine = MultiWorkerEngine(model, 2, max_delay_ms=1.0)
+
+        def submitter():
+            for request in requests:
+                late = refreshed.is_set()  # read before submitting
+                ticket = submit(engine, request)
+                tickets.append((request, ticket))
+                if late:
+                    after_refresh.append((request, ticket))
+                time.sleep(0.0005)
+
+        with engine:
+            thread = threading.Thread(target=submitter)
+            thread.start()
+            while len(tickets) < 100:
+                time.sleep(0.001)
+            model.load_state_dict(fresh.state_dict())
+            passes = model.encoder_passes
+            engine.refresh()
+            assert model.encoder_passes == passes + 1
+            refreshed.set()
+            thread.join()
+            engine.drain(timeout=30.0)
+            stats = engine.stats()
+        assert after_refresh, "the submitter finished before the refresh"
+        for worker, snap in enumerate(stats["workers"]):
+            assert_conserved(snap, [t for r, t in tickets if r[1] % 2 == worker])
+        assert stats["aggregate"]["shed"] == stats["aggregate"]["aborted"] == 0
+        for request, ticket in after_refresh:
+            (want,) = direct_scores(fresh, [request])
+            np.testing.assert_array_equal(ticket.scores, want)
+
+    def test_refresh_parks_workers_between_flushes(self):
+        """A rebuild waits for the flush in progress; queues keep admitting."""
+        entered, release = threading.Event(), threading.Event()
+
+        class HeldGBMF(_CountingGBMF):
+            def score_item_plan(self, plan):
+                if plan.users[0] == 0:  # worker 0's flush holds here
+                    entered.set()
+                    release.wait(timeout=10.0)
+                return super().score_item_plan(plan)
+
+        model = HeldGBMF(N_USERS, N_ITEMS, dim=DIM, seed=0)
+        with MultiWorkerEngine(model, 2, max_delay_ms=1.0) as engine:
+            held = engine.submit_items(0, [0, 1])
+            assert entered.wait(timeout=10.0)
+            passes = model.encoder_passes
+            refresher = threading.Thread(target=engine.refresh)
+            refresher.start()
+            time.sleep(0.05)
+            # Worker 0 is mid-flush: no rebuild yet, and the barrier holds.
+            assert refresher.is_alive()
+            assert model.encoder_passes == passes
+            queued = engine.submit_items(1, [2, 3])  # still admitted
+            release.set()
+            refresher.join(timeout=10.0)
+            assert not refresher.is_alive()
+            assert model.encoder_passes == passes + 1
+            assert held.wait(timeout=10.0).shape == (2,)
+            assert queued.wait(timeout=10.0).shape == (2,)
+
+    def test_refresh_with_workers_stopped_runs_inline(self):
+        model = _CountingGBMF(N_USERS, N_ITEMS, dim=DIM, seed=0)
+        engine = MultiWorkerEngine(model, 2)
+        engine.start()
+        engine.stop()
+        passes = model.encoder_passes
+        engine.refresh()
+        assert model.encoder_passes == passes + 1
+
+    def test_start_builds_cache_once_and_serves_in_eval_mode(self):
+        model = _CountingGBMF(N_USERS, N_ITEMS, dim=DIM, seed=0)
+        model.train()
+        with MultiWorkerEngine(model, 4, max_delay_ms=1.0) as engine:
+            assert model.encoder_passes == 1
+            assert not model.training
+            for u in range(8):
+                engine.score_items(u, [0, 1], timeout=10.0)
+            assert model.encoder_passes == 1
+        assert model.training  # restored once the last worker stopped
+
+    def test_stress_shared_model_with_refreshes(self):
+        """More workers than cores on one LRU-fronted model, a short GIL
+        switch interval and refreshes mid-stream: no update is lost."""
+        import sys
+
+        from repro.store import cache_hot_rows
+
+        model = make_model()
+        caches = cache_hot_rows(model, capacity=6)  # constant evictions
+        before = model.executor_stats()["tape_calls"]
+        requests = [("a", u % N_USERS, [(u * 7) % N_ITEMS, u % N_ITEMS, 3])
+                    if u % 4 else ("b", u % N_USERS, u % N_ITEMS, [u % N_USERS, 1])
+                    for u in range(600)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MultiWorkerEngine(model, 4, max_delay_ms=0.5) as engine:
+                tickets = []
+                for k, request in enumerate(requests):
+                    tickets.append(submit(engine, request))
+                    if k % 150 == 75:
+                        engine.refresh()
+                engine.drain(timeout=60.0)
+                stats = engine.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        for worker, snap in enumerate(stats["workers"]):
+            assert_conserved(snap, [t for r, t in zip(requests, tickets)
+                                    if r[1] % 4 == worker])
+        agg = stats["aggregate"]
+        assert agg["tape_calls"] == model.executor_stats()["tape_calls"] - before
+        assert agg["requests"] == len(requests)
+        for cache in caches.values():
+            row_nbytes = cache.dim * np.dtype(np.float64).itemsize
+            assert cache.resident_nbytes() == cache.cached_rows * row_nbytes
+        for request, ticket in zip(requests, tickets):
+            (want,) = direct_scores(model, [request])
+            np.testing.assert_array_equal(ticket.scores, want)
+
+    @pytest.mark.parametrize("n_shards", [0, 4])
+    def test_store_memory_reported_once_per_fleet(self, n_shards, closing):
+        model = closing(GBMF(N_USERS, N_ITEMS, dim=DIM, seed=0, n_shards=n_shards))
+        resident = {}
+        for n_workers in (1, 4):
+            with MultiWorkerEngine(model, n_workers, **PARKED) as engine:
+                for u in range(8):
+                    engine.submit_items(u, [0, 1, 2])
+                engine.drain(timeout=10.0)
+                stats = engine.stats()
+            assert all("memory" not in w and "stores" not in w
+                       for w in stats["workers"])
+            resident[n_workers] = stats["memory"]["resident_bytes"]
+        assert resident[1] == resident[4] > 0
+
     def test_stats_serializable_and_conserving(self):
         import json
 
-        with MultiWorkerEngine([make_model() for _ in range(2)], **PARKED) as engine:
+        with MultiWorkerEngine(make_model(), 2, **PARKED) as engine:
             for u in range(6):
                 engine.submit_items(u, [0, 1, 2])
             engine.drain(timeout=10.0)
@@ -490,6 +716,8 @@ class TestMultiWorkerEngine:
         assert stats["n_workers"] == 2
         assert stats["aggregate"]["accepted"] == 6
         assert stats["aggregate"]["served"] == 6
+        assert set(stats) == {"n_workers", "aggregate", "workers", "stores",
+                              "cache", "memory"}
 
 
 class TestOverloadConservation:
