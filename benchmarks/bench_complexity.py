@@ -4,7 +4,9 @@ The paper derives O(L·K·d²) per sample for the expert/gate stack,
 dominated by the d² expert projections.  This bench measures the wall
 clock of an MTL forward pass across embedding widths and checks the
 quadratic trend: doubling d must scale time by clearly more than a
-linear model would, and the per-(K, L) scaling must be ~linear.
+linear model would, and the per-(K, L) scaling must be ~linear.  The K
+and L sweeps compare per-arm medians of interleaved rounds, so load on
+a shared host cannot reorder the arms.
 """
 
 import time
@@ -19,8 +21,14 @@ from repro.nn import tensor
 
 BATCH = 256
 
+#: Interleaved rounds of the K and L sweeps: each round times every arm
+#: once, so host load lands on all arms and the per-arm medians keep
+#: their order.
+ROUNDS = 5
 
-def _forward_seconds(d: int, n_experts: int = 3, mtl_layers: int = 2, repeats: int = 5) -> float:
+
+def _forward(d: int, n_experts: int = 3, mtl_layers: int = 2):
+    """A warmed MTL forward pass over ``BATCH`` random rows (a callable)."""
     config = MGBRConfig.small(d=d, n_experts=n_experts, mtl_layers=mtl_layers, seed=0)
     module = MultiTaskModule(config, seed=0)
     rng = np.random.default_rng(0)
@@ -29,10 +37,26 @@ def _forward_seconds(d: int, n_experts: int = 3, mtl_layers: int = 2, repeats: i
     e_i = tensor(rng.normal(size=(BATCH, vd)))
     e_p = tensor(rng.normal(size=(BATCH, vd)))
     module(e_u, e_i, e_p)  # warm-up
+    return lambda: module(e_u, e_i, e_p)
+
+
+def _seconds(forward) -> float:
+    """Mean seconds of one ``forward()`` over 5 calls."""
     started = time.perf_counter()
-    for _ in range(repeats):
-        module(e_u, e_i, e_p)
-    return (time.perf_counter() - started) / repeats
+    for _ in range(5):
+        forward()
+    return (time.perf_counter() - started) / 5
+
+
+def _interleaved_medians(arms) -> dict:
+    """Median forward seconds per arm (``{key: _forward kwargs}``) over
+    :data:`ROUNDS` rounds, each timing every arm once."""
+    forwards = {key: _forward(24, **kwargs) for key, kwargs in arms.items()}
+    samples = {key: [] for key in forwards}
+    for _ in range(ROUNDS):
+        for key, forward in forwards.items():
+            samples[key].append(_seconds(forward))
+    return {key: float(np.median(times)) for key, times in samples.items()}
 
 
 def test_complexity_quadratic_in_d(benchmark):
@@ -45,7 +69,7 @@ def test_complexity_quadratic_in_d(benchmark):
     """
 
     def run():
-        return {d: _forward_seconds(d) for d in (16, 32, 64, 128)}
+        return {d: _seconds(_forward(d)) for d in (16, 32, 64, 128)}
 
     timings = benchmark.pedantic(run, rounds=1, iterations=1)
 
@@ -72,10 +96,10 @@ def test_complexity_linear_in_experts(benchmark):
     """Doubling K roughly doubles the expert work (the K term of O(LKd²))."""
 
     def run():
-        return {k: _forward_seconds(24, n_experts=k) for k in (2, 4, 8)}
+        return _interleaved_medians({k: {"n_experts": k} for k in (2, 4, 8)})
 
     timings = benchmark.pedantic(run, rounds=1, iterations=1)
-    lines = ["SEC. II-H — MTL FORWARD TIME vs EXPERT COUNT K (d=24)"]
+    lines = [f"SEC. II-H — MTL FORWARD TIME vs EXPERT COUNT K (d=24, median of {ROUNDS})"]
     for k, seconds in timings.items():
         lines.append(f"  K={k}   {seconds * 1e3:8.2f} ms")
     text = "\n".join(lines)
@@ -92,10 +116,10 @@ def test_complexity_linear_in_layers(benchmark):
     """Doubling L roughly doubles the stack time (the L term)."""
 
     def run():
-        return {l: _forward_seconds(24, mtl_layers=l) for l in (1, 2, 4)}
+        return _interleaved_medians({l: {"mtl_layers": l} for l in (1, 2, 4)})
 
     timings = benchmark.pedantic(run, rounds=1, iterations=1)
-    lines = ["SEC. II-H — MTL FORWARD TIME vs LAYER COUNT L (d=24)"]
+    lines = [f"SEC. II-H — MTL FORWARD TIME vs LAYER COUNT L (d=24, median of {ROUNDS})"]
     for l, seconds in timings.items():
         lines.append(f"  L={l}   {seconds * 1e3:8.2f} ms")
     text = "\n".join(lines)

@@ -1,10 +1,11 @@
 """Evaluation-throughput benchmark: :meth:`EvalProtocol.run` vs the loop.
 
 Times the 1:9 and 1:99 candidate-list protocols for
-:meth:`EvalProtocol.run` — on whatever path the model picks: planned
-(ScoringPlan dedup + factorized layer-0) for the MGBR expert/gate stack,
-flat batched chunks for a serving-style two-tower baseline (GBMF) — and
-for the historical :meth:`EvalProtocol.run_per_instance` reference loop
+:meth:`EvalProtocol.run` — through whichever plan kind the model builds
+(each cell's ``plan``): a dedup plan (unique pairs + factorized layer-0)
+for the MGBR expert/gate stack, an identity plan (every flat row, no
+dedup) for a serving-style two-tower baseline (GBMF) — and for the
+historical :meth:`EvalProtocol.run_per_instance` reference loop
 (the seed implementation, kept verbatim), plus the float32 inference
 fast path.  Also times candidate-list construction: one batched
 rejection-sampling pass vs the seed's per-row Python sampling loop.
@@ -172,7 +173,7 @@ def _paired_times(loop, run):
 
 
 def _bench_model(model, dataset) -> dict:
-    planned = model._plans_scoring
+    dedup = model._plans_scoring
     out = {}
     for n_neg, cutoff in ((9, 10), (99, 100)):
         protocol = EvalProtocol(
@@ -198,7 +199,7 @@ def _bench_model(model, dataset) -> dict:
 
         cell = {
             "cutoff": cutoff,
-            "path": "planned" if planned else "flat",
+            "plan": "dedup" if dedup else "identity",
             "paired_repeats": PAIRS,
             "per_instance_seconds": round(loop_seconds, 4),
             "run_seconds": round(run_seconds, 4),
@@ -217,7 +218,7 @@ def _bench_model(model, dataset) -> dict:
             ),
             "metrics": result.flat(),
         }
-        if planned:
+        if dedup:
             cell["dedup"] = _dedup_stats(protocol)
         out[f"1:{n_neg}"] = cell
     return out
@@ -415,7 +416,7 @@ def check_report(report: dict, smoke: bool = False) -> None:
         assert isinstance(cell["gather_qps_ratio_vs_float32"], float)
     if smoke:
         return
-    # MGBR's run() (the planned path) must beat the per-instance loop:
+    # MGBR's run() (dedup plans) must beat the per-instance loop:
     # median of interleaved pairs, BLAS pinned to one thread.
     mgbr = report["models"]["MGBR"]
     for proto, floor in (("1:9", 5.0), ("1:99", 2.0)):

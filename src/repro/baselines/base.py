@@ -15,10 +15,11 @@ protocol and the benchmark harness treat them uniformly:
   pass created by :meth:`refresh_cache` when available);
 * :meth:`score_items_matrix` / :meth:`score_participants_matrix` are the
   **batched scoring path**: they score one candidate *matrix* — many
-  instances × many candidates — against the cached encoder pass.  A
-  model with a joint expert/gate stack first compiles the request into
-  a :class:`repro.plan.ScoringPlan` (repeated requests scored once, the
-  result scattered back); the others score every flat row.
+  instances × many candidates — against the cached encoder pass.  Every
+  model compiles the request into a :class:`repro.plan.ScoringPlan`:
+  a model with a joint expert/gate stack dedups it (repeated requests
+  scored once, the result scattered back); the others take an identity
+  plan that scores every flat row.
   ``score_item_plan`` /
   ``score_participant_plan`` expose the unique-request scoring directly
   to the evaluation protocol's chunked runner and the serving
@@ -249,17 +250,31 @@ class GroupBuyingRecommender(Module):
 
     @property
     def _plans_scoring(self) -> bool:
-        """Whether evaluation and training score through a :class:`ScoringPlan`.
+        """Whether this model's candidate plans deduplicate.
 
-        Derived from the model, never set by a caller: a model plans iff
-        it has a joint expert/gate stack (``planned_joint_logits``, the
-        MGBR family), whose factorized layer-0 projections make planning
-        pay.  The baselines score flat, where the plan build costs more
-        than the repeated rows it saves.  The evaluation protocol, the
-        matrix scorers and the trainer all read this one rule; serving
-        always plans (its plans dedup across requests).
+        Derived from the model, never set by a caller: a model dedups
+        iff it has a joint expert/gate stack (``planned_joint_logits``,
+        the MGBR family), whose factorized layer-0 projections make the
+        dedup pay.  The baselines' near-free scorers lose more to the
+        dedup than they save, so they score identity plans (one pair per
+        flat row).  The trainer also reads this rule: the MGBR family
+        trains on the planned step, the baselines on the flat one.
+        Serving always dedups (its plans merge requests).
         """
         return hasattr(self, "planned_joint_logits")
+
+    def _candidate_plan(self, users, candidates, items=None) -> ScoringPlan:
+        """The :class:`ScoringPlan` of one candidate matrix.
+
+        ``items=None`` plans Task A (``(n,)`` users × ``(n, m)`` items),
+        otherwise Task B (``(n,)`` (u, i) × ``(n, m)`` participants).
+        The plan dedups iff :attr:`_plans_scoring`; the evaluation
+        protocol and the matrix scorers both plan through here.
+        """
+        dedup = self._plans_scoring
+        if items is None:
+            return ScoringPlan.for_items(users, candidates, dedup=dedup)
+        return ScoringPlan.for_participants(users, items, candidates, dedup=dedup)
 
     def _score_item_plan(self, emb: EmbeddingBundle, plan: ScoringPlan) -> Tensor:
         """Score a plan's unique (u, i) requests → ``(P,)`` tensor.
@@ -327,10 +342,11 @@ class GroupBuyingRecommender(Module):
         candidate_items: ``(n, m)`` candidate items — row ``k`` is the
             list scored for ``users[k]``.
 
-        A model that plans (:attr:`_plans_scoring`) compiles the request
-        into a :class:`ScoringPlan` first — repeated (u, i) pairs are
-        scored once and scattered back; every other model scores each
-        flat row.  Both give bit-equal scores to duplicate requests.
+        The request is scored through its :meth:`_candidate_plan`: a
+        dedup plan for a model that :attr:`_plans_scoring` (repeated
+        (u, i) pairs scored once and scattered back), an identity plan
+        (every flat row scored as is) for the rest.  Duplicate requests
+        get bit-equal scores either way.
 
         Returns
         -------
@@ -343,50 +359,19 @@ class GroupBuyingRecommender(Module):
             candidates into ties.  Models overriding the public
             ``score_items`` keep their own score scale.
         """
-        users = np.asarray(users, dtype=np.int64)
-        cands = np.asarray(candidate_items, dtype=np.int64)
-        if cands.ndim != 2 or len(users) != cands.shape[0]:
-            raise ValueError(
-                f"need (n,) users and (n, m) candidates, got {users.shape}/{cands.shape}"
-            )
-        if self._plans_scoring:
-            plan = ScoringPlan.for_items(users, cands)
-            return plan.scatter(self.score_item_plan(plan))
-        flat_users = np.repeat(users, cands.shape[1])
-        if type(self).score_items is GroupBuyingRecommender.score_items:
-            scores = self.score_items_from(
-                self._bundle(), flat_users, cands.ravel(), raw=True
-            )
-        else:
-            scores = self.score_items(flat_users, cands.ravel())
-        return np.asarray(scores.data, dtype=np.float64).reshape(cands.shape)
+        plan = self._candidate_plan(users, candidate_items)
+        return plan.scatter(self.score_item_plan(plan))
 
     def score_participants_matrix(self, users, items, candidate_participants) -> np.ndarray:
         """Task-B ranking scores for per-instance candidate lists.
 
         ``users``/``items`` are ``(n,)`` instance pairs and
         ``candidate_participants`` is ``(n, m)``; returns the ``(n, m)``
-        score matrix.  Same planning rule and raw-logit conventions as
+        score matrix.  Same plan rule and raw-logit conventions as
         :meth:`score_items_matrix`.
         """
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        cands = np.asarray(candidate_participants, dtype=np.int64)
-        if cands.ndim != 2 or not (len(users) == len(items) == cands.shape[0]):
-            raise ValueError(
-                "need (n,) users, (n,) items and (n, m) candidates, got "
-                f"{users.shape}/{items.shape}/{cands.shape}"
-            )
-        if self._plans_scoring:
-            plan = ScoringPlan.for_participants(users, items, cands)
-            return plan.scatter(self.score_participant_plan(plan))
-        n_list = cands.shape[1]
-        flat = (np.repeat(users, n_list), np.repeat(items, n_list), cands.ravel())
-        if type(self).score_participants is GroupBuyingRecommender.score_participants:
-            scores = self.score_participants_from(self._bundle(), *flat, raw=True)
-        else:
-            scores = self.score_participants(*flat)
-        return np.asarray(scores.data, dtype=np.float64).reshape(cands.shape)
+        plan = self._candidate_plan(users, candidate_participants, items)
+        return plan.scatter(self.score_participant_plan(plan))
 
     # ------------------------------------------------------------------
     # Case-study hook (Fig. 6)

@@ -15,30 +15,33 @@ across models*, so Table III comparisons are paired.
 Batched scoring
 ---------------
 :meth:`EvalProtocol.run` is a fully batched matrix program: candidate
-lists are built with one vectorised rejection-sampling pass, all
-(instance × candidate) pairs are flattened into chunks of
-``chunk_size`` rows, the model scores each chunk in a single call
-against its cached encoder pass (``refresh_cache`` runs the GCN encoder
-exactly once per evaluation), and the whole score matrix is ranked at
-once by :func:`repro.eval.metrics.ranks_of_positives`.  This is an order
-of magnitude faster than the historical per-instance loop, which is kept
+lists are built with one vectorised rejection-sampling pass, each
+task's (instance × candidate) request is compiled into one plan and
+scored in windows of ``chunk_size`` pairs, each window in a single
+model call against the model's cached encoder pass (``refresh_cache``
+runs the GCN encoder exactly once per evaluation), and the whole score
+matrix is ranked at once by
+:func:`repro.eval.metrics.ranks_of_positives`.  This is an order of
+magnitude faster than the historical per-instance loop, which is kept
 as :meth:`EvalProtocol.run_per_instance` for parity testing and
 throughput benchmarking.
 
 Planned scoring
 ---------------
-The model picks its path (``_plans_scoring`` on
-:class:`repro.baselines.base.GroupBuyingRecommender`): a model with a
-joint expert/gate stack (the MGBR family) has each task's flattened
-request compiled into a :class:`repro.plan.ScoringPlan` — repeated
+Every model scores through a :class:`repro.plan.ScoringPlan`; the model
+picks the plan's kind (``_candidate_plan`` on
+:class:`repro.baselines.base.GroupBuyingRecommender`).  A model with a
+joint expert/gate stack (the MGBR family) gets a *dedup* plan: repeated
 (u, i) / (u, i, p) requests collapse onto unique pairs *globally*
-(dedup sees the whole instance set, not one chunk), the model scores
-``chunk_size``-row windows of unique pairs via ``score_item_plan`` /
-``score_participant_plan`` with its factorized stack, and one scatter
-rebuilds the full score matrix.  The baselines score flat chunks of
-(instance × candidate) rows: their near-free scorers lose more to the
-plan build than they save.  Duplicate requests receive bit-equal scores
-on both paths, so ties (and therefore metrics) are unaffected.
+(dedup sees the whole instance set, not one window) and its factorized
+stack scores each unique pair once.  The baselines get an *identity*
+plan: one pair per flat row in request order, no dedup to pay for,
+since their near-free scorers lose more to the dedup than they save.
+Either way the model scores ``chunk_size``-pair windows via
+``score_item_plan`` / ``score_participant_plan``, and one scatter (a
+reshape, for an identity plan) rebuilds the full score matrix.
+Duplicate requests receive bit-equal scores on both kinds, so ties (and
+therefore metrics) are unaffected.
 
 Both tasks compile their plans first, and then all their windows run
 window-parallel on one work queue (:mod:`repro.eval.windows`): the
@@ -80,7 +83,6 @@ from repro.data.schema import GroupBuyingDataset
 from repro.eval.metrics import RankingAccumulator, rank_of_positive, ranks_of_positives
 from repro.eval.windows import run_windows
 from repro.nn.tensor import dtype_scope, no_grad
-from repro.plan import ScoringPlan
 from repro.utils.rng import SeedLike
 
 __all__ = ["EvalProtocol", "EvalResult", "evaluate_model"]
@@ -117,9 +119,9 @@ class EvalProtocol:
     seed: candidate-list RNG seed — keep identical across compared models.
     split: which split supplies the positive instances.
     max_instances: optional cap (benchmarks subsample for speed).
-    chunk_size: target number of flattened (instance × candidate) rows
-        (flat path) or unique planned requests (planned path) per model
-        call on the batched path.
+    chunk_size: plan pairs per model call on the batched path (unique
+        requests on a dedup plan, flat (instance × candidate) rows on
+        an identity plan).
     dtype: scoring precision — ``"float64"`` (exact) or ``"float32"``
         (inference fast path; see the module docstring).
 
@@ -207,22 +209,6 @@ class EvalProtocol:
     # ------------------------------------------------------------------
     # Batched scoring path
     # ------------------------------------------------------------------
-    def _instance_chunks(self, n_instances: int, n_list: int):
-        """Yield instance-index slices covering ~``chunk_size`` flat rows."""
-        per_chunk = max(1, self.chunk_size // n_list)
-        for start in range(0, n_instances, per_chunk):
-            yield slice(start, min(start + per_chunk, n_instances))
-
-    def _plan(self, model, task: str, lists) -> Optional[ScoringPlan]:
-        """The task's global :class:`ScoringPlan`, or ``None`` (flat path)."""
-        if not getattr(model, "_plans_scoring", False):
-            return None
-        if task == "a":
-            return ScoringPlan.for_items(lists["users"], lists["candidates"])
-        return ScoringPlan.for_participants(
-            lists["users"], lists["items"], lists["candidates"]
-        )
-
     def _windows(self, plan, score_chunk, unique: np.ndarray):
         """``chunk_size`` windows over a plan's unique pairs.
 
@@ -241,42 +227,26 @@ class EvalProtocol:
             for start in range(0, plan.n_pairs, self.chunk_size)
         ]
 
-    def _flat(self, model, task: str, lists) -> np.ndarray:
-        """Score one task's candidate matrix the flat (unplanned) way."""
-        users, cands = lists["users"], lists["candidates"]
-        out = np.empty(cands.shape, dtype=np.float64)
-        for chunk in self._instance_chunks(len(users), cands.shape[1]):
-            if task == "a":
-                out[chunk] = model.score_items_matrix(users[chunk], cands[chunk])
-            else:
-                out[chunk] = model.score_participants_matrix(
-                    users[chunk], lists["items"][chunk], cands[chunk]
-                )
-        return out
-
     def _score_tasks(self, model, requests):
         """``(n, m)`` score matrices for ``[(task, lists), ...]``.
 
-        ``task`` is ``"a"`` or ``"b"``.  Planned tasks compile first;
-        then every window of every plan goes onto one work queue
+        ``task`` is ``"a"`` or ``"b"``.  Each task's plan compiles first
+        (the model's :meth:`_candidate_plan`); then every window of
+        every plan goes onto one work queue
         (:func:`repro.eval.windows.run_windows`) and one scatter per
-        task rebuilds its matrix.  Unplanned tasks take the flat chunk
-        loop on the calling thread.
+        task rebuilds its matrix.
         """
-        plans = [self._plan(model, task, lists) for task, lists in requests]
-        uniques, windows = [], []
-        for (task, _), plan in zip(requests, plans):
-            unique = None
-            if plan is not None:
-                unique = np.empty(plan.n_pairs, dtype=np.float64)
-                score = getattr(model, _PLAN_SCORER[task])
-                windows += self._windows(plan, score, unique)
+        plans, uniques, windows = [], [], []
+        for task, lists in requests:
+            plan = model._candidate_plan(
+                lists["users"], lists["candidates"], lists.get("items")
+            )
+            unique = np.empty(plan.n_pairs, dtype=np.float64)
+            windows += self._windows(plan, getattr(model, _PLAN_SCORER[task]), unique)
+            plans.append(plan)
             uniques.append(unique)
         run_windows(windows)
-        return [
-            self._flat(model, task, lists) if plan is None else plan.scatter(unique)
-            for (task, lists), plan, unique in zip(requests, plans, uniques)
-        ]
+        return [plan.scatter(unique) for plan, unique in zip(plans, uniques)]
 
     def run(self, model) -> EvalResult:
         """Score both tasks' candidate lists with ``model``, batched.
@@ -284,10 +254,10 @@ class EvalProtocol:
         The model must implement the :class:`repro.baselines.base
         .GroupBuyingRecommender` scoring interface (models overriding
         only the flat ``score_items``/``score_participants`` inherit the
-        matrix path from the base class).  Runs in eval mode under
-        ``no_grad``; the encoder cache is refreshed once up front and
-        each chunk of flattened (instance × candidate) pairs is scored
-        with a single model call.
+        plan scorers from the base class).  Runs in eval mode under
+        ``no_grad``; the encoder cache is refreshed once up front, each
+        task is compiled into the model's plan, and each window of
+        ``chunk_size`` plan pairs is scored with a single model call.
         """
         was_training = getattr(model, "training", False)
         model.eval()

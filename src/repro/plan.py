@@ -87,7 +87,7 @@ class ScoringPlan:
         ``(prod(out_shape),)`` indices into the unique-pair axis; the
         full score array is ``unique_scores[scatter_index]`` reshaped.
         ``None`` means identity (the pairs already *are* the request —
-        :meth:`pair_slice` windows).
+        :meth:`pair_slice` windows and ``dedup=False`` candidate plans).
     users / items / participants:
         Parallel ``(P,)`` id arrays of the unique requests
         (``participants`` is ``None`` for Task-A item plans).
@@ -116,14 +116,17 @@ class ScoringPlan:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def _from_flat(cls, out_shape, columns) -> "ScoringPlan":
-        uniq, _, inverse = _unique_rows(columns)
+    def _from_flat(cls, out_shape, columns, dedup: bool = True) -> "ScoringPlan":
+        if dedup:
+            columns, _, scatter_index = _unique_rows(columns)
+        else:  # identity: the flat rows are the pairs, in request order
+            scatter_index = None
         return cls(
             out_shape=tuple(out_shape),
-            scatter_index=inverse,
-            users=uniq[0],
-            items=uniq[1],
-            participants=uniq[2] if len(uniq) == 3 else None,
+            scatter_index=scatter_index,
+            users=columns[0],
+            items=columns[1],
+            participants=columns[2] if len(columns) == 3 else None,
         )
 
     # ------------------------------------------------------------------
@@ -205,8 +208,12 @@ class ScoringPlan:
         return self._entity_cache[key]
 
     @classmethod
-    def for_items(cls, users, candidate_items) -> "ScoringPlan":
-        """Plan a Task-A candidate matrix: ``(n,)`` users × ``(n, m)`` items."""
+    def for_items(cls, users, candidate_items, dedup: bool = True) -> "ScoringPlan":
+        """Plan a Task-A candidate matrix: ``(n,)`` users × ``(n, m)`` items.
+
+        ``dedup=False`` builds the identity plan: one pair per flat row
+        in request order (``scatter_index=None``, ``n_pairs == n_flat``).
+        """
         users = np.asarray(users, dtype=np.int64)
         cands = np.asarray(candidate_items, dtype=np.int64)
         if cands.ndim != 2 or len(users) != cands.shape[0]:
@@ -214,11 +221,16 @@ class ScoringPlan:
                 f"need (n,) users and (n, m) candidates, got {users.shape}/{cands.shape}"
             )
         flat_users = np.repeat(users, cands.shape[1])
-        return cls._from_flat(cands.shape, (flat_users, cands.ravel()))
+        return cls._from_flat(cands.shape, (flat_users, cands.ravel()), dedup)
 
     @classmethod
-    def for_participants(cls, users, items, candidate_participants) -> "ScoringPlan":
-        """Plan a Task-B candidate matrix: ``(n,)`` (u, i) × ``(n, m)`` users."""
+    def for_participants(
+        cls, users, items, candidate_participants, dedup: bool = True
+    ) -> "ScoringPlan":
+        """Plan a Task-B candidate matrix: ``(n,)`` (u, i) × ``(n, m)`` users.
+
+        ``dedup`` as in :meth:`for_items`.
+        """
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         cands = np.asarray(candidate_participants, dtype=np.int64)
@@ -229,7 +241,9 @@ class ScoringPlan:
             )
         m = cands.shape[1]
         return cls._from_flat(
-            cands.shape, (np.repeat(users, m), np.repeat(items, m), cands.ravel())
+            cands.shape,
+            (np.repeat(users, m), np.repeat(items, m), cands.ravel()),
+            dedup,
         )
 
     @classmethod

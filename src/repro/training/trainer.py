@@ -18,9 +18,10 @@ is re-encoded ``1 + train_negatives`` times, and the auxiliary losses
 (Eq. 21/22/24) repeat each positive triple's ``(u, i)`` / ``(u, p)``
 pair ``aux_negatives`` times.  A model with a joint expert/gate stack
 (``planned_joint_logits``, the MGBR family — the same
-``_plans_scoring`` rule evaluation reads) trains on the planned step:
-all of the step's positive, negative and auxiliary-corruption requests
-are compiled into one :class:`repro.plan.PlannedBatch` — *with
+``_plans_scoring`` rule that makes evaluation's plans dedup) trains on
+the planned step: all of the step's positive, negative and
+auxiliary-corruption requests are compiled into one
+:class:`repro.plan.PlannedBatch` — *with
 gradients* — scored once through the factorized stack and scattered
 back to the loss rows through autograd gathers, so the backward pass
 flows through the dedup maps into the encoder.  The Task-A pair

@@ -4,14 +4,16 @@ Covers the plan data structure itself (dedup/scatter invariants under
 random duplicate patterns), the factorized expert/gate path's numerical
 agreement with the dense stack across every MGBR ablation, metric parity
 of the planned evaluation protocol with the historical per-instance loop
-for MGBR and two baselines, and the satellite features riding on the
+for MGBR and every baseline, and the satellite features riding on the
 plan: float32 checkpoint export and pre-sampled negative pools.
 """
 
 import numpy as np
 import pytest
 
+import repro.eval.protocol as protocol_module
 from repro.baselines import GBMF, NGCF
+from repro.baselines.base import GroupBuyingRecommender
 from repro.cli import build_model
 from repro.core import MGBR, MGBRConfig, PlannedBatch, ScoringPlan
 from repro.data import NegativePool, NegativeSampler
@@ -85,6 +87,23 @@ class TestPlanInvariants:
         # Duplicate requests receive the identical score value.
         assert full[0, 0] == full[1, 0] and full[0, 1] == full[1, 1]
         assert full[2, 0] == full[2, 1]
+
+    def test_identity_plan_keeps_flat_rows_in_order(self):
+        users = np.array([0, 0, 1])
+        cands = np.array([[2, 3], [2, 3], [2, 2]])
+        items_plan = ScoringPlan.for_items(users, cands, dedup=False)
+        triple_plan = ScoringPlan.for_participants(
+            users, np.array([4, 5, 4]), cands, dedup=False
+        )
+        for plan in (items_plan, triple_plan):
+            assert plan.scatter_index is None
+            assert plan.n_pairs == plan.n_flat == 6
+            np.testing.assert_array_equal(plan.users, np.repeat(users, 2))
+        np.testing.assert_array_equal(items_plan.items, cands.ravel())
+        np.testing.assert_array_equal(triple_plan.items, [4, 4, 5, 5, 4, 4])
+        np.testing.assert_array_equal(triple_plan.participants, cands.ravel())
+        scores = np.arange(6, dtype=np.float64)
+        np.testing.assert_array_equal(items_plan.scatter(scores), scores.reshape(3, 2))
 
     def test_pair_slice_covers_plan_without_rededup(self):
         rng = np.random.default_rng(3)
@@ -216,7 +235,8 @@ def _flat_participants(model, users, items, pcands):
 
 
 class TestAutoDedup:
-    """Only the joint expert/gate stack plans; the baselines score flat."""
+    """Every model evaluates through plans; only the joint expert/gate
+    stack dedups them and trains on the planned step."""
 
     @pytest.mark.parametrize(
         "name", ["MGBR", "GBMF", "DeepMF", "NGCF", "DiffNet", "EATNN", "GBGCN"]
@@ -226,11 +246,26 @@ class TestAutoDedup:
         planned = name == "MGBR"
         assert model._plans_scoring is planned
 
-        # Evaluation: planned scoring counts its calls.
+        # Evaluation: every model makes planned calls; MGBR's plans
+        # dedup, the baselines' are identity plans over the flat rows.
+        plans = []
+        candidate_plan = GroupBuyingRecommender._candidate_plan
+
+        def spy_plan(self, *args):
+            plans.append(candidate_plan(self, *args))
+            return plans[-1]
+
+        monkeypatch.setattr(GroupBuyingRecommender, "_candidate_plan", spy_plan)
         before = model.executor_stats()["tape_calls"]
         EvalProtocol(tiny_dataset, n_negatives=5, cutoff=5, max_instances=10).run(model)
-        calls = model.executor_stats()["tape_calls"] - before
-        assert (calls > 0) is planned
+        assert model.executor_stats()["tape_calls"] - before > 0
+        assert [plan.is_triple for plan in plans] == [False, True]
+        for plan in plans:
+            if planned:
+                assert plan.scatter_index is not None
+            else:
+                assert plan.scatter_index is None
+                assert plan.n_pairs == plan.n_flat
 
         # Training: one step takes exactly one of the two loss builders.
         steps = []
@@ -411,6 +446,40 @@ class TestProtocolParity:
             )
         protocol = EvalProtocol(tiny_dataset, n_negatives=9, cutoff=10, max_instances=40)
         assert protocol.run(model).flat() == protocol.run_per_instance(model).flat()
+
+    @pytest.mark.parametrize("n_negatives", [9, 99], ids=["1:9", "1:99"])
+    @pytest.mark.parametrize(
+        "name", ["GBMF", "DeepMF", "NGCF", "DiffNet", "EATNN", "GBGCN"]
+    )
+    def test_baseline_identity_plans_match_flat_rows(
+        self, tiny_dataset, monkeypatch, name, n_negatives
+    ):
+        model = build_model(name, tiny_dataset, dim=8, seed=2)
+        protocol = EvalProtocol(
+            tiny_dataset, n_negatives=n_negatives, cutoff=n_negatives + 1,
+            max_instances=30, chunk_size=64,
+        )
+        matrices = []
+        rank = protocol_module.ranks_of_positives
+
+        def capture(scores):
+            matrices.append(np.array(scores))
+            return rank(scores)
+
+        monkeypatch.setattr(protocol_module, "ranks_of_positives", capture)
+        metrics = protocol.run(model).flat()
+        assert metrics == protocol.run_per_instance(model).flat()
+
+        task_a, task_b = protocol._candidate_lists()
+        with no_grad():
+            model.refresh_cache()
+            flat_a = _flat_items(model, task_a["users"], task_a["candidates"])
+            flat_b = _flat_participants(
+                model, task_b["users"], task_b["items"], task_b["candidates"]
+            )
+        assert len(matrices) == 2
+        assert matrices[0].tobytes() == flat_a.tobytes()
+        assert matrices[1].tobytes() == flat_b.tobytes()
 
     def test_chunked_planned_run_matches_single_chunk(self, tiny_dataset, tiny_mgbr):
         kwargs = dict(n_negatives=9, cutoff=10, max_instances=30)

@@ -4,8 +4,8 @@
 queue drained by the calling thread plus pool threads.  Under test:
 
 * scores and metrics are bit-identical for widths 1, 2 and 4 across
-  dtypes and store layouts (baselines evaluate flat on the calling
-  thread, so GBMF's case pins that the flat path ignores the width);
+  dtypes and store layouts, for MGBR's dedup plans and GBMF's identity
+  plans alike;
 * per-run counters are width-invariant: ``executor_stats()`` counts
   every window's call and ``CountingBackend`` tallies are exact;
 * the lazily built model caches are safe under concurrent readers;
@@ -55,12 +55,12 @@ def _protocol(dataset, **kwargs):
     return EvalProtocol(dataset, **base)
 
 
-def _n_windows(protocol):
+def _n_windows(protocol, dedup=True):
     task_a, task_b = protocol._candidate_lists()
     plans = (
-        ScoringPlan.for_items(task_a["users"], task_a["candidates"]),
+        ScoringPlan.for_items(task_a["users"], task_a["candidates"], dedup=dedup),
         ScoringPlan.for_participants(
-            task_b["users"], task_b["items"], task_b["candidates"]
+            task_b["users"], task_b["items"], task_b["candidates"], dedup=dedup
         ),
     )
     return sum(-(-plan.n_pairs // protocol.chunk_size) for plan in plans)
@@ -148,6 +148,20 @@ class TestCounters:
         before = model.executor_stats()["tape_calls"]
         protocol.run(model)
         assert model.executor_stats()["tape_calls"] - before == _n_windows(protocol)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_baseline_planned_calls_per_run_equal_windows(
+        self, tiny_dataset, monkeypatch, width
+    ):
+        """GBMF's identity plans run one planned call per window of
+        ``chunk_size`` flat rows."""
+        monkeypatch.setattr(windows, "_WIDTH", width)
+        model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=4)
+        protocol = _protocol(tiny_dataset)
+        before = model.executor_stats()["tape_calls"]
+        protocol.run(model)
+        calls = model.executor_stats()["tape_calls"] - before
+        assert calls == _n_windows(protocol, dedup=False)
 
     def test_counting_backend_exact_across_widths(self, tiny_dataset, monkeypatch):
         model = _mgbr(tiny_dataset)
