@@ -1,7 +1,10 @@
 """Table V — model scale (parameter counts) and time per training epoch.
 
-Counts every model's trainable parameters and times one real training
-epoch through the shared trainer.
+Counts every model's trainable parameters and times real training
+epochs through the shared trainer.  The epoch time of a model is the
+median over interleaved rounds, each training every model for one
+epoch, so load on a shared host lands on every model and cannot
+reorder them.
 
 Shape expectations asserted (paper Sec. III-G):
 
@@ -30,19 +33,30 @@ from repro.training import TrainConfig
 
 MODELS = ["DeepMF", "NGCF", "DiffNet", "EATNN", "GBGCN", "GBMF", "MGBR"]
 
+#: Interleaved rounds: each round times one epoch of every model, and
+#: each model reports its median round (an odd count keeps it a real
+#: measurement).
+ROUNDS = 5
+
 
 @pytest.fixture(scope="module")
 def table5_rows(bench_dataset):
-    rows = {}
+    arms = {}
     for name in MODELS:
         model = build_model(name, bench_dataset)
         if name == "MGBR":
             tc = TrainConfig.from_mgbr(mgbr_bench_config(), epochs=1)
         else:
             tc = baseline_train_config(epochs=1, eval_every=0)
-        timing = time_training_epoch(model, bench_dataset, tc, n_epochs=1)
-        rows[name] = timing
-    return rows
+        arms[name] = (model, tc)
+    samples = {name: [] for name in MODELS}
+    for _ in range(ROUNDS):
+        for name, (model, tc) in arms.items():
+            samples[name].append(time_training_epoch(model, bench_dataset, tc, n_epochs=1))
+    return {
+        name: sorted(timings, key=lambda t: t.seconds_per_epoch)[ROUNDS // 2]
+        for name, timings in samples.items()
+    }
 
 
 def test_table5_scale_and_time(benchmark, bench_dataset, table5_rows):

@@ -13,18 +13,16 @@ protocol and the benchmark harness treat them uniformly:
 * :meth:`score_items` / :meth:`score_participants` are the stateless
   public equivalents used by evaluation (they reuse a cached encoder
   pass created by :meth:`refresh_cache` when available);
-* :meth:`score_items_matrix` / :meth:`score_participants_matrix` are the
-  **batched scoring path**: they score one candidate *matrix* — many
-  instances × many candidates — against the cached encoder pass.  Every
-  model compiles the request into a :class:`repro.plan.ScoringPlan`:
-  a model with a joint expert/gate stack dedups it (repeated requests
-  scored once, the result scattered back); the others take an identity
-  plan that scores every flat row.
-  ``score_item_plan`` /
-  ``score_participant_plan`` expose the unique-request scoring directly
-  to the evaluation protocol's chunked runner and the serving
-  front-end, and the ``_score_*_plan`` hooks let models exploit the
-  plan's entity structure (MGBR's factorized expert/gate stack does).
+* :meth:`score_item_plan` / :meth:`score_participant_plan` are the
+  **batched scoring path**: they score one compiled
+  :class:`repro.plan.ScoringPlan` — many instances × many candidates —
+  against the cached encoder pass, for the evaluation protocol's
+  chunked runner and the serving front-end.  :meth:`_candidate_plan`
+  picks the plan kind: a model with a joint expert/gate stack dedups
+  the request (repeated requests scored once, the result scattered
+  back); the others take an identity plan that scores every flat row.
+  The ``_score_*_plan`` hooks let models exploit the plan's entity
+  structure (MGBR's factorized expert/gate stack does).
   Scoring must therefore be a *pure function* of the id tuple given the
   cached embeddings — which every model here satisfies in eval mode.
 
@@ -269,7 +267,7 @@ class GroupBuyingRecommender(Module):
         ``items=None`` plans Task A (``(n,)`` users × ``(n, m)`` items),
         otherwise Task B (``(n,)`` (u, i) × ``(n, m)`` participants).
         The plan dedups iff :attr:`_plans_scoring`; the evaluation
-        protocol and the matrix scorers both plan through here.
+        protocol plans through here.
         """
         dedup = self._plans_scoring
         if items is None:
@@ -321,7 +319,12 @@ class GroupBuyingRecommender(Module):
 
         Callers (the evaluation protocol's chunked runner, the serving
         front-end) scatter the result back to their request shape with
-        :meth:`ScoringPlan.scatter`.
+        :meth:`ScoringPlan.scatter`.  On the default path the values are
+        raw logits rather than σ-probabilities: the sigmoid is monotonic
+        so ranks are unchanged, but saturated probabilities (σ → exactly
+        1.0, common under float32 inference on confident models) would
+        collapse distinct candidates into ties.  Models overriding the
+        public ``score_items`` keep their own score scale.
         """
         if plan.is_triple:
             raise ValueError("item scoring got a participant (triple) plan")
@@ -332,46 +335,6 @@ class GroupBuyingRecommender(Module):
         if not plan.is_triple:
             raise ValueError("participant scoring got an item (pair) plan")
         return self._run_plan(plan, "participants")
-
-    def score_items_matrix(self, users, candidate_items) -> np.ndarray:
-        """Task-A *ranking* scores for per-instance candidate lists.
-
-        Parameters
-        ----------
-        users: ``(n,)`` instance initiators.
-        candidate_items: ``(n, m)`` candidate items — row ``k`` is the
-            list scored for ``users[k]``.
-
-        The request is scored through its :meth:`_candidate_plan`: a
-        dedup plan for a model that :attr:`_plans_scoring` (repeated
-        (u, i) pairs scored once and scattered back), an identity plan
-        (every flat row scored as is) for the rest.  Duplicate requests
-        get bit-equal scores either way.
-
-        Returns
-        -------
-        np.ndarray
-            ``(n, m)`` score matrix.  On the default path the values are
-            raw logits rather than σ-probabilities: the sigmoid is
-            monotonic so ranks are unchanged, but saturated
-            probabilities (σ → exactly 1.0, common under float32
-            inference on confident models) would collapse distinct
-            candidates into ties.  Models overriding the public
-            ``score_items`` keep their own score scale.
-        """
-        plan = self._candidate_plan(users, candidate_items)
-        return plan.scatter(self.score_item_plan(plan))
-
-    def score_participants_matrix(self, users, items, candidate_participants) -> np.ndarray:
-        """Task-B ranking scores for per-instance candidate lists.
-
-        ``users``/``items`` are ``(n,)`` instance pairs and
-        ``candidate_participants`` is ``(n, m)``; returns the ``(n, m)``
-        score matrix.  Same plan rule and raw-logit conventions as
-        :meth:`score_items_matrix`.
-        """
-        plan = self._candidate_plan(users, candidate_participants, items)
-        return plan.scatter(self.score_participant_plan(plan))
 
     # ------------------------------------------------------------------
     # Case-study hook (Fig. 6)

@@ -16,7 +16,7 @@ from repro.data.loaders import (
     read_groups_txt,
     write_groups_txt,
 )
-from repro.data.negative import NegativePool, NegativeSampler
+from repro.data.negative import NegativeSampler
 from repro.data.preprocess import FilteredData, filter_min_interactions, remap_ids
 from repro.data.samples import TaskASamples, TaskBSamples, extract_task_a, extract_task_b
 from repro.data.schema import DealGroup, GroupBuyingDataset
@@ -44,7 +44,6 @@ __all__ = [
     "TaskASamples",
     "TaskBSamples",
     "NegativeSampler",
-    "NegativePool",
     "split_groups",
     "iter_task_a_batches",
     "iter_task_b_batches",

@@ -46,9 +46,7 @@ def iter_task_a_batches(
 ) -> Iterator[Dict[str, np.ndarray]]:
     """Yield ``{"index", "users", "items", "group_index"}`` Task-A batches.
 
-    ``index`` carries each row's position in ``samples`` so per-row
-    precomputed state (e.g. a :class:`repro.data.negative.NegativePool`)
-    can be gathered for the batch.
+    ``index`` carries each row's position in ``samples``.
     """
     rng = as_rng(seed)
     for idx in _iter_index_batches(len(samples), batch_size, rng, shuffle, drop_last):

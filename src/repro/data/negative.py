@@ -27,58 +27,7 @@ import numpy as np
 from repro.data.schema import GroupBuyingDataset
 from repro.utils.rng import SeedLike, as_rng, choice_excluding, choice_excluding_batch
 
-__all__ = ["NegativeSampler", "NegativePool"]
-
-
-class NegativePool:
-    """Pre-sampled negatives reused across epochs (training-path batching).
-
-    Rejection sampling is the trainer's main per-epoch Python cost; a
-    pool pays it once.  It holds ``pool_size`` pre-drawn negatives per
-    training row; each epoch reads a *rotated* window of ``n`` columns
-    (epoch ``e`` starts at column ``e·n mod pool_size``), so consecutive
-    epochs see different negatives while the underlying draws — and
-    their exclusion-set guarantees — are reused verbatim.
-
-    Size the pool at a non-multiple of ``n`` (ideally ≥ 2-3×) for
-    variety: when ``n`` divides ``pool_size`` the rotation cycles
-    through exactly ``pool_size / n`` distinct windows, and the
-    degenerate ``pool_size == n`` setting pins every epoch to the *same*
-    fixed negatives (a deliberate, maximally-cached regime — fine for
-    benchmarking the overhead, rarely what training wants).
-    """
-
-    def __init__(self, negatives: np.ndarray) -> None:
-        negatives = np.asarray(negatives, dtype=np.int64)
-        if negatives.ndim != 2 or negatives.shape[1] < 1:
-            raise ValueError(f"need a (rows, pool_size) pool, got {negatives.shape}")
-        self.negatives = negatives
-
-    @property
-    def n_rows(self) -> int:
-        """Training rows the pool covers."""
-        return self.negatives.shape[0]
-
-    @property
-    def size(self) -> int:
-        """Pre-drawn negatives per row."""
-        return self.negatives.shape[1]
-
-    def draw(self, rows: np.ndarray, n: int, epoch: int = 0) -> np.ndarray:
-        """Negatives for the given training rows → ``(len(rows), n)``.
-
-        ``rows`` are indices into the pool's row axis (the batcher's
-        ``"index"`` field); ``epoch`` selects the rotation window.
-        """
-        if n > self.size:
-            raise ValueError(
-                f"requested {n} negatives from a pool of {self.size}; "
-                "grow negative_pool_size"
-            )
-        rows = np.asarray(rows, dtype=np.int64)
-        start = (int(epoch) * n) % self.size
-        cols = (start + np.arange(n)) % self.size
-        return self.negatives[rows[:, None], cols[None, :]]
+__all__ = ["NegativeSampler"]
 
 
 class NegativeSampler:
@@ -188,24 +137,6 @@ class NegativeSampler:
             raise ValueError("users and items must be the same length")
         excludes = self._merge_extra(self._participant_excludes(users, items), extra_exclude)
         return choice_excluding_batch(self.rng, self.n_users, excludes, n)
-
-    # ------------------------------------------------------------------
-    # Pre-sampled pools (reused across epochs)
-    # ------------------------------------------------------------------
-    def build_item_pool(self, users: np.ndarray, pool_size: int) -> NegativePool:
-        """One batched Task-A sampling pass sized for epoch reuse.
-
-        Row ``k`` of the pool holds ``pool_size`` items ``users[k]``
-        never bought — the same exclusion rule as the per-step
-        :meth:`sample_items_batch`, paid once instead of per epoch.
-        """
-        return NegativePool(self.sample_items_batch(users, pool_size))
-
-    def build_participant_pool(
-        self, users: np.ndarray, items: np.ndarray, pool_size: int
-    ) -> NegativePool:
-        """Task-B analogue of :meth:`build_item_pool` (``U \\ G_{u,i}``)."""
-        return NegativePool(self.sample_participants_batch(users, items, pool_size))
 
     # ------------------------------------------------------------------
     # Auxiliary corruption sets (Sec. II-G)

@@ -51,7 +51,7 @@ serial loop's, so scores and metrics are bit-identical for any number
 of CPUs.
 
 Scoring convention: the batched path ranks *raw logits* (see
-:meth:`repro.baselines.base.GroupBuyingRecommender.score_items_matrix`),
+:meth:`repro.baselines.base.GroupBuyingRecommender.score_item_plan`),
 which orders candidates identically to σ-probabilities except where the
 sigmoid saturates to exactly 1.0 and the historical loop collapses
 distinct candidates into (pessimistically broken) ties — there the

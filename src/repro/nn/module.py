@@ -34,20 +34,12 @@ class Parameter(Tensor):
     *results*, never trainable state, so a model constructed inside an
     inference scope still trains and gradchecks at full precision.
 
-    Two bookkeeping fields support the storage/caching layers:
-
-    ``version``
-        Monotonic mutation counter.  Every in-place update site in the
-        repo (optimizer steps, state-dict loads, store row assignment)
-        bumps it via :meth:`bump_version`; caches derived from
-        parameter values (:meth:`repro.nn.layers.Linear.project_blocks`
-        fold weights) key their validity on it.  Code that mutates
-        ``.data`` directly must bump the version itself.
-    ``touched_rows``
-        Rows that received gradient this step — ``None`` (nothing /
-        unknown), ``True`` (all rows), or a sorted index array.  Filled
-        by :mod:`repro.store` gathers, consumed by the lazy-row
-        optimizer mode, cleared by :meth:`zero_grad`.
+    ``version`` is a monotonic mutation counter.  Every in-place update
+    site in the repo (optimizer steps, state-dict loads, store row
+    assignment) bumps it via :meth:`bump_version`; caches derived from
+    parameter values (:meth:`repro.nn.layers.Linear.project_blocks` fold
+    weights) key their validity on it.  Code that mutates ``.data``
+    directly must bump the version itself.
     """
 
     def __init__(self, data, name: str = "") -> None:
@@ -56,16 +48,14 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True, name=name, dtype=np.float64)
         self.requires_grad = True
         self.version = 0
-        self.touched_rows = None
 
     def bump_version(self) -> None:
         """Mark the buffer as mutated (invalidates value-derived caches)."""
         self.version += 1
 
     def zero_grad(self) -> None:
-        """Clear the gradient buffer and the touched-row record."""
+        """Clear the gradient buffer."""
         self.grad = None
-        self.touched_rows = None
 
 
 class Module:

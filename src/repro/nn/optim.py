@@ -66,7 +66,6 @@ class SGD(Optimizer):
                     lr=self.lr, momentum=self.momentum, weight_decay=self.weight_decay
                 ):
                     p.bump_version()
-                    p.touched_rows = None
                 continue
             if p.grad is None:
                 continue
@@ -88,17 +87,6 @@ class Adam(Optimizer):
 
     Parameters follow the PyTorch defaults except ``lr`` which the paper
     sets to ``2e-4`` (Table II, ``ρ``).
-
-    ``lazy_rows=True`` enables *sparse per-shard updates*: a parameter
-    whose gradient provably touched only some rows — embedding-store
-    gathers record them in ``Parameter.touched_rows`` — gets its
-    moment-decay and data update applied to those rows only, turning the
-    per-step cost of a sharded table from O(num_rows·dim) into O(touched
-    ·dim).  This is standard *lazy* Adam semantics: an untouched row's
-    moments do not decay that step, so results diverge from dense Adam
-    once a previously-touched row sits out a step (the first step from
-    fresh state is bit-identical).  Parameters without row bookkeeping
-    (every dense weight matrix) always take the dense update.
     """
 
     def __init__(
@@ -108,7 +96,6 @@ class Adam(Optimizer):
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        lazy_rows: bool = False,
     ) -> None:
         super().__init__(params)
         if lr <= 0:
@@ -119,7 +106,6 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.lazy_rows = lazy_rows
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -134,9 +120,8 @@ class Adam(Optimizer):
             remote = getattr(p, "remote_adam_step", None)
             if remote is not None:
                 # Cross-process shard parameters apply the identical
-                # per-row update inside their worker (grad, moments and
-                # the touched-row record live there); True means a
-                # gradient existed and was applied.
+                # update inside their worker (grad and moments live
+                # there); True means a gradient existed and was applied.
                 if remote(
                     lr=self.lr,
                     beta1=self.beta1,
@@ -144,40 +129,21 @@ class Adam(Optimizer):
                     eps=self.eps,
                     weight_decay=self.weight_decay,
                     t=t,
-                    lazy=self.lazy_rows,
                 ):
                     p.bump_version()
-                    p.touched_rows = None
                 continue
             if p.grad is None:
                 continue
-            rows = getattr(p, "touched_rows", None) if self.lazy_rows else None
-            if rows is not None and rows is not True and p.data.ndim >= 1:
-                self._row_update(p, np.asarray(rows, dtype=np.int64), i, bc1, bc2)
-            else:
-                grad = p.grad
-                if self.weight_decay:
-                    grad = grad + self.weight_decay * p.data
-                m, v = self._m[i], self._v[i]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * grad**2
-                p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            grad = p.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * p.data
+            m, v = self._m[i], self._v[i]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad**2
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.bump_version()
-            p.touched_rows = None
-
-    def _row_update(self, p: Parameter, rows: np.ndarray, i: int, bc1: float, bc2: float) -> None:
-        """Lazy Adam on the touched rows only (identical per-row math)."""
-        grad = p.grad[rows]
-        if self.weight_decay:
-            grad = grad + self.weight_decay * p.data[rows]
-        m, v = self._m[i], self._v[i]
-        m_rows = self.beta1 * m[rows] + (1.0 - self.beta1) * grad
-        v_rows = self.beta2 * v[rows] + (1.0 - self.beta2) * grad**2
-        m[rows] = m_rows
-        v[rows] = v_rows
-        p.data[rows] -= self.lr * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + self.eps)
 
 
 def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:

@@ -20,8 +20,9 @@ runs:
   per pair, cutting real FLOPs rather than just dispatch overhead.
 
 Plans are plain data: NumPy index arrays plus an output shape.  They are
-built by the evaluation protocol, the batched matrix scorers in
-:mod:`repro.baselines.base`, the :mod:`repro.serving` front-end, and —
+built by the evaluation protocol (through
+:meth:`repro.baselines.base.GroupBuyingRecommender._candidate_plan`),
+the :mod:`repro.serving` front-end, and —
 via :class:`PlannedBatch`, which compiles a training step's
 heterogeneous positive/negative/auxiliary-corruption segments into one
 plan whose rows are grouped by the head that reads them — the trainer's

@@ -33,7 +33,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.nn.module import Parameter
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor
 
 __all__ = ["ShardMap", "Partitioner", "EmbeddingStore", "iter_stores"]
 
@@ -198,17 +198,13 @@ class EmbeddingStore:
       checkpoint files.
 
     ``stats`` counts gathers for serving observability and the
-    shard-gather benchmark; stores also record *touched rows* on their
-    parameters (``Parameter.touched_rows``) during grad-enabled
-    gathers, which the lazy-row optimizer mode consumes.
+    shard-gather benchmark.
 
-    Thread-safety: the bookkeeping side effects of a gather — the
-    ``stats`` counters and the ``touched_rows`` records — are guarded
-    by a per-store lock, so a stats reader (``stats_snapshot``, the
-    serving engine's unified ``stats()``) can run concurrently with the
-    engine's scorer thread without torn counters, and two grad-enabled
-    gathers cannot drop each other's touched-row unions.  The gathered
-    *values* need no lock (reads of parameter buffers); concurrent
+    Thread-safety: the ``stats`` counters a gather bumps are guarded by
+    a per-store lock, so a stats reader (``stats_snapshot``, the serving
+    engine's unified ``stats()``) can run concurrently with the engine's
+    scorer thread without torn counters.  The gathered *values* need no
+    lock (reads of parameter buffers); concurrent
     **writers** (optimizer steps, ``assign_rows``) are still the
     caller's responsibility to serialize against readers.
     """
@@ -306,22 +302,6 @@ class EmbeddingStore:
         """Bytes permanently held by this store tier (rows + side arrays
         + arenas), or ``None`` when the layout cannot account for them."""
         return None
-
-    def _record_touch(self, param: Parameter, local_ids: np.ndarray) -> None:
-        """Note rows that will receive gradient (lazy-row optimizer input)."""
-        if not (is_grad_enabled() and param.requires_grad):
-            return
-        with self._lock:
-            prev = getattr(param, "touched_rows", None)
-            if prev is True:
-                return
-            rows = np.unique(local_ids)
-            param.touched_rows = rows if prev is None else np.union1d(prev, rows)
-
-    def _record_touch_all(self, param: Parameter) -> None:
-        if is_grad_enabled() and param.requires_grad:
-            with self._lock:
-                param.touched_rows = True
 
     @staticmethod
     def _assign_param(param: Parameter, values: np.ndarray, dtype=None) -> None:

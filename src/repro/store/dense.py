@@ -53,11 +53,9 @@ class DenseStore(EmbeddingStore):
         del plan, role  # a single shard needs no gather map
         idx = np.asarray(ids, dtype=np.int64)
         self._record_gather(idx.size, 1 if idx.size else 0, idx.size)
-        self._record_touch(self.weight, idx)
         return take_rows(self.weight, idx)
 
     def all(self) -> Tensor:
-        self._record_touch_all(self.weight)
         return self.weight
 
     # ------------------------------------------------------------------

@@ -20,9 +20,9 @@ Correctness contract
   switch invalidates every cached row before the next read.
 * **Gradients** — the cache serves **inference gathers only**: under
   ``is_grad_enabled()`` every call delegates untouched to the inner
-  store, which builds the normal differentiable gather (and records
-  ``touched_rows``).  Training through a cached store is therefore
-  bit-for-bit training through the inner store.
+  store, which builds the normal differentiable gather.  Training
+  through a cached store is therefore bit-for-bit training through the
+  inner store.
 * **Quantised payloads** — when the inner store exposes a quantised
   tier (:class:`repro.store.quant.QuantizedStore`, duck-typed on
   ``gather_quantized``), the cache holds the *quantised* rows (int8

@@ -265,8 +265,8 @@ class QuantizedStore(EmbeddingStore):
     # ------------------------------------------------------------------
     def gather(self, ids, plan=None, role: Optional[str] = None) -> Tensor:
         if is_grad_enabled():
-            # Training reads the float master — gradients, touched-row
-            # records and optimizer state never see quantised values.
+            # Training reads the float master — gradients and optimizer
+            # state never see quantised values.
             return self.inner.gather(ids, plan=plan, role=role)
         idx = np.asarray(ids, dtype=np.int64).ravel()
         with self._qlock:

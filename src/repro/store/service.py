@@ -42,7 +42,7 @@ occurrence order), ships each slice through the result arena, and the
 **worker** applies the same :func:`repro.nn.tensor._scatter_rows_add` +
 zeros-init accumulation the dense table's adjoint runs on those rows —
 followed, at ``optimizer.step()``,
-by the same per-shard dense (or lazy-row) Adam/SGD arithmetic on
+by the same per-shard Adam/SGD arithmetic on
 worker-owned moment buffers.  Training with a ``ProcessShardedStore``
 is therefore bit-for-bit the dense run (asserted in
 ``tests/test_store_service.py``), because every per-row update depends
@@ -183,7 +183,7 @@ class _WorkerState:
     inference only: the training ops raise instead of touching rows.
     """
 
-    __slots__ = ("rows", "q", "scale", "zero", "grad", "m", "v", "vel", "touched", "base")
+    __slots__ = ("rows", "q", "scale", "zero", "grad", "m", "v", "vel", "base")
 
     def __init__(self, rows: Optional[np.ndarray], base: int) -> None:
         self.rows = rows
@@ -194,7 +194,6 @@ class _WorkerState:
         self.m: Optional[np.ndarray] = None
         self.v: Optional[np.ndarray] = None
         self.vel: Optional[np.ndarray] = None
-        self.touched = None  # None | True | sorted unique local id array
         self.base = base
 
 
@@ -218,15 +217,7 @@ def _worker_accumulate(state: _WorkerState, grad: np.ndarray) -> None:
     state.grad += grad
 
 
-def _record_worker_touch(state: _WorkerState, local: np.ndarray) -> None:
-    """Mirror ``EmbeddingStore._record_touch`` for the lazy-Adam rows."""
-    if state.touched is True:
-        return
-    rows = np.unique(local)
-    state.touched = rows if state.touched is None else np.union1d(state.touched, rows)
-
-
-def _worker_adam(state: _WorkerState, lr, b1, b2, eps, wd, t, lazy) -> bool:
+def _worker_adam(state: _WorkerState, lr, b1, b2, eps, wd, t) -> bool:
     """One Adam update on the owned rows — :class:`repro.nn.optim.Adam`
     arithmetic verbatim, so the result is bit-identical to the update
     the same rows receive in the dense table."""
@@ -239,28 +230,15 @@ def _worker_adam(state: _WorkerState, lr, b1, b2, eps, wd, t, lazy) -> bool:
         state.v = np.zeros_like(rows)
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    touched = state.touched
     m, v = state.m, state.v
-    if lazy and touched is not None and touched is not True:
-        r = np.asarray(touched, dtype=np.int64)
-        g = grad[r]
-        if wd:
-            g = g + wd * rows[r]
-        m_rows = b1 * m[r] + (1.0 - b1) * g
-        v_rows = b2 * v[r] + (1.0 - b2) * g**2
-        m[r] = m_rows
-        v[r] = v_rows
-        rows[r] -= lr * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + eps)
-    else:
-        g = grad
-        if wd:
-            g = g + wd * rows
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g**2
-        rows -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-    state.touched = None
+    g = grad
+    if wd:
+        g = g + wd * rows
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g**2
+    rows -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return True
 
 
@@ -282,7 +260,6 @@ def _worker_sgd(state: _WorkerState, lr, momentum, wd) -> bool:
         rows -= lr * vel
     else:
         rows -= lr * g
-    state.touched = None
     return True
 
 
@@ -399,19 +376,15 @@ def _shard_worker(shard: int, conn, parent_conn, spec: dict) -> None:
                             _require_trainable(state).dtype,
                         ),
                     )
-                    if n:
-                        _record_worker_touch(state, local)
                     note_rpc(_ST_ACCUMS, n)
                     conn.send(("ok",))
                 elif op == "accum_all":
                     _, r0 = msg
                     _worker_accumulate(state, res_np[r0 : r0 + size])
-                    state.touched = True
                     note_rpc(_ST_ACCUMS, size)
                     conn.send(("ok",))
                 elif op == "zero_grad":
                     state.grad = None
-                    state.touched = None
                     conn.send(("ok",))
                 elif op == "sqsum":
                     value = (
@@ -423,8 +396,8 @@ def _shard_worker(shard: int, conn, parent_conn, spec: dict) -> None:
                         state.grad *= msg[1]
                     conn.send(("ok",))
                 elif op == "adam":
-                    _, lr, b1, b2, eps, wd, t, lazy = msg
-                    applied = _worker_adam(state, lr, b1, b2, eps, wd, t, lazy)
+                    _, lr, b1, b2, eps, wd, t = msg
+                    applied = _worker_adam(state, lr, b1, b2, eps, wd, t)
                     if applied:
                         stats[_ST_STEPS] += 1
                     conn.send(("ok", applied))
@@ -534,7 +507,7 @@ class RemoteShardParameter(Parameter):
         self._shard = shard
 
     def zero_grad(self) -> None:
-        """Clear the worker-held gradient (and the touched-row record)."""
+        """Clear the worker-held gradient."""
         super().zero_grad()
         self._store._zero_shard_grad(self._shard)
 
@@ -547,10 +520,10 @@ class RemoteShardParameter(Parameter):
         """In-place ``grad *= scale`` inside the worker (clip adjoint)."""
         self._store._scale_shard_grad(self._shard, scale)
 
-    def remote_adam_step(self, *, lr, beta1, beta2, eps, weight_decay, t, lazy) -> bool:
+    def remote_adam_step(self, *, lr, beta1, beta2, eps, weight_decay, t) -> bool:
         """Apply one Adam update in the worker; True when a grad existed."""
         return self._store._shard_adam_step(
-            self._shard, lr, beta1, beta2, eps, weight_decay, t, lazy
+            self._shard, lr, beta1, beta2, eps, weight_decay, t
         )
 
     def remote_sgd_step(self, *, lr, momentum, weight_decay) -> bool:
@@ -1170,7 +1143,6 @@ class ProcessShardedStore(EmbeddingStore):
                 local = idx[b0:b1] - int(self._starts[k])
             else:
                 local = smap.per_shard_local[k]
-            self._record_touch(self._params[k], local)
             locals_by_shard.append((k, b0, b1, local))
 
         # Training path: a private row copy (autograd graphs outlive the
@@ -1258,8 +1230,6 @@ class ProcessShardedStore(EmbeddingStore):
         if is_grad_enabled() and self.quantize:
             raise RuntimeError(_QUANT_TRAIN_ERROR)
         value = self.logical_state()
-        for p in self._params:
-            self._record_touch_all(p)
         store = self
         n = self.num_rows
         perm = self._all_perm
@@ -1392,9 +1362,7 @@ class ProcessShardedStore(EmbeddingStore):
         self._check_open()
         self._single(shard, ("scale", float(scale)))
 
-    def _shard_adam_step(
-        self, shard, lr, beta1, beta2, eps, weight_decay, t, lazy
-    ) -> bool:
+    def _shard_adam_step(self, shard, lr, beta1, beta2, eps, weight_decay, t) -> bool:
         self._check_open()
         reply = self._single(
             shard,
@@ -1406,7 +1374,6 @@ class ProcessShardedStore(EmbeddingStore):
                 float(eps),
                 float(weight_decay),
                 int(t),
-                bool(lazy),
             ),
         )
         return bool(reply[1])

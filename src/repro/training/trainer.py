@@ -87,11 +87,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 2e-4
     train_negatives: int = 9
-    negative_pool_size: int = 0  # >0 pre-samples that many negatives per
-                                 # training row once and rotates through
-                                 # them across epochs (ROADMAP
-                                 # training-path batching); 0 keeps the
-                                 # per-step rejection-sampling default
     beta: float = 1.0
     beta_a: float = 0.3
     beta_b: float = 0.3
@@ -108,12 +103,6 @@ class TrainConfig:
     eval_dtype: str = "float64"  # periodic-validation scoring precision;
                                  # "float32" opts into the inference fast
                                  # path (see repro.eval.protocol)
-    sparse_updates: bool = False # lazy per-row Adam on embedding-store
-                                 # tables: only rows a step's gathers
-                                 # touched get moment decay + update
-                                 # (repro.nn.optim.Adam(lazy_rows=True);
-                                 # lazy-Adam semantics — keep False for
-                                 # bit-parity with the dense optimizer)
     seed: SeedLike = 0
     verbose: bool = False
 
@@ -163,28 +152,9 @@ class Trainer:
         self.task_b = extract_task_b(dataset.train)
         if len(self.task_a) == 0 or len(self.task_b) == 0:
             raise ValueError("training split yields no samples for one of the tasks")
-        self.optimizer = Adam(
-            model.parameters(),
-            lr=self.config.learning_rate,
-            lazy_rows=self.config.sparse_updates,
-        )
+        self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
         self.history = History()
         self._epoch = 0
-        self._pool_a = self._pool_b = None
-        if self.config.negative_pool_size > 0:
-            if self.config.negative_pool_size < self.config.train_negatives:
-                raise ValueError(
-                    f"negative_pool_size {self.config.negative_pool_size} < "
-                    f"train_negatives {self.config.train_negatives}"
-                )
-            # One rejection-sampling pass per task for the whole run; the
-            # per-step draws below become pool gathers.
-            self._pool_a = self.sampler.build_item_pool(
-                self.task_a.users, self.config.negative_pool_size
-            )
-            self._pool_b = self.sampler.build_participant_pool(
-                self.task_b.users, self.task_b.items, self.config.negative_pool_size
-            )
         # The model's planning rule picks the step; tests and the
         # training benchmark clear it to run the flat reference step.
         self._use_planned = getattr(model, "_plans_scoring", False)
@@ -234,23 +204,11 @@ class Trainer:
         losses.
         """
         cfg = self.config
-        if self._pool_a is not None:
-            neg_items = self._pool_a.draw(
-                batch_a["index"], cfg.train_negatives, epoch=self._epoch
-            )
-        else:
-            neg_items = self.sampler.sample_items_batch(
-                batch_a["users"], cfg.train_negatives
-            )
+        neg_items = self.sampler.sample_items_batch(batch_a["users"], cfg.train_negatives)
         users_b, items_b = batch_b["users"], batch_b["items"]
-        if self._pool_b is not None:
-            neg_parts = self._pool_b.draw(
-                batch_b["index"], cfg.train_negatives, epoch=self._epoch
-            )
-        else:
-            neg_parts = self.sampler.sample_participants_batch(
-                users_b, items_b, cfg.train_negatives
-            )
+        neg_parts = self.sampler.sample_participants_batch(
+            users_b, items_b, cfg.train_negatives
+        )
         corrupted_items = corrupted_parts = None
         use_aux = getattr(self.model, "supports_aux_losses", False) and (
             cfg.beta_a > 0 or cfg.beta_b > 0
@@ -417,11 +375,6 @@ class Trainer:
         t0 = time.perf_counter()
         draws = self._draw_negatives(batch_a, batch_b)
         t1 = time.perf_counter()
-        # Clear grads (and last step's touched-row records) *before* the
-        # forward: embedding-store gathers record touched_rows while the
-        # losses are built, and the lazy-row optimizer mode consumes them
-        # at step() — zeroing between forward and backward would wipe
-        # them and silently degrade sparse_updates to dense updates.
         model.zero_grad()
         emb = model.compute_embeddings()
         losses_fn = self._planned_losses if self._use_planned else self._flat_losses

@@ -17,6 +17,25 @@ from repro.store import EmbeddingStore, ProcessShardedStore, iter_stores
 
 
 @pytest.fixture(scope="session")
+def score_matrix():
+    """``score_matrix(model, users, candidates, items=None)`` → the
+    ``(n, m)`` ranking scores of one candidate matrix, the way the
+    evaluation protocol scores it: the model's own plan kind
+    (``_candidate_plan``), one planned call, one scatter.
+
+    ``items=None`` scores Task A (``(n,)`` users × ``(n, m)`` items),
+    otherwise Task B (``(n,)`` (u, i) × ``(n, m)`` participants).
+    """
+
+    def score(model, users, candidates, items=None) -> np.ndarray:
+        plan = model._candidate_plan(users, candidates, items)
+        run = model.score_item_plan if items is None else model.score_participant_plan
+        return plan.scatter(run(plan))
+
+    return score
+
+
+@pytest.fixture(scope="session")
 def tiny_dataset() -> GroupBuyingDataset:
     """A small synthetic dataset shared by read-only tests."""
     return generate_dataset(

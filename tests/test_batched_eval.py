@@ -72,12 +72,12 @@ class TestBatchedProtocolParity:
 
 
 class TestMatrixScoring:
-    def test_score_items_matrix_matches_flat_logits(self, tiny_dataset, tiny_mgbr):
+    def test_score_items_matrix_matches_flat_logits(self, tiny_dataset, tiny_mgbr, score_matrix):
         rng = np.random.default_rng(0)
         users = rng.integers(0, tiny_dataset.n_users, size=6)
         cands = rng.integers(0, tiny_dataset.n_items, size=(6, 5))
         tiny_mgbr.refresh_cache()
-        matrix = tiny_mgbr.score_items_matrix(users, cands)
+        matrix = score_matrix(tiny_mgbr, users, cands)
         assert matrix.shape == (6, 5)
         bundle = tiny_mgbr._bundle()
         for row in range(6):
@@ -87,12 +87,14 @@ class TestMatrixScoring:
             # BLAS may differ in the last ulp across batch shapes.
             np.testing.assert_allclose(matrix[row], np.asarray(flat.data), rtol=1e-12)
 
-    def test_score_participants_matrix_matches_flat_logits(self, tiny_dataset, tiny_mgbr):
+    def test_score_participants_matrix_matches_flat_logits(
+        self, tiny_dataset, tiny_mgbr, score_matrix
+    ):
         rng = np.random.default_rng(1)
         users = rng.integers(0, tiny_dataset.n_users, size=4)
         items = rng.integers(0, tiny_dataset.n_items, size=4)
         cands = rng.integers(0, tiny_dataset.n_users, size=(4, 7))
-        matrix = tiny_mgbr.score_participants_matrix(users, items, cands)
+        matrix = score_matrix(tiny_mgbr, users, cands, items)
         assert matrix.shape == (4, 7)
         bundle = tiny_mgbr._bundle()
         for row in range(4):
@@ -138,12 +140,12 @@ class TestMatrixScoring:
         result = EvalProtocol(tiny_dataset, n_negatives=9, cutoff=10, dtype="float32").run(model)
         assert result.task_a["MRR@10"] == 1.0
 
-    def test_shape_validation(self, tiny_mgbr):
+    def test_shape_validation(self, tiny_mgbr, score_matrix):
         with pytest.raises(ValueError):
-            tiny_mgbr.score_items_matrix(np.arange(3), np.arange(4))
+            score_matrix(tiny_mgbr, np.arange(3), np.arange(4))
         with pytest.raises(ValueError):
-            tiny_mgbr.score_participants_matrix(
-                np.arange(3), np.arange(2), np.zeros((3, 4), dtype=np.int64)
+            score_matrix(
+                tiny_mgbr, np.arange(3), np.zeros((3, 4), dtype=np.int64), np.arange(2)
             )
 
 

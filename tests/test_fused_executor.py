@@ -140,7 +140,7 @@ class TestWorkspaceReuse:
         np.testing.assert_array_equal(first, snapshot)
 
     @pytest.mark.parametrize("build", [_mgbr, _gbmf])
-    def test_out_of_range_ids_raise_and_results_stay_put(self, tiny_dataset, build):
+    def test_out_of_range_ids_raise_and_results_stay_put(self, tiny_dataset, build, score_matrix):
         """Entity gathers stay bounds-checked (no silent clipping), and
         returned scores never alias buffers a later call writes."""
         model = build(tiny_dataset)
@@ -148,13 +148,13 @@ class TestWorkspaceReuse:
         users, items = np.array([0, 1, 2]), np.array([[0, 1], [1, 2], [2, 0]])
         with no_grad():
             with pytest.raises(IndexError):
-                model.score_items_matrix(users, np.array([[0, n_i], [1, 2], [2, 0]]))
+                score_matrix(model, users, np.array([[0, n_i], [1, 2], [2, 0]]))
             with pytest.raises(IndexError):
-                model.score_items_matrix(np.array([0, n_u, 2]), items)
+                score_matrix(model, np.array([0, n_u, 2]), items)
             with pytest.raises(IndexError):
                 # n_users itself is the planned mean-participant sentinel.
-                model.score_participants_matrix(
-                    users, np.array([0, 1, 2]), np.array([[0, n_u + 1], [1, 2], [2, 0]])
+                score_matrix(
+                    model, users, np.array([[0, n_u + 1], [1, 2], [2, 0]]), np.array([0, 1, 2])
                 )
             with pytest.raises(IndexError):
                 model.score_item_plan(ScoringPlan.from_item_pairs([0, 1], [1, n_i]))
@@ -165,7 +165,7 @@ class TestWorkspaceReuse:
         np.testing.assert_array_equal(first, kept[0])
         np.testing.assert_array_equal(second, kept[1])
 
-    def test_cross_call_caches_survive_repeat_runs(self, tiny_dataset):
+    def test_cross_call_caches_survive_repeat_runs(self, tiny_dataset, score_matrix):
         """The lazily built mean-participant row outlives the call that
         builds it: later calls must never overwrite it, and repeated
         scoring and evaluation runs agree exactly."""
@@ -175,9 +175,9 @@ class TestWorkspaceReuse:
         with no_grad():
             model.refresh_cache()
             bundle = model._bundle()
-            first = model.score_items_matrix(users, cands)
+            first = score_matrix(model, users, cands)
             mean = bundle.mean_participant().data.copy()
-            second = model.score_items_matrix(users, cands)
+            second = score_matrix(model, users, cands)
             assert model._bundle() is bundle
             assert bundle.mean_participant().data.tobytes() == mean.tobytes()
         np.testing.assert_array_equal(first, second)

@@ -61,13 +61,12 @@ class TestGatherSemantics:
         out.sum().backward()
         snap = cached.stats_snapshot()
         assert snap["cache_hits"] == 0 and snap["cache_misses"] == 0
-        # The inner store recorded the differentiable gather (and the
-        # touched rows the lazy-row optimizer consumes).
+        # The inner store ran the differentiable gather, so the gradient
+        # reached the worker owning rows 1 and 2 (shard 0): row 1 twice,
+        # row 2 once, 6 columns -> 6·2² + 6·1² = 30.
         assert snap["inner"]["gathers"] == 1
-        assert any(
-            getattr(p, "touched_rows", None) is not None
-            for _, p in cached.named_parameters()
-        )
+        sqsums = [p.remote_grad_sqsum() for _, p in cached.inner.named_parameters()]
+        assert sqsums == [30.0, None, None, None]
 
     def test_lru_eviction_order(self, table):
         store = LRUCachedStore(DenseStore(table), capacity=2)
@@ -214,7 +213,7 @@ class TestModelIntegration:
             for store in model.embedding_stores().values()
         )
 
-    def test_cached_model_scores_match_uncached(self, tiny_dataset, closing):
+    def test_cached_model_scores_match_uncached(self, tiny_dataset, closing, score_matrix):
         plain = closing(GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8,
                              seed=6, n_shards=2))
         cached = closing(GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8,
@@ -223,8 +222,8 @@ class TestModelIntegration:
         users = np.array([0, 1, 2, 0])
         cands = np.array([[0, 1, 2], [3, 4, 0], [1, 1, 5], [0, 1, 2]])
         np.testing.assert_array_equal(
-            plain.score_items_matrix(users, cands),
-            cached.score_items_matrix(users, cands),
+            score_matrix(plain, users, cands),
+            score_matrix(cached, users, cands),
         )
 
     def test_checkpoint_state_unchanged_by_wrapping(self, tiny_dataset, closing):

@@ -16,7 +16,6 @@ from repro.baselines import GBMF, NGCF
 from repro.baselines.base import GroupBuyingRecommender
 from repro.cli import build_model
 from repro.core import MGBR, MGBRConfig, PlannedBatch, ScoringPlan
-from repro.data import NegativePool, NegativeSampler
 from repro.eval import EvalProtocol
 from repro.nn.layers import Linear
 from repro.nn.tensor import no_grad, tensor
@@ -294,13 +293,13 @@ class TestAutoDedup:
                 protocol.run_per_instance(model).flat()
             )
 
-    def test_matrix_scorer_auto_matches_forced_paths(self, tiny_dataset, tiny_mgbr):
+    def test_matrix_scorer_auto_matches_forced_paths(self, tiny_dataset, tiny_mgbr, score_matrix):
         rng = np.random.default_rng(5)
         users = rng.integers(0, tiny_dataset.n_users, size=7)
         cands = rng.integers(0, tiny_dataset.n_items, size=(7, 5))
         with no_grad():
             tiny_mgbr.refresh_cache()
-            auto = tiny_mgbr.score_items_matrix(users, cands)
+            auto = score_matrix(tiny_mgbr, users, cands)
             plan = ScoringPlan.for_items(users, cands)
             forced = plan.scatter(tiny_mgbr.score_item_plan(plan))
             flat = _flat_items(tiny_mgbr, users, cands)
@@ -375,7 +374,7 @@ VARIANT_CONFIGS = {
 
 class TestFactorizedParity:
     @pytest.mark.parametrize("name", sorted(VARIANT_CONFIGS))
-    def test_planned_matches_dense_scores(self, tiny_dataset, name):
+    def test_planned_matches_dense_scores(self, tiny_dataset, name, score_matrix):
         base = dict(d=8, n_experts=2, mtl_layers=2, seed=5)
         base.update(VARIANT_CONFIGS[name])
         config = MGBRConfig.small(**base)
@@ -391,9 +390,9 @@ class TestFactorizedParity:
         with no_grad():
             model.refresh_cache()
             dense_a = _flat_items(model, users, cands)
-            planned_a = model.score_items_matrix(users, cands)
+            planned_a = score_matrix(model, users, cands)
             dense_b = _flat_participants(model, users, items, pcands)
-            planned_b = model.score_participants_matrix(users, items, pcands)
+            planned_b = score_matrix(model, users, pcands, items)
         np.testing.assert_allclose(planned_a, dense_a, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(planned_b, dense_b, rtol=1e-10, atol=1e-12)
 
@@ -434,18 +433,6 @@ class TestProtocolParity:
         assert protocol.run(tiny_mgbr).flat() == (
             protocol.run_per_instance(tiny_mgbr).flat()
         )
-
-    @pytest.mark.parametrize("builder", ["gbmf", "ngcf"])
-    def test_baselines_planned_bit_identical_metrics(self, tiny_dataset, builder):
-        if builder == "gbmf":
-            model = GBMF(tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=2)
-        else:
-            model = NGCF(
-                tiny_dataset.train, tiny_dataset.n_users, tiny_dataset.n_items,
-                dim=8, seed=2,
-            )
-        protocol = EvalProtocol(tiny_dataset, n_negatives=9, cutoff=10, max_instances=40)
-        assert protocol.run(model).flat() == protocol.run_per_instance(model).flat()
 
     @pytest.mark.parametrize("n_negatives", [9, 99], ids=["1:9", "1:99"])
     @pytest.mark.parametrize(
@@ -492,7 +479,7 @@ class TestProtocolParity:
 # Satellite: float32 checkpoint export
 # ----------------------------------------------------------------------
 class TestCheckpointDtype:
-    def test_float32_round_trip(self, tiny_dataset, small_config, tmp_path):
+    def test_float32_round_trip(self, tiny_dataset, small_config, tmp_path, score_matrix):
         model = MGBR(
             tiny_dataset.train, tiny_dataset.n_users, tiny_dataset.n_items,
             config=small_config,
@@ -505,9 +492,7 @@ class TestCheckpointDtype:
         # A float32-weight model still scores (serving path).
         with no_grad():
             model.invalidate_cache()
-            scores = model.score_items_matrix(
-                np.array([0, 1]), np.array([[0, 1], [2, 3]])
-            )
+            scores = score_matrix(model, np.array([0, 1]), np.array([[0, 1], [2, 3]]))
         assert scores.shape == (2, 2)
 
     def test_default_restore_keeps_float64_training_state(
@@ -533,54 +518,3 @@ class TestCheckpointDtype:
         )
         with pytest.raises(ValueError):
             save_checkpoint(model, tmp_path / "bad", dtype="float16")
-
-
-# ----------------------------------------------------------------------
-# Satellite: pre-sampled negative pools
-# ----------------------------------------------------------------------
-class TestNegativePools:
-    def test_pool_draw_rotates_across_epochs(self):
-        pool = NegativePool(np.arange(12).reshape(2, 6))
-        rows = np.array([0, 1])
-        first = pool.draw(rows, 2, epoch=0)
-        second = pool.draw(rows, 2, epoch=1)
-        np.testing.assert_array_equal(first, [[0, 1], [6, 7]])
-        np.testing.assert_array_equal(second, [[2, 3], [8, 9]])
-        # Rotation wraps around the pool rather than running off the end.
-        wrapped = pool.draw(rows, 2, epoch=3)
-        assert wrapped.shape == (2, 2)
-        with pytest.raises(ValueError):
-            pool.draw(rows, 7)
-
-    def test_pools_respect_exclusion_sets(self, tiny_dataset):
-        sampler = NegativeSampler(tiny_dataset, seed=5)
-        users = np.array([0, 1, 2, 3], dtype=np.int64)
-        pool = sampler.build_item_pool(users, 16)
-        owned = tiny_dataset.user_items(("train",))
-        for row, user in enumerate(users):
-            assert not set(pool.negatives[row]) & owned.get(int(user), set())
-
-    def test_trainer_with_pools_matches_interface(self, tiny_dataset, small_config):
-        model = MGBR(
-            tiny_dataset.train, tiny_dataset.n_users, tiny_dataset.n_items,
-            config=small_config,
-        )
-        config = TrainConfig(
-            epochs=1, batch_size=16, train_negatives=3, negative_pool_size=6,
-            beta_a=0.0, beta_b=0.0, seed=1,
-        )
-        trainer = Trainer(model, tiny_dataset, config)
-        assert trainer._pool_a is not None and trainer._pool_b is not None
-        record = trainer.train_epoch()
-        assert np.isfinite(record.losses["total"])
-
-    def test_pool_smaller_than_ratio_rejected(self, tiny_dataset, small_config):
-        model = MGBR(
-            tiny_dataset.train, tiny_dataset.n_users, tiny_dataset.n_items,
-            config=small_config,
-        )
-        with pytest.raises(ValueError):
-            Trainer(
-                model, tiny_dataset,
-                TrainConfig(train_negatives=5, negative_pool_size=3),
-            )

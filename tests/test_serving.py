@@ -27,7 +27,7 @@ def engine(tiny_mgbr):
 
 
 class TestServingRoundTrip:
-    def test_single_request_round_trip(self, tiny_mgbr, engine):
+    def test_single_request_round_trip(self, tiny_mgbr, engine, score_matrix):
         candidates = [0, 3, 5, 3]
         ticket = engine.submit_items(2, candidates)
         engine.drain(timeout=10.0)
@@ -37,9 +37,7 @@ class TestServingRoundTrip:
         assert scores[1] == scores[3]
         # Agrees with the model's own matrix path.
         engine.stop()
-        reference = tiny_mgbr.score_items_matrix(
-            np.array([2]), np.array([candidates])
-        )[0]
+        reference = score_matrix(tiny_mgbr, np.array([2]), np.array([candidates]))[0]
         np.testing.assert_allclose(scores, reference)
 
     def test_coalesced_requests_resolve_every_ticket(self, engine):

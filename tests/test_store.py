@@ -22,7 +22,7 @@ from repro.baselines import GBMF
 from repro.core import MGBR, MGBRConfig
 from repro.eval.protocol import EvalProtocol
 from repro.nn.layers import Embedding
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import SGD
 from repro.nn.tensor import no_grad
 from repro.plan import PlannedBatch, ScoringPlan
 from repro.serving import ServingEngine
@@ -146,22 +146,6 @@ class TestStoreParity:
         np.testing.assert_array_equal(
             _sgd_unit_step(dense), _sgd_unit_step(sharded)
         )
-
-    def test_touched_rows_recorded_per_shard(self, closing):
-        sharded = closing(make_store(_table(rows=12, dim=2), 3))  # 4 rows per shard
-        sharded.gather(np.array([0, 1, 5, 5]))
-        touched = {
-            k: p.touched_rows for k, (_, p) in enumerate(sharded.named_parameters())
-        }
-        np.testing.assert_array_equal(touched[0], [0, 1])   # rows 0,1 local to shard 0
-        np.testing.assert_array_equal(touched[1], [1])      # row 5 local 1 in shard 1
-        assert touched[2] is None
-
-    def test_touched_rows_not_recorded_under_no_grad(self, closing):
-        sharded = closing(make_store(_table(), 2))
-        with no_grad():
-            sharded.gather(np.array([1, 2]))
-        assert all(p.touched_rows is None for _, p in sharded.named_parameters())
 
     def test_stats_counters(self, closing):
         sharded = closing(make_store(_table(rows=20, dim=2), 4))
@@ -365,7 +349,7 @@ class TestLayoutParity:
         for key in dense_state:
             np.testing.assert_array_equal(dense_state[key], shard_state[key])
 
-    def test_sharded_gbmf_never_materialises_tables(self, tiny_dataset, closing):
+    def test_sharded_gbmf_never_materialises_tables(self, tiny_dataset, closing, score_matrix):
         """Planned scoring touches each shard once and only gathers rows."""
         model = closing(_gbmf(tiny_dataset, n_shards=4))
         users = np.arange(10)
@@ -374,7 +358,7 @@ class TestLayoutParity:
             model.refresh_cache()
             plan = ScoringPlan.for_items(users, cands)
             planned = plan.scatter(model.score_item_plan(plan))
-            flat = model.score_items_matrix(users, cands)
+            flat = score_matrix(model, users, cands)
         np.testing.assert_array_equal(planned, flat)
         store = model.initiator_table.store
         assert store.stats["gathers"] >= 1
@@ -503,87 +487,6 @@ class TestShardCheckpoints:
         restore_model(dst, path)
         protocol = EvalProtocol(tiny_dataset, n_negatives=5, cutoff=5, max_instances=20)
         assert protocol.run(src).flat() == protocol.run(dst).flat()
-
-
-# ---------------------------------------------------------------------------
-# Sparse (lazy-row) optimizer updates
-# ---------------------------------------------------------------------------
-class TestSparseUpdates:
-    def test_lazy_rows_touch_only_gathered_rows(self):
-        values = _table(rows=16, dim=3, seed=2)
-        store = DenseStore(values.copy())
-        params = [p for _, p in store.named_parameters()]
-        opt = Adam(params, lr=0.1, lazy_rows=True)
-        before = store.logical_state()
-        (store.gather(np.array([0, 3, 9])) ** 2).sum().backward()
-        opt.step()
-        after = store.logical_state()
-        changed = np.flatnonzero(np.any(before != after, axis=1))
-        np.testing.assert_array_equal(changed, [0, 3, 9])
-
-    def test_first_step_matches_dense_adam_bitwise(self):
-        values = _table(rows=16, dim=3, seed=2)
-        lazy_store = DenseStore(values.copy())
-        dense_store = DenseStore(values.copy())
-        lazy = Adam([p for _, p in lazy_store.named_parameters()], lr=0.1, lazy_rows=True)
-        dense = Adam([p for _, p in dense_store.named_parameters()], lr=0.1)
-        ids = np.array([1, 3, 3, 14])
-        for store, opt in ((lazy_store, lazy), (dense_store, dense)):
-            (store.gather(ids) ** 2).sum().backward()
-            opt.step()
-        # From fresh optimizer state the touched rows update identically
-        # (untouched rows have zero moments, so dense leaves them be too).
-        np.testing.assert_array_equal(
-            lazy_store.logical_state(), dense_store.logical_state()
-        )
-
-    def test_all_read_forces_dense_update(self):
-        store = DenseStore(_table(rows=6, dim=2, seed=1))
-        params = [p for _, p in store.named_parameters()]
-        opt = Adam(params, lr=0.1, lazy_rows=True)
-        (store.all() ** 2).sum().backward()
-        assert all(p.touched_rows is True for p in params)
-        before = store.logical_state()
-        opt.step()
-        assert np.all(store.logical_state() != before)
-
-    def test_zero_grad_clears_touched_rows(self):
-        store = DenseStore(_table(rows=6, dim=2, seed=1))
-        store.gather(np.array([0, 5]))
-        for _, p in store.named_parameters():
-            p.zero_grad()
-            assert p.touched_rows is None
-
-    def test_trainer_with_sparse_updates_takes_lazy_path(self, tiny_dataset, closing):
-        """The lazy branch must actually fire during a training epoch.
-
-        Regression: ``model.zero_grad()`` between forward and backward
-        used to wipe the touched-row records the forward's gathers made,
-        silently degrading every step to the dense update.  Only a
-        sharded table gathers rows in training (dense tables read
-        ``all()``, which marks every row touched), and its lazy update
-        runs inside the shard workers — so the evidence is the weights:
-        lazy Adam leaves a row that sits out a step with undecayed
-        moments, which dense Adam never does.
-        """
-        def train(sparse):
-            model = closing(_gbmf(tiny_dataset, n_shards=3))
-            trainer = Trainer(
-                model, tiny_dataset,
-                TrainConfig(
-                    epochs=1, batch_size=16, train_negatives=3, learning_rate=5e-3,
-                    seed=0, sparse_updates=sparse,
-                ),
-            )
-            assert trainer.optimizer.lazy_rows == sparse
-            record = trainer.train_epoch()
-            assert np.isfinite(record.losses["total"])
-            return model.state_dict()
-
-        lazy, dense = train(True), train(False)
-        assert any(not np.array_equal(lazy[k], dense[k]) for k in dense), (
-            "sparse_updates never reached the lazy row update"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -167,31 +167,6 @@ class TestProcessStoreContract:
             svc_state = run(store)
         np.testing.assert_array_equal(dense_state, svc_state)
 
-    def test_lazy_adam_matches_in_process_shards(self):
-        """Worker-side lazy rows mirror the dense table's touched-row
-        record: lazy Adam in the workers equals lazy Adam in process."""
-        values = _table()
-        chunks = [
-            np.array([1, 5, 40], dtype=np.int64),
-            np.array([5, 66], dtype=np.int64),
-            np.array([0, 33, 61], dtype=np.int64),
-        ]
-
-        def run(store):
-            params = [p for _, p in store.named_parameters()]
-            opt = Adam(params, lr=1e-2, lazy_rows=True)
-            for ids in chunks:
-                opt.zero_grad()
-                out = store.gather(ids)
-                (out * out).sum().backward()
-                opt.step()
-            return store.logical_state()
-
-        inproc = run(DenseStore(values.copy()))
-        with ProcessShardedStore(values.copy(), 3) as store:
-            svc = run(store)
-        np.testing.assert_array_equal(inproc, svc)
-
     def test_rebind_dtype(self):
         """Worker buffers shrink to float32; reads round-trip the cast
         rows exactly (gather output dtype follows the global default,
