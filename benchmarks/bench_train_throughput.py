@@ -22,6 +22,19 @@ deterministic allocation audit of one planned step (``step_audit``:
 per-primitive ``CountingBackend`` counts, copies, and gradient-buffer
 allocations), gated in :func:`check_report`.
 
+The ``window_scaling`` cell times the planned step's window pool: whole
+epochs at pool width 1 and at the host's width, in interleaved pairs,
+at the repository benchmark's ``train-mgbr`` scale (``SCALING_DATA``:
+there a step's plan holds about 11k unique rows, two windows of
+``repro.training.trainer.ROWS``).  The full run gates its median ratio
+``> 1.0`` on hosts whose pool has at least two CPUs; smoke runs record
+it only.  BLAS is pinned to one thread, as in
+``bench_eval_throughput.py``: a threaded BLAS competes with the windows
+for the same cores, and the windows lose (docs/training.md,
+"Window-parallel step").  The pin holds only if NumPy is not loaded yet,
+so under pytest export ``OPENBLAS_NUM_THREADS=1`` (and the OMP/MKL
+equivalents) in the shell; ``blas_pinned`` records whether it held.
+
 Writes ``BENCH_train_throughput.json`` at the repository root.  Run
 directly (``PYTHONPATH=src python benchmarks/bench_train_throughput.py``);
 ``--smoke`` runs a seconds-scale configuration and skips the artifact;
@@ -31,14 +44,30 @@ the full run's scale is the module constants ``USERS`` / ``ITEMS`` /
 
 from __future__ import annotations
 
+import os
+import sys
+
+#: BLAS threads for every timed cell; read once, when NumPy is imported.
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_PINNED = "numpy" not in sys.modules or all(
+    os.environ.get(var) == "1" for var in BLAS_ENV
+)
+for _var in BLAS_ENV:
+    os.environ[_var] = "1"
+
 import json
+import time
 from pathlib import Path
 
+import numpy as np
+
+import repro.eval.windows as window_pool
 from repro.baselines import GBMF
 from repro.core import MGBR, MGBRConfig
-from repro.data import SyntheticConfig, generate_dataset
+from repro.data import GroupBuyingDataset, SyntheticConfig, generate_dataset
 from repro.nn import CountingBackend, backend_scope
 from repro.training import TrainConfig, Trainer
+from repro.training.trainer import ROWS
 
 USERS = 300
 ITEMS = 120
@@ -56,9 +85,17 @@ MODEL_SEED = 1
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_train_throughput.json"
 
 #: Ceiling on ``zeros_like`` + ``empty_like`` calls in one planned MGBR
-#: step: 108 measured in both the smoke and the full configuration (141
-#: before the gather-adds and expert banks became single tape nodes).
-MAX_STEP_ALLOCATIONS = 108
+#: step: 71 measured in both the smoke and the full configuration (141
+#: before the gather-adds and expert banks became single tape nodes, 108
+#: before every fold of a weight unfolded into one buffer).
+MAX_STEP_ALLOCATIONS = 71
+
+#: The window-scaling cell's dataset (the ``train-mgbr`` workload's), the
+#: training groups one timed epoch walks (nine steps; the graph spans the
+#: whole training split), and its interleaved (width 1, host width) pairs.
+SCALING_DATA = dict(n_users=1000, n_items=300, n_groups=4000)
+SCALING_GROUPS = 240
+SCALING_PAIRS = 7
 
 
 def _dataset():
@@ -160,6 +197,62 @@ def _step_audit(build_model, dataset) -> dict:
     }
 
 
+def _window_scaling() -> dict:
+    """Paired epochs at pool width 1 and at the host's width.
+
+    Each pair trains one epoch from the same initial weights at width 1,
+    then one at the host's width; ``speedup`` is the median of the
+    per-pair ratios and ``wins`` counts the pairs the host width won.
+    ``window_grid`` lists the unique rows of each window of the epoch's
+    first step.
+    """
+    full = generate_dataset(SyntheticConfig(**SCALING_DATA), seed=DATA_SEED)
+    dataset = GroupBuyingDataset(
+        n_users=full.n_users, n_items=full.n_items,
+        train=full.train[:SCALING_GROUPS], validation=full.validation, test=full.test,
+    )
+    model = _build_mgbr(full)
+    initial = model.state_dict()
+    host = window_pool._width()
+
+    def epoch(width: int) -> float:
+        model.load_state_dict(initial)
+        model.invalidate_cache()
+        trainer = Trainer(model, dataset, _train_config())
+        window_pool._WIDTH = width
+        try:
+            started = time.perf_counter()
+            trainer.train_epoch()
+            return time.perf_counter() - started
+        finally:
+            window_pool._WIDTH = None
+
+    epoch(host)  # warm-up: fold caches, pool threads, scatter operators
+    pairs = [(epoch(1), epoch(host)) for _ in range(SCALING_PAIRS)]
+    ratios = [one / wide for one, wide in pairs]
+    trainer = Trainer(model, dataset, _train_config())
+    pair = next(iter(trainer._paired_batches()))
+    draws = trainer._draw_negatives(pair["a"], pair["b"])
+    plan = trainer._step_plan(pair["a"], pair["b"], draws).plan
+    return {
+        "dataset": {"users": SCALING_DATA["n_users"], "items": SCALING_DATA["n_items"],
+                    "groups": SCALING_DATA["n_groups"], "epoch_groups": SCALING_GROUPS},
+        "cpu_count": os.cpu_count(),
+        "pool_width": host,
+        "blas_threads": os.environ.get(BLAS_ENV[0]),
+        "blas_pinned": BLAS_PINNED,
+        "rows_per_window": ROWS,
+        "window_grid": [w.n_pairs for w in plan.windows(ROWS)],
+        "pairs": SCALING_PAIRS,
+        "epoch_seconds": {
+            "width_1": round(float(np.median([one for one, _ in pairs])), 4),
+            "host_width": round(float(np.median([wide for _, wide in pairs])), 4),
+        },
+        "speedup": round(float(np.median(ratios)), 3),
+        "wins": sum(r > 1.0 for r in ratios),
+    }
+
+
 def _bench_mgbr(dataset) -> dict:
     flat = _run_engine(_build_mgbr, dataset, flat_reference=True)
     planned = _run_engine(_build_mgbr, dataset)
@@ -193,11 +286,13 @@ def run_benchmark() -> dict:
             "MGBR": _bench_mgbr(dataset),
             "GBMF": {"flat": _run_engine(_build_gbmf, dataset)},
         },
+        "window_scaling": _window_scaling(),
     }
 
 
-def check_report(report: dict) -> None:
-    """The acceptance gates the CI smoke run also exercises."""
+def check_report(report: dict, smoke: bool = False) -> None:
+    """The acceptance gates; the CI smoke run checks all but the
+    window-scaling ratio, which a seconds-scale run cannot resolve."""
     mgbr = report["models"]["MGBR"]
     assert mgbr["planned_speedup"] >= 2.0, (
         f"planned step speedup {mgbr['planned_speedup']}x < 2x"
@@ -214,6 +309,12 @@ def check_report(report: dict) -> None:
     )
     gbmf = report["models"]["GBMF"]
     assert gbmf["flat"]["engine"] == "flat", "GBMF should train on the flat step"
+    scaling = report["window_scaling"]
+    if not smoke and scaling["pool_width"] >= 2:
+        assert scaling["speedup"] > 1.0, (
+            f"window pool at width {scaling['pool_width']}: {scaling['speedup']}x "
+            f"the width-1 epoch ({scaling['wins']}/{scaling['pairs']} pairs won)"
+        )
 
 
 def test_train_throughput():
@@ -236,8 +337,9 @@ if __name__ == "__main__":
     if args.smoke:
         USERS, ITEMS, GROUPS, EPOCHS = 100, 40, 240, 1
         AUX_NEGATIVES = 19
+        SCALING_GROUPS, SCALING_PAIRS = 64, 1
     result = run_benchmark()
-    check_report(result)
+    check_report(result, smoke=args.smoke)
     if not args.smoke:
         OUTPUT.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))

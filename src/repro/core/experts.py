@@ -19,9 +19,9 @@ from typing import List
 import numpy as np
 
 from repro.nn.backend import get_backend
-from repro.nn.layers import FOLD_LOCK, Linear, unfold_grad
+from repro.nn.layers import FOLD_LOCK, Linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, _matmul, get_default_dtype
+from repro.nn.tensor import Tensor, _matmul, fold_route, get_default_dtype, shared_input
 from repro.utils.rng import SeedLike, as_rng
 
 __all__ = ["ExpertBank"]
@@ -123,16 +123,20 @@ class ExpertBank(Module):
         every call returns a fresh graph node whose backward slices the
         ``(width, K·d)`` gradient into per-expert columns and adds each
         into that expert's weight blocks, so cached values can never be
-        stale and cached nodes are never shared between graphs.
+        stale and cached nodes are never shared between graphs (inside
+        a :class:`repro.nn.tensor.Window`, the window's leaf over one
+        such node per step).
         """
         d = self.out_dim
-
-        def fold(k, weight):
-            return weight, lambda g: unfold_grad(g[:, k * d : (k + 1) * d], blocks, weight.data)
-
-        return Tensor._make(
-            self.stacked_folds_raw(blocks),
-            *(fold(k, expert.weight) for k, expert in enumerate(self._experts)),
+        return shared_input(
+            (self, blocks),
+            lambda: Tensor._make(
+                self.stacked_folds_raw(blocks),
+                *(
+                    fold_route(expert.weight, blocks, slice(k * d, (k + 1) * d))
+                    for k, expert in enumerate(self._experts)
+                ),
+            ),
         )
 
     def stacked_folds_raw(self, blocks) -> np.ndarray:

@@ -247,11 +247,19 @@ class MGBR(GroupBuyingRecommender):
         under MGBR-M — only on the unique rows that head's losses read,
         so ``logits_a`` covers rows ``head_rows["a"]`` and ``logits_b``
         rows ``head_rows["b"]``; :meth:`repro.plan.PlannedBatch.scatter`
-        maps each back to its loss segments.  Any other plan gets one
-        logit per unique row from each head.
+        maps each back to its loss segments.  A head that a row-grouped
+        plan leaves out (a window of the step with none of its rows,
+        :meth:`repro.plan.ScoringPlan.windows`) is not computed and
+        comes back as ``None``.  Any other plan gets one logit per
+        unique row from each head.
         """
-        g_a, g_b = self._planned_towers(emb, plan, rows=plan.head_rows)
-        return self.head_a(g_a), self.head_b(g_b)
+        rows = plan.head_rows
+        heads = ("a", "b") if rows is None else tuple(rows)
+        g_a, g_b = self._planned_towers(emb, plan, heads=heads, rows=rows)
+        return (
+            None if g_a is None else self.head_a(g_a),
+            None if g_b is None else self.head_b(g_b),
+        )
 
     # ------------------------------------------------------------------
     # Capabilities

@@ -17,7 +17,7 @@ from repro.nn import functional as F
 from repro.nn import init as inits
 from repro.nn.backend import get_backend
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, fold_route, shared_input
 from repro.utils.rng import SeedLike, as_rng
 
 #: Serialises fold-cache *builds* (``Linear.folded_blocks_raw``,
@@ -54,14 +54,6 @@ def resolve_activation(activation) -> Activation:
         raise ValueError(
             f"unknown activation {activation!r}; known: {sorted(_ACTIVATIONS)}"
         ) from exc
-
-
-def unfold_grad(g: np.ndarray, blocks, like: np.ndarray) -> np.ndarray:
-    """Adjoint of a row-block fold: ``g`` added into each ``[start, stop)`` block of zeros."""
-    grad = get_backend().zeros_like(like)
-    for start, stop in blocks:
-        grad[start:stop] += g
-    return grad
 
 
 class Identity(Module):
@@ -140,10 +132,13 @@ class Linear(Module):
 
         Each call returns a *fresh* graph node over the cached values
         whose backward adds the incoming gradient into every block of
-        ``weight.grad`` directly: nodes are never shared between
-        forward graphs, so reuse cannot double-count gradients and a
-        cached node can never carry a stale ``.grad`` into a later
-        backward pass.
+        the weight's gradient (:func:`repro.nn.tensor.fold_route`):
+        nodes are never shared between forward graphs, so reuse cannot
+        double-count gradients and a cached node can never carry a
+        stale ``.grad`` into a later backward pass.  Inside a
+        :class:`repro.nn.tensor.Window` the call returns the window's
+        leaf over one such node per step instead
+        (:func:`repro.nn.tensor.shared_input`).
 
         Concurrent readers are safe: a cache miss builds the fold under
         :data:`FOLD_LOCK` and re-checks first, so window-parallel
@@ -152,8 +147,9 @@ class Linear(Module):
         training (no scoring while the optimizer steps).
         """
         weight = self.weight
-        return Tensor._make(
-            self.folded_blocks_raw(blocks), (weight, lambda g: unfold_grad(g, blocks, weight.data))
+        return shared_input(
+            (weight, blocks),
+            lambda: Tensor._make(self.folded_blocks_raw(blocks), fold_route(weight, blocks)),
         )
 
     def folded_blocks_raw(self, blocks: Tuple[Tuple[int, int], ...]) -> np.ndarray:

@@ -30,6 +30,11 @@ Design notes
   unless the same array went to an earlier route of the node (``a + b``).
   Only leaves keep ``.grad`` after :meth:`Tensor.backward`
   (docs/training.md, "Gradient buffers").
+* A :class:`Window` runs one slice of a step's graph on its own thread:
+  it reads the step's shared nodes through leaves of its own, keeps its
+  leaf gradients instead of writing shared ``.grad`` buffers, and
+  :func:`reduce_windows` adds them up in window order
+  (docs/training.md, "Window-parallel step").
 * Broadcasting follows NumPy semantics; :func:`_unbroadcast` folds a
   gradient back onto the operand's original shape by summing the
   broadcast axes.
@@ -114,6 +119,10 @@ __all__ = [
     "scatter_rows_sum",
     "scatter_cache_stats",
     "clear_scatter_cache",
+    "Window",
+    "shared_input",
+    "reduce_windows",
+    "backward_from",
 ]
 
 # Thread-local backend holder (shared with repro.nn.backend); ops read
@@ -137,6 +146,7 @@ class _ThreadState(threading.local):
     def __init__(self) -> None:
         self.grad_enabled = True
         self.default_dtype = np.dtype(np.float64)
+        self.window: Optional["Window"] = None  # the Window running on this thread
 
 
 _STATE = _ThreadState()
@@ -367,8 +377,47 @@ def _route(routes, g: np.ndarray) -> None:
         grad = vjp(g)
         if grad is None:
             continue
-        parent._accumulate(grad, owned=not any(grad is h for h in handed))
+        _holder(parent)._accumulate(grad, owned=not any(grad is h for h in handed))
         handed.append(grad)
+
+
+def _holder(t: "Tensor") -> "Tensor":
+    """The tensor whose ``.grad`` receives ``t``'s gradient: ``t`` itself,
+    or, for a leaf during a :meth:`Window.backward`, the window's own
+    holder for it (see :class:`Window`)."""
+    window = _STATE.window
+    if window is None or t._backward is not None:
+        return t
+    return window._holder(t)
+
+
+def _propagate(roots: Sequence["Tensor"]) -> None:
+    """Run the backward of every node reachable from ``roots``.
+
+    The roots hold their seed gradients already.  One depth-first sort
+    over all of them orders every node after everything it feeds, so a
+    node shared by several roots runs once, with its gradient complete.
+    """
+    order: List[Tensor] = []
+    seen = set()
+
+    def visit(node: "Tensor") -> None:
+        if id(node) in seen or not node.requires_grad:
+            return
+        seen.add(id(node))
+        for parent in node._parents:
+            visit(parent)
+        order.append(node)
+
+    for root in roots:
+        visit(root)
+    for node in reversed(order):
+        route = node._backward
+        if route is not None and node.grad is not None:
+            # Interior gradients are released once consumed; the
+            # router may hand the buffer on to one parent.
+            g, node.grad = node.grad, None
+            route(g)
 
 
 def _gather_route(source: "Tensor", index: np.ndarray):
@@ -379,6 +428,35 @@ def _gather_route(source: "Tensor", index: np.ndarray):
 def _window_route(parent: "Tensor", index: tuple):
     """Route reading one disjoint region ``g[index]`` of the node's gradient."""
     return parent, lambda g: g[index]
+
+
+def fold_route(weight: "Tensor", blocks, columns: slice = slice(None)):
+    """Route of a row-block fold ``Σ weight[start:stop]`` held in ``columns``.
+
+    The adjoint adds ``g[:, columns]`` into every ``[start, stop)`` row
+    block of the weight's gradient.  The first fold to reach a weight
+    allocates its one zero-filled buffer; every later fold of the same
+    weight adds into that buffer in place, after a ``+ 0.0`` pass that
+    turns a ``-0.0`` into ``+0.0`` just as adding a fresh zero-filled
+    buffer would.  So a weight read through several folds costs one
+    buffer, with the bits of one buffer per fold.
+    """
+
+    def vjp(g: np.ndarray) -> Optional[np.ndarray]:
+        b = _B_STATE.backend
+        part = g[:, columns]
+        current = _holder(weight).grad
+        fresh = current is None
+        if fresh:
+            current = b.zeros_like(weight.data)
+        else:
+            b.add(current, 0.0, out=current)
+        for start, stop in blocks:
+            rows = current[start:stop]
+            b.add(rows, part, out=rows)
+        return current if fresh else None
+
+    return weight, vjp
 
 
 class Tensor:
@@ -524,27 +602,8 @@ class Tensor:
         grad = b.asarray(grad, dtype=self.data.dtype)
         if grad.shape != self.data.shape:
             grad = b.broadcast_to(grad, self.data.shape)
-
-        order: List[Tensor] = []
-        seen = set()
-
-        def visit(node: "Tensor") -> None:
-            if id(node) in seen or not node.requires_grad:
-                return
-            seen.add(id(node))
-            for parent in node._parents:
-                visit(parent)
-            order.append(node)
-
-        visit(self)
-        self._accumulate(grad, owned=owned)
-        for node in reversed(order):
-            route = node._backward
-            if route is not None and node.grad is not None:
-                # Interior gradients are released once consumed; the
-                # router may hand the buffer on to one parent.
-                g, node.grad = node.grad, None
-                route(g)
+        _holder(self)._accumulate(grad, owned=owned)
+        _propagate([self])
 
     @staticmethod
     def _make(data: np.ndarray, *routes: Tuple["Tensor", Callable]) -> "Tensor":
@@ -795,7 +854,7 @@ class Tensor:
 
         def grad(g: np.ndarray) -> Optional[np.ndarray]:
             b = _B_STATE.backend
-            current = self.grad
+            current = _holder(self).grad
             if basic and current is not None:
                 # Bit-equal to adding a zero-filled buffer holding ``g``
                 # in the slice, ``-0.0 -> +0.0`` normalisation included.
@@ -954,3 +1013,111 @@ def scatter_rows_sum(rows: Tensor, index: ArrayLike, n_rows: int) -> Tensor:
     idx = np.asarray(index, dtype=np.int64)
     value = _scatter_rows_add(idx, rows.data, n_rows, rows.data.dtype)
     return Tensor._make(value, (rows, lambda g: _B_STATE.backend.take(g, idx)))
+
+
+# ----------------------------------------------------------------------
+# Window-parallel backward
+# ----------------------------------------------------------------------
+class Window:
+    """One window of a window-parallel step.
+
+    A step whose rows are cut into windows builds some nodes once (the
+    *shared* nodes: an encoder's outputs, cached weight folds) and runs
+    each window's forward and backward on its own thread.  A window
+    never puts a shared node in its graph: while it is entered (``with
+    window:``), :func:`shared_input` and :meth:`input` hand it a leaf of
+    its own over each shared node, so no interior node is reachable from
+    two windows.  :meth:`backward` keeps every leaf gradient it produces
+    (parameters included) in the window instead of in the leaf's
+    ``.grad``, so windows never write one buffer from two threads;
+    :func:`reduce_windows` then adds them up in window order, and
+    :func:`backward_from` carries the shared nodes' sums on through the
+    rest of the graph.
+    """
+
+    def __init__(self) -> None:
+        #: key -> (this window's leaf, the shared node it stands for)
+        self._inputs: "OrderedDict[object, Tuple[Tensor, Tensor]]" = OrderedDict()
+        #: id(leaf) -> (leaf, holder of this window's gradient for it)
+        self._grads: "OrderedDict[int, Tuple[Tensor, Tensor]]" = OrderedDict()
+
+    def __enter__(self) -> "Window":
+        _STATE.window = self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _STATE.window = None
+
+    def _input(self, key, build: Callable[[], "Tensor"]) -> "Tensor":
+        entry = self._inputs.get(key)
+        if entry is None:
+            node = build()
+            leaf = Tensor(node.data, requires_grad=node.requires_grad, dtype=node.data.dtype)
+            entry = self._inputs[key] = (leaf, node)
+        return entry[0]
+
+    def input(self, node: "Tensor") -> "Tensor":
+        """This window's leaf over the shared ``node``."""
+        return self._input(node, lambda: node)
+
+    def _holder(self, leaf: "Tensor") -> "Tensor":
+        entry = self._grads.get(id(leaf))
+        if entry is None:
+            entry = self._grads[id(leaf)] = (leaf, Tensor(leaf.data, dtype=leaf.data.dtype))
+        return entry[1]
+
+    def backward(self, roots: Sequence[Tuple["Tensor", np.ndarray]]) -> None:
+        """Back-propagate ``(node, gradient)`` roots through this window's graph.
+
+        The gradients are handed over (the window may adopt and add into
+        them).  Interior nodes behave as in :meth:`Tensor.backward`;
+        every leaf's gradient stays in this window for
+        :func:`reduce_windows`.
+        """
+        with self:
+            for node, grad in roots:
+                _holder(node)._accumulate(grad, owned=True)
+            _propagate([node for node, _ in roots])
+
+
+def shared_input(key, build: Callable[[], "Tensor"]) -> "Tensor":
+    """``build()``, or inside an entered :class:`Window` that window's leaf
+    over the one node ``build()`` makes for ``key`` per window.
+
+    Cached weight folds go through here, so a window-parallel step reads
+    each fold through a leaf of its own and unfolds it once per step.
+    """
+    window = _STATE.window
+    return build() if window is None else window._input(key, build)
+
+
+def reduce_windows(windows: Sequence[Window]) -> List["Tensor"]:
+    """Add the windows' leaf gradients into their targets, window by window.
+
+    A parameter's gradient lands in its ``.grad``; a window's leaf over a
+    shared node lands in that node's ``.grad``.  Each target sums its
+    windows' contributions in window order, so the result does not
+    depend on which thread ran which window.  Returns the shared nodes,
+    in order of first use (the first window's order first), for
+    :func:`backward_from`.  Nothing is written until every window has
+    finished its backward: call this only once all of them succeeded.
+    """
+    shared: "OrderedDict[object, Tensor]" = OrderedDict()
+    for window in windows:
+        targets = {}
+        for key, (leaf, node) in window._inputs.items():
+            targets[id(leaf)] = shared.setdefault(key, node)
+        for leaf, holder in window._grads.values():
+            if holder.grad is not None:
+                targets.get(id(leaf), leaf)._accumulate(holder.grad, owned=True)
+    return list(shared.values())
+
+
+def backward_from(nodes: Sequence["Tensor"]) -> None:
+    """One backward from every node of ``nodes`` that holds a ``.grad``.
+
+    The multi-root form of :meth:`Tensor.backward`: each node's gradient
+    was already accumulated (by :func:`reduce_windows`), and every node
+    reachable from any of them runs once, after all its consumers.
+    """
+    _propagate([node for node in nodes if node.requires_grad and node.grad is not None])

@@ -37,7 +37,7 @@ the plan is the contract between them: it depends only on NumPy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -328,6 +328,32 @@ class ScoringPlan:
             items=self.items[sl],
             participants=None if self.participants is None else self.participants[sl],
         )
+
+    def windows(self, rows: int) -> List["ScoringPlan"]:
+        """Cut the unique requests into ``ceil(n_pairs / rows)`` equal windows.
+
+        Window ``k`` is the :meth:`pair_slice` over rows ``[k·w, (k+1)·w)``
+        with ``w = ceil(n_pairs / count)`` (the last one may be
+        shorter), so the grid depends only on ``n_pairs`` and ``rows``.
+        A row-grouped plan's ``head_rows`` are clipped to each window,
+        in the window's own row numbers, and a head none of whose rows
+        fall in a window is left out of it.
+        """
+        n = self.n_pairs
+        count = max(1, -(-n // rows))
+        width = max(1, -(-n // count))
+        out = []
+        for lo in range(0, max(n, 1), width):
+            hi = min(lo + width, n)
+            window = self.pair_slice(slice(lo, hi))
+            if self.head_rows is not None:
+                window.head_rows = {
+                    head: (max(start, lo) - lo, min(stop, hi) - lo)
+                    for head, (start, stop) in self.head_rows.items()
+                    if max(start, lo) < min(stop, hi)
+                }
+            out.append(window)
+        return out
 
     def scatter(self, unique_scores: np.ndarray) -> np.ndarray:
         """Broadcast unique-request scores back to the full request shape."""

@@ -35,6 +35,14 @@ Every other model trains on the flat step, which is also the planned
 step's parity oracle: losses match up to float re-association (see
 tests/test_training.py's parity suite).
 
+The planned step runs window-parallel: its plan's unique rows are cut
+into ``ceil(n_pairs / ROWS)`` equal windows, each scored and
+back-propagated on the :mod:`repro.eval.windows` pool through its own
+leaves over the step's encoder outputs and weight folds
+(:class:`repro.nn.tensor.Window`); one loss reads every window's
+logits, and the windows' leaf gradients are summed in window order
+before one backward through the encoder.
+
 Each step's wall-clock is split into ``sampling`` / ``forward`` /
 ``backward`` / ``optimizer`` phases, surfaced per epoch via
 :class:`repro.training.history.EpochRecord.phases`.
@@ -42,6 +50,7 @@ Each step's wall-clock is split into ``sampling`` / ``forward`` /
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -49,6 +58,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.baselines.base import EmbeddingBundle
 from repro.core.config import MGBRConfig
 from repro.core.losses import (
     aux_loss_task_a,
@@ -62,7 +72,9 @@ from repro.data.negative import NegativeSampler
 from repro.data.samples import extract_task_a, extract_task_b
 from repro.data.schema import GroupBuyingDataset
 from repro.eval.protocol import EvalProtocol
+from repro.eval.windows import run_windows
 from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.tensor import Tensor, Window, backward_from, concat, reduce_windows
 from repro.plan import PlannedBatch
 from repro.training.history import EpochRecord, History
 from repro.utils.logging import get_logger
@@ -71,6 +83,18 @@ from repro.utils.rng import SeedLike, spawn_rngs
 __all__ = ["TrainConfig", "Trainer"]
 
 logger = get_logger("training")
+
+#: Unique rows per window of the planned step: a step scores its plan in
+#: ``ceil(n_pairs / ROWS)`` equal windows (docs/training.md,
+#: "Window-parallel step").  A constant, never derived from the CPU
+#: count, so the trained bytes do not depend on the host.
+ROWS = 6000
+
+
+def _cat_rows(tensors):
+    """The non-``None`` tensors stacked by rows (one is returned as is)."""
+    tensors = [t for t in tensors if t is not None]
+    return tensors[0] if len(tensors) == 1 else concat(tensors, axis=0)
 
 
 @dataclass
@@ -337,13 +361,46 @@ class Trainer:
         mean-participant sentinel, and the ``(u, i', p)`` bank shared by
         ``L'_A`` and ``L'_B`` (and the Task-B positives shared by
         ``L_B`` and ``L'_B``) is scored once.
+
+        The plan is scored in :data:`ROWS`-row windows on the window
+        pool, each reading the encoder outputs, the mean participant and
+        the weight folds through leaves of its own.  Returns the four
+        losses and the step's remaining backward, to run after
+        ``loss.backward()``: every window's backward (on the pool), the
+        window-order reduction of their leaf gradients, and one backward
+        from the encoder outputs and folds.
         """
         cfg = self.config
         batch = self._step_plan(batch_a, batch_b, draws)
+        plans = batch.plan.windows(ROWS)
+        windows = [Window() for _ in plans]
+        outs = [None] * len(plans)
+        mean = emb.mean_participant()
+
+        def forward(k):
+            window = windows[k]
+            with window:
+                bundle = EmbeddingBundle(
+                    user=window.input(emb.user),
+                    item=window.input(emb.item),
+                    participant=window.input(emb.participant),
+                    _mean_participant=window.input(mean),
+                )
+                outs[k] = self.model.planned_joint_logits(bundle, plans[k])
+
+        run_windows([functools.partial(forward, k) for k in range(len(plans))])
+        # The loss reads each window's logits through leaves of its own.
         # Each head's logits cover only the unique rows its losses read
-        # (the plan's live rows); the per-head scatter hands every
-        # segment the logits of the head that reads it.
-        logits_a, logits_b = self.model.planned_joint_logits(emb, batch.plan)
+        # (the plan's live rows), in row order across the windows; the
+        # per-head scatter hands every segment the logits of the head
+        # that reads it.
+        leaves = [
+            [None if t is None else Tensor(t.data, requires_grad=True, dtype=t.data.dtype)
+             for t in out]
+            for out in outs
+        ]
+        logits_a = _cat_rows(pair[0] for pair in leaves)
+        logits_b = _cat_rows(pair[1] for pair in leaves)
         flat_a = batch.scatter(logits_a, "a")
         flat_b = batch.scatter(logits_b, "b")
         seg_a = lambda name: batch.take(flat_a, name, "a")
@@ -367,7 +424,18 @@ class Trainer:
                 want_a=want_a,
                 want_b=want_b,
             )
-        return loss_a, loss_b, aux_a, aux_b
+
+        def backward_window(k):
+            windows[k].backward([
+                (out, leaf.grad) for out, leaf in zip(outs[k], leaves[k])
+                if leaf is not None and leaf.grad is not None
+            ])
+
+        def backward():
+            run_windows([functools.partial(backward_window, k) for k in range(len(plans))])
+            backward_from(reduce_windows(windows))
+
+        return (loss_a, loss_b, aux_a, aux_b), backward
 
     def _step(self, batch_a: Dict[str, np.ndarray], batch_b: Dict[str, np.ndarray]) -> Dict[str, float]:
         cfg = self.config
@@ -377,11 +445,16 @@ class Trainer:
         t1 = time.perf_counter()
         model.zero_grad()
         emb = model.compute_embeddings()
-        losses_fn = self._planned_losses if self._use_planned else self._flat_losses
-        loss_a, loss_b, aux_a, aux_b = losses_fn(emb, batch_a, batch_b, draws)
+        if self._use_planned:
+            losses, rest = self._planned_losses(emb, batch_a, batch_b, draws)
+        else:
+            losses, rest = self._flat_losses(emb, batch_a, batch_b, draws), None
+        loss_a, loss_b, aux_a, aux_b = losses
         loss = total_loss(loss_a, loss_b, aux_a, aux_b, cfg.beta, cfg.beta_a, cfg.beta_b)
         t2 = time.perf_counter()
         loss.backward()
+        if rest is not None:
+            rest()
         if cfg.grad_clip > 0:
             clip_grad_norm(model.parameters(), cfg.grad_clip)
         t3 = time.perf_counter()

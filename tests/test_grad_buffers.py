@@ -1,12 +1,15 @@
 """Copy-free tape backward: ownership, release and parity with the copying tape.
 
 The tape hands a gradient buffer it owns to one parent instead of
-copying it, releases interior ``.grad`` once consumed, and runs
-contraction-width-1 matmuls as broadcast products.  Every case here is
-checked against a test-local *reference tape* — the historical
-``zeros_like`` + ``add`` accumulate, a backward loop that never
-releases, and plain ``matmul`` — which the new tape must match exactly
-on every leaf gradient (and, for training, on the post-Adam weights).
+copying it, releases interior ``.grad`` once consumed, unfolds every
+fold of a weight into one buffer, and runs contraction-width-1 matmuls
+as broadcast products.  Every case here is checked against a test-local
+*reference tape* — the historical ``zeros_like`` + ``add`` accumulate, a
+backward loop that never releases (for one root, a window's roots and
+the shared nodes after the window reduction alike), one zero-filled
+buffer per fold adjoint, and plain ``matmul`` — which the new tape must
+match exactly on every leaf gradient (and, for training, on the
+post-Adam weights).
 """
 
 import contextlib
@@ -25,6 +28,9 @@ from repro.nn.tensor import _unbroadcast, dtype_scope
 from repro.training import TrainConfig, Trainer
 
 _tape = importlib.import_module("repro.nn.tensor")
+_layers = importlib.import_module("repro.nn.layers")
+_experts = importlib.import_module("repro.core.experts")
+_trainer = importlib.import_module("repro.training.trainer")
 
 
 # ----------------------------------------------------------------------
@@ -37,13 +43,13 @@ def _reference_accumulate(self, grad, owned=False):
     b.add(self.grad, grad, out=self.grad)
 
 
-def _reference_backward(self, grad=None):
-    b = get_backend()
-    if grad is None:
-        grad = b.ones(self.data.shape, dtype=self.data.dtype)
-    grad = b.asarray(grad, dtype=self.data.dtype)
-    if grad.shape != self.data.shape:
-        grad = b.broadcast_to(grad, self.data.shape).copy()
+def _reference_propagate(roots):
+    """Every node's backward, in one sort over all ``roots``; no release.
+
+    Serves :meth:`Tensor.backward` (one root), ``Window.backward`` (a
+    window's logits) and ``backward_from`` (the shared nodes the window
+    reduction filled).
+    """
     order, seen = [], set()
 
     def visit(node):
@@ -54,11 +60,34 @@ def _reference_backward(self, grad=None):
             visit(parent)
         order.append(node)
 
-    visit(self)
-    self._accumulate(grad)
+    for root in roots:
+        visit(root)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+
+
+def _reference_backward(self, grad=None):
+    b = get_backend()
+    if grad is None:
+        grad = b.ones(self.data.shape, dtype=self.data.dtype)
+    grad = b.asarray(grad, dtype=self.data.dtype)
+    if grad.shape != self.data.shape:
+        grad = b.broadcast_to(grad, self.data.shape).copy()
+    self._accumulate(grad)
+    _reference_propagate([self])
+
+
+def _reference_fold_route(weight, blocks, columns=slice(None)):
+    """The historical fold adjoint: a zero-filled buffer per fold."""
+
+    def vjp(g):
+        grad = get_backend().zeros_like(weight.data)
+        for start, stop in blocks:
+            grad[start:stop] += g[:, columns]
+        return grad
+
+    return weight, vjp
 
 
 @contextlib.contextmanager
@@ -67,7 +96,10 @@ def reference_tape():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Tensor, "_accumulate", _reference_accumulate)
         mp.setattr(Tensor, "backward", _reference_backward)
+        mp.setattr(_tape, "_propagate", _reference_propagate)
         mp.setattr(_tape, "_matmul", lambda a, c: get_backend().matmul(a, c))
+        for module in (_layers, _experts):
+            mp.setattr(module, "fold_route", _reference_fold_route)
         yield
 
 
@@ -462,6 +494,32 @@ def test_planned_steps_match_reference_tape(name, tiny_dataset, small_config):
         for key in want:
             assert np.array_equal(got[key], want[key]), f"step {step} grad {key}"
     assert state.keys() == ref_state.keys()
+    for key in ref_state:
+        assert state[key].tobytes() == ref_state[key].tobytes(), f"post-Adam {key}"
+
+
+def test_windowed_steps_match_reference_tape(tiny_dataset, small_config, monkeypatch):
+    """The same oracle over a step cut into several windows: each
+    window's backward, the window-order reduction and the backward from
+    the shared nodes through the encoder all match the copying tape."""
+    monkeypatch.setattr(_trainer, "ROWS", 60)
+    windows = []
+    monkeypatch.setattr(
+        _trainer, "reduce_windows",
+        lambda ws, _reduce=_trainer.reduce_windows: windows.append(len(ws)) or _reduce(ws),
+    )
+    build = _MODELS["MGBR"]
+    losses, grads, state = _three_steps(build(tiny_dataset, small_config), tiny_dataset)
+    assert min(windows) >= 2
+    with reference_tape():
+        ref_losses, ref_grads, ref_state = _three_steps(
+            build(tiny_dataset, small_config), tiny_dataset
+        )
+    assert losses == ref_losses
+    for step, (got, want) in enumerate(zip(grads, ref_grads)):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), f"step {step} grad {key}"
     for key in ref_state:
         assert state[key].tobytes() == ref_state[key].tobytes(), f"post-Adam {key}"
 
