@@ -62,6 +62,7 @@ from pathlib import Path
 import numpy as np
 
 import repro.eval.windows as window_pool
+import repro.training.trainer as trainer_module
 from repro.baselines import GBMF
 from repro.core import MGBR, MGBRConfig
 from repro.data import GroupBuyingDataset, SyntheticConfig, generate_dataset
@@ -197,14 +198,54 @@ def _step_audit(build_model, dataset) -> dict:
     }
 
 
+def _row_groups(window) -> dict:
+    """A window's unique rows, split by the heads that read them."""
+    (a_lo, a_hi), (b_lo, b_hi) = (window.head_rows.get(h, (0, 0)) for h in "ab")
+    both = max(0, min(a_hi, b_hi) - max(a_lo, b_lo))
+    return {"n_pairs": window.n_pairs, "a_only": a_hi - a_lo - both,
+            "both": both, "b_only": b_hi - b_lo - both}
+
+
+def _window_seconds(epoch) -> dict:
+    """Per-window forward and backward seconds of one width-1 ``epoch``.
+
+    Times every window callable the planned step hands to
+    ``run_windows`` (at width 1 they run in order on the calling
+    thread): its ``forward`` and ``backward_window`` closures, keyed by
+    window index.
+    """
+    spent = {"forward": {}, "backward_window": {}}
+
+    def timed(windows):
+        for window in windows:
+            started = time.perf_counter()
+            window()
+            times = spent[window.func.__name__].setdefault(window.args[0], [])
+            times.append(time.perf_counter() - started)
+
+    run_windows = trainer_module.run_windows
+    trainer_module.run_windows = timed
+    try:
+        epoch(1)
+    finally:
+        trainer_module.run_windows = run_windows
+    return {
+        phase: [round(float(np.median(by_window[k])), 4) for k in sorted(by_window)]
+        for phase, by_window in zip(("forward", "backward"), spent.values())
+    }
+
+
 def _window_scaling() -> dict:
     """Paired epochs at pool width 1 and at the host's width.
 
     Each pair trains one epoch from the same initial weights at width 1,
     then one at the host's width; ``speedup`` is the median of the
     per-pair ratios and ``wins`` counts the pairs the host width won.
-    ``window_grid`` lists the unique rows of each window of the epoch's
-    first step.
+    ``window_grid`` lists each window of the epoch's first step: its
+    unique rows and how many of them only head A, both heads or only
+    head B read.  ``window_seconds_width_1`` gives each window's forward
+    and backward seconds at width 1 (per window, the median over the
+    epoch's steps), so an unbalanced grid shows as unequal entries.
     """
     full = generate_dataset(SyntheticConfig(**SCALING_DATA), seed=DATA_SEED)
     dataset = GroupBuyingDataset(
@@ -242,7 +283,8 @@ def _window_scaling() -> dict:
         "blas_threads": os.environ.get(BLAS_ENV[0]),
         "blas_pinned": BLAS_PINNED,
         "rows_per_window": ROWS,
-        "window_grid": [w.n_pairs for w in plan.windows(ROWS)],
+        "window_grid": [_row_groups(w) for w in plan.windows(ROWS)],
+        "window_seconds_width_1": _window_seconds(epoch),
         "pairs": SCALING_PAIRS,
         "epoch_seconds": {
             "width_1": round(float(np.median([one for one, _ in pairs])), 4),

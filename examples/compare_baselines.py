@@ -10,6 +10,14 @@ an item-aware participant-scoring head.
 Run:  python examples/compare_baselines.py  [--epochs 20]
 """
 
+import os
+
+# The training step runs its windows on one thread per CPU, and a
+# threaded BLAS competes with them for the cores (docs/training.md,
+# "Window-parallel step").  The setting acts only before NumPy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import time
 

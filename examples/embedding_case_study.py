@@ -11,6 +11,14 @@ tightly (lower ratio) than without them.
 Run:  python examples/embedding_case_study.py  [--epochs 12]
 """
 
+import os
+
+# The training step runs its windows on one thread per CPU, and a
+# threaded BLAS competes with them for the cores (docs/training.md,
+# "Window-parallel step").  The setting acts only before NumPy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 
 import numpy as np

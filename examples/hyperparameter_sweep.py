@@ -10,6 +10,14 @@ both sides.
 Run:  python examples/hyperparameter_sweep.py  [--epochs 8]
 """
 
+import os
+
+# The training step runs its windows on one thread per CPU, and a
+# threaded BLAS competes with them for the cores (docs/training.md,
+# "Window-parallel step").  The setting acts only before NumPy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 
 from repro.analysis import aux_weight_sweep, gate_coefficient_sweep

@@ -11,6 +11,14 @@ This is the 5-minute tour of the library's public API:
 Run:  python examples/quickstart.py
 """
 
+import os
+
+# The training step runs its windows on one thread per CPU, and a
+# threaded BLAS competes with them for the cores (docs/training.md,
+# "Window-parallel step").  The setting acts only before NumPy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from repro.core import MGBR, MGBRConfig
 from repro.data import SyntheticConfig, compute_statistics, format_table1, generate_dataset
 from repro.eval import evaluate_model

@@ -20,7 +20,7 @@ training samplers scale.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -57,30 +57,24 @@ class NegativeSampler:
         self._user_items: Dict[int, Set[int]] = dataset.user_items(splits)
         self._group_members: Dict[Tuple[int, int], Set[int]] = dataset.group_members(splits)
 
-    def _participant_excludes(self, users, items) -> List[Set[int]]:
+    def _participant_excludes(self, users, items) -> List[Tuple[int, ...]]:
         """Per-row Task-B base exclusions: ``G_{u,i}`` plus ``u`` itself."""
-        out: List[Set[int]] = []
-        for u, i in zip(users, items):
-            exc = set(self._group_members.get((int(u), int(i)), set()))
-            exc.add(int(u))
-            out.append(exc)
-        return out
+        members = self._group_members
+        return [(*members.get((int(u), int(i)), ()), int(u)) for u, i in zip(users, items)]
 
     @staticmethod
-    def _merge_extra(base: Sequence[Set[int]], extra) -> List[Sequence[int]]:
+    def _merge_extra(base: Sequence[Collection[int]], extra) -> List[Collection[int]]:
         """Combine per-row base exclusion sets with optional extras.
 
         ``extra`` may be ``None``, a ``(rows,)`` array (one extra id per
-        row) or a sequence of per-row iterables.
+        row) or a sequence of per-row iterables.  Duplicates are kept:
+        :func:`repro.utils.rng.choice_excluding_batch` ignores them.
         """
         if extra is None:
-            return [tuple(b) for b in base]
-        merged: List[Sequence[int]] = []
-        for row, b in enumerate(base):
-            e = extra[row]
-            additions = (int(e),) if np.isscalar(e) else tuple(int(x) for x in e)
-            merged.append(tuple(b) + additions)
-        return merged
+            return list(base)
+        return [
+            (*b, e) if np.isscalar(e) else (*b, *e) for b, e in zip(base, extra, strict=True)
+        ]
 
     # ------------------------------------------------------------------
     # Task A

@@ -43,6 +43,15 @@ import numpy as np
 
 __all__ = ["ScoringPlan", "PlannedBatch"]
 
+#: Estimated cost of a unique row both heads read, in rows one head
+#: reads: such a row runs both heads' last layers and towers (forward
+#: and backward).  :meth:`ScoringPlan.windows` cuts a row-grouped
+#: plan into windows of equal cost, not equal rows.  Measured on the
+#: ``train-mgbr`` perfbench workload (docs/training.md,
+#: "Window-parallel step"); a constant, so the grid, like the trained
+#: bytes, depends only on the plan.
+BOTH_HEADS_COST = 1.25
+
 
 def _unique_rows(columns):
     """Row-dedup parallel int columns → (unique columns, first, inverse).
@@ -330,21 +339,39 @@ class ScoringPlan:
         )
 
     def windows(self, rows: int) -> List["ScoringPlan"]:
-        """Cut the unique requests into ``ceil(n_pairs / rows)`` equal windows.
+        """Cut the unique requests into ``ceil(n_pairs / rows)`` windows.
 
-        Window ``k`` is the :meth:`pair_slice` over rows ``[k·w, (k+1)·w)``
-        with ``w = ceil(n_pairs / count)`` (the last one may be
-        shorter), so the grid depends only on ``n_pairs`` and ``rows``.
-        A row-grouped plan's ``head_rows`` are clipped to each window,
-        in the window's own row numbers, and a head none of whose rows
-        fall in a window is left out of it.
+        A plan without ``head_rows`` is cut into equal windows: window
+        ``k`` covers rows ``[k·w, (k+1)·w)`` with ``w = ceil(n_pairs /
+        count)`` (the last one may be shorter).  A row-grouped plan
+        (``[A-only | both | B-only]``) is cut by estimated cost instead:
+        a row both heads read costs :data:`BOTH_HEADS_COST` rows, and cut
+        ``k`` falls on the row nearest to ``k / count`` of the plan's
+        cost, so every window's cost is within one row's cost of the
+        mean.  Either way the grid depends only on the plan and
+        ``rows``.  A row-grouped plan's ``head_rows`` are clipped to each
+        window, in the window's own row numbers, and a head none of
+        whose rows fall in a window is left out of it.
         """
         n = self.n_pairs
         count = max(1, -(-n // rows))
-        width = max(1, -(-n // count))
+        if self.head_rows is None:
+            width = max(1, -(-n // count))
+            bounds = [*range(0, max(n, 1), width), n]
+        else:
+            # Rows [both_lo, both_hi) are read by both heads.
+            both_lo = max(start for start, _ in self.head_rows.values())
+            both_hi = max(both_lo, min(stop for _, stop in self.head_rows.values()))
+            # The cost of rows [0, r) at the four breakpoints; it is
+            # linear between them.
+            at = np.array([0, both_lo, both_hi, n])
+            extra = np.clip(at, both_lo, both_hi) - both_lo
+            cost = at + (BOTH_HEADS_COST - 1.0) * extra
+            targets = cost[-1] * np.arange(1, count) / count
+            cuts = np.rint(np.interp(targets, cost, at)).astype(np.int64)
+            bounds = [0, *cuts.tolist(), n]
         out = []
-        for lo in range(0, max(n, 1), width):
-            hi = min(lo + width, n)
+        for lo, hi in zip(bounds, bounds[1:]):
             window = self.pair_slice(slice(lo, hi))
             if self.head_rows is not None:
                 window.head_rows = {

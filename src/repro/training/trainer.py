@@ -36,7 +36,8 @@ step's parity oracle: losses match up to float re-association (see
 tests/test_training.py's parity suite).
 
 The planned step runs window-parallel: its plan's unique rows are cut
-into ``ceil(n_pairs / ROWS)`` equal windows, each scored and
+into ``ceil(n_pairs / ROWS)`` windows of equal estimated cost
+(:meth:`repro.plan.ScoringPlan.windows`), each scored and
 back-propagated on the :mod:`repro.eval.windows` pool through its own
 leaves over the step's encoder outputs and weight folds
 (:class:`repro.nn.tensor.Window`); one loss reads every window's
@@ -85,7 +86,8 @@ __all__ = ["TrainConfig", "Trainer"]
 logger = get_logger("training")
 
 #: Unique rows per window of the planned step: a step scores its plan in
-#: ``ceil(n_pairs / ROWS)`` equal windows (docs/training.md,
+#: ``ceil(n_pairs / ROWS)`` windows, cut to equal estimated cost
+#: (:data:`repro.plan.BOTH_HEADS_COST`; docs/training.md,
 #: "Window-parallel step").  A constant, never derived from the CPU
 #: count, so the trained bytes do not depend on the host.
 ROWS = 6000

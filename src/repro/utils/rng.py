@@ -11,7 +11,8 @@ perturbs the draws seen by existing ones.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+import itertools
+from typing import Collection, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -120,20 +121,25 @@ def choice_excluding(
 def choice_excluding_batch(
     rng: np.random.Generator,
     high: int,
-    excludes: Sequence[Iterable[int]],
+    excludes: Sequence[Collection[int]],
     size: int,
 ) -> np.ndarray:
     """Batched :func:`choice_excluding` — one row per exclusion set.
 
     Draws a ``(len(excludes), size)`` matrix where row ``k`` contains
     uniform samples (with replacement, like the scalar form) from
-    ``[0, high)`` avoiding ``excludes[k]``.  The whole batch is rejection
-    sampled with vectorised NumPy: per-row membership tests are done by
-    encoding each excluded pair as the key ``row * high + value`` and
-    binary-searching candidate keys against the sorted key array, so the
-    cost scales with the total number of exclusions rather than
-    ``rows × high``.  Rows whose exclusion set covers ≥ half the range
-    fall back to the scalar complement draw (exact, no rejection).
+    ``[0, high)`` avoiding ``excludes[k]`` (a set, tuple, list or
+    array; duplicates and ids outside ``[0, high)`` exclude nothing
+    more).  Every row's exclusions are encoded at once as the keys
+    ``row * high + value``: one ``np.unique`` over their concatenation
+    gives each row's distinct exclusions as a sorted run, and a
+    ``bincount`` of the key rows gives their counts.  Rows whose
+    exclusion set covers ≥ half the range take the scalar complement
+    draw first, in row order (exact, no rejection); the rest are
+    rejection sampled together, each round's candidate keys tested
+    against the key array by one ``np.isin``.  Only the dense rows'
+    draws loop over rows in Python.  The draws and the generator's
+    state match the per-row oracle in ``tests/reference_sampling.py``.
     """
     n_rows = len(excludes)
     if size < 0:
@@ -142,61 +148,43 @@ def choice_excluding_batch(
     if n_rows == 0 or size == 0:
         return out
 
-    exclude_arrays: List[np.ndarray] = []
-    dense_rows: List[int] = []
-    for row, exc in enumerate(excludes):
-        arr = np.unique(np.fromiter((int(x) for x in exc), dtype=np.int64))
-        # Out-of-range exclusions are meaningless (nothing to exclude);
-        # drop them like the scalar path effectively does — they must not
-        # reach the row*high+value key encoding, where they would alias
-        # into a neighbouring row's key space.
-        arr = arr[(arr >= 0) & (arr < high)]
-        if high - arr.size <= 0:
-            raise ValueError(
-                f"cannot sample from [0, {high}) excluding {arr.size} values: nothing left"
-            )
-        if arr.size * 2 >= high:
-            dense_rows.append(row)
-        exclude_arrays.append(arr)
+    lengths = np.fromiter(map(len, excludes), dtype=np.int64, count=n_rows)
+    values = np.fromiter(
+        itertools.chain.from_iterable(excludes), dtype=np.int64, count=int(lengths.sum())
+    )
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
+    # Out-of-range exclusions are meaningless (nothing to exclude); they
+    # must not reach the key encoding, where they would alias into a
+    # neighbouring row's key space.
+    in_range = (values >= 0) & (values < high)
+    keys = np.unique(rows[in_range] * high + values[in_range])
+    counts = np.bincount(keys // high, minlength=n_rows)
+    empty = np.flatnonzero(counts >= high)
+    if empty.size:
+        raise ValueError(
+            f"cannot sample from [0, {high}) excluding {counts[empty[0]]} values: nothing left"
+        )
 
     # Dense rows (>50% excluded) would stall rejection sampling; give
     # them the exact complement draw instead (rare in recommender data).
-    for row in dense_rows:
-        out[row] = choice_excluding(rng, high, exclude_arrays[row], size)
+    dense = counts * 2 >= high
+    starts = np.cumsum(counts) - counts
+    for row in np.flatnonzero(dense):
+        run = keys[starts[row] : starts[row] + counts[row]] - row * high
+        out[row] = choice_excluding(rng, high, run, size)
 
-    dense = set(dense_rows)
-    pending = np.asarray(
-        [r for r in range(n_rows) if r not in dense], dtype=np.int64
-    )
-    if pending.size == 0:
-        return out
-
-    keys = np.sort(
-        np.concatenate(
-            [exclude_arrays[r] + r * high for r in pending]
-            or [np.empty(0, dtype=np.int64)]
-        )
-    )
-
-    def _valid(rows: np.ndarray, draw: np.ndarray) -> np.ndarray:
-        """Membership mask: True where ``draw`` avoids its row's exclusions."""
-        if keys.size == 0:
-            return np.ones(draw.shape, dtype=bool)
-        probe = rows[:, None] * high + draw
-        pos = np.searchsorted(keys, probe)
-        hit = (pos < keys.size) & (keys[np.minimum(pos, keys.size - 1)] == probe)
-        return ~hit
-
-    todo = pending
+    todo = np.flatnonzero(~dense)
     while todo.size:
         # Oversample: every pending row has >50% acceptance probability,
         # so 2×size + 8 columns virtually always finish a row per round;
-        # the rare unlucky row is redrawn whole next round.
+        # the rare unlucky row is redrawn whole next round.  A row's
+        # candidate keys fall in its own key range, so only its own
+        # exclusions can match them.
         draw = rng.integers(0, high, size=(todo.size, 2 * size + 8))
-        ok = _valid(todo, draw)
-        order = np.argsort(~ok, axis=1, kind="stable")  # valid entries first
-        draw_sorted = np.take_along_axis(draw, order, axis=1)
-        done = ok.sum(axis=1) >= size
-        out[todo[done]] = draw_sorted[done, :size]
+        ok = ~np.isin(todo[:, None] * high + draw, keys)
+        # Each finished row keeps its first ``size`` valid entries.
+        rank = np.cumsum(ok, axis=1)
+        done = rank[:, -1] >= size
+        out[todo[done]] = draw[ok & (rank <= size) & done[:, None]].reshape(-1, size)
         todo = todo[~done]
     return out

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import repro.eval.windows as windows_pool
+import repro.plan as plan_module
 import repro.training.trainer as trainer_module
 from repro.core import MGBR
 from repro.nn.tensor import Window
@@ -63,20 +64,51 @@ def _grouped_plan(n_a_only, n_both, n_b_only):
     return PlannedBatch.build(segments, reads={"a": "a", "b": "b"}).plan
 
 
-def test_grid_is_equal_windows_with_clipped_head_rows():
+def test_grid_is_cost_weighted_with_clipped_head_rows(monkeypatch):
+    monkeypatch.setattr(plan_module, "BOTH_HEADS_COST", 1.25)
     plan = _grouped_plan(7, 5, 3)  # rows: A-only [0, 7), both [7, 12), B-only [12, 15)
     assert plan.head_rows == {"a": (0, 12), "b": (7, 15)}
-    windows = plan.windows(4)  # ceil(15 / 4) = 4 windows of ceil(15 / 4) = 4 rows
-    assert [w.n_pairs for w in windows] == [4, 4, 4, 3]
+    # ceil(15 / 4) = 4 windows; the plan costs 7 + 5 * 1.25 + 3 = 16.25,
+    # so the cuts fall on the rows nearest to costs 4.06, 8.13 and 12.19.
+    windows = plan.windows(4)
+    assert [w.n_pairs for w in windows] == [4, 4, 3, 4]
     assert [w.head_rows for w in windows] == [
         {"a": (0, 4)},                      # rows 0-3: A only, head B left out
         {"a": (0, 4), "b": (3, 4)},         # rows 4-7
-        {"a": (0, 4), "b": (0, 4)},         # rows 8-11
-        {"b": (0, 3)},                      # rows 12-14: B only
+        {"a": (0, 3), "b": (0, 3)},         # rows 8-10
+        {"a": (0, 1), "b": (0, 4)},         # rows 11-14
     ]
     users = np.concatenate([w.users for w in windows])
     assert np.array_equal(users, plan.users)
     assert all(w.scatter_index is None for w in windows)
+
+
+def _cost(window):
+    """A window's estimated cost: one per row, ``BOTH_HEADS_COST`` per
+    row both heads read."""
+    heads = window.head_rows
+    both = 0
+    if len(heads) == 2:
+        both = max(0, min(stop for _, stop in heads.values())
+                   - max(start for start, _ in heads.values()))
+    return window.n_pairs + (plan_module.BOTH_HEADS_COST - 1.0) * both
+
+
+@pytest.mark.parametrize("groups, rows", [
+    ((5868, 4614, 476), 6000),  # a train-mgbr step: two windows
+    ((7, 5, 3), 4), ((0, 40, 0), 7), ((30, 0, 30), 13), ((1, 50, 2), 9),
+    ((100, 3, 0), 17), ((0, 10, 90), 11), ((12, 12, 12), 36),
+])
+def test_grid_windows_cost_within_one_row_of_the_mean(groups, rows):
+    plan = _grouped_plan(*groups)
+    n = sum(groups)
+    windows = plan.windows(rows)
+    assert len(windows) == -(-n // rows)
+    assert sum(w.n_pairs for w in windows) == n
+    costs = [_cost(w) for w in windows]
+    mean = sum(costs) / len(costs)
+    assert sum(costs) == pytest.approx(n + (plan_module.BOTH_HEADS_COST - 1.0) * groups[1])
+    assert all(abs(cost - mean) <= plan_module.BOTH_HEADS_COST for cost in costs), costs
 
 
 @pytest.mark.parametrize("n, rows, sizes", [
