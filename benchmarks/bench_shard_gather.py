@@ -142,7 +142,7 @@ def _bench_process(
     bound the gathers obey, so the per-worker peak-resident gate is
     ``ceil(rows/n) + chunk``.
     """
-    store = ProcessShardedStore(values, n_workers, "range", io_chunk=CHUNK)
+    store = ProcessShardedStore(values, n_workers, io_chunk=CHUNK)
     try:
         timing = _time_gathers(store, chunks)
         _check_parity(store, dense_ref)
@@ -177,8 +177,7 @@ def _mem_cell(layout: str, mode, values: np.ndarray, cpu_count: int) -> dict:
     ids = np.arange(rows, dtype=np.int64)
     cell = {"layout": layout, "mode": mode or "float32", "rows": rows}
     if layout == "process2":
-        store = ProcessShardedStore(values, 2, "range", dtype=np.float32,
-                                    quantize=mode)
+        store = ProcessShardedStore(values, 2, dtype=np.float32, quantize=mode)
         try:
             with no_grad(), dtype_scope(np.float32):
                 store.gather(ids[: min(CHUNK, rows)])

@@ -24,7 +24,7 @@ protocol and the benchmark harness treat them uniformly:
   The ``_score_*_plan`` hooks let models exploit the plan's entity
   structure (MGBR's factorized expert/gate stack does).
   Scoring must therefore be a *pure function* of the id tuple given the
-  cached embeddings — which every model here satisfies in eval mode.
+  cached embeddings — which every model here satisfies.
 
 Baselines that were not designed for Task B inherit the paper's
 tailoring (Sec. III-B): the participant score is the inner product of

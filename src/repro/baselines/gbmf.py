@@ -34,7 +34,7 @@ class GBMF(GroupBuyingRecommender):
     n_users / n_items: entity counts.
     dim: latent factor width.
     seed: initialisation seed.
-    n_shards / partition: storage layout of the three tables
+    n_shards: storage layout of the three tables
         (:mod:`repro.store`); with ``n_shards >= 1`` the rows live in
         that many shard worker processes
         (:class:`repro.store.ProcessShardedStore`), the scoring paths
@@ -55,22 +55,18 @@ class GBMF(GroupBuyingRecommender):
         dim: int = 32,
         seed: SeedLike = 0,
         n_shards: int = 0,
-        partition: str = "range",
         quantize=None,
     ) -> None:
         super().__init__(n_users, n_items)
         rngs = spawn_rngs(seed, 3)
         self.initiator_table = Embedding(
-            n_users, dim, seed=rngs[0], n_shards=n_shards, partition=partition,
-            quantize=quantize,
+            n_users, dim, seed=rngs[0], n_shards=n_shards, quantize=quantize,
         )
         self.participant_table = Embedding(
-            n_users, dim, seed=rngs[1], n_shards=n_shards, partition=partition,
-            quantize=quantize,
+            n_users, dim, seed=rngs[1], n_shards=n_shards, quantize=quantize,
         )
         self.item_table = Embedding(
-            n_items, dim, seed=rngs[2], n_shards=n_shards, partition=partition,
-            quantize=quantize,
+            n_items, dim, seed=rngs[2], n_shards=n_shards, quantize=quantize,
         )
         # Store-backed bundles route scoring through store.gather, which
         # is what lets the quantised tier serve inference reads.

@@ -109,9 +109,6 @@ class MGBRConfig:
     #: bit-identical to dense at float64 for any count, so the knob is
     #: purely a memory-layout decision.
     embedding_shards: int = 0
-    #: Row-to-shard assignment: "range" (contiguous blocks) or "hash"
-    #: (modulo striping); see :class:`repro.store.Partitioner`.
-    embedding_partition: str = "range"
     #: Quantised embedding memory tier: ``None`` (float rows), "int8"
     #: (per-row affine codes + scale/zero side arrays, ~4× rows per
     #: byte) or "fp16" (~2×).  Training bypasses the tier (the dense
@@ -146,10 +143,6 @@ class MGBRConfig:
         if self.embedding_shards < 0:
             raise ValueError(
                 f"embedding_shards must be >= 0, got {self.embedding_shards}"
-            )
-        if self.embedding_partition not in ("range", "hash"):
-            raise ValueError(
-                f"embedding_partition must be range|hash, got {self.embedding_partition!r}"
             )
         if self.embedding_quantize not in (None, "int8", "fp16"):
             raise ValueError(

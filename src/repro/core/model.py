@@ -67,7 +67,6 @@ class MGBR(GroupBuyingRecommender):
                 seed=rngs[0],
                 gain=self.config.gcn_gain,
                 n_shards=self.config.embedding_shards,
-                partition=self.config.embedding_partition,
                 quantize=self.config.embedding_quantize,
             )
         else:
@@ -80,7 +79,6 @@ class MGBR(GroupBuyingRecommender):
                 include_participant_edges=self.config.include_participant_edges,
                 gain=self.config.gcn_gain,
                 n_shards=self.config.embedding_shards,
-                partition=self.config.embedding_partition,
                 quantize=self.config.embedding_quantize,
             )
         self.mtl = MultiTaskModule(self.config, seed=rngs[1])

@@ -49,7 +49,6 @@ class MultiViewEmbedding(Module):
         seed: SeedLike = None,
         gain: float = 1.0,
         n_shards: int = 0,
-        partition: str = "range",
         quantize=None,
     ) -> None:
         super().__init__()
@@ -59,23 +58,20 @@ class MultiViewEmbedding(Module):
         n_bip = views.n_nodes_bipartite
         # Each GCN binds its fixed view adjacency at construction: the
         # CSR canonicalisation (and spmm's transpose cache) happen once,
-        # not per forward pass.  ``n_shards``/``partition`` choose the
+        # not per forward pass.  ``n_shards``/``quantize`` choose the
         # storage layout of each GCN's layer-0 feature table
         # (see repro.store) without touching the propagation math.
         self.gcn_ui = GCN(
             n_bip, dim, n_layers, feature_std=feature_std, seed=rng_ui, gain=gain,
-            adjacency=views.a_ui, n_shards=n_shards, partition=partition,
-            quantize=quantize,
+            adjacency=views.a_ui, n_shards=n_shards, quantize=quantize,
         )
         self.gcn_pi = GCN(
             n_bip, dim, n_layers, feature_std=feature_std, seed=rng_pi, gain=gain,
-            adjacency=views.a_pi, n_shards=n_shards, partition=partition,
-            quantize=quantize,
+            adjacency=views.a_pi, n_shards=n_shards, quantize=quantize,
         )
         self.gcn_up = GCN(
             views.n_users, dim, n_layers, feature_std=feature_std, seed=rng_up, gain=gain,
-            adjacency=views.a_up, n_shards=n_shards, partition=partition,
-            quantize=quantize,
+            adjacency=views.a_up, n_shards=n_shards, quantize=quantize,
         )
 
     def forward(self) -> EmbeddingBundle:
@@ -113,7 +109,6 @@ class MultiViewEmbedding(Module):
         include_participant_edges: bool = False,
         gain: float = 1.0,
         n_shards: int = 0,
-        partition: str = "range",
         quantize=None,
     ) -> "MultiViewEmbedding":
         """Convenience constructor building the views from deal groups."""
@@ -122,7 +117,7 @@ class MultiViewEmbedding(Module):
         )
         return cls(
             views, dim, n_layers, feature_std=feature_std, seed=seed, gain=gain,
-            n_shards=n_shards, partition=partition, quantize=quantize,
+            n_shards=n_shards, quantize=quantize,
         )
 
 
@@ -147,7 +142,6 @@ class HINEmbedding(Module):
         seed: SeedLike = None,
         gain: float = 1.0,
         n_shards: int = 0,
-        partition: str = "range",
         quantize=None,
     ) -> None:
         super().__init__()
@@ -156,8 +150,7 @@ class HINEmbedding(Module):
         self.adjacency = build_hin_adjacency(groups, n_users, n_items)
         self.gcn = GCN(
             n_users + n_items, 2 * dim, n_layers, feature_std=feature_std, seed=seed,
-            gain=gain, adjacency=self.adjacency, n_shards=n_shards, partition=partition,
-            quantize=quantize,
+            gain=gain, adjacency=self.adjacency, n_shards=n_shards, quantize=quantize,
         )
 
     def forward(self) -> EmbeddingBundle:

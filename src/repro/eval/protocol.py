@@ -254,13 +254,11 @@ class EvalProtocol:
         The model must implement the :class:`repro.baselines.base
         .GroupBuyingRecommender` scoring interface (models overriding
         only the flat ``score_items``/``score_participants`` inherit the
-        plan scorers from the base class).  Runs in eval mode under
-        ``no_grad``; the encoder cache is refreshed once up front, each
-        task is compiled into the model's plan, and each window of
-        ``chunk_size`` plan pairs is scored with a single model call.
+        plan scorers from the base class).  Runs under ``no_grad``; the
+        encoder cache is refreshed once up front, each task is compiled
+        into the model's plan, and each window of ``chunk_size`` plan
+        pairs is scored with a single model call.
         """
-        was_training = getattr(model, "training", False)
-        model.eval()
         try:
             with no_grad(), dtype_scope(self.dtype):
                 if hasattr(model, "refresh_cache"):
@@ -280,8 +278,6 @@ class EvalProtocol:
                 # Drop the reduced-precision encoder pass so later
                 # full-precision consumers never see float32 tensors.
                 model.invalidate_cache()
-            if was_training:
-                model.train()
         return EvalResult(task_a=acc_a.result(), task_b=acc_b.result())
 
     def run_per_instance(self, model) -> EvalResult:
@@ -292,36 +288,30 @@ class EvalProtocol:
         throughput benchmark measures the speedup against it.  Prefer
         :meth:`run`.
         """
-        was_training = getattr(model, "training", False)
-        model.eval()
-        try:
-            with no_grad():
-                if hasattr(model, "refresh_cache"):
-                    model.refresh_cache()
-                task_a, task_b = self._candidate_lists()
-                acc_a = RankingAccumulator(self.cutoff)
-                users, cands = task_a["users"], task_a["candidates"]
-                n_list = cands.shape[1]
-                for row in range(len(users)):
-                    u_rep = np.full(n_list, users[row], dtype=np.int64)
-                    scores = model.score_items(u_rep, cands[row])
-                    acc_a.add(rank_of_positive(np.asarray(scores.data).ravel(), 0))
+        with no_grad():
+            if hasattr(model, "refresh_cache"):
+                model.refresh_cache()
+            task_a, task_b = self._candidate_lists()
+            acc_a = RankingAccumulator(self.cutoff)
+            users, cands = task_a["users"], task_a["candidates"]
+            n_list = cands.shape[1]
+            for row in range(len(users)):
+                u_rep = np.full(n_list, users[row], dtype=np.int64)
+                scores = model.score_items(u_rep, cands[row])
+                acc_a.add(rank_of_positive(np.asarray(scores.data).ravel(), 0))
 
-                acc_b = RankingAccumulator(self.cutoff)
-                users, items, cands = (
-                    task_b["users"],
-                    task_b["items"],
-                    task_b["candidates"],
-                )
-                n_list = cands.shape[1]
-                for row in range(len(users)):
-                    u_rep = np.full(n_list, users[row], dtype=np.int64)
-                    i_rep = np.full(n_list, items[row], dtype=np.int64)
-                    scores = model.score_participants(u_rep, i_rep, cands[row])
-                    acc_b.add(rank_of_positive(np.asarray(scores.data).ravel(), 0))
-        finally:
-            if was_training:
-                model.train()
+            acc_b = RankingAccumulator(self.cutoff)
+            users, items, cands = (
+                task_b["users"],
+                task_b["items"],
+                task_b["candidates"],
+            )
+            n_list = cands.shape[1]
+            for row in range(len(users)):
+                u_rep = np.full(n_list, users[row], dtype=np.int64)
+                i_rep = np.full(n_list, items[row], dtype=np.int64)
+                scores = model.score_participants(u_rep, i_rep, cands[row])
+                acc_b.add(rank_of_positive(np.asarray(scores.data).ravel(), 0))
         return EvalResult(task_a=acc_a.result(), task_b=acc_b.result())
 
 

@@ -106,7 +106,6 @@ def collect_ranks(model, protocol, task: str = "a") -> np.ndarray:
 
     if task not in ("a", "b"):
         raise ValueError(f"task must be 'a' or 'b', got {task!r}")
-    model.eval()
     try:
         with no_grad(), dtype_scope(protocol.dtype):
             if hasattr(model, "refresh_cache"):

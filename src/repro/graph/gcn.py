@@ -90,7 +90,6 @@ class GCN(Module):
         gain: float = 1.0,
         adjacency: Optional[sp.spmatrix] = None,
         n_shards: int = 0,
-        partition: str = "range",
         quantize: Optional[str] = None,
     ) -> None:
         super().__init__()
@@ -101,12 +100,12 @@ class GCN(Module):
         self.dim = dim
         self.n_layers = n_layers
         self.adjacency = None if adjacency is None else self._check_adjacency(adjacency)
-        # ``n_shards``/``partition`` pick the feature table's storage
+        # ``n_shards``/``quantize`` pick the feature table's storage
         # layout (repro.store); propagation reads the logical table via
         # ``features.all()`` either way, so the math is layout-blind.
         self.features = Embedding(
             n_nodes, dim, seed=rng, std=feature_std,
-            n_shards=n_shards, partition=partition, quantize=quantize,
+            n_shards=n_shards, quantize=quantize,
         )
         self._layers: List[GCNLayer] = []
         for layer_idx in range(n_layers):

@@ -1,34 +1,32 @@
-"""Pluggable array backends for the autograd substrate.
+"""The array backend the autograd substrate computes through.
 
 Every array primitive the tape executes — arithmetic, matmuls,
-transcendentals, reductions, gathers/scatters, shape ops — routes
-through an :class:`ArrayBackend` so the :class:`repro.nn.tensor.Tensor`
-graph machinery (parents, routes, ``_unbroadcast``) stays array-library
-agnostic.  NumPy remains the reference backend; an accelerated backend
-only has to implement these primitives to inherit the whole model zoo,
-and the conformance lane in ``tests/test_nn_tensor.py`` runs every
-op-level test against each registered backend.
+transcendentals, reductions, gathers/scatters, shape ops — is a method
+of the calling thread's active backend, so the
+:class:`repro.nn.tensor.Tensor` graph machinery (parents, routes,
+``_unbroadcast``) never calls NumPy directly for them.  Two backends
+ship:
 
-Two backends ship:
-
-* :class:`NumpyBackend` (``"numpy"``) — the reference semantics every
-  other backend must reproduce bit-for-bit at float64.
-* :class:`CountingBackend` (``"counting"``) — same numerics, but counts
-  every primitive invocation and every *actual* array copy (a cast or
-  layout fix that really allocated).  The copy-audit tests use it to
-  assert the planned gather/scatter hot path performs **zero** redundant
-  copies when dtype and layout already match.
+* :class:`NumpyBackend` — the reference: thin, allocation-transparent
+  NumPy calls.  Every thread starts on it.
+* :class:`CountingBackend` — the same numerics, but it counts every
+  primitive invocation and every *actual* array copy (a cast or layout
+  fix that really allocated).  The copy-audit tests and perfbench's
+  ``nn.calls.*`` / ``nn.copies`` metrics use it to assert the planned
+  gather/scatter hot path performs **zero** redundant copies when dtype
+  and layout already match.
 
 The active backend is **thread-local** (like the grad-enabled flag and
 the default dtype in :mod:`repro.nn.tensor`): enter
-:func:`backend_scope` on the thread that does the math.  Every fresh
-thread starts at numpy, so code that spawns workers (window-parallel
-evaluation, the serving flush worker) captures the caller's
-:func:`get_backend` and re-enters it in each worker.
+:func:`backend_scope` with a backend instance on the thread that does
+the math.  Every fresh thread starts at the reference, so code that
+spawns workers (window-parallel evaluation, the serving flush worker)
+captures the caller's :func:`get_backend` and re-enters it in each
+worker.
 
 Copy elision
 ------------
-:meth:`ArrayBackend.ensure_contiguous` is the sanctioned way to demand
+:meth:`NumpyBackend.ensure_contiguous` is the sanctioned way to demand
 "C-contiguous with this dtype": it returns the input *unchanged* when it
 already qualifies and only copies otherwise.  The planned gather path
 (store gathers, fold caches, ``_scatter_rows_add``) uses it instead of
@@ -40,23 +38,20 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Dict, Optional, Union
+from typing import Dict
 
 import numpy as np
 
 __all__ = [
-    "ArrayBackend",
     "NumpyBackend",
     "CountingBackend",
-    "register_backend",
     "get_backend",
-    "available_backends",
     "backend_scope",
 ]
 
 
-#: Primitive names a backend must provide (and the counting backend
-#: instruments).  The tape calls nothing else on the array layer.
+#: The primitives the tape calls on the array layer (and the counting
+#: backend instruments); it calls nothing else.
 PRIMITIVES = (
     "asarray",
     "ensure_contiguous",
@@ -99,31 +94,12 @@ PRIMITIVES = (
 )
 
 
-class ArrayBackend:
-    """The primitive contract the tape relies on.
+class NumpyBackend:
+    """The reference backend: thin, allocation-transparent NumPy calls.
 
-    Semantics are NumPy's exactly — a conforming backend must be
-    bit-identical to :class:`NumpyBackend` at float64 (the conformance
-    suite asserts this by running the full op/gradient test lane under
-    every registered backend).  ``out=`` parameters follow NumPy rules:
-    when given, the result is written in place and the buffer returned.
+    ``out=`` parameters follow NumPy rules: when given, the result is
+    written in place and the buffer returned.
     """
-
-    name = "abstract"
-
-    # ------------------------------------------------------------------
-    # Creation / coercion
-    # ------------------------------------------------------------------
-    def asarray(self, data, dtype=None):
-        raise NotImplementedError
-
-    def ensure_contiguous(self, arr, dtype=None):
-        """``arr`` as C-contiguous ``dtype``; no copy when already so."""
-        raise NotImplementedError
-
-
-class NumpyBackend(ArrayBackend):
-    """The reference backend: thin, allocation-transparent NumPy calls."""
 
     name = "numpy"
 
@@ -280,8 +256,8 @@ class CountingBackend(NumpyBackend):
     ``counts`` maps primitive name → invocations; ``copies`` counts only
     *actual* allocations performed by the coercion primitives
     (``asarray`` / ``ensure_contiguous`` returning a new array object).
-    Numerics are the reference backend's exactly, so the conformance
-    lane runs the full op tests under it for free.  Tallies are
+    Numerics are the reference backend's exactly, and the op tests in
+    ``tests/test_nn_tensor.py`` run under both.  Tallies are
     lock-guarded, so threads sharing one instance (window-parallel
     evaluation inherits the caller's backend) count exactly.
     """
@@ -337,60 +313,34 @@ class CountingBackend(NumpyBackend):
 
 
 # ----------------------------------------------------------------------
-# Registry + thread-local selection
+# Thread-local selection
 # ----------------------------------------------------------------------
-_REGISTRY: Dict[str, ArrayBackend] = {}
 _DEFAULT = NumpyBackend()
 
 
 class _BackendState(threading.local):
-    """Per-thread active backend (each thread starts at numpy)."""
+    """Per-thread active backend (each thread starts at the reference)."""
 
     def __init__(self) -> None:
-        self.backend: ArrayBackend = _DEFAULT
+        self.backend: NumpyBackend = _DEFAULT
 
 
 _STATE = _BackendState()
 
 
-def register_backend(backend: ArrayBackend) -> ArrayBackend:
-    """Add ``backend`` to the registry under its ``name`` (idempotent)."""
-    if not getattr(backend, "name", None) or backend.name == "abstract":
-        raise ValueError("backend needs a concrete, non-empty name")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def available_backends():
-    """Registered backend names (the conformance lane parametrizes these)."""
-    return sorted(_REGISTRY)
-
-
-def get_backend(name: Optional[str] = None) -> ArrayBackend:
-    """The calling thread's active backend, or a registered one by name."""
-    if name is None:
-        return _STATE.backend
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown array backend {name!r}; registered: {available_backends()}"
-        ) from None
+def get_backend() -> NumpyBackend:
+    """The calling thread's active backend."""
+    return _STATE.backend
 
 
 @contextlib.contextmanager
-def backend_scope(backend: Union[str, ArrayBackend]):
+def backend_scope(backend: NumpyBackend):
     """Temporarily switch this thread's active array backend."""
-    resolved = get_backend(backend) if isinstance(backend, str) else backend
-    if not isinstance(resolved, ArrayBackend):
-        raise TypeError(f"need an ArrayBackend or a registered name, got {backend!r}")
+    if not isinstance(backend, NumpyBackend):
+        raise TypeError(f"need a backend instance, got {backend!r}")
     previous = _STATE.backend
-    _STATE.backend = resolved
+    _STATE.backend = backend
     try:
-        yield resolved
+        yield backend
     finally:
         _STATE.backend = previous
-
-
-register_backend(_DEFAULT)
-register_backend(CountingBackend())

@@ -11,8 +11,6 @@ code relies on.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.nn.backend import get_backend
@@ -26,11 +24,6 @@ __all__ = [
     "leaky_relu",
     "tanh",
     "softmax",
-    "log_softmax",
-    "dropout",
-    "binary_cross_entropy",
-    "mse_loss",
-    "l2_norm",
 ]
 
 
@@ -169,46 +162,3 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return value * (g - dot)
 
     return Tensor._make(value, (x, grad))
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Log-softmax along ``axis`` (used by the ListNet-style option)."""
-    b = get_backend()
-    shifted = x.data - b.amax(x.data, axis=axis, keepdims=True)
-    log_z = b.log(b.sum(b.exp(shifted), axis=axis, keepdims=True))
-    value = shifted - log_z
-    soft = b.exp(value)
-    return Tensor._make(value, (x, lambda g: g - soft * g.sum(axis=axis, keepdims=True)))
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: zero with probability ``p``, rescale by ``1/(1-p)``."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return Tensor._make(x.data * keep, (x, lambda g: g * keep))
-
-
-def binary_cross_entropy(pred: Tensor, target: np.ndarray, eps: float = 1e-12) -> Tensor:
-    """Mean BCE between probabilities ``pred`` and 0/1 ``target``.
-
-    Used by the literal reading of Eq. 21, where scores are sigmoid
-    probabilities and only positive-labelled triples contribute.
-    """
-    clipped = pred.clip(eps, 1.0 - eps)
-    t = Tensor(np.asarray(target, dtype=np.float64))
-    loss = -(t * clipped.log() + (1.0 - t) * (1.0 - clipped).log())
-    return loss.mean()
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target."""
-    diff = pred - Tensor(np.asarray(target, dtype=np.float64))
-    return (diff * diff).mean()
-
-
-def l2_norm(x: Tensor, axis: Optional[int] = None, eps: float = 1e-12) -> Tensor:
-    """Euclidean norm along ``axis`` (safe at zero)."""
-    return ((x * x).sum(axis=axis) + eps).sqrt()

@@ -2,8 +2,8 @@
 
 These are the building blocks the paper's architecture composes:
 ``Linear`` (every ``W`` in Eq. 1-14), ``MLP`` (the prediction heads of
-Eq. 16/17), ``Embedding`` (layer-0 node features and the MF baselines),
-and ``Dropout``.
+Eq. 16/17) and ``Embedding`` (layer-0 node features and the MF
+baselines).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ if False:  # pragma: no cover - import-time cycle guard (nn -> store -> nn);
     # Embedding imports repro.store lazily at construction instead.
     from repro.store import EmbeddingStore  # noqa: F401
 
-__all__ = ["Linear", "Embedding", "Dropout", "MLP", "Sequential", "Identity"]
+__all__ = ["Linear", "Embedding", "MLP"]
 
 Activation = Callable[[Tensor], Tensor]
 
@@ -54,14 +54,6 @@ def resolve_activation(activation) -> Activation:
         raise ValueError(
             f"unknown activation {activation!r}; known: {sorted(_ACTIVATIONS)}"
         ) from exc
-
-
-class Identity(Module):
-    """No-op module, useful as a placeholder in ablations."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Return the input unchanged."""
-        return x
 
 
 class Linear(Module):
@@ -222,7 +214,6 @@ class Embedding(Module):
         std: float = 0.1,
         store: Optional["EmbeddingStore"] = None,
         n_shards: int = 0,
-        partition: str = "range",
         quantize: Optional[str] = None,
     ) -> None:
         super().__init__()
@@ -239,7 +230,6 @@ class Embedding(Module):
             store = make_store(
                 inits.normal_((num_embeddings, dim), rng, std=std),
                 n_shards=n_shards,
-                partition=partition,
                 quantize=quantize,
             )
         if (store.num_rows, store.dim) != (num_embeddings, dim):
@@ -277,44 +267,6 @@ class Embedding(Module):
             self.store.load_logical(np.asarray(values), dtype)
 
 
-class Dropout(Module):
-    """Inverted dropout active only in training mode."""
-
-    def __init__(self, p: float = 0.5, seed: SeedLike = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
-        self.p = p
-        self._rng = as_rng(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Randomly zero elements of ``x`` when training."""
-        return F.dropout(x, self.p, self._rng, training=self.training)
-
-
-class Sequential(Module):
-    """Apply child modules in order."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self._layer_list: List[Module] = []
-        for i, layer in enumerate(layers):
-            setattr(self, f"layer{i}", layer)
-            self._layer_list.append(layer)
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Chain the layers left to right."""
-        for layer in self._layer_list:
-            x = layer(x)
-        return x
-
-    def __iter__(self):
-        return iter(self._layer_list)
-
-    def __len__(self) -> int:
-        return len(self._layer_list)
-
-
 class MLP(Module):
     """Multi-layer perceptron with configurable hidden sizes.
 
@@ -329,7 +281,6 @@ class MLP(Module):
         hidden: Sequence[int],
         out_features: int,
         activation="relu",
-        dropout: float = 0.0,
         seed: SeedLike = None,
     ) -> None:
         super().__init__()
@@ -341,15 +292,12 @@ class MLP(Module):
             layer = Linear(d_in, d_out, seed=rng)
             setattr(self, f"fc{i}", layer)
             self._linears.append(layer)
-        self.drop: Optional[Dropout] = Dropout(dropout, seed=rng) if dropout > 0 else None
 
     def forward(self, x: Tensor) -> Tensor:
-        """Run the stack; hidden activations (and dropout) between layers."""
+        """Run the stack; hidden activations between layers."""
         last = len(self._linears) - 1
         for i, layer in enumerate(self._linears):
             x = layer(x)
             if i != last:
                 x = self.activation(x)
-                if self.drop is not None:
-                    x = self.drop(x)
         return x

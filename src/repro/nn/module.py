@@ -30,7 +30,7 @@ class Parameter(Tensor):
     """A tensor registered as trainable model state.
 
     Parameters are pinned to ``float64`` regardless of any active
-    ``dtype_scope``/``inference_mode`` — the dtype policy casts op
+    ``dtype_scope`` — the dtype policy casts op
     *results*, never trainable state, so a model constructed inside an
     inference scope still trains and gradchecks at full precision.
 
@@ -63,7 +63,9 @@ class Module:
 
     Subclasses assign :class:`Parameter` and :class:`Module` instances as
     attributes; registration is automatic via ``__setattr__``.  The
-    ``training`` flag gates dropout and other train-only behaviour.
+    ``training`` flag is kept for the ``train()``/``eval()`` calls of
+    PyTorch-style callers; no layer in this package reads it, so scores
+    never depend on the mode.
     """
 
     def __init__(self) -> None:
@@ -118,13 +120,13 @@ class Module:
     # Train/eval mode
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (enables dropout etc.)."""
+        """Set the ``training`` flag recursively."""
         for module in self.modules():
             object.__setattr__(module, "training", mode)
         return self
 
     def eval(self) -> "Module":
-        """Set inference mode recursively."""
+        """Clear the ``training`` flag recursively."""
         return self.train(False)
 
     # ------------------------------------------------------------------

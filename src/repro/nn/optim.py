@@ -1,88 +1,22 @@
-"""First-order optimizers.
+"""The optimizer.
 
-The paper trains with Adam (Sec. II-F, learning rate 2e-4 in Table II);
-SGD is included for tests and sanity baselines.  Optimizers hold no
-references to the computation graph — only to the parameter tensors whose
-``.grad`` buffers the backward pass fills.
+The paper trains with Adam (Sec. II-F, learning rate 2e-4 in Table II).
+The optimizer holds no references to the computation graph — only to
+the parameter tensors whose ``.grad`` buffers the backward pass fills.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
-class Optimizer:
-    """Base class: owns a parameter list and a ``zero_grad`` helper."""
-
-    def __init__(self, params: Iterable[Parameter]) -> None:
-        self.params: List[Parameter] = list(params)
-        if not self.params:
-            raise ValueError("optimizer received an empty parameter list")
-
-    def zero_grad(self) -> None:
-        """Clear gradients on all managed parameters."""
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Vanilla stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Optional[List[np.ndarray]] = None
-
-    def step(self) -> None:
-        """Apply one descent update to every parameter with a gradient."""
-        if self.momentum and self._velocity is None:
-            self._velocity = [np.zeros_like(p.data) for p in self.params]
-        for i, p in enumerate(self.params):
-            remote = getattr(p, "remote_sgd_step", None)
-            if remote is not None:
-                # Cross-process shard parameters apply the identical
-                # update inside their worker (grad and velocity live
-                # there); True means a gradient existed and was applied.
-                if remote(
-                    lr=self.lr, momentum=self.momentum, weight_decay=self.weight_decay
-                ):
-                    p.bump_version()
-                continue
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                vel = self._velocity[i]
-                vel *= self.momentum
-                vel += grad
-                p.data -= self.lr * vel
-            else:
-                p.data -= self.lr * grad
-            p.bump_version()
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba, 2015) — the paper's optimizer.
 
     Parameters follow the PyTorch defaults except ``lr`` which the paper
@@ -97,7 +31,9 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(params)
+        self.params: List[Parameter] = list(params)
+        if not self.params:
+            raise ValueError("optimizer received an empty parameter list")
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
@@ -109,6 +45,11 @@ class Adam(Optimizer):
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self) -> None:
+        """Clear gradients on all managed parameters."""
+        for p in self.params:
+            p.zero_grad()
 
     def step(self) -> None:
         """Apply one bias-corrected adaptive update."""

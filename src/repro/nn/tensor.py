@@ -55,17 +55,15 @@ enter them on the thread that does the math.
 
 Dtype policy
 ------------
-The substrate carries a global *default dtype* (:func:`get_default_dtype`
-/ :func:`set_default_dtype`).  It is ``float64`` out of the box — the
+The substrate carries a thread-local *default dtype*
+(:func:`get_default_dtype`).  It is ``float64`` out of the box — the
 finite-difference gradient checker and training both rely on double
 precision — but serving-style scoring can opt into ``float32`` to halve
-memory bandwidth on the hot ``spmm``/matmul paths:
-
-* :func:`dtype_scope` temporarily switches the default dtype, so every
-  tensor created inside the block (including op results) is cast to it;
-* :func:`inference_mode` combines :func:`no_grad` with a ``float32``
-  (or caller-chosen) :func:`dtype_scope` — the evaluation protocol's
-  ``dtype="float32"`` fast path uses exactly this.
+memory bandwidth on the hot ``spmm``/matmul paths: :func:`dtype_scope`
+temporarily switches the default dtype, so every tensor created inside
+the block (including op results) is cast to it.  The evaluation
+protocol's ``dtype="float32"`` fast path enters it inside
+:func:`no_grad`.
 
 Gradients always accumulate in the owning tensor's dtype, so training at
 the ``float64`` default is bit-for-bit unaffected by the policy's
@@ -74,11 +72,11 @@ existence.
 Array backends
 --------------
 Every array primitive (arithmetic, matmuls, transcendentals, reductions,
-gathers/scatters) is executed through the thread-local
-:class:`repro.nn.backend.ArrayBackend` — the tape itself only knows
-about graph plumbing (routes, views, :func:`_unbroadcast`).  NumPy
-is the reference backend; see :mod:`repro.nn.backend` for the contract
-and the instrumented counting backend used by the copy-audit tests.
+gathers/scatters) is executed through the thread-local backend of
+:mod:`repro.nn.backend` — the tape itself only knows about graph
+plumbing (routes, views, :func:`_unbroadcast`).  NumPy is the reference
+backend; the instrumented counting backend used by the copy-audit tests
+runs the same numerics.
 
 Each thread *starts* at the numpy reference.  The thread-local
 selection does **not** cross thread spawns, so code handing work to
@@ -109,14 +107,11 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "get_default_dtype",
-    "set_default_dtype",
     "dtype_scope",
-    "inference_mode",
     "concat",
     "stack",
     "take_rows",
     "gather_add",
-    "scatter_rows_sum",
     "scatter_cache_stats",
     "clear_scatter_cache",
     "Window",
@@ -166,17 +161,6 @@ def get_default_dtype() -> np.dtype:
     return _STATE.default_dtype
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the calling thread's default dtype (``float32``/``float64``).
-
-    Training and gradcheck assume the ``float64`` default; prefer the
-    scoped :func:`dtype_scope` / :func:`inference_mode` for the
-    ``float32`` inference fast path so the change cannot leak.  The
-    setting is thread-local: other threads keep their own default.
-    """
-    _STATE.default_dtype = _coerce_dtype(dtype)
-
-
 @contextlib.contextmanager
 def dtype_scope(dtype):
     """Temporarily switch this thread's default tensor dtype."""
@@ -186,18 +170,6 @@ def dtype_scope(dtype):
         yield
     finally:
         _STATE.default_dtype = previous
-
-
-@contextlib.contextmanager
-def inference_mode(dtype=np.float32):
-    """``no_grad()`` + :func:`dtype_scope` — the serving fast path.
-
-    Inside the block no autograd graphs are built and every op result is
-    cast to ``dtype`` (default ``float32``), halving memory bandwidth on
-    the dense/sparse matmul hot paths.
-    """
-    with no_grad(), dtype_scope(dtype):
-        yield
 
 
 def is_grad_enabled() -> bool:
@@ -1002,17 +974,6 @@ def gather_add(sources: Sequence[Tensor], indices: Sequence[np.ndarray], out=Non
     elif acc is not out:
         out[...] = acc
     return Tensor._make(out, *map(_gather_route, sources, indices))
-
-
-def scatter_rows_sum(rows: Tensor, index: ArrayLike, n_rows: int) -> Tensor:
-    """Scatter-add ``rows`` into an ``(n_rows, d)`` zero tensor.
-
-    The adjoint of :func:`take_rows`; used for segment-sum style pooling
-    (e.g. averaging participant embeddings per group).
-    """
-    idx = np.asarray(index, dtype=np.int64)
-    value = _scatter_rows_add(idx, rows.data, n_rows, rows.data.dtype)
-    return Tensor._make(value, (rows, lambda g: _B_STATE.backend.take(g, idx)))
 
 
 # ----------------------------------------------------------------------

@@ -330,9 +330,7 @@ class ScoringCore:
         # deliberately kept across flushes (recomputing it per flush
         # would defeat serving): under float32 the model therefore holds
         # a reduced-precision cache for as long as it serves — hand the
-        # model back to training/analysis via release().  The engine
-        # switches the model to eval mode once at start, not per flush:
-        # another worker may be mid-flush on the same model.
+        # model back to training/analysis via release().
         error: Optional[BaseException] = None
         with no_grad(), dtype_scope(self.dtype):
             if items:

@@ -29,10 +29,11 @@ concurrently under ``no_grad``.  A flush only *reads* the encoder
 cache, and the shared caches and counters it writes lock (fold caches,
 :meth:`repro.nn.layers.Linear.folded_blocks`; store counters,
 :mod:`repro.store.base` — so :meth:`stats` may snapshot them mid-flush).
-Only a cache rebuild must not overlap a flush: the first start sets
-eval mode and builds the cache before any worker runs (the last stop
-restores the mode), and :meth:`refresh` parks every worker on the
-model between two flushes while it rebuilds once.
+Only a cache rebuild must not overlap a flush: the first start builds
+the cache before any worker runs, and :meth:`refresh` parks every
+worker on the model between two flushes while it rebuilds once.  The
+engine never switches the model's ``train()``/``eval()`` mode: no layer
+reads it.
 
 Scores are **bit-identical** to one direct planned call
 (``score_item_plan`` / ``score_participant_plan``) over the
@@ -79,7 +80,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.backend import ArrayBackend, backend_scope, get_backend
+from repro.nn.backend import NumpyBackend, backend_scope, get_backend
 from repro.serving.core import PendingScores, RequestQueue, ScoringCore, split_expired
 from repro.serving.degrade import DegradationPolicy
 from repro.serving.errors import DeadlineExceeded, EngineStopped
@@ -88,15 +89,14 @@ __all__ = ["ServingEngine"]
 
 
 class _ModelGate:
-    """What every worker scoring one model shares: its mode and its barrier.
+    """What every worker scoring one model shares: its cache barrier.
 
     Any number of flushes may run at once; :meth:`rebuild` waits for
     the flushes in progress to end and holds new ones back until the
     caches are rebuilt, so each worker parks between two flushes while
     its queue keeps admitting.  A stopped or dead worker holds no flush,
-    so a rebuild never waits for it.  The first worker to start switches
-    the models to eval mode and builds their caches; the last to stop
-    restores the mode.
+    so a rebuild never waits for it.  The first worker to start builds
+    the models' caches.
     """
 
     def __init__(self, cores: List[ScoringCore]) -> None:
@@ -105,33 +105,17 @@ class _ModelGate:
         self._flushing = 0
         self._rebuilding = False
         self._workers = 0
-        self._was_training: list = []
 
     def attach(self) -> None:
         with self._cv:
             if self._workers == 0:
-                models = [core.model for core in self._cores]
-                self._was_training = [m for m in models if getattr(m, "training", False)]
-                for model in self._was_training:
-                    model.eval()  # serve without dropout, like EvalProtocol.run
-                try:
-                    for core in self._cores:
-                        core.prepare()
-                except BaseException:
-                    self._restore_mode()
-                    raise
+                for core in self._cores:
+                    core.prepare()
             self._workers += 1
 
     def detach(self) -> None:
         with self._cv:
             self._workers -= 1
-            if self._workers == 0:
-                self._restore_mode()
-
-    def _restore_mode(self) -> None:
-        for model in self._was_training:
-            model.train()
-        self._was_training = []
 
     @contextmanager
     def flush(self):
@@ -225,7 +209,7 @@ class ServingEngine:
             raise ValueError(
                 f"max_queue_age_ms must be > 0, got {max_queue_age_ms}"
             )
-        self._worker_backend: Optional[ArrayBackend] = None
+        self._worker_backend: Optional[NumpyBackend] = None
         self._core = ScoringCore(model, dtype)
         self.max_pending = max_pending
         self.max_delay_ms = float(max_delay_ms)

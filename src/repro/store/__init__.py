@@ -5,8 +5,8 @@ Public surface:
 * :class:`EmbeddingStore` — the storage contract behind
   :class:`repro.nn.layers.Embedding`;
 * :class:`DenseStore` — the single-table layout (default);
-* :class:`ProcessShardedStore` — rows hash/range-partitioned across N
-  shards, each owned by a **worker process** answering gathers over
+* :class:`ProcessShardedStore` — rows split into N contiguous blocks
+  (shards), each owned by a **worker process** answering gathers over
   shared-memory row buffers (the cross-process shard service, see
   :mod:`repro.store.service`);
 * :class:`LRUCachedStore` / :func:`cache_hot_rows` — hot-row LRU cache
@@ -49,7 +49,6 @@ __all__ = [
 def make_store(
     values: np.ndarray,
     n_shards: int = 0,
-    partition: str = "range",
     quantize: Optional[str] = None,
 ) -> EmbeddingStore:
     """Build the layout for an initial table: ``n_shards`` alone picks it.
@@ -72,7 +71,7 @@ def make_store(
         raise ValueError(f"n_shards must be >= 0, got {n_shards}")
     mode = check_quant_mode(quantize)
     if n_shards >= 1:
-        return ProcessShardedStore(values, n_shards, partition, quantize=mode)
+        return ProcessShardedStore(values, n_shards, quantize=mode)
     store: EmbeddingStore = DenseStore(values)
     if mode is not None:
         store = QuantizedStore(store, mode)

@@ -10,9 +10,8 @@ from *where those rows live*.  This module defines the "where":
   backward, so every consumer — the planned scoring paths, the flat
   trainer, serving — reads entity rows without knowing the layout;
 * a :class:`Partitioner` maps logical row ids onto shards (contiguous
-  ``range`` blocks or modulo ``hash`` striping) and compiles an id
-  array into a :class:`ShardMap` — the per-shard gather plan that
-  touches each shard exactly once per call;
+  blocks) and compiles an id array into a :class:`ShardMap` — the
+  per-shard gather plan that touches each shard exactly once per call;
 * :func:`iter_stores` walks a module tree for store-backed embeddings
   (serving observability, per-shard checkpointing).
 
@@ -59,9 +58,9 @@ class ShardMap:
         the caller's request order.
     identity:
         Whether ``order`` is already the identity — true for sorted ids
-        under range partitioning (every planned gather: plan entity ids
-        come out of ``np.unique``), letting the store skip the
-        reassembly permutation entirely.
+        (every planned gather: plan entity ids come out of
+        ``np.unique``), letting the store skip the reassembly
+        permutation entirely.
     """
 
     n_rows: int
@@ -85,16 +84,13 @@ class ShardMap:
 class Partitioner:
     """Maps logical row ids of a ``(num_rows, dim)`` table onto shards.
 
-    ``kind="range"`` assigns contiguous blocks (``np.array_split``
-    boundaries: the first ``num_rows % n_shards`` shards hold one extra
-    row, so every shard holds at most ``ceil(num_rows / n_shards)``
-    rows).  ``kind="hash"`` stripes ``id % n_shards`` — the classic
-    modulo hash for skew-free load when id locality is adversarial.
+    Each shard owns one contiguous block (``np.array_split`` boundaries:
+    the first ``num_rows % n_shards`` shards hold one extra row, so every
+    shard holds at most ``ceil(num_rows / n_shards)`` rows).
     """
 
     num_rows: int
     n_shards: int
-    kind: str = "range"
     _starts: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -102,8 +98,6 @@ class Partitioner:
             raise ValueError(f"num_rows must be >= 0, got {self.num_rows}")
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.kind not in ("range", "hash"):
-            raise ValueError(f"partition kind must be range|hash, got {self.kind!r}")
         base, extra = divmod(self.num_rows, self.n_shards)
         sizes = [base + (1 if k < extra else 0) for k in range(self.n_shards)]
         starts = np.concatenate([[0], np.cumsum(sizes)])
@@ -112,38 +106,28 @@ class Partitioner:
     @property
     def key(self) -> Tuple:
         """Hashable identity for shard-map caching (e.g. on a plan)."""
-        return (self.kind, self.n_shards, self.num_rows)
+        return (self.n_shards, self.num_rows)
 
     def shard_size(self, shard: int) -> int:
         """Number of rows shard ``shard`` owns."""
-        if self.kind == "range":
-            return self._starts[shard + 1] - self._starts[shard]
-        if shard >= self.num_rows:
-            return 0
-        return (self.num_rows - shard - 1) // self.n_shards + 1
+        return self._starts[shard + 1] - self._starts[shard]
 
     def owned_ids(self, shard: int) -> np.ndarray:
         """The logical row ids shard ``shard`` owns, ascending."""
-        if self.kind == "range":
-            return np.arange(self._starts[shard], self._starts[shard + 1], dtype=np.int64)
-        return np.arange(shard, self.num_rows, self.n_shards, dtype=np.int64)
+        return np.arange(self._starts[shard], self._starts[shard + 1], dtype=np.int64)
 
     def owner(self, ids: np.ndarray) -> np.ndarray:
         """Owning shard index per id."""
         ids = np.asarray(ids, dtype=np.int64)
-        if self.kind == "range":
-            return np.searchsorted(np.asarray(self._starts[1:]), ids, side="right")
-        return ids % self.n_shards
+        return np.searchsorted(np.asarray(self._starts[1:]), ids, side="right")
 
     def to_local(self, ids: np.ndarray, owners: Optional[np.ndarray] = None) -> np.ndarray:
         """Shard-local row index per id (given its owner)."""
         ids = np.asarray(ids, dtype=np.int64)
-        if self.kind == "range":
-            if owners is None:
-                owners = self.owner(ids)
-            starts = np.asarray(self._starts[:-1])
-            return ids - starts[owners]
-        return ids // self.n_shards
+        if owners is None:
+            owners = self.owner(ids)
+        starts = np.asarray(self._starts[:-1])
+        return ids - starts[owners]
 
     def build_map(self, ids) -> ShardMap:
         """Compile an id array into its per-shard gather plan.

@@ -231,10 +231,6 @@ class QuantizedStore(EmbeddingStore):
     def n_shards(self) -> int:
         return self.inner.n_shards
 
-    @property
-    def partition(self) -> str:
-        return self.inner.partition
-
     def shard_size_of(self, shard: int) -> int:
         return self.inner.shard_size_of(shard)
 

@@ -42,7 +42,7 @@ occurrence order), ships each slice through the result arena, and the
 **worker** applies the same :func:`repro.nn.tensor._scatter_rows_add` +
 zeros-init accumulation the dense table's adjoint runs on those rows —
 followed, at ``optimizer.step()``,
-by the same per-shard Adam/SGD arithmetic on
+by the same per-shard Adam arithmetic on
 worker-owned moment buffers.  Training with a ``ProcessShardedStore``
 is therefore bit-for-bit the dense run (asserted in
 ``tests/test_store_service.py``), because every per-row update depends
@@ -183,7 +183,7 @@ class _WorkerState:
     inference only: the training ops raise instead of touching rows.
     """
 
-    __slots__ = ("rows", "q", "scale", "zero", "grad", "m", "v", "vel", "base")
+    __slots__ = ("rows", "q", "scale", "zero", "grad", "m", "v", "base")
 
     def __init__(self, rows: Optional[np.ndarray], base: int) -> None:
         self.rows = rows
@@ -193,7 +193,6 @@ class _WorkerState:
         self.grad: Optional[np.ndarray] = None
         self.m: Optional[np.ndarray] = None
         self.v: Optional[np.ndarray] = None
-        self.vel: Optional[np.ndarray] = None
         self.base = base
 
 
@@ -239,27 +238,6 @@ def _worker_adam(state: _WorkerState, lr, b1, b2, eps, wd, t) -> bool:
     v *= b2
     v += (1.0 - b2) * g**2
     rows -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-    return True
-
-
-def _worker_sgd(state: _WorkerState, lr, momentum, wd) -> bool:
-    """One SGD update — :class:`repro.nn.optim.SGD` arithmetic verbatim."""
-    grad = state.grad
-    if grad is None:
-        return False
-    rows = state.rows
-    g = grad
-    if wd:
-        g = g + wd * rows
-    if momentum:
-        if state.vel is None:
-            state.vel = np.zeros_like(rows)
-        vel = state.vel
-        vel *= momentum
-        vel += g
-        rows -= lr * vel
-    else:
-        rows -= lr * g
     return True
 
 
@@ -401,12 +379,6 @@ def _shard_worker(shard: int, conn, parent_conn, spec: dict) -> None:
                     if applied:
                         stats[_ST_STEPS] += 1
                     conn.send(("ok", applied))
-                elif op == "sgd":
-                    _, lr, momentum, wd = msg
-                    applied = _worker_sgd(state, lr, momentum, wd)
-                    if applied:
-                        stats[_ST_STEPS] += 1
-                    conn.send(("ok", applied))
                 elif op == "rebind":
                     dtype = np.dtype(msg[1])
                     if not quantize:
@@ -495,10 +467,10 @@ class RemoteShardParameter(Parameter):
     dense table's ``weight``, but holds **no rows** — ``data`` is an
     empty ``(0, dim)`` placeholder.  Gradient and optimizer state live
     in the worker; the ``remote_*`` hooks let
-    :func:`repro.nn.optim.clip_grad_norm` and the optimizers drive it
-    with the exact per-row arithmetic they apply in process (the
-    hooks are duck-typed, so :mod:`repro.nn.optim` never imports the
-    store layer).
+    :func:`repro.nn.optim.clip_grad_norm` and :class:`repro.nn.optim.Adam`
+    drive it with the exact per-row arithmetic they apply in process
+    (the hooks are duck-typed, so :mod:`repro.nn.optim` never imports
+    the store layer).
     """
 
     def __init__(self, store: "ProcessShardedStore", shard: int, dim: int) -> None:
@@ -526,10 +498,6 @@ class RemoteShardParameter(Parameter):
             self._shard, lr, beta1, beta2, eps, weight_decay, t
         )
 
-    def remote_sgd_step(self, *, lr, momentum, weight_decay) -> bool:
-        """Apply one SGD update in the worker; True when a grad existed."""
-        return self._store._shard_sgd_step(self._shard, lr, momentum, weight_decay)
-
 
 def _shipping_routes(parents, ship):
     """Routes of a node whose gradient lives in the shard workers.
@@ -552,16 +520,15 @@ class ProcessShardedStore(EmbeddingStore):
         with explicit ``num_rows``/``dim`` — or use :meth:`empty` — and
         place rows via :meth:`assign_rows`/checkpoint streaming to
         avoid ever materialising the table in one process.
-    n_shards: worker process count (>= 1).
-    partition: ``"range"`` or ``"hash"`` (see
-        :class:`repro.store.base.Partitioner`).
+    n_shards: worker process count (>= 1); each worker owns one
+        contiguous block of rows (see :class:`repro.store.base.Partitioner`).
     io_chunk: row slice size of the streaming APIs (construction,
         ``logical_state``, ``shard_rows``, ``assign_rows`` re-chunking)
         — the transient per-process resident bound on those paths.
     rpc_timeout: seconds to wait on a worker before raising
-        :class:`repro.serving.errors.ShardUnavailable`.
-    start_method: multiprocessing start method (default ``fork`` when
-        the platform offers it, else the platform default).
+        :class:`repro.serving.errors.ShardUnavailable`.  Workers start
+        with ``fork`` when the platform offers it, else with the
+        platform default.
     quantize: ``None`` (float rows — the historical layout) or
         ``"int8"``/``"fp16"``: each worker holds only the *quantised*
         payload of its rows (codes + int8's per-row scale/zero side
@@ -579,14 +546,12 @@ class ProcessShardedStore(EmbeddingStore):
         self,
         values: Optional[np.ndarray] = None,
         n_shards: int = 2,
-        partition: str = "range",
         *,
         num_rows: Optional[int] = None,
         dim: Optional[int] = None,
         dtype=np.float64,
         io_chunk: int = 16384,
         rpc_timeout: float = 30.0,
-        start_method: Optional[str] = None,
         quantize: Optional[str] = None,
     ) -> None:
         super().__init__()
@@ -600,7 +565,7 @@ class ProcessShardedStore(EmbeddingStore):
         if io_chunk < 1:
             raise ValueError(f"io_chunk must be >= 1, got {io_chunk}")
         self.num_rows, self.dim = int(num_rows), int(dim)
-        self.partitioner = Partitioner(self.num_rows, n_shards, partition)
+        self.partitioner = Partitioner(self.num_rows, n_shards)
         self.quantize = check_quant_mode(quantize)
         self._dtype = np.dtype(dtype)
         self.io_chunk = int(io_chunk)
@@ -610,9 +575,8 @@ class ProcessShardedStore(EmbeddingStore):
         self._guard = _Guard()
         self._finalizer = weakref.finalize(self, _Guard.release, self._guard)
 
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else methods[0]
         ctx = multiprocessing.get_context(start_method)
 
         # Shared stats block: one int64 row per worker, written by the
@@ -648,7 +612,7 @@ class ProcessShardedStore(EmbeddingStore):
                 "size": self.partitioner.shard_size(k),
                 "dim": self.dim,
                 "dtype": self._dtype.str,
-                "base": int(self._starts[k]) if partition == "range" else 0,
+                "base": int(self._starts[k]),
                 "n_shards": n_shards,
                 "stats_name": self._stats_shm.name,
                 "ids_name": self._ids_shm.name,
@@ -683,19 +647,6 @@ class ProcessShardedStore(EmbeddingStore):
         self._params = [
             RemoteShardParameter(self, k, self.dim) for k in range(n_shards)
         ]
-        if partition == "hash":
-            # all(): rows concatenated shard-by-shard are a permutation
-            # of the logical order; precompute the unpermute index once.
-            offsets = np.concatenate(
-                [[0], np.cumsum([self.partitioner.shard_size(k) for k in range(n_shards)])]
-            )
-            ids = np.arange(self.num_rows, dtype=np.int64)
-            self._all_perm: Optional[np.ndarray] = (
-                offsets[self.partitioner.owner(ids)] + self.partitioner.to_local(ids)
-            )
-        else:
-            self._all_perm = None
-
         if values is not None:
             self._stream_table(values)
 
@@ -708,7 +659,6 @@ class ProcessShardedStore(EmbeddingStore):
         num_rows: int,
         dim: int,
         n_shards: int = 2,
-        partition: str = "range",
         **kwargs,
     ) -> "ProcessShardedStore":
         """Zero-initialised store — the never-materialise-the-table path.
@@ -717,7 +667,7 @@ class ProcessShardedStore(EmbeddingStore):
         :func:`repro.training.checkpoint.restore_model` shard-file
         streaming) to place rows shard-by-shard.
         """
-        return cls(None, n_shards, partition, num_rows=num_rows, dim=dim, **kwargs)
+        return cls(None, n_shards, num_rows=num_rows, dim=dim, **kwargs)
 
     def close(self) -> None:
         """Stop and join the workers, unlink every shared segment.
@@ -757,10 +707,6 @@ class ProcessShardedStore(EmbeddingStore):
     @property
     def n_shards(self) -> int:
         return self.partitioner.n_shards
-
-    @property
-    def partition(self) -> str:
-        return self.partitioner.kind
 
     def shard_size_of(self, shard: int) -> int:
         return self.partitioner.shard_size(shard)
@@ -1070,16 +1016,14 @@ class ProcessShardedStore(EmbeddingStore):
                     "gather an ad-hoc id set"
                 )
 
-        # Fast path: sorted ids under range partitioning (every planned
-        # role array — plan entities come out of np.unique).  Shard
-        # boundaries fall out of one searchsorted against the partition
-        # starts; ids ship globally (workers subtract their own base),
+        # Fast path: sorted ids (every planned role array — plan
+        # entities come out of np.unique).  Shard boundaries fall out of
+        # one searchsorted against the shard starts; ids ship globally (workers subtract their own base),
         # so the parent does no argsort, no local-id translation and no
         # reassembly — the parent-side work that keeps the IPC
         # round-trip the dominant cost of a gather.
         fast = (
             smap is None
-            and self.partition == "range"
             and (n < 2 or bool((idx[:-1] <= idx[1:]).all()))
         )
         if fast:
@@ -1132,9 +1076,9 @@ class ProcessShardedStore(EmbeddingStore):
         max_rows = max((b1 - b0 for _, b0, b1 in pieces), default=0)
         self._record_gather(n, len(pieces), max_rows)
         if not grad:
-            # Identity results are views of the shared result arena —
-            # the zero-copy hand-off planned scoring consumes (see
-            # the recycling contract in the module docstring).
+            # Results in identity order are views of the shared result
+            # arena — the zero-copy hand-off planned scoring consumes
+            # (see the recycling contract in the module docstring).
             return Tensor(result)
 
         locals_by_shard: List[Tuple[int, int, int, np.ndarray]] = []
@@ -1223,27 +1167,16 @@ class ProcessShardedStore(EmbeddingStore):
 
         The forward streams the table into a parent-side array; the
         backward hands each worker its contiguous full-shard gradient
-        slice — the exact concat-split adjoint of a per-shard table
-        (plus the unpermute scatter for hash partitioning).
+        slice — the exact concat-split adjoint of a per-shard table.
         """
         self._check_open()
         if is_grad_enabled() and self.quantize:
             raise RuntimeError(_QUANT_TRAIN_ERROR)
         value = self.logical_state()
-        store = self
-        n = self.num_rows
-        perm = self._all_perm
-        dtype = self._dtype
-
-        def ship(g: np.ndarray) -> None:
-            if perm is not None:
-                g = _scatter_rows_add(perm, g, n, dtype)
-            store._accum_all(g)
-
         parents = [
             p for k, p in enumerate(self._params) if self.partitioner.shard_size(k)
         ] or [self._params[0]]
-        return Tensor._make(value, *_shipping_routes(parents, ship))
+        return Tensor._make(value, *_shipping_routes(parents, self._accum_all))
 
     def _accum_all(self, g: np.ndarray) -> None:
         """Full-table gradient: one contiguous slice per non-empty shard."""
@@ -1375,12 +1308,5 @@ class ProcessShardedStore(EmbeddingStore):
                 float(weight_decay),
                 int(t),
             ),
-        )
-        return bool(reply[1])
-
-    def _shard_sgd_step(self, shard, lr, momentum, weight_decay) -> bool:
-        self._check_open()
-        reply = self._single(
-            shard, ("sgd", float(lr), float(momentum), float(weight_decay))
         )
         return bool(reply[1])

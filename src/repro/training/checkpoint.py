@@ -137,7 +137,6 @@ def save_checkpoint(
             files.append(file_name)
         manifest[entry] = {
             "n_shards": store.n_shards,
-            "partition": store.partition,
             "rows": store.num_rows,
             "dim": store.dim,
             "files": files,

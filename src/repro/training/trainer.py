@@ -481,7 +481,6 @@ class Trainer:
     # ------------------------------------------------------------------
     def train_epoch(self) -> EpochRecord:
         """Run one epoch; returns (and records) its :class:`EpochRecord`."""
-        self.model.train()
         started = time.perf_counter()
         totals: Dict[str, float] = {}
         self._phase_totals = {}

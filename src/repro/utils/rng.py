@@ -1,7 +1,7 @@
 """Deterministic random-number-generator plumbing.
 
 Every stochastic component in this repository (dataset synthesis, weight
-initialisation, negative sampling, dropout) accepts either an integer seed
+initialisation, negative sampling) accepts either an integer seed
 or a :class:`numpy.random.Generator`.  Centralising the coercion here keeps
 experiments reproducible: the benchmark harness passes explicit seeds and
 each component derives independent child streams via

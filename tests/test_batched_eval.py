@@ -17,7 +17,7 @@ from repro.nn import (
     dtype_scope,
     get_default_dtype,
     gradcheck,
-    inference_mode,
+    no_grad,
     spmm,
     tensor,
     to_csr,
@@ -256,7 +256,7 @@ class TestSpmmCache:
     def test_float32_scope_uses_float32_operands(self, rng):
         a = sp.random(6, 6, density=0.4, random_state=4, format="csr")
         x = tensor(rng.normal(size=(6, 2)))
-        with inference_mode():
+        with no_grad(), dtype_scope("float32"):
             out = spmm(a, x)
             assert out.data.dtype == np.float32
         cache = getattr(a, "_repro_spmm_cache")
@@ -287,7 +287,7 @@ class TestDtypePolicy:
                 pass  # pragma: no cover
 
     def test_inference_mode_disables_grad(self):
-        with inference_mode():
+        with no_grad(), dtype_scope("float32"):
             t = tensor([1.0], requires_grad=True)
             assert not t.requires_grad
             assert t.data.dtype == np.float32
@@ -301,7 +301,7 @@ class TestDtypePolicy:
     def test_parameters_stay_float64_inside_scope(self):
         from repro.nn import Linear
 
-        with inference_mode():
+        with no_grad(), dtype_scope("float32"):
             layer = Linear(4, 3, seed=0)
         assert layer.weight.data.dtype == np.float64
         assert layer.weight.requires_grad
@@ -316,7 +316,7 @@ class TestDtypePolicy:
 
     def test_gcn_adjacency_pinned_float64_inside_scope(self):
         adj = sp.random(6, 6, density=0.4, random_state=7, format="csr")
-        with inference_mode():
+        with no_grad(), dtype_scope("float32"):
             gcn = GCN(6, 3, seed=0, adjacency=adj)
         assert gcn.adjacency.dtype == np.float64
 

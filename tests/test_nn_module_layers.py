@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Adam, Dropout, Embedding, Identity, Linear, Module, Parameter, Sequential, tensor
+from repro.nn import MLP, Embedding, Linear, Module, Parameter, tensor
 from repro.nn.layers import resolve_activation
 
 
@@ -36,11 +36,11 @@ class TestModuleRegistration:
         assert layer.num_parameters() == 4 * 3 + 3
 
     def test_train_eval_recursive(self):
-        seq = Sequential(Linear(2, 2, seed=0), Dropout(0.5, seed=0))
-        seq.eval()
-        assert all(not m.training for m in seq.modules())
-        seq.train()
-        assert all(m.training for m in seq.modules())
+        mlp = MLP(2, [2], 2, seed=0)
+        mlp.eval()
+        assert all(not m.training for m in mlp.modules())
+        mlp.train()
+        assert all(m.training for m in mlp.modules())
 
     def test_zero_grad_clears_all(self):
         layer = Linear(3, 2, seed=0)
@@ -136,23 +136,6 @@ class TestEmbedding:
             Embedding(5, 0)
 
 
-class TestDropoutLayer:
-    def test_train_mode_drops(self):
-        drop = Dropout(0.5, seed=0)
-        out = drop(tensor(np.ones((100, 100))))
-        assert (out.data == 0).mean() == pytest.approx(0.5, abs=0.05)
-
-    def test_eval_mode_identity(self):
-        drop = Dropout(0.5, seed=0)
-        drop.eval()
-        x = tensor(np.ones(10))
-        assert drop(x) is x
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            Dropout(1.5)
-
-
 class TestMLP:
     def test_depth_and_shapes(self, rng):
         mlp = MLP(6, [8, 4], 2, seed=0)
@@ -174,14 +157,6 @@ class TestMLP:
         mlp(tensor(rng.normal(size=(7, 4)))).sum().backward()
         assert all(p.grad is not None for p in mlp.parameters())
 
-    def test_dropout_only_in_training(self, rng):
-        mlp = MLP(4, [16], 1, dropout=0.9, seed=0)
-        x = tensor(rng.normal(size=(3, 4)))
-        mlp.eval()
-        a = mlp(x).data
-        b = mlp(x).data
-        np.testing.assert_array_equal(a, b)
-
 
 class TestActivationsRegistry:
     def test_resolve_by_name(self):
@@ -195,14 +170,3 @@ class TestActivationsRegistry:
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
             resolve_activation("swishish")
-
-
-class TestSequentialIdentity:
-    def test_sequential_chains(self, rng):
-        seq = Sequential(Linear(3, 4, seed=0), Identity(), Linear(4, 2, seed=1))
-        assert seq(tensor(rng.normal(size=(2, 3)))).shape == (2, 2)
-        assert len(seq) == 3
-
-    def test_identity_passthrough(self, rng):
-        x = tensor(rng.normal(size=(2, 2)))
-        assert Identity()(x) is x

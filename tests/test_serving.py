@@ -102,20 +102,6 @@ class TestServingRoundTrip:
         assert ticket.scores.shape == (2,)
         assert_conserved(engine.stats(), [ticket])
 
-    def test_flush_serves_in_eval_mode(self, tiny_mgbr, engine):
-        engine.stop()
-        tiny_mgbr.train()
-        try:
-            engine.start()
-            assert not tiny_mgbr.training  # set once at start, not per flush
-            ticket = engine.submit_items(0, [0, 1])
-            engine.drain(timeout=10.0)
-            assert ticket.scores.shape == (2,)
-            engine.stop()
-            assert tiny_mgbr.training  # mode restored when serving stops
-        finally:
-            tiny_mgbr.eval()
-
     def test_float32_serving_and_release(self, tiny_mgbr):
         engine = ServingEngine(tiny_mgbr, dtype="float32", **PARKED).start()
         ticket = engine.submit_items(0, [0, 1, 2])

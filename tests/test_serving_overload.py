@@ -639,16 +639,13 @@ class TestMultiWorkerEngine:
         engine.refresh()
         assert model.encoder_passes == passes + 1
 
-    def test_start_builds_cache_once_and_serves_in_eval_mode(self):
+    def test_start_builds_cache_once(self):
         model = _CountingGBMF(N_USERS, N_ITEMS, dim=DIM, seed=0)
-        model.train()
         with MultiWorkerEngine(model, 4, max_delay_ms=1.0) as engine:
             assert model.encoder_passes == 1
-            assert not model.training
             for u in range(8):
                 engine.score_items(u, [0, 1], timeout=10.0)
             assert model.encoder_passes == 1
-        assert model.training  # restored once the last worker stopped
 
     def test_stress_shared_model_with_refreshes(self):
         """More workers than cores on one LRU-fronted model, a short GIL

@@ -3,12 +3,14 @@
 The contract under test (docs/sharding.md): *storage layout is
 unobservable* — a model whose tables are sharded across
 ``n_shards >= 1`` worker processes (:class:`repro.store
-.ProcessShardedStore`, any shard count, range or hash partition)
-produces bit-identical scores, losses, gradients and trained weights to
-the dense single-table layout at float64, and checkpoints move freely
+.ProcessShardedStore`, any shard count) produces bit-identical scores,
+losses, gradients and trained weights to the dense single-table layout
+at float64, and checkpoints move freely
 between layouts (dense ↔ N shards ↔ M shards, single-file or per-shard
 files).  Every test that opens shard workers registers them with the
-``closing`` fixture, which reaps them at teardown.
+``closing`` fixture, which reaps them at teardown.  Shards own
+contiguous row blocks; the ``range`` parameters name that layout in
+the test ids.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.baselines import GBMF
 from repro.core import MGBR, MGBRConfig
 from repro.eval.protocol import EvalProtocol
 from repro.nn.layers import Embedding
-from repro.nn.optim import SGD
+from repro.nn.optim import Adam
 from repro.nn.tensor import no_grad
 from repro.plan import PlannedBatch, ScoringPlan
 from repro.serving import ServingEngine
@@ -47,10 +49,10 @@ def _table(rows=23, dim=5, seed=0):
 # Partitioner / shard maps
 # ---------------------------------------------------------------------------
 class TestPartitioner:
-    @pytest.mark.parametrize("kind", ["range", "hash"])
+    @pytest.mark.parametrize("kind", ["range"])
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 7, 40])
     def test_owned_ids_partition_the_id_space(self, kind, n_shards):
-        part = Partitioner(23, n_shards, kind)
+        part = Partitioner(23, n_shards)
         owned = [part.owned_ids(k) for k in range(n_shards)]
         assert sorted(np.concatenate(owned).tolist()) == list(range(23))
         for k, ids in enumerate(owned):
@@ -60,13 +62,13 @@ class TestPartitioner:
             np.testing.assert_array_equal(part.to_local(ids), np.arange(len(ids)))
 
     def test_range_shards_balanced(self):
-        part = Partitioner(23, 4, "range")
+        part = Partitioner(23, 4)
         sizes = [part.shard_size(k) for k in range(4)]
         assert sizes == [6, 6, 6, 5]  # ceil bound: no shard above ceil(23/4)
         assert max(sizes) == -(-23 // 4)
 
     def test_build_map_groups_by_owner(self):
-        part = Partitioner(20, 3, "hash")
+        part = Partitioner(20, 3)
         ids = np.array([4, 1, 9, 4, 17, 0])
         smap = part.build_map(ids)
         grouped_logical = []
@@ -78,7 +80,7 @@ class TestPartitioner:
         assert smap.max_shard_rows == max(len(l) for l in smap.per_shard_local)
 
     def test_sorted_unique_ids_are_identity_under_range(self):
-        part = Partitioner(50, 4, "range")
+        part = Partitioner(50, 4)
         smap = part.build_map(np.array([1, 5, 12, 13, 40, 49]))
         assert smap.identity
 
@@ -92,21 +94,19 @@ class TestPartitioner:
     def test_invalid_construction(self):
         with pytest.raises(ValueError, match="n_shards"):
             Partitioner(10, 0)
-        with pytest.raises(ValueError, match="kind"):
-            Partitioner(10, 2, "modulo")
 
 
 # ---------------------------------------------------------------------------
 # Store gather / scatter-add parity
 # ---------------------------------------------------------------------------
 class TestStoreParity:
-    @pytest.mark.parametrize("kind", ["range", "hash"])
+    @pytest.mark.parametrize("kind", ["range"])
     @pytest.mark.parametrize("n_shards", [2, 3, 5, 40])
     def test_gather_values_bitwise_equal_dense(self, kind, n_shards, closing):
         # 40 shards over 23 rows: most workers own no rows at all.
         values = _table()
         dense = DenseStore(values.copy())
-        sharded = closing(make_store(values.copy(), n_shards, kind))
+        sharded = closing(make_store(values.copy(), n_shards))
         ids = np.array([0, 7, 7, 22, 3, 7, 11])  # duplicates included
         with no_grad():
             np.testing.assert_array_equal(
@@ -121,30 +121,30 @@ class TestStoreParity:
             out = sharded.gather(np.empty(0, dtype=np.int64))
         assert out.shape == (0, 5)
 
-    @pytest.mark.parametrize("kind", ["range", "hash"])
+    @pytest.mark.parametrize("kind", ["range"])
     def test_gather_gradients_bitwise_equal_dense(self, kind, closing):
         values = _table(rows=31, dim=4, seed=3)
         dense = DenseStore(values.copy())
-        sharded = closing(make_store(values.copy(), 4, kind))
+        sharded = closing(make_store(values.copy(), 4))
         ids = np.random.default_rng(7).integers(0, 31, size=600)
         grad = np.random.default_rng(8).normal(size=(600, 4))
 
         (dense.gather(ids) * grad).sum().backward()
         (sharded.gather(ids) * grad).sum().backward()
         np.testing.assert_array_equal(
-            _sgd_unit_step(dense), _sgd_unit_step(sharded)
+            _unit_step(dense), _unit_step(sharded)
         )
 
-    @pytest.mark.parametrize("kind", ["range", "hash"])
+    @pytest.mark.parametrize("kind", ["range"])
     def test_all_gradients_bitwise_equal_dense(self, kind, closing):
         values = _table(rows=11, dim=3, seed=5)
         dense = DenseStore(values.copy())
-        sharded = closing(make_store(values.copy(), 3, kind))
+        sharded = closing(make_store(values.copy(), 3))
         grad = np.random.default_rng(9).normal(size=(11, 3))
         (dense.all() * grad).sum().backward()
         (sharded.all() * grad).sum().backward()
         np.testing.assert_array_equal(
-            _sgd_unit_step(dense), _sgd_unit_step(sharded)
+            _unit_step(dense), _unit_step(sharded)
         )
 
     def test_stats_counters(self, closing):
@@ -179,14 +179,19 @@ class TestStoreParity:
         assert not [name for name in fields if "service" in name]
 
 
-def _sgd_unit_step(store) -> np.ndarray:
-    """The logical table after one ``lr=1`` SGD step (``w - grad``).
+def _unit_step(store) -> np.ndarray:
+    """The logical table after one exact ``w - grad`` step.
 
     Shard-service gradients live in the workers; one unit step exposes
     them through the logical table with identical arithmetic on every
-    layout, so equal results mean bit-equal gradients.
+    layout, so equal results mean bit-equal gradients.  The step is a
+    first Adam step with ``betas=(0, 0)`` (so ``m = g`` and ``v = g²``)
+    and ``lr = eps = 2**60``: for ``|g| < 128``, ``sqrt(v) + eps``
+    rounds to exactly ``eps``, so the update ``lr·g / eps`` is exactly
+    ``g``.
     """
-    SGD([p for _, p in store.named_parameters()], lr=1.0).step()
+    params = [p for _, p in store.named_parameters()]
+    Adam(params, lr=2.0**60, betas=(0.0, 0.0), eps=2.0**60).step()
     return store.logical_state()
 
 
@@ -218,14 +223,14 @@ class TestEmbeddingDelegation:
     def test_state_roundtrip_across_layouts(self, closing):
         src = closing(Embedding(9, 4, seed=1, n_shards=3))
         dst_dense = Embedding(9, 4, seed=2)
-        dst_hash = closing(Embedding(9, 4, seed=3, n_shards=2, partition="hash"))
+        dst_two = closing(Embedding(9, 4, seed=3, n_shards=2))
         dst_dense.load_state_dict(src.state_dict())
-        dst_hash.load_state_dict(src.state_dict())
+        dst_two.load_state_dict(src.state_dict())
         np.testing.assert_array_equal(
             dst_dense.store.logical_state(), src.store.logical_state()
         )
         np.testing.assert_array_equal(
-            dst_hash.store.logical_state(), src.store.logical_state()
+            dst_two.store.logical_state(), src.store.logical_state()
         )
 
     def test_dtype_rebind_applies_to_every_shard(self, closing):
@@ -291,17 +296,16 @@ class TestPlanShardMaps:
 # ---------------------------------------------------------------------------
 # Model-level layout parity (the acceptance criterion)
 # ---------------------------------------------------------------------------
-def _gbmf(tiny_dataset, n_shards=0, partition="range"):
+def _gbmf(tiny_dataset, n_shards=0):
     return GBMF(
-        tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=4,
-        n_shards=n_shards, partition=partition,
+        tiny_dataset.n_users, tiny_dataset.n_items, dim=8, seed=4, n_shards=n_shards,
     )
 
 
-def _mgbr(tiny_dataset, n_shards=0, partition="range"):
+def _mgbr(tiny_dataset, n_shards=0):
     config = MGBRConfig.small(
         d=8, n_experts=2, mtl_layers=2, aux_negatives=4, train_negatives=3, seed=3,
-        embedding_shards=n_shards, embedding_partition=partition,
+        embedding_shards=n_shards,
     )
     return MGBR(
         tiny_dataset.train, tiny_dataset.n_users, tiny_dataset.n_items, config=config
@@ -309,29 +313,25 @@ def _mgbr(tiny_dataset, n_shards=0, partition="range"):
 
 
 class TestLayoutParity:
-    @pytest.mark.parametrize("partition", ["range", "hash"])
+    @pytest.mark.parametrize("partition", ["range"])
     def test_gbmf_eval_metrics_bit_identical(self, tiny_dataset, partition, closing):
         protocol = EvalProtocol(tiny_dataset, n_negatives=5, cutoff=5, max_instances=40)
         dense = protocol.run(_gbmf(tiny_dataset)).flat()
-        sharded = protocol.run(closing(_gbmf(tiny_dataset, 3, partition))).flat()
+        sharded = protocol.run(closing(_gbmf(tiny_dataset, 3))).flat()
         assert dense == sharded
 
-    @pytest.mark.parametrize("partition", ["range", "hash"])
+    @pytest.mark.parametrize("partition", ["range"])
     def test_mgbr_eval_metrics_bit_identical(self, tiny_dataset, partition, closing):
         protocol = EvalProtocol(tiny_dataset, n_negatives=5, cutoff=5, max_instances=30)
         dense = protocol.run(_mgbr(tiny_dataset)).flat()
-        sharded = protocol.run(closing(_mgbr(tiny_dataset, 3, partition))).flat()
+        sharded = protocol.run(closing(_mgbr(tiny_dataset, 3))).flat()
         assert dense == sharded
 
     @pytest.mark.parametrize("build", [_gbmf, _mgbr], ids=["gbmf", "mgbr"])
     def test_planned_training_bit_identical(self, tiny_dataset, build, closing):
-        """Two epochs of the planned step: losses AND weights match.
-
-        Hash partitioning here (the service tests train range shards):
-        the strided gradient split must still be bit-exact.
-        """
+        """Two epochs of the planned step: losses AND weights match."""
         def run(n_shards):
-            model = closing(build(tiny_dataset, n_shards, "hash"))
+            model = closing(build(tiny_dataset, n_shards))
             trainer = Trainer(
                 model, tiny_dataset,
                 TrainConfig(

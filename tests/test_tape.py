@@ -32,7 +32,7 @@ from repro.nn import Tensor, concat, gradcheck, stack, take_rows
 from repro.nn import functional as F
 from repro.nn.layers import Linear
 from repro.nn.sparse import spmm
-from repro.nn.tensor import gather_add, scatter_rows_sum
+from repro.nn.tensor import gather_add
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -209,7 +209,6 @@ CASES = [
     ("nn.tensor:gather_add", "fresh", lambda r: _gather_add_case(r, 7, False)),
     ("nn.tensor:gather_add", "strided-out", lambda r: _gather_add_case(r, 7, True)),
     ("nn.tensor:gather_add", "csr", lambda r: _gather_add_case(r, 600, False)),
-    ("nn.tensor:scatter_rows_sum", "small", _op(lambda a: scatter_rows_sum(a, _ROWS, 5), (6, 3))),
     # -- functional ----------------------------------------------------
     (_F + "sigmoid", "sigmoid", _op(F.sigmoid, (3, 4))),
     (_F + "logsigmoid", "logsigmoid", _op(F.logsigmoid, (3, 4))),
@@ -219,8 +218,6 @@ CASES = [
     (_F + "tanh", "tanh", _op(F.tanh, (3, 4))),
     (_F + "softmax", "rows", _op(F.softmax, (3, 6))),
     (_F + "softmax", "axis1-3d", _op(lambda a: F.softmax(a, axis=1), (2, 3, 4))),
-    (_F + "log_softmax", "log_softmax", _op(F.log_softmax, (3, 4))),
-    (_F + "dropout", "dropout", _op(lambda a: F.dropout(a, 0.4, np.random.default_rng(0)), (3, 4))),
     ("nn.sparse:spmm", "spmm", _spmm_case),
     ("nn.layers:Linear.folded_blocks", "blocks", _folded_blocks_case),
     # -- MGBR's experts and gates --------------------------------------
