@@ -33,7 +33,6 @@ def _train(name, dataset):
         eval_every=4, restore_best=True, eval_max_instances=100,
     )
     Trainer(model, dataset, tc).fit()
-    model.eval()
     from repro.nn import no_grad
 
     with no_grad():

@@ -133,7 +133,6 @@ def build_model(store: str) -> GBMF:
     model = GBMF(N_USERS, N_ITEMS, dim=DIM, seed=SEED, n_shards=n_shards)
     if store == "lru":
         cache_hot_rows(model, LRU_CAPACITY)
-    model.eval()
     model.refresh_cache()
     return model
 

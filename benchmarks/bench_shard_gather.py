@@ -24,7 +24,8 @@ Measures the quantities the sharded embedding layer trades between
   + the largest RPC transient at the arena dtype).
 
 Values gathered from shards are asserted bit-identical to the dense
-table, and the resident-row bound is asserted per worker count.
+table (for sorted ids and for unsorted ids with duplicates), and the
+resident-row bound is asserted per worker count.
 
 Cross-process scaling is gated **parallelism-aware**: worker processes
 fill their result slices concurrently, so on a host with spare cores
@@ -127,10 +128,16 @@ def _time_gathers(store, chunks: list) -> dict:
 
 
 def _check_parity(store, dense_ref: np.ndarray) -> None:
-    check = np.sort(np.random.default_rng(SEED + 1).permutation(ROWS)[:CHUNK])
+    """Sorted unique ids (the planned shape) and an unsorted id array
+    with duplicates (the argsort branch) both read the dense bytes."""
+    rng = np.random.default_rng(SEED + 1)
+    check = np.sort(rng.permutation(ROWS)[:CHUNK])
+    half = check[: CHUNK // 2]
+    shuffled = rng.permutation(np.concatenate([half, half]))
     with no_grad():
-        gathered = store.gather(check).data
-    assert np.array_equal(gathered, dense_ref[check]), "sharded gather diverged"
+        for ids in (check, shuffled):
+            gathered = store.gather(ids).data
+            assert np.array_equal(gathered, dense_ref[ids]), "sharded gather diverged"
 
 
 def _bench_process(

@@ -61,17 +61,15 @@ _CALLS_LOCK = threading.Lock()
 BundleSource = Union[Tensor, EmbeddingStore]
 
 
-def bundle_rows(source: BundleSource, index, plan=None, role: Optional[str] = None) -> Tensor:
+def bundle_rows(source: BundleSource, index) -> Tensor:
     """Gather rows from a bundle slot, whatever its storage layout.
 
     Tensors take the plain :func:`repro.nn.tensor.take_rows` gather;
     embedding stores answer from their shards (touching each shard once
-    per call).  ``plan``/``role`` optionally name a
-    :class:`repro.plan.ScoringPlan` id array so the store reuses the
-    plan's cached per-shard gather map.
+    per call, in any id order).
     """
     if isinstance(source, EmbeddingStore):
-        return source.gather(index, plan=plan, role=role)
+        return source.gather(index)
     return take_rows(source, np.asarray(index, dtype=np.int64))
 
 
@@ -163,24 +161,21 @@ class GroupBuyingRecommender(Module):
         raise NotImplementedError
 
     def score_items_from(
-        self, emb: EmbeddingBundle, users, items, raw: bool = False, plan=None
+        self, emb: EmbeddingBundle, users, items, raw: bool = False
     ) -> Tensor:
         """Task A scores ``s(i|u)`` for paired index arrays → ``(batch,)``.
 
         Default: the user-item inner product, the standard CF scoring the
         MF-style baselines use.  ``raw=True`` returns the logits (the
         training losses consume these); otherwise σ-probabilities.
-        ``plan`` optionally carries the :class:`repro.plan.ScoringPlan`
-        the index arrays came from, so store-backed bundles reuse its
-        cached per-shard gather maps.
         """
-        e_u = bundle_rows(emb.user, users, plan=plan, role="pair_users")
-        e_i = bundle_rows(emb.item, items, plan=plan, role="pair_items")
+        e_u = bundle_rows(emb.user, users)
+        e_i = bundle_rows(emb.item, items)
         logits = (e_u * e_i).sum(axis=1)
         return logits if raw else F.sigmoid(logits)
 
     def score_participants_from(
-        self, emb: EmbeddingBundle, users, items, participants, raw: bool = False, plan=None
+        self, emb: EmbeddingBundle, users, items, participants, raw: bool = False
     ) -> Tensor:
         """Task B scores ``s(p|u,i)`` → ``(batch,)``.
 
@@ -189,8 +184,8 @@ class GroupBuyingRecommender(Module):
         item is ignored by models with no Task-B head).
         """
         del items
-        e_u = bundle_rows(emb.user, users, plan=plan, role="pair_users")
-        e_p = bundle_rows(emb.participant, participants, plan=plan, role="pair_participants")
+        e_u = bundle_rows(emb.user, users)
+        e_p = bundle_rows(emb.participant, participants)
         logits = (e_u * e_p).sum(axis=1)
         return logits if raw else F.sigmoid(logits)
 
@@ -285,25 +280,14 @@ class GroupBuyingRecommender(Module):
         the model's own score scale otherwise.
         """
         if type(self).score_items is GroupBuyingRecommender.score_items:
-            kwargs = (
-                {"plan": plan}
-                if type(self).score_items_from is GroupBuyingRecommender.score_items_from
-                else {}
-            )
-            return self.score_items_from(emb, plan.users, plan.items, raw=True, **kwargs)
+            return self.score_items_from(emb, plan.users, plan.items, raw=True)
         return self.score_items(plan.users, plan.items)
 
     def _score_participant_plan(self, emb: EmbeddingBundle, plan: ScoringPlan) -> Tensor:
         """Score a plan's unique (u, i, p) requests → ``(P,)`` tensor."""
         if type(self).score_participants is GroupBuyingRecommender.score_participants:
-            kwargs = (
-                {"plan": plan}
-                if type(self).score_participants_from
-                is GroupBuyingRecommender.score_participants_from
-                else {}
-            )
             return self.score_participants_from(
-                emb, plan.users, plan.items, plan.participants, raw=True, **kwargs
+                emb, plan.users, plan.items, plan.participants, raw=True
             )
         return self.score_participants(plan.users, plan.items, plan.participants)
 

@@ -158,9 +158,9 @@ class MGBR(GroupBuyingRecommender):
     def _planned_entities(self, emb: EmbeddingBundle, plan: ScoringPlan):
         """Gather a plan's unique-entity rows → ``(e_u, e_i, e_p, part_pos)``.
 
-        Store gathers pass the plan, so store statistics, the hot-row
-        LRU and the plan's cached shard maps see every planned call.  The
-        participant slot handles all three plan shapes:
+        The bundle slots are the GCN's output tensors, so these are plain
+        row gathers (no embedding store sees them).  The participant slot
+        handles all three plan shapes:
 
         * pair plans (no participant column): Task A's averaged
           participant is a single shared row — the broadcast ``e_p`` of
@@ -172,8 +172,8 @@ class MGBR(GroupBuyingRecommender):
           sentinel sorts last in ``unique_participants``, so its row is
           substituted with the mean-participant embedding.
         """
-        e_u = bundle_rows(emb.user, plan.unique_users, plan=plan, role="users")
-        e_i = bundle_rows(emb.item, plan.unique_items, plan=plan, role="items")
+        e_u = bundle_rows(emb.user, plan.unique_users)
+        e_i = bundle_rows(emb.item, plan.unique_items)
         if plan.participants is None:
             e_p = emb.mean_participant()  # (1, 2d), cached across chunks
             part_pos = np.zeros(plan.n_pairs, dtype=np.int64)
@@ -181,8 +181,8 @@ class MGBR(GroupBuyingRecommender):
             uniq_p = plan.unique_participants
             part_pos = plan.part_pos
             if len(uniq_p) and uniq_p[-1] == self.mean_participant_id:
-                # The sentinel is not a table row, so this gather cannot
-                # reuse the plan's cached "participants" shard map.
+                # The sentinel is not an entity row: gather the real ids
+                # and append the mean-participant row in its place.
                 real = uniq_p[:-1]
                 mean_p = emb.mean_participant()
                 if len(real):
@@ -192,9 +192,7 @@ class MGBR(GroupBuyingRecommender):
                 else:
                     e_p = mean_p
             else:
-                e_p = bundle_rows(
-                    emb.participant, uniq_p, plan=plan, role="participants"
-                )
+                e_p = bundle_rows(emb.participant, uniq_p)
         return e_u, e_i, e_p, part_pos
 
     def _planned_towers(

@@ -31,7 +31,10 @@ planned optimisation step
 autograd ops so gradients flow through the dedup maps.
 
 This module lives at the package root (below every other layer) because
-the plan is the contract between them: it depends only on NumPy.
+the plan is the contract between them: it depends only on NumPy.  A
+plan knows nothing of storage layout: a sharded embedding store splits
+whatever id array it is handed across its shards itself
+(:class:`repro.store.ProcessShardedStore`).
 """
 
 from __future__ import annotations
@@ -175,47 +178,6 @@ class ScoringPlan:
         if self.participants is None:
             return None
         return self._entity("participants", self.participants)[1]
-
-    # ------------------------------------------------------------------
-    # Per-shard gather maps (sharded embedding stores)
-    # ------------------------------------------------------------------
-    #: role -> attribute holding the id array a shard map is built over.
-    #: ``users``/``items``/``participants`` are the *unique-entity*
-    #: arrays the factorized stack gathers; the ``pair_*`` roles are the
-    #: per-unique-request columns the default pair-dedup hooks gather.
-    _SHARD_ROLES = {
-        "users": "unique_users",
-        "items": "unique_items",
-        "participants": "unique_participants",
-        "pair_users": "users",
-        "pair_items": "items",
-        "pair_participants": "participants",
-    }
-
-    def shard_map(self, role: str, partitioner):
-        """Cached per-shard gather map for one of this plan's id arrays.
-
-        ``partitioner`` is duck-typed (anything with a hashable ``key``
-        and a ``build_map(ids)`` — :class:`repro.store.Partitioner` in
-        practice), keeping this module NumPy-only.  The compiled
-        :class:`repro.store.ShardMap` groups the role's ids by owning
-        shard so a sharded store answers the whole gather touching each
-        shard exactly once; caching it here means every tower/head that
-        re-gathers the same role during one planned call (and the
-        trainer's repeated use of one step's plan) reuses the grouping.
-        """
-        try:
-            ids = getattr(self, self._SHARD_ROLES[role])
-        except KeyError:
-            raise ValueError(
-                f"unknown shard-map role {role!r}; known: {sorted(self._SHARD_ROLES)}"
-            ) from None
-        if ids is None:
-            raise ValueError(f"role {role!r} is empty on a pair plan")
-        key = ("shard_map", role, partitioner.key)
-        if key not in self._entity_cache:
-            self._entity_cache[key] = partitioner.build_map(ids)
-        return self._entity_cache[key]
 
     @classmethod
     def for_items(cls, users, candidate_items, dedup: bool = True) -> "ScoringPlan":
@@ -582,11 +544,6 @@ class PlannedBatch:
             (_, hi_a), (lo_b, n) = self.plan.head_rows["a"], self.plan.head_rows["b"]
             out.update(rows_a_only=lo_b, rows_both=hi_a - lo_b, rows_b_only=n - hi_a)
         return out
-
-    def shard_map(self, role: str, partitioner):
-        """Per-shard gather map of the underlying plan (see
-        :meth:`ScoringPlan.shard_map`)."""
-        return self.plan.shard_map(role, partitioner)
 
     def scatter(self, unique_scores, head: Optional[str] = None):
         """Unique-request scores → a flat per-request score vector.

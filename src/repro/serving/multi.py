@@ -86,8 +86,8 @@ class MultiWorkerEngine:
             )
             for _ in range(n_workers)
         ]
-        # One gate for the fleet: one mode switch, one cache build, and
-        # a refresh parks every worker.
+        # One gate for the fleet: one cache build, and a refresh parks
+        # every worker.
         for engine in self._engines[1:]:
             engine._gate = self._engines[0]._gate
 

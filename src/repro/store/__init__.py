@@ -12,8 +12,7 @@ Public surface:
 * :class:`LRUCachedStore` / :func:`cache_hot_rows` — hot-row LRU cache
   decorating any store (serving's skewed id streams hit it instead of
   the shard machinery);
-* :class:`Partitioner` / :class:`ShardMap` — id→shard assignment and
-  compiled per-shard gather plans (also cached on scoring plans);
+* :class:`Partitioner` — the contiguous id→shard blocks;
 * :func:`make_store` — layout factory used by the layer constructors;
 * :func:`iter_stores` — find store-backed embeddings in a module tree.
 """
@@ -24,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.store.base import EmbeddingStore, Partitioner, ShardMap, iter_stores
+from repro.store.base import EmbeddingStore, Partitioner, iter_stores
 from repro.store.dense import DenseStore
 from repro.store.lru import LRUCachedStore, cache_hot_rows
 from repro.store.quant import QuantizedStore, check_quant_mode, quant_bytes_per_row
@@ -38,7 +37,6 @@ __all__ = [
     "LRUCachedStore",
     "QuantizedStore",
     "Partitioner",
-    "ShardMap",
     "iter_stores",
     "cache_hot_rows",
     "make_store",

@@ -1,17 +1,17 @@
-"""Embedding-store interface: partitioners, shard maps, gather contract.
+"""Embedding-store interface: partitioner and gather contract.
 
 The ROADMAP's sharding item separates *what rows a scoring request
-touches* (a :class:`repro.plan.ScoringPlan`'s unique-entity arrays)
-from *where those rows live*.  This module defines the "where":
+touches* (the id arrays a scorer reads) from *where those rows live*.
+This module defines the "where":
 
 * an :class:`EmbeddingStore` owns the rows of one logical
-  ``(num_rows, dim)`` embedding table and answers
-  ``gather(unique_ids) -> rows`` with a differentiable scatter-add
-  backward, so every consumer — the planned scoring paths, the flat
-  trainer, serving — reads entity rows without knowing the layout;
-* a :class:`Partitioner` maps logical row ids onto shards (contiguous
-  blocks) and compiles an id array into a :class:`ShardMap` — the
-  per-shard gather plan that touches each shard exactly once per call;
+  ``(num_rows, dim)`` embedding table and answers ``gather(ids) ->
+  rows`` with a differentiable scatter-add backward, so every consumer
+  — the planned scoring paths, the flat trainer, serving — reads
+  entity rows without knowing the layout;
+* a :class:`Partitioner` splits the logical row ids into contiguous
+  shard blocks (a store finds each shard's share of a sorted id array
+  with one ``searchsorted`` against the block starts);
 * :func:`iter_stores` walks a module tree for store-backed embeddings
   (serving observability, per-shard checkpointing).
 
@@ -34,50 +34,7 @@ import numpy as np
 from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor
 
-__all__ = ["ShardMap", "Partitioner", "EmbeddingStore", "iter_stores"]
-
-
-@dataclass
-class ShardMap:
-    """A compiled per-shard gather plan for one id array.
-
-    Attributes
-    ----------
-    n_rows:
-        Length of the original id array.
-    per_shard_local:
-        One *shard-local* row-index array per shard — the rows each
-        shard worker serves for this gather (empty arrays for untouched
-        shards).  Concatenating the per-shard results yields the rows in
-        shard-grouped ``order``.
-    order:
-        ``(n_rows,)`` original positions grouped by owning shard (the
-        stable grouping permutation).
-    inverse:
-        ``(n_rows,)`` indices such that ``grouped[inverse]`` restores
-        the caller's request order.
-    identity:
-        Whether ``order`` is already the identity — true for sorted ids
-        (every planned gather: plan entity ids come out of
-        ``np.unique``), letting the store skip the reassembly
-        permutation entirely.
-    """
-
-    n_rows: int
-    per_shard_local: List[np.ndarray]
-    order: np.ndarray
-    inverse: np.ndarray
-    identity: bool
-
-    @property
-    def shards_touched(self) -> int:
-        """How many shards this gather actually visits."""
-        return sum(1 for local in self.per_shard_local if len(local))
-
-    @property
-    def max_shard_rows(self) -> int:
-        """Largest per-shard gather — the transient resident-row cost."""
-        return max((len(local) for local in self.per_shard_local), default=0)
+__all__ = ["Partitioner", "EmbeddingStore", "iter_stores"]
 
 
 @dataclass(frozen=True)
@@ -103,11 +60,6 @@ class Partitioner:
         starts = np.concatenate([[0], np.cumsum(sizes)])
         object.__setattr__(self, "_starts", tuple(int(s) for s in starts))
 
-    @property
-    def key(self) -> Tuple:
-        """Hashable identity for shard-map caching (e.g. on a plan)."""
-        return (self.n_shards, self.num_rows)
-
     def shard_size(self, shard: int) -> int:
         """Number of rows shard ``shard`` owns."""
         return self._starts[shard + 1] - self._starts[shard]
@@ -115,52 +67,6 @@ class Partitioner:
     def owned_ids(self, shard: int) -> np.ndarray:
         """The logical row ids shard ``shard`` owns, ascending."""
         return np.arange(self._starts[shard], self._starts[shard + 1], dtype=np.int64)
-
-    def owner(self, ids: np.ndarray) -> np.ndarray:
-        """Owning shard index per id."""
-        ids = np.asarray(ids, dtype=np.int64)
-        return np.searchsorted(np.asarray(self._starts[1:]), ids, side="right")
-
-    def to_local(self, ids: np.ndarray, owners: Optional[np.ndarray] = None) -> np.ndarray:
-        """Shard-local row index per id (given its owner)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if owners is None:
-            owners = self.owner(ids)
-        starts = np.asarray(self._starts[:-1])
-        return ids - starts[owners]
-
-    def build_map(self, ids) -> ShardMap:
-        """Compile an id array into its per-shard gather plan.
-
-        Each shard appears exactly once, so one planned call touches
-        every shard at most once regardless of how ids interleave.
-        """
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 1:
-            raise ValueError(f"shard maps need 1-D id arrays, got shape {ids.shape}")
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_rows):
-            raise ValueError(
-                f"ids must lie in [0, {self.num_rows}), got range "
-                f"[{int(ids.min())}, {int(ids.max())}]"
-            )
-        owners = self.owner(ids)
-        order = np.argsort(owners, kind="stable")
-        local = self.to_local(ids, owners)
-        counts = np.bincount(owners, minlength=self.n_shards)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        per_shard_local = [
-            local[order[bounds[k] : bounds[k + 1]]] for k in range(self.n_shards)
-        ]
-        inverse = np.empty(len(ids), dtype=np.int64)
-        inverse[order] = np.arange(len(ids))
-        identity = bool(np.array_equal(order, np.arange(len(ids))))
-        return ShardMap(
-            n_rows=len(ids),
-            per_shard_local=per_shard_local,
-            order=order,
-            inverse=inverse,
-            identity=identity,
-        )
 
 
 class EmbeddingStore:
@@ -217,7 +123,7 @@ class EmbeddingStore:
         """``(name, parameter)`` leaves for the owning module to register."""
         raise NotImplementedError  # pragma: no cover - abstract
 
-    def gather(self, ids, plan=None, role: Optional[str] = None) -> Tensor:
+    def gather(self, ids) -> Tensor:
         """Rows for logical ``ids`` → differentiable ``(len(ids), dim)``."""
         raise NotImplementedError  # pragma: no cover - abstract
 

@@ -8,7 +8,7 @@ copy, and ``Embedding.all() is Embedding.weight`` stays true).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ class DenseStore(EmbeddingStore):
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def gather(self, ids, plan=None, role: Optional[str] = None) -> Tensor:
-        del plan, role  # a single shard needs no gather map
+    def gather(self, ids) -> Tensor:
         idx = np.asarray(ids, dtype=np.int64)
         self._record_gather(idx.size, 1 if idx.size else 0, idx.size)
         return take_rows(self.weight, idx)

@@ -108,11 +108,11 @@ class LRUCachedStore(EmbeddingStore):
         versions = sum(p.version for _, p in self.inner.named_parameters())
         return (versions, get_default_dtype().str)
 
-    def gather(self, ids, plan=None, role: Optional[str] = None) -> Tensor:
+    def gather(self, ids) -> Tensor:
         if is_grad_enabled():
             # Differentiable gathers must build the inner store's graph;
             # the cache only ever serves inference reads.
-            return self.inner.gather(ids, plan=plan, role=role)
+            return self.inner.gather(ids)
         idx = np.asarray(ids, dtype=np.int64).ravel()
         unique = np.unique(idx)
         epoch = self._current_epoch()

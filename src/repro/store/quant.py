@@ -259,11 +259,11 @@ class QuantizedStore(EmbeddingStore):
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def gather(self, ids, plan=None, role: Optional[str] = None) -> Tensor:
+    def gather(self, ids) -> Tensor:
         if is_grad_enabled():
             # Training reads the float master — gradients and optimizer
             # state never see quantised values.
-            return self.inner.gather(ids, plan=plan, role=role)
+            return self.inner.gather(ids)
         idx = np.asarray(ids, dtype=np.int64).ravel()
         with self._qlock:
             self._sync_locked()

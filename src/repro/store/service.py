@@ -13,9 +13,9 @@ no pickling of row data, ever:
 * each worker gathers its rows with one clipped ``take`` **directly
   into its slice of the shared result arena** — row bytes cross the
   process boundary exactly once, in the worker's copy;
-* under ``no_grad`` the returned tensor *is* a view of that arena, so
-  planned scoring consumes gathered rows with zero re-copies (the
-  copy-audit test pins this down).
+* under ``no_grad`` a gather of sorted ids returns a view of that
+  arena, so planned scoring consumes gathered rows with zero re-copies
+  (the copy-audit test pins this down).
 
 Result-arena recycling contract
 -------------------------------
@@ -36,9 +36,13 @@ private copy: autograd graphs outlive arbitrarily many forwards.
 Bit-identity contract
 ---------------------
 Forward rows are exact copies of the logical table, so scores match the
-dense layout bit-for-bit.  The backward splits the incoming gradient
-by owning shard (a pure permutation — stable grouping keeps each row's
-occurrence order), ships each slice through the result arena, and the
+dense layout bit-for-bit.  Every gather takes one path: unsorted ids
+get one stable ``argsort``, one ``searchsorted`` against the shard
+starts cuts the sorted ids into per-shard blocks, and the inverse
+permutation restores the caller's order.  The backward permutes the
+incoming gradient into the same sorted order (the stable sort keeps
+each row's occurrence order), ships each shard's slice through the
+result arena, and the
 **worker** applies the same :func:`repro.nn.tensor._scatter_rows_add` +
 zeros-init accumulation the dense table's adjoint runs on those rows —
 followed, at ``optimizer.step()``,
@@ -93,7 +97,7 @@ import numpy as np
 
 from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor, _scatter_rows_add, is_grad_enabled
-from repro.store.base import EmbeddingStore, Partitioner, ShardMap
+from repro.store.base import EmbeddingStore, Partitioner
 from repro.store.quant import (
     check_quant_mode,
     dequantize_rows,
@@ -301,12 +305,10 @@ def _shard_worker(shard: int, conn, parent_conn, spec: dict) -> None:
                 break
             op = msg[0]
             try:
-                if op == "gatherg" or op == "gather":
+                if op == "gather":
                     _, i0, i1, r0 = msg
                     n = i1 - i0
-                    local = ids_np[i0:i1]
-                    if op == "gatherg":
-                        local = local - state.base
+                    local = ids_np[i0:i1] - state.base
                     if quantize:
                         dequant_into(local, res_np[r0 : r0 + n])
                     else:
@@ -986,128 +988,98 @@ class ProcessShardedStore(EmbeddingStore):
     # ------------------------------------------------------------------
     # Gather (the hot path)
     # ------------------------------------------------------------------
-    def shard_map(self, ids, plan=None, role: Optional[str] = None) -> ShardMap:
-        """Per-shard gather plan for ``ids`` (plan-cached when given)."""
-        if plan is not None and role is not None:
-            return plan.shard_map(role, self.partitioner)
-        return self.partitioner.build_map(ids)
+    def _split(
+        self, ids
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], List[Tuple[int, int, int]]]:
+        """Sort ``ids`` and cut them into per-shard blocks.
 
-    def gather(self, ids, plan=None, role: Optional[str] = None) -> Tensor:
-        self._check_open()
+        Returns ``(sorted_ids, order, pieces)``: ``order`` is the stable
+        argsort that sorted the caller's ids (``None`` when they came
+        sorted — every plan entity array does, out of ``np.unique``), and
+        each ``(shard, b0, b1)`` piece is the slice of ``sorted_ids`` that
+        shard owns, found by one ``searchsorted`` against the block starts.
+        A stable sort keeps duplicate ids in request order, so each row's
+        gradient terms reach the worker's scatter-add in the dense order.
+        """
         idx = np.asarray(ids, dtype=np.int64)
-        n = idx.size
+        if idx.ndim != 1:
+            raise ValueError(f"ids must be a 1-D array, got shape {idx.shape}")
+        order = None
+        if idx.size > 1 and not (idx[:-1] <= idx[1:]).all():
+            order = np.argsort(idx, kind="stable")
+            idx = idx[order]
+        if idx.size and (idx[0] < 0 or idx[-1] >= self.num_rows):
+            raise ValueError(
+                f"ids must lie in [0, {self.num_rows}), got range "
+                f"[{int(idx[0])}, {int(idx[-1])}]"
+            )
+        bounds = np.searchsorted(idx, self._starts)
+        pieces = [
+            (k, int(bounds[k]), int(bounds[k + 1]))
+            for k in range(self.n_shards)
+            if bounds[k + 1] > bounds[k]
+        ]
+        return idx, order, pieces
+
+    def gather(self, ids) -> Tensor:
+        self._check_open()
         grad = is_grad_enabled()
         if grad and self.quantize:
             # Fail before any RPC: quantised workers hold no float rows
             # to train (the dense QuantizedStore bypasses to its float
             # master here; this layout deliberately has none).
             raise RuntimeError(_QUANT_TRAIN_ERROR)
+        idx, order, pieces = self._split(ids)
+        n = idx.size
 
-        smap: Optional[ShardMap] = None
-        if plan is not None and role is not None:
-            smap = plan.shard_map(role, self.partitioner)
-            if smap.n_rows != n:
-                # The plan's cached map answers for the plan's own role
-                # array; a caller whose ids diverged from it would
-                # silently receive rows for the wrong entities.
-                raise ValueError(
-                    f"gather ids ({n} rows) do not match the plan's "
-                    f"{role!r} array ({smap.n_rows} rows) — pass plan=None to "
-                    "gather an ad-hoc id set"
-                )
-
-        # Fast path: sorted ids (every planned role array — plan
-        # entities come out of np.unique).  Shard boundaries fall out of
-        # one searchsorted against the shard starts; ids ship globally (workers subtract their own base),
-        # so the parent does no argsort, no local-id translation and no
-        # reassembly — the parent-side work that keeps the IPC
-        # round-trip the dominant cost of a gather.
-        fast = (
-            smap is None
-            and (n < 2 or bool((idx[:-1] <= idx[1:]).all()))
-        )
-        if fast:
-            if n and (idx[0] < 0 or idx[-1] >= self.num_rows):
-                raise ValueError(
-                    f"ids must lie in [0, {self.num_rows}), got range "
-                    f"[{int(idx[0])}, {int(idx[-1])}]"
-                )
-            bounds = np.searchsorted(idx, self._starts)
-            pieces = [
-                (k, int(bounds[k]), int(bounds[k + 1]))
-                for k in range(self.n_shards)
-                if bounds[k + 1] > bounds[k]
-            ]
-            identity, inverse = True, None
-        else:
-            if smap is None:
-                smap = self.partitioner.build_map(idx)
-            offsets = np.concatenate(
-                [[0], np.cumsum([len(local) for local in smap.per_shard_local])]
-            )
-            pieces = [
-                (k, int(offsets[k]), int(offsets[k + 1]))
-                for k in range(self.n_shards)
-                if offsets[k + 1] > offsets[k]
-            ]
-            identity = smap.identity
-            inverse = None if identity else smap.inverse
-
+        # Global ids ship as they are (workers subtract their own base);
+        # the rows come back in sorted order.
         with self._io_lock:
             offset = self._alloc(n)
             msgs: Dict[int, tuple] = {}
             for k, b0, b1 in pieces:
-                if fast:
-                    self._ids_np[offset + b0 : offset + b1] = idx[b0:b1]
-                    msgs[k] = ("gatherg", offset + b0, offset + b1, offset + b0)
-                else:
-                    self._ids_np[offset + b0 : offset + b1] = smap.per_shard_local[k]
-                    msgs[k] = ("gather", offset + b0, offset + b1, offset + b0)
+                self._ids_np[offset + b0 : offset + b1] = idx[b0:b1]
+                msgs[k] = ("gather", offset + b0, offset + b1, offset + b0)
             self._transact(msgs)
             view = self._res_np[offset : offset + n]
-            if grad:
-                values = np.array(view if identity else view[inverse])
-            elif identity:
+            if order is not None:
+                # Restore the caller's order (a private copy).
+                result = np.empty_like(view)
+                result[order] = view
+            elif grad:
+                result = np.array(view)
+            else:
                 result = view
                 self._held.append((offset, offset + n, weakref.ref(view)))
-            else:
-                result = view[inverse]
 
         max_rows = max((b1 - b0 for _, b0, b1 in pieces), default=0)
         self._record_gather(n, len(pieces), max_rows)
         if not grad:
-            # Results in identity order are views of the shared result
-            # arena — the zero-copy hand-off planned scoring consumes
-            # (see the recycling contract in the module docstring).
+            # Sorted results are views of the shared result arena — the
+            # zero-copy hand-off planned scoring consumes (see the
+            # recycling contract in the module docstring).
             return Tensor(result)
 
-        locals_by_shard: List[Tuple[int, int, int, np.ndarray]] = []
-        for k, b0, b1 in pieces:
-            if fast:
-                local = idx[b0:b1] - int(self._starts[k])
-            else:
-                local = smap.per_shard_local[k]
-            locals_by_shard.append((k, b0, b1, local))
+        locals_by_shard = [
+            (k, b0, b1, idx[b0:b1] - int(self._starts[k])) for k, b0, b1 in pieces
+        ]
 
         # Training path: a private row copy (autograd graphs outlive the
         # recycled arena) and a backward that ships each shard's
         # gradient slice through the arena for the worker-side
         # scatter-add — per row, the dense adjoint's arithmetic.
         store = self
-        dtype = self._dtype
 
         def ship(g: np.ndarray) -> None:
-            if inverse is not None:
-                # take_rows(grouped, inverse) adjoint: regroup the
-                # incoming gradient into shard order (a permutation).
-                g = _scatter_rows_add(inverse, g, n, dtype)
+            if order is not None:
+                g = g[order]  # into sorted order: a permutation
             if not locals_by_shard:
                 store._accum_empty()
                 return
             store._accum_shards(locals_by_shard, g)
 
         parents = [self._params[k] for k, _, _, _ in locals_by_shard] or [self._params[0]]
-        return Tensor._make(values, *_shipping_routes(parents, ship))
+        return Tensor._make(result, *_shipping_routes(parents, ship))
 
     def _accum_shards(
         self, locals_by_shard: List[Tuple[int, int, int, np.ndarray]], g: np.ndarray
@@ -1157,9 +1129,9 @@ class ProcessShardedStore(EmbeddingStore):
         for k in range(self.n_shards):
             owned = self.partitioner.owned_ids(k)
             for start in range(0, len(owned), self.io_chunk):
-                chunk = owned[start : start + self.io_chunk]
-                local = self.partitioner.to_local(chunk)
-                out[chunk] = self._read_local(k, local)
+                stop = min(start + self.io_chunk, len(owned))
+                local = np.arange(start, stop, dtype=np.int64)
+                out[owned[start:stop]] = self._read_local(k, local)
         return out
 
     def all(self) -> Tensor:
@@ -1228,20 +1200,15 @@ class ProcessShardedStore(EmbeddingStore):
                     values[start : start + self.io_chunk],
                 )
             return
-        smap = self.partitioner.build_map(idx)
-        grouped = np.ascontiguousarray(values[smap.order], dtype=self._dtype)
-        offsets = np.concatenate(
-            [[0], np.cumsum([len(local) for local in smap.per_shard_local])]
-        )
+        idx, order, pieces = self._split(idx)
+        if order is not None:
+            values = values[order]
         with self._io_lock:
             offset = self._alloc(len(idx))
             msgs: Dict[int, tuple] = {}
-            for k, local in enumerate(smap.per_shard_local):
-                if not len(local):
-                    continue
-                b0, b1 = int(offsets[k]), int(offsets[k + 1])
-                self._ids_np[offset + b0 : offset + b1] = local
-                self._res_np[offset + b0 : offset + b1] = grouped[b0:b1]
+            for k, b0, b1 in pieces:
+                self._ids_np[offset + b0 : offset + b1] = idx[b0:b1] - self._starts[k]
+                self._res_np[offset + b0 : offset + b1] = values[b0:b1]
                 msgs[k] = ("assign", offset + b0, offset + b1, offset + b0)
             self._transact(msgs)
         for k in msgs:

@@ -173,9 +173,9 @@ class TestAccounting:
         barrier = threading.Barrier(2)
 
         class BarrierStore(DenseStore):
-            def gather(self, ids, plan=None, role=None):
+            def gather(self, ids):
                 barrier.wait(timeout=10.0)  # both threads have missed
-                return super().gather(ids, plan=plan, role=role)
+                return super().gather(ids)
 
         store = LRUCachedStore(BarrierStore(table), capacity=8)
         errors = []

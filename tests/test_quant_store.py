@@ -352,10 +352,10 @@ class TestLRUStacking:
         plan = ScoringPlan.from_item_pairs(users, items)
         store = model.initiator_table.store
         with no_grad():
-            store.gather(plan.unique_users, plan=plan, role="users")  # warm
+            store.gather(plan.unique_users)  # warm
             counting = CountingBackend()
             with backend_scope(counting):
-                store.gather(plan.unique_users, plan=plan, role="users")
+                store.gather(plan.unique_users)
             assert counting.copies == 0
 
     def test_eviction_accounting_under_quantised_payloads(self):

@@ -26,7 +26,7 @@ from repro.eval.protocol import EvalProtocol
 from repro.nn.layers import Embedding
 from repro.nn.optim import Adam
 from repro.nn.tensor import no_grad
-from repro.plan import PlannedBatch, ScoringPlan
+from repro.plan import ScoringPlan
 from repro.serving import ServingEngine
 from repro.store import (
     DenseStore,
@@ -46,7 +46,7 @@ def _table(rows=23, dim=5, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Partitioner / shard maps
+# Partitioner and id checks
 # ---------------------------------------------------------------------------
 class TestPartitioner:
     @pytest.mark.parametrize("kind", ["range"])
@@ -54,12 +54,10 @@ class TestPartitioner:
     def test_owned_ids_partition_the_id_space(self, kind, n_shards):
         part = Partitioner(23, n_shards)
         owned = [part.owned_ids(k) for k in range(n_shards)]
-        assert sorted(np.concatenate(owned).tolist()) == list(range(23))
+        # Contiguous blocks, in shard order.
+        assert np.concatenate(owned).tolist() == list(range(23))
         for k, ids in enumerate(owned):
             assert len(ids) == part.shard_size(k)
-            np.testing.assert_array_equal(part.owner(ids), np.full(len(ids), k))
-            # to_local inverts owned_ids: the k-th shard's rows index 0..len-1.
-            np.testing.assert_array_equal(part.to_local(ids), np.arange(len(ids)))
 
     def test_range_shards_balanced(self):
         part = Partitioner(23, 4)
@@ -67,29 +65,22 @@ class TestPartitioner:
         assert sizes == [6, 6, 6, 5]  # ceil bound: no shard above ceil(23/4)
         assert max(sizes) == -(-23 // 4)
 
-    def test_build_map_groups_by_owner(self):
-        part = Partitioner(20, 3)
-        ids = np.array([4, 1, 9, 4, 17, 0])
-        smap = part.build_map(ids)
-        grouped_logical = []
-        for k, local in enumerate(smap.per_shard_local):
-            grouped_logical.extend((part.owned_ids(k)[local]).tolist())
-        # Reassembling with the inverse permutation restores request order.
-        np.testing.assert_array_equal(np.asarray(grouped_logical)[smap.inverse], ids)
-        assert smap.shards_touched == 3
-        assert smap.max_shard_rows == max(len(l) for l in smap.per_shard_local)
-
-    def test_sorted_unique_ids_are_identity_under_range(self):
-        part = Partitioner(50, 4)
-        smap = part.build_map(np.array([1, 5, 12, 13, 40, 49]))
-        assert smap.identity
-
-    def test_out_of_range_ids_rejected(self):
-        part = Partitioner(10, 2)
-        with pytest.raises(ValueError, match="ids must lie"):
-            part.build_map(np.array([0, 10]))
-        with pytest.raises(ValueError, match="ids must lie"):
-            part.build_map(np.array([-1]))
+    def test_out_of_range_ids_rejected(self, closing):
+        """The sharded gather rejects bad ids in either id order, with
+        and without gradients."""
+        store = closing(make_store(_table(rows=10, dim=2), 2))
+        cases = [
+            (np.array([0, 10]), "ids must lie"),  # sorted, past the end
+            (np.array([-1]), "ids must lie"),  # sorted, negative
+            (np.array([7, 3, 10, 3]), "ids must lie"),  # unsorted, past the end
+            (np.array([4, -1, 2]), "ids must lie"),  # unsorted, negative
+            (np.array([[1, 2], [3, 0]]), "1-D"),
+        ]
+        for ids, message in cases:
+            with no_grad(), pytest.raises(ValueError, match=message):
+                store.gather(ids)
+            with pytest.raises(ValueError, match=message):
+                store.gather(ids)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError, match="n_shards"):
@@ -243,54 +234,6 @@ class TestEmbeddingDelegation:
     def test_store_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="store holds"):
             Embedding(9, 4, store=DenseStore(_table(5, 4)))
-
-
-# ---------------------------------------------------------------------------
-# Plan-driven shard maps
-# ---------------------------------------------------------------------------
-class TestPlanShardMaps:
-    def test_shard_map_cached_per_partitioner(self):
-        plan = ScoringPlan.for_items(np.array([1, 2]), np.array([[3, 4], [3, 5]]))
-        part = Partitioner(10, 2)
-        first = plan.shard_map("users", part)
-        assert plan.shard_map("users", part) is first
-        # A different layout gets its own map.
-        other = plan.shard_map("users", Partitioner(10, 3))
-        assert other is not first
-
-    def test_shard_map_roles(self):
-        plan = ScoringPlan.from_triples(
-            np.array([1, 1, 2]), np.array([0, 0, 1]), np.array([4, 4, 5])
-        )
-        part = Partitioner(10, 2)
-        assert plan.shard_map("participants", part).n_rows == len(
-            plan.unique_participants
-        )
-        assert plan.shard_map("pair_users", part).n_rows == plan.n_pairs
-        with pytest.raises(ValueError, match="unknown shard-map role"):
-            plan.shard_map("nope", part)
-
-    def test_pair_plan_has_no_participants_role(self):
-        plan = ScoringPlan.from_item_pairs(np.array([1]), np.array([2]))
-        with pytest.raises(ValueError, match="empty on a pair plan"):
-            plan.shard_map("participants", Partitioner(10, 2))
-
-    def test_gather_rejects_ids_diverging_from_plan_role(self, closing):
-        """A plan-cached shard map only answers for the plan's own ids."""
-        store = closing(make_store(_table(rows=10, dim=2), 2))
-        plan = ScoringPlan.from_item_pairs(np.array([1, 2, 3]), np.array([0, 0, 0]))
-        with no_grad():
-            ok = store.gather(plan.unique_users, plan=plan, role="users")
-            assert ok.shape == (3, 2)
-            with pytest.raises(ValueError, match="do not match the plan"):
-                store.gather(np.array([1, 2]), plan=plan, role="users")
-
-    def test_planned_batch_delegates(self):
-        batch = PlannedBatch.build(
-            {"pos": (np.array([1, 2]), np.array([3, 4]), None, (2,))}
-        )
-        part = Partitioner(10, 2)
-        assert batch.shard_map("users", part) is batch.plan.shard_map("users", part)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from repro.eval.protocol import EvalProtocol
 from repro.nn import CountingBackend, backend_scope
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import no_grad
-from repro.plan import ScoringPlan
 from repro.serving import ServingEngine, ShardUnavailable
 from repro.store import (
     DenseStore,
@@ -106,18 +105,6 @@ class TestProcessStoreContract:
             for k in range(3):
                 ids, rows = store.shard_rows(k)
                 np.testing.assert_array_equal(rows, values[ids])
-
-    def test_plan_cached_gather_and_mismatch_error(self):
-        values = _table()
-        with ProcessShardedStore(values.copy(), 2) as store:
-            users = np.array([0, 3, 3, 9], dtype=np.int64)
-            items = np.array([1, 2, 3, 4], dtype=np.int64)
-            plan = ScoringPlan.from_item_pairs(users, items)
-            with no_grad():
-                out = store.gather(plan.unique_users, plan=plan, role="users")
-            np.testing.assert_array_equal(out.data, values[plan.unique_users])
-            with pytest.raises(ValueError, match="do not match the plan"):
-                store.gather(np.array([0], dtype=np.int64), plan=plan, role="users")
 
     def test_make_store_service_layouts(self):
         values = _table()
@@ -286,22 +273,26 @@ class TestCopyAudit:
             np.testing.assert_array_equal(out.data, values[ids])
 
     def test_planned_hot_path_copy_free_through_model(self, tiny_dataset):
-        """GBMF's planned scoring over service tables: the only
-        copies are the ones the dense layout also makes (none on the
-        float64 gather path)."""
-        model = _gbmf(tiny_dataset, n_shards=2)
-        try:
-            users = np.array([0, 3, 5], dtype=np.int64)
-            items = np.array([1, 2, 4], dtype=np.int64)
-            plan = ScoringPlan.from_item_pairs(users, items)
-            counting = CountingBackend()
-            with backend_scope(counting), no_grad():
-                store = model.initiator_table.store
-                before = counting.copies
-                store.gather(plan.unique_users, plan=plan, role="users")
-                assert counting.copies == before
-        finally:
-            _close_stores(model)
+        """GBMF's planned scoring call over service tables — which
+        gathers the plan's unsorted pair columns — makes exactly the
+        copies the dense layout makes."""
+        users = np.array([5, 0, 3], dtype=np.int64)
+        candidates = np.array([[4, 1], [2, 1], [4, 0]], dtype=np.int64)
+        copies, scores = [], []
+        for n_shards in (0, 2):
+            model = _gbmf(tiny_dataset, n_shards=n_shards)
+            try:
+                plan = model._candidate_plan(users, candidates)
+                with no_grad():
+                    model.refresh_cache()
+                    counting = CountingBackend()
+                    with backend_scope(counting):
+                        scores.append(model.score_item_plan(plan))
+                copies.append(counting.copies)
+            finally:
+                _close_stores(model)
+        assert copies[0] == copies[1]
+        np.testing.assert_array_equal(scores[0], scores[1])
 
     def test_recycling_keeps_recent_results_valid(self):
         """The arena never recycles rows under a live recent gather —
