@@ -16,10 +16,16 @@ Layout
                     adjusted gates, prediction heads, all four losses,
                     and the paper's five ablation variants
 ``repro.baselines`` DeepMF, NGCF, DiffNet, EATNN, GBGCN, GBMF
-``repro.store``     embedding storage layouts: dense tables and
-                    hash/range-sharded stores with plan-driven gathers
+``repro.plan``      scoring plans: dedup and scatter maps for batched
+                    candidate scoring
+``repro.store``     embedding storage layouts: dense tables, row-range
+                    sharded stores served by worker processes, LRU and
+                    quantised tiers
+``repro.serving``   async serving engines that batch scoring requests
+                    into one plan per flush
 ``repro.training``  joint two-task trainer, checkpoints, histories
 ``repro.analysis``  parameter counts, epoch timing, hyper-parameter sweeps
+``repro.utils``     seeded RNG handling, loggers, argument validation
 """
 
 __version__ = "1.0.0"

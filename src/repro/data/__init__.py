@@ -1,15 +1,14 @@
-"""``repro.data`` — group-buying datasets, sampling, and persistence.
+"""``repro.data`` — group-buying datasets and sampling.
 
 Provides the data substrate the paper's experiments need: a synthetic
 Beibei-style generator (the real dump is proprietary — see
 :mod:`repro.data.synthetic` for the substitution argument), the Sec.
 III-A2 preprocessing filter, task
 A/B positive-sample extraction, the three negative samplers, 7:3:1
-splits, batch iterators, npz/json persistence and Table-I statistics.
+splits, batch iterators, the Beibei text loader and Table-I statistics.
 """
 
 from repro.data.batching import iter_task_a_batches, iter_task_b_batches, n_batches
-from repro.data.io import export_json, import_json, load_dataset, save_dataset
 from repro.data.loaders import (
     load_groups_txt,
     parse_group_line,
@@ -48,10 +47,6 @@ __all__ = [
     "iter_task_a_batches",
     "iter_task_b_batches",
     "n_batches",
-    "save_dataset",
-    "load_dataset",
-    "export_json",
-    "import_json",
     "load_groups_txt",
     "read_groups_txt",
     "parse_group_line",

@@ -143,13 +143,3 @@ class GCN(Module):
         for layer in self._layers:
             x = layer(adjacency, x)
         return x
-
-    def all_layer_outputs(self, adjacency: Optional[sp.spmatrix] = None) -> List[Tensor]:
-        """Return ``[X⁰, X¹, …, X^H]`` (NGCF-style consumers concatenate these)."""
-        adjacency = self._resolve_adjacency(adjacency)
-        x = self.features.all()
-        outputs = [x]
-        for layer in self._layers:
-            x = layer(adjacency, x)
-            outputs.append(x)
-        return outputs

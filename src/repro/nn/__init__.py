@@ -3,13 +3,11 @@
 The paper's reference implementation is PyTorch; this package provides
 the equivalent primitives offline: reverse-mode autograd tensors, stable
 activation/loss functionals, a Module system, standard layers, the Adam
-optimizer, sparse adjacency products for GCNs, and a finite-difference
-gradient checker that the tests use to validate every adjoint.
+optimizer and sparse adjacency products for GCNs.
 """
 
 from repro.nn import functional
 from repro.nn.backend import CountingBackend, NumpyBackend, backend_scope, get_backend
-from repro.nn.gradcheck import gradcheck, numerical_gradient
 from repro.nn.layers import MLP, Embedding, Linear
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam, clip_grad_norm
@@ -21,10 +19,6 @@ from repro.nn.tensor import (
     get_default_dtype,
     no_grad,
     is_grad_enabled,
-    ones,
-    scatter_cache_stats,
-    clear_scatter_cache,
-    stack,
     take_rows,
     tensor,
     zeros,
@@ -34,9 +28,7 @@ __all__ = [
     "Tensor",
     "tensor",
     "zeros",
-    "ones",
     "concat",
-    "stack",
     "take_rows",
     "no_grad",
     "is_grad_enabled",
@@ -46,8 +38,6 @@ __all__ = [
     "CountingBackend",
     "get_backend",
     "backend_scope",
-    "scatter_cache_stats",
-    "clear_scatter_cache",
     "Module",
     "Parameter",
     "Linear",
@@ -58,6 +48,4 @@ __all__ = [
     "spmm",
     "to_csr",
     "functional",
-    "gradcheck",
-    "numerical_gradient",
 ]

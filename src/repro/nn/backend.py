@@ -58,7 +58,6 @@ PRIMITIVES = (
     "empty",
     "zeros",
     "ones",
-    "full",
     "zeros_like",
     "empty_like",
     "add",
@@ -72,23 +71,16 @@ PRIMITIVES = (
     "exp",
     "log",
     "log1p",
-    "sqrt",
     "absolute",
-    "sign",
-    "tanh",
     "maximum",
-    "clip",
     "greater",
-    "where",
     "sum",
     "amax",
     "reshape",
     "swapaxes",
     "expand_dims",
-    "squeeze",
     "broadcast_to",
     "concatenate",
-    "stack",
     "take",
     "add_at",
 )
@@ -122,9 +114,6 @@ class NumpyBackend:
 
     def ones(self, shape, dtype=None):
         return np.ones(shape, dtype=dtype)
-
-    def full(self, shape, value, dtype=None):
-        return np.full(shape, value, dtype=dtype)
 
     def zeros_like(self, arr):
         return np.zeros_like(arr)
@@ -167,29 +156,14 @@ class NumpyBackend:
     def log1p(self, a):
         return np.log1p(a)
 
-    def sqrt(self, a):
-        return np.sqrt(a)
-
     def absolute(self, a):
         return np.abs(a)
-
-    def sign(self, a):
-        return np.sign(a)
-
-    def tanh(self, a):
-        return np.tanh(a)
 
     def maximum(self, a, b, out=None):
         return np.maximum(a, b, out=out) if out is not None else np.maximum(a, b)
 
-    def clip(self, a, low, high):
-        return np.clip(a, low, high)
-
     def greater(self, a, b):
         return a > b
-
-    def where(self, cond, a, b):
-        return np.where(cond, a, b)
 
     # -- reductions -----------------------------------------------------
     def sum(self, a, axis=None, keepdims=False, out=None):
@@ -210,9 +184,6 @@ class NumpyBackend:
     def expand_dims(self, a, axis):
         return np.expand_dims(a, axis)
 
-    def squeeze(self, a, axis):
-        return np.squeeze(a, axis=axis)
-
     def broadcast_to(self, a, shape):
         return np.broadcast_to(a, shape)
 
@@ -221,11 +192,6 @@ class NumpyBackend:
         if out is not None:
             return np.concatenate(arrays, axis=axis, out=out)
         return np.concatenate(arrays, axis=axis)
-
-    def stack(self, arrays, axis=0, out=None):
-        if out is not None:
-            return np.stack(arrays, axis=axis, out=out)
-        return np.stack(arrays, axis=axis)
 
     def take(self, a, index, out=None):
         """Row gather ``a[index]`` along axis 0.

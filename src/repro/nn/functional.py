@@ -3,8 +3,8 @@
 These free functions build on :class:`repro.nn.tensor.Tensor` and provide
 numerically-stable implementations of the nonlinearities MGBR's equations
 use: the sigmoid ``σ`` appearing throughout Eq. 1-3 and Eq. 16/17, softmax
-for gate attention, and the log-sigmoid / softplus pair underpinning the
-BPR objectives (Eq. 19/24).  Keeping them out of the :class:`Tensor`
+for gate attention, and the stable log-sigmoid (via softplus) underpinning
+the BPR objectives (Eq. 19/24).  Keeping them out of the :class:`Tensor`
 class mirrors the ``torch.nn.functional`` layout the paper's reference
 code relies on.
 """
@@ -19,10 +19,8 @@ from repro.nn.tensor import Tensor
 __all__ = [
     "sigmoid",
     "logsigmoid",
-    "softplus",
     "relu",
     "leaky_relu",
-    "tanh",
     "softmax",
 ]
 
@@ -65,12 +63,6 @@ def _stable_softplus(z: np.ndarray) -> np.ndarray:
     return b.maximum(z, 0.0) + b.log1p(b.exp(-b.absolute(z)))
 
 
-def softplus(x: Tensor) -> Tensor:
-    """Stable elementwise softplus ``log(1 + e^x)``."""
-    value = _stable_softplus(x.data)
-    return Tensor._make(value, (x, lambda g: g * _stable_sigmoid(x.data)))
-
-
 def relu(x: Tensor) -> Tensor:
     """Rectified linear unit ``max(x, 0)``."""
     b = get_backend()
@@ -83,12 +75,6 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     mask = x.data > 0
     scale = np.where(mask, 1.0, negative_slope)
     return Tensor._make(x.data * scale, (x, lambda g: g * scale))
-
-
-def tanh(x: Tensor) -> Tensor:
-    """Elementwise hyperbolic tangent."""
-    value = get_backend().tanh(x.data)
-    return Tensor._make(value, (x, lambda g: g * (1.0 - value**2)))
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:

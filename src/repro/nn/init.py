@@ -15,9 +15,6 @@ import numpy as np
 __all__ = [
     "normal_",
     "xavier_uniform",
-    "xavier_normal",
-    "kaiming_uniform",
-    "zeros_init",
 ]
 
 
@@ -40,23 +37,3 @@ def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float
     fan_in, fan_out = _fan(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot normal: ``N(0, gain² * 2/(fan_in+fan_out))``."""
-    fan_in, fan_out = _fan(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He uniform for ReLU fan-in scaling."""
-    fan_in, _ = _fan(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def zeros_init(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """All-zero values (bias default)."""
-    del rng
-    return np.zeros(shape)

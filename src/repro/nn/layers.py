@@ -38,7 +38,6 @@ _ACTIVATIONS = {
     "sigmoid": F.sigmoid,
     "relu": F.relu,
     "leaky_relu": F.leaky_relu,
-    "tanh": F.tanh,
     "identity": lambda x: x,
     "none": lambda x: x,
 }

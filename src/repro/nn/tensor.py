@@ -11,9 +11,9 @@ nonlinearities themselves live in :mod:`repro.nn.functional`).
 Design notes
 ------------
 * A :class:`Tensor` wraps an ``np.ndarray`` (``float64`` by default so the
-  finite-difference gradient checker in :mod:`repro.nn.gradcheck` is
-  meaningful) plus an optional gradient buffer and, on graph nodes, the
-  backward :meth:`Tensor._make` built for it.
+  tests' finite-difference gradient checks are meaningful) plus an
+  optional gradient buffer and, on graph nodes, the backward
+  :meth:`Tensor._make` built for it.
 * The graph is a DAG of tensors; :meth:`Tensor.backward` runs a
   depth-first topological sort and accumulates gradients with ``+=`` so
   shared sub-expressions (e.g. the GCN embeddings feeding three gates)
@@ -103,17 +103,13 @@ __all__ = [
     "Tensor",
     "tensor",
     "zeros",
-    "ones",
     "no_grad",
     "is_grad_enabled",
     "get_default_dtype",
     "dtype_scope",
     "concat",
-    "stack",
     "take_rows",
     "gather_add",
-    "scatter_cache_stats",
-    "clear_scatter_cache",
     "Window",
     "shared_input",
     "reduce_windows",
@@ -210,23 +206,6 @@ def no_grad():
 _SCATTER_CACHE_CAPACITY = 64
 _SCATTER_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _SCATTER_CACHE_LOCK = threading.Lock()
-_SCATTER_CACHE_COUNTS = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def scatter_cache_stats() -> dict:
-    """Snapshot of the CSR scatter-matrix cache counters (+ current size)."""
-    with _SCATTER_CACHE_LOCK:
-        snap = dict(_SCATTER_CACHE_COUNTS)
-        snap["size"] = len(_SCATTER_CACHE)
-        return snap
-
-
-def clear_scatter_cache() -> None:
-    """Drop all cached CSR scatter operators and zero the counters."""
-    with _SCATTER_CACHE_LOCK:
-        _SCATTER_CACHE.clear()
-        for key in _SCATTER_CACHE_COUNTS:
-            _SCATTER_CACHE_COUNTS[key] = 0
 
 
 def _cached_one_hot(index: np.ndarray, n_rows: int, dtype: np.dtype):
@@ -236,7 +215,6 @@ def _cached_one_hot(index: np.ndarray, n_rows: int, dtype: np.dtype):
         entry = _SCATTER_CACHE.get(key)
         if entry is not None and entry[0] is index:
             _SCATTER_CACHE.move_to_end(key)
-            _SCATTER_CACHE_COUNTS["hits"] += 1
             return entry[1]
     import scipy.sparse as sp  # deferred: keep the numpy-only core lazy
 
@@ -253,12 +231,10 @@ def _cached_one_hot(index: np.ndarray, n_rows: int, dtype: np.dtype):
         shape=(n_rows, index.size),
     )
     with _SCATTER_CACHE_LOCK:
-        _SCATTER_CACHE_COUNTS["misses"] += 1
         _SCATTER_CACHE[key] = (index, one_hot)
         _SCATTER_CACHE.move_to_end(key)
         while len(_SCATTER_CACHE) > _SCATTER_CACHE_CAPACITY:
             _SCATTER_CACHE.popitem(last=False)
-            _SCATTER_CACHE_COUNTS["evictions"] += 1
     return one_hot
 
 
@@ -482,16 +458,6 @@ class Tensor:
         """Number of dimensions."""
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        """Total element count."""
-        return self.data.size
-
-    @property
-    def T(self) -> "Tensor":
-        """Transpose of a 2-D tensor (alias for :meth:`transpose`)."""
-        return self.transpose()
-
     def __len__(self) -> int:
         return len(self.data)
 
@@ -657,16 +623,6 @@ class Tensor:
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return _as_tensor(other) / self
 
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-
-        def grad(g: np.ndarray) -> np.ndarray:
-            b = _B_STATE.backend
-            return b.multiply(b.multiply(g, exponent), b.power(self.data, exponent - 1))
-
-        return Tensor._make(_B_STATE.backend.power(self.data, exponent), (self, grad))
-
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = _as_tensor(other)
 
@@ -710,33 +666,6 @@ class Tensor:
             (self, lambda g: _B_STATE.backend.divide(g, self.data)),
         )
 
-    def sqrt(self) -> "Tensor":
-        """Elementwise square root."""
-        value = _B_STATE.backend.sqrt(self.data)
-
-        def grad(g: np.ndarray) -> np.ndarray:
-            b = _B_STATE.backend
-            return b.divide(b.multiply(g, 0.5), value)
-
-        return Tensor._make(value, (self, grad))
-
-    def abs(self) -> "Tensor":
-        """Elementwise absolute value (subgradient 0 at 0)."""
-
-        def grad(g: np.ndarray) -> np.ndarray:
-            b = _B_STATE.backend
-            return b.multiply(g, b.sign(self.data))
-
-        return Tensor._make(_B_STATE.backend.absolute(self.data), (self, grad))
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        """Clamp values to ``[low, high]``; gradient is zero outside."""
-        mask = (self.data >= low) & (self.data <= high)
-        return Tensor._make(
-            _B_STATE.backend.clip(self.data, low, high),
-            (self, lambda g: _B_STATE.backend.multiply(g, mask)),
-        )
-
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
@@ -765,27 +694,6 @@ class Tensor:
             count = int(np.prod([self.data.shape[a % self.data.ndim] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) / float(count)
 
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        """Maximum over ``axis``; ties split gradient equally."""
-        value = _B_STATE.backend.amax(self.data, axis=axis, keepdims=True)
-
-        def grad(g: np.ndarray) -> np.ndarray:
-            b = _B_STATE.backend
-            if axis is not None and not keepdims:
-                g = b.expand_dims(g, axis)
-            elif axis is None and not keepdims:
-                g = b.broadcast_to(g, (1,) * self.data.ndim)
-            mask = self.data == value
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            return b.divide(b.multiply(b.broadcast_to(g, self.data.shape), mask), counts)
-
-        out_value = (
-            value if keepdims or axis is None else _B_STATE.backend.squeeze(value, axis=axis)
-        )
-        if axis is None and not keepdims:
-            out_value = np.asarray(out_value).reshape(())
-        return Tensor._make(out_value, (self, grad))
-
     # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------
@@ -796,13 +704,6 @@ class Tensor:
         return Tensor._make(
             _B_STATE.backend.reshape(self.data, shape),
             (self, lambda g: _B_STATE.backend.reshape(g, self.data.shape)),
-        )
-
-    def transpose(self, axis0: int = -2, axis1: int = -1) -> "Tensor":
-        """Swap two axes (defaults transpose the trailing matrix dims)."""
-        return Tensor._make(
-            _B_STATE.backend.swapaxes(self.data, axis0, axis1),
-            (self, lambda g: _B_STATE.backend.swapaxes(g, axis0, axis1)),
         )
 
     def __getitem__(self, key) -> "Tensor":
@@ -879,13 +780,6 @@ def zeros(*shape: int, requires_grad: bool = False) -> Tensor:
     )
 
 
-def ones(*shape: int, requires_grad: bool = False) -> Tensor:
-    """Tensor of ones with the given shape."""
-    return Tensor(
-        _B_STATE.backend.ones(shape, dtype=_STATE.default_dtype), requires_grad=requires_grad
-    )
-
-
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` (the paper's ``||`` operator).
 
@@ -907,20 +801,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
             for t, start, stop in zip(tensors, offsets[:-1], offsets[1:])
         ),
     )
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack equal-shaped tensors along a new axis.
-
-    Used to assemble the per-layer expert banks ``E^l`` from the ``K``
-    individual expert outputs before the gate attention.
-    """
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ValueError("stack() needs at least one tensor")
-    value = _B_STATE.backend.stack([t.data for t in tensors], axis=axis)
-    lead = (slice(None),) * (axis % value.ndim)
-    return Tensor._make(value, *(_window_route(t, lead + (i,)) for i, t in enumerate(tensors)))
 
 
 def take_rows(source: Tensor, index: ArrayLike) -> Tensor:

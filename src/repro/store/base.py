@@ -163,6 +163,24 @@ class EmbeddingStore:
             )
         return values
 
+    def _check_ids(self, ids) -> np.ndarray:
+        """``ids`` as a 1-D int64 array of rows in ``[0, num_rows)``.
+
+        Raises ``ValueError`` otherwise, the same on every layout: a
+        negative id would silently read a row from the end of a dense
+        table.
+        """
+        idx = np.asarray(ids, dtype=np.int64)
+        if idx.ndim != 1:
+            raise ValueError(f"ids must be a 1-D array, got shape {idx.shape}")
+        if idx.size:
+            lo, hi = int(idx.min()), int(idx.max())
+            if lo < 0 or hi >= self.num_rows:
+                raise ValueError(
+                    f"ids must lie in [0, {self.num_rows}), got range [{lo}, {hi}]"
+                )
+        return idx
+
     def _record_gather(self, n_rows: int, shards_touched: int, max_shard_rows: int) -> None:
         with self._lock:
             self.stats["gathers"] += 1

@@ -50,7 +50,7 @@ class DenseStore(EmbeddingStore):
     # Reads
     # ------------------------------------------------------------------
     def gather(self, ids) -> Tensor:
-        idx = np.asarray(ids, dtype=np.int64)
+        idx = self._check_ids(ids)
         self._record_gather(idx.size, 1 if idx.size else 0, idx.size)
         return take_rows(self.weight, idx)
 
@@ -67,7 +67,7 @@ class DenseStore(EmbeddingStore):
         self._assign_param(self.weight, self._check_table(values), dtype)
 
     def assign_rows(self, ids, values) -> None:
-        idx = np.asarray(ids, dtype=np.int64)
+        idx = self._check_ids(ids)
         self.weight.data[idx] = values
         self.weight.bump_version()
 

@@ -113,7 +113,7 @@ class LRUCachedStore(EmbeddingStore):
             # Differentiable gathers must build the inner store's graph;
             # the cache only ever serves inference reads.
             return self.inner.gather(ids)
-        idx = np.asarray(ids, dtype=np.int64).ravel()
+        idx = self._check_ids(ids)
         unique = np.unique(idx)
         epoch = self._current_epoch()
         found = {}

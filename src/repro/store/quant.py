@@ -264,7 +264,7 @@ class QuantizedStore(EmbeddingStore):
             # Training reads the float master — gradients and optimizer
             # state never see quantised values.
             return self.inner.gather(ids)
-        idx = np.asarray(ids, dtype=np.int64).ravel()
+        idx = self._check_ids(ids)
         with self._qlock:
             self._sync_locked()
             q = self._q[idx]
@@ -280,7 +280,7 @@ class QuantizedStore(EmbeddingStore):
 
         Returns fresh (fancy-indexed) arrays, safe for the caller to keep.
         """
-        idx = np.asarray(ids, dtype=np.int64).ravel()
+        idx = self._check_ids(ids)
         with self._qlock:
             self._sync_locked()
             q = self._q[idx]
@@ -318,7 +318,7 @@ class QuantizedStore(EmbeddingStore):
         included.  If the shadow was already stale, the write just keeps
         it stale (the next read resyncs in full).
         """
-        idx = np.asarray(ids, dtype=np.int64).ravel()
+        idx = self._check_ids(ids)
         with self._qlock:
             pre = self._inner_epoch()
             self.inner.assign_rows(idx, values)

@@ -1001,18 +1001,11 @@ class ProcessShardedStore(EmbeddingStore):
         A stable sort keeps duplicate ids in request order, so each row's
         gradient terms reach the worker's scatter-add in the dense order.
         """
-        idx = np.asarray(ids, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ValueError(f"ids must be a 1-D array, got shape {idx.shape}")
+        idx = self._check_ids(ids)
         order = None
         if idx.size > 1 and not (idx[:-1] <= idx[1:]).all():
             order = np.argsort(idx, kind="stable")
             idx = idx[order]
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.num_rows):
-            raise ValueError(
-                f"ids must lie in [0, {self.num_rows}), got range "
-                f"[{int(idx[0])}, {int(idx[-1])}]"
-            )
         bounds = np.searchsorted(idx, self._starts)
         pieces = [
             (k, int(bounds[k]), int(bounds[k + 1]))

@@ -1,15 +1,13 @@
 """Training history: loss curves and periodic evaluation snapshots.
 
 A :class:`History` is a list of per-epoch records the trainer appends
-to; it renders compact progress lines, answers "best epoch so far" for
-early stopping, and serialises to JSON for the benchmark harness.
+to; it renders compact progress lines and answers "best epoch so far"
+for early stopping.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional
 
 __all__ = ["EpochRecord", "History"]
@@ -76,40 +74,3 @@ class History:
     def loss_curve(self, name: str = "total") -> List[float]:
         """Sequence of one loss component across epochs."""
         return [r.losses[name] for r in self.records if name in r.losses]
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def to_json(self, path) -> Path:
-        """Dump the history to a JSON file; returns the path."""
-        path = Path(path)
-        doc = [
-            {
-                "epoch": r.epoch,
-                "losses": r.losses,
-                "metrics": r.metrics,
-                "seconds": r.seconds,
-                "phases": r.phases,
-            }
-            for r in self.records
-        ]
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=1))
-        return path
-
-    @classmethod
-    def from_json(cls, path) -> "History":
-        """Load a history previously written by :meth:`to_json`."""
-        doc = json.loads(Path(path).read_text())
-        history = cls()
-        for entry in doc:
-            history.append(
-                EpochRecord(
-                    epoch=int(entry["epoch"]),
-                    losses=dict(entry["losses"]),
-                    metrics=dict(entry.get("metrics", {})),
-                    seconds=float(entry.get("seconds", 0.0)),
-                    phases=dict(entry.get("phases", {})),
-                )
-            )
-        return history

@@ -2,20 +2,12 @@
 
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngMixin, as_rng, spawn_rngs
-from repro.utils.validation import (
-    check_index_array,
-    check_positive,
-    check_probability,
-    check_unit_interval,
-)
+from repro.utils.validation import check_positive
 
 __all__ = [
     "RngMixin",
     "as_rng",
     "spawn_rngs",
     "get_logger",
-    "check_index_array",
     "check_positive",
-    "check_probability",
-    "check_unit_interval",
 ]

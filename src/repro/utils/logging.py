@@ -1,20 +1,18 @@
 """Thin logging facade used across the library.
 
 All modules obtain loggers through :func:`get_logger` so the root
-``repro`` logger can be configured once (by the CLI, the trainer, or a
-user application) without each module touching global logging state.
+``repro`` logger can be configured once by the application without each
+module touching global logging state.
 """
 
 from __future__ import annotations
 
 import logging
-import sys
 from typing import Optional
 
-__all__ = ["get_logger", "configure_logging"]
+__all__ = ["get_logger"]
 
 _ROOT_NAME = "repro"
-_CONFIGURED = False
 
 
 def get_logger(name: Optional[str] = None) -> logging.Logger:
@@ -28,22 +26,3 @@ def get_logger(name: Optional[str] = None) -> logging.Logger:
     if name.startswith(_ROOT_NAME + "."):
         return logging.getLogger(name)
     return logging.getLogger(f"{_ROOT_NAME}.{name}")
-
-
-def configure_logging(level: int = logging.INFO, stream=None) -> logging.Logger:
-    """Attach a stderr handler with a compact format to the root logger.
-
-    Safe to call repeatedly; only the first call installs a handler.
-    Returns the root library logger either way.
-    """
-    global _CONFIGURED
-    root = logging.getLogger(_ROOT_NAME)
-    if not _CONFIGURED:
-        handler = logging.StreamHandler(stream or sys.stderr)
-        handler.setFormatter(
-            logging.Formatter("%(asctime)s %(name)s %(levelname)s: %(message)s", "%H:%M:%S")
-        )
-        root.addHandler(handler)
-        _CONFIGURED = True
-    root.setLevel(level)
-    return root

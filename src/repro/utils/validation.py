@@ -1,22 +1,11 @@
-"""Argument-validation helpers shared across the library.
+"""Argument validation shared across the library.
 
-Recommender pipelines shuffle integer id arrays between many components;
-silent out-of-range indices turn into NaNs three modules later.  These
-helpers fail fast with messages naming the offending argument.
+The helpers fail fast with messages naming the offending argument.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-import numpy as np
-
-__all__ = [
-    "check_positive",
-    "check_probability",
-    "check_unit_interval",
-    "check_index_array",
-]
+__all__ = ["check_positive"]
 
 
 def check_positive(name: str, value: float, *, strict: bool = True) -> None:
@@ -25,43 +14,3 @@ def check_positive(name: str, value: float, *, strict: bool = True) -> None:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     if not strict and not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
-
-
-def check_probability(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value`` lies in the closed interval [0, 1]."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
-
-
-def check_unit_interval(name: str, value: float, *, open_ends: bool = False) -> None:
-    """Raise ``ValueError`` unless ``value`` lies in [0, 1] (or (0, 1) if open)."""
-    if open_ends:
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-    else:
-        check_probability(name, value)
-
-
-def check_index_array(name: str, array: Any, high: int) -> np.ndarray:
-    """Coerce ``array`` to a 1-D int64 index array and bounds-check it.
-
-    Parameters
-    ----------
-    name: argument name used in error messages.
-    array: anything ``np.asarray`` accepts.
-    high: exclusive upper bound for the indices.
-    """
-    out = np.asarray(array)
-    if out.ndim == 0:
-        out = out.reshape(1)
-    if out.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {out.shape}")
-    if out.size and not np.issubdtype(out.dtype, np.integer):
-        if np.any(out != np.floor(out)):
-            raise TypeError(f"{name} must contain integers, got dtype {out.dtype}")
-    out = out.astype(np.int64, copy=False)
-    if out.size:
-        lo, hi = int(out.min()), int(out.max())
-        if lo < 0 or hi >= high:
-            raise IndexError(f"{name} contains indices outside [0, {high}): min={lo}, max={hi}")
-    return out

@@ -23,9 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.baselines import GBMF
-from repro.cli import build_model
-from repro.core import MGBR, MGBRConfig
+from repro.baselines import EATNN, GBGCN, GBMF, NGCF, DeepMF, DiffNet
+from repro.core import MGBR, MGBRConfig, build_variant
 from repro.core.variants import VARIANTS
 from repro.data import SyntheticConfig, generate_dataset
 from repro.nn import no_grad
@@ -37,7 +36,18 @@ PATH = Path(__file__).with_suffix(".npz")
 DATASET = SyntheticConfig(n_users=80, n_items=30, n_groups=300, min_interactions=3)
 DATASET_SEED = 11
 
-BASELINES = ("DeepMF", "DiffNet", "EATNN", "GBGCN", "GBMF", "NGCF")
+_BASELINES = {
+    "DeepMF": DeepMF,
+    "NGCF": NGCF,
+    "DiffNet": DiffNet,
+    "EATNN": EATNN,
+    "GBGCN": GBGCN,
+    "GBMF": GBMF,
+}
+
+_GRAPH_BASELINES = {"NGCF", "DiffNet", "GBGCN"}
+
+BASELINES = tuple(sorted(_BASELINES))
 
 #: The live-head stack configurations (tests/test_live_heads.py).
 LIVE_CONFIGS = {
@@ -48,6 +58,20 @@ LIVE_CONFIGS = {
     "layers-3": {"mtl_layers": 3},
     "compact": {"first_layer_compact": True},
 }
+
+
+def build_model(name: str, dataset, dim: int = 16, seed: int = 0):
+    """Instantiate any model/variant by its paper name over ``dataset``."""
+    if name in VARIANTS:
+        config = MGBRConfig.small(d=dim, seed=seed)
+        return build_variant(name, dataset.train, dataset.n_users, dataset.n_items, base=config)
+    if name in _BASELINES:
+        cls = _BASELINES[name]
+        if name in _GRAPH_BASELINES:
+            return cls(dataset.train, dataset.n_users, dataset.n_items, dim=dim, seed=seed)
+        return cls(dataset.n_users, dataset.n_items, dim=dim, seed=seed)
+    known = sorted(VARIANTS) + sorted(_BASELINES)
+    raise SystemExit(f"unknown model {name!r}; choose from {known}")
 
 
 def dataset():

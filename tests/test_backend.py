@@ -15,13 +15,16 @@ from repro.nn import (
     CountingBackend,
     NumpyBackend,
     backend_scope,
-    clear_scatter_cache,
     get_backend,
-    scatter_cache_stats,
     take_rows,
     tensor,
 )
-from repro.nn.tensor import _scatter_rows_add
+from repro.nn.tensor import (
+    _SCATTER_CACHE,
+    _SCATTER_CACHE_CAPACITY,
+    _cached_one_hot,
+    _scatter_rows_add,
+)
 from repro.store import make_store
 
 
@@ -142,9 +145,9 @@ class TestPlannedGatherCopyAudit:
 class TestScatterCache:
     @pytest.fixture(autouse=True)
     def _clean_cache(self):
-        clear_scatter_cache()
+        _SCATTER_CACHE.clear()
         yield
-        clear_scatter_cache()
+        _SCATTER_CACHE.clear()
 
     def _idx(self, rng, n=1024, n_rows=40):
         return rng.integers(0, n_rows, size=n)
@@ -153,11 +156,11 @@ class TestScatterCache:
         idx = self._idx(rng)
         grad = rng.normal(size=(idx.size, 3))
         first = _scatter_rows_add(idx, grad, 40, np.float64)
-        stats = scatter_cache_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 0
+        assert len(_SCATTER_CACHE) == 1
+        (entry,) = _SCATTER_CACHE.values()
         second = _scatter_rows_add(idx, grad, 40, np.float64)
-        stats = scatter_cache_stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert len(_SCATTER_CACHE) == 1
+        assert _cached_one_hot(idx, 40, np.dtype(np.float64)) is entry[1]
         np.testing.assert_array_equal(first, second)
 
     def test_cached_path_matches_add_at(self, rng):
@@ -179,22 +182,20 @@ class TestScatterCache:
         grad = rng.normal(size=(idx_a.size, 2))
         _scatter_rows_add(idx_a, grad, 40, np.float64)
         _scatter_rows_add(idx_b, grad, 40, np.float64)
-        stats = scatter_cache_stats()
-        assert stats["misses"] == 2 and stats["hits"] == 0
+        assert [id(entry[0]) for entry in _SCATTER_CACHE.values()] == [id(idx_a), id(idx_b)]
 
     def test_lru_bound_and_eviction(self, rng):
-        from repro.nn.tensor import _SCATTER_CACHE_CAPACITY
-
         keep = []
         for _ in range(_SCATTER_CACHE_CAPACITY + 8):
             idx = self._idx(rng)
             keep.append(idx)  # keep alive so ids stay distinct
             _scatter_rows_add(idx, np.ones((idx.size, 1)), 40, np.float64)
-        stats = scatter_cache_stats()
-        assert stats["size"] <= _SCATTER_CACHE_CAPACITY
-        assert stats["evictions"] >= 8
+        assert len(_SCATTER_CACHE) == _SCATTER_CACHE_CAPACITY
+        # The eight oldest operators went first.
+        cached = [id(entry[0]) for entry in _SCATTER_CACHE.values()]
+        assert cached == [id(idx) for idx in keep[8:]]
 
     def test_small_scatters_bypass_cache(self, rng):
         idx = rng.integers(0, 8, size=64)  # below the sparse threshold
         _scatter_rows_add(idx, np.ones((64, 2)), 8, np.float64)
-        assert scatter_cache_stats()["misses"] == 0
+        assert len(_SCATTER_CACHE) == 0

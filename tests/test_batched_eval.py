@@ -16,7 +16,6 @@ from repro.graph.gcn import GCN
 from repro.nn import (
     dtype_scope,
     get_default_dtype,
-    gradcheck,
     no_grad,
     spmm,
     tensor,
@@ -24,6 +23,8 @@ from repro.nn import (
     zeros,
 )
 from repro.utils.rng import choice_excluding_batch
+
+from tests.gradcheck import gradcheck
 
 
 class TestBatchedProtocolParity:

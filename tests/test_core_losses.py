@@ -6,7 +6,9 @@ import pytest
 from repro.core import MGBRConfig, bpr_loss, listwise_aux_loss, total_loss
 from repro.core.losses import LossBreakdown, aux_loss_task_a, aux_loss_task_b
 from repro.data import NegativeSampler, extract_task_b
-from repro.nn import gradcheck, tensor
+from repro.nn import tensor
+
+from tests.gradcheck import gradcheck
 
 
 def _t(rng, *shape):

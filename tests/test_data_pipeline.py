@@ -1,4 +1,4 @@
-"""Tests for preprocessing, splits, samples, batching and persistence."""
+"""Tests for preprocessing, splits, samples, batching and statistics."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,13 @@ import pytest
 from repro.data import (
     DealGroup,
     GroupBuyingDataset,
-    export_json,
     extract_task_a,
     extract_task_b,
     filter_min_interactions,
-    import_json,
     iter_task_a_batches,
     iter_task_b_batches,
-    load_dataset,
     n_batches,
     remap_ids,
-    save_dataset,
     split_groups,
 )
 from repro.data.statistics import compute_statistics, format_table1
@@ -146,43 +142,6 @@ class TestBatching:
         samples = extract_task_b(handmade_groups)  # 4 triples
         batches = list(iter_task_b_batches(samples, 3, drop_last=True, seed=0))
         assert len(batches) == 1 and len(batches[0]["users"]) == 3
-
-
-class TestPersistence:
-    def _dataset(self):
-        return GroupBuyingDataset(
-            n_users=4,
-            n_items=3,
-            train=[DealGroup(0, 0, (1, 2)), DealGroup(3, 2, ())],
-            validation=[DealGroup(1, 1, (0,))],
-            test=[DealGroup(2, 0, (3,))],
-            name="unit",
-        )
-
-    def test_npz_roundtrip(self, tmp_path):
-        ds = self._dataset()
-        path = save_dataset(ds, tmp_path / "data")
-        loaded = load_dataset(path)
-        assert loaded.n_users == ds.n_users
-        assert loaded.train == ds.train
-        assert loaded.validation == ds.validation
-        assert loaded.test == ds.test
-        assert loaded.name == "unit"
-
-    def test_npz_suffix_added(self, tmp_path):
-        path = save_dataset(self._dataset(), tmp_path / "noext")
-        assert path.suffix == ".npz"
-
-    def test_json_roundtrip(self, tmp_path):
-        ds = self._dataset()
-        path = export_json(ds, tmp_path / "data.json")
-        loaded = import_json(path)
-        assert loaded.train == ds.train and loaded.n_items == ds.n_items
-
-    def test_empty_split_roundtrip(self, tmp_path):
-        ds = GroupBuyingDataset(n_users=2, n_items=1, train=[DealGroup(0, 0, (1,))])
-        loaded = load_dataset(save_dataset(ds, tmp_path / "d"))
-        assert loaded.validation == [] and loaded.test == []
 
 
 class TestStatistics:

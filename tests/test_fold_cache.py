@@ -24,8 +24,9 @@ import pytest
 from repro.core.experts import ExpertBank
 from repro.nn.layers import Linear
 from repro.nn.optim import Adam
-from repro.nn.gradcheck import gradcheck
-from repro.nn.tensor import no_grad, stack, tensor
+from repro.nn.tensor import concat, no_grad, tensor
+
+from tests.gradcheck import gradcheck
 
 
 def _bank(in_dim=6, out_dim=3, n_experts=4, seed=0):
@@ -39,15 +40,15 @@ class TestFusedBankParity:
         x = tensor(np.random.default_rng(0).normal(size=(5, 3)))
         blocks = [(0, 3), (3, 6)]
         fused = bank.project_blocks(x, blocks)
-        reference = stack(
+        reference = np.stack(
             [
-                x @ (expert.weight[0:3] + expert.weight[3:6])
+                (x @ (expert.weight[0:3] + expert.weight[3:6])).data
                 for expert in bank._experts
             ],
             axis=1,
         )
         assert fused.shape == reference.shape == (5, 4, 3)
-        np.testing.assert_allclose(fused.data, reference.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused.data, reference, rtol=0, atol=1e-12)
 
     def test_fused_gradients_match_per_expert_loop(self):
         bank_fused = _bank(seed=7)
@@ -56,7 +57,7 @@ class TestFusedBankParity:
         blocks = [(0, 3), (3, 6)]
 
         bank_fused.project_blocks(tensor(x_data), blocks).sum().backward()
-        stack(
+        concat(
             [
                 tensor(x_data) @ (expert.weight[0:3] + expert.weight[3:6])
                 for expert in bank_loop._experts

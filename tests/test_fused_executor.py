@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.gbmf import GBMF
-from repro.cli import build_model
 from repro.core import MGBR, MGBRConfig
 from repro.core.variants import VARIANTS
 from repro.eval.protocol import EvalProtocol
@@ -90,14 +89,14 @@ class TestBitParity:
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_variant_plan_parity(self, tiny_dataset, name, task):
         """Every ablation variant scores its goldens bit for bit."""
-        model = build_model(name, tiny_dataset, dim=8, seed=3)
+        model = golden.build_model(name, tiny_dataset, dim=8, seed=3)
         _assert_golden(model, tiny_dataset, f"model/{name}", task)
 
     @pytest.mark.parametrize("task", ["items", "participants"])
     @pytest.mark.parametrize("name", BASELINES)
     def test_baseline_plan_parity(self, tiny_dataset, name, task):
         """Each baseline's plan scorer (EATNN's own Task-B hook included)."""
-        model = build_model(name, tiny_dataset, dim=8, seed=3)
+        model = golden.build_model(name, tiny_dataset, dim=8, seed=3)
         _assert_golden(model, tiny_dataset, f"model/{name}", task)
 
     def test_float32_scope_stays_close(self, tiny_dataset):

@@ -148,12 +148,6 @@ class TestGCN:
         out.sum().backward()
         assert all(p.grad is not None for p in gcn.parameters())
 
-    def test_all_layer_outputs_length(self, rng):
-        adj = normalized_adjacency(edges_to_adjacency([(0, 1)], 4))
-        gcn = GCN(4, 3, n_layers=3, seed=0)
-        outs = gcn.all_layer_outputs(adj)
-        assert len(outs) == 4  # X0 .. X3
-
     def test_wrong_adjacency_size(self, rng):
         gcn = GCN(5, 3, seed=0)
         with pytest.raises(ValueError):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn import gradcheck, numerical_gradient, tensor
+from repro.nn import tensor
+
+from tests.gradcheck import gradcheck, numerical_gradient
 
 
 class TestNumericalGradient:

@@ -29,12 +29,6 @@ class TestXavier:
         large = np.abs(inits.xavier_uniform(shape, rng, gain=4.0)).max()
         assert large > 2.5 * small
 
-    def test_normal_std(self, rng):
-        shape = (200, 200)
-        values = inits.xavier_normal(shape, rng)
-        expected = np.sqrt(2.0 / 400)
-        assert values.std() == pytest.approx(expected, rel=0.1)
-
     def test_1d_shape_fan(self, rng):
         values = inits.xavier_uniform((100,), rng)
         assert values.shape == (100,)
@@ -42,15 +36,3 @@ class TestXavier:
     def test_empty_shape_rejected(self, rng):
         with pytest.raises(ValueError):
             inits.xavier_uniform((), rng)
-
-
-class TestKaiming:
-    def test_bound_uses_fan_in(self, rng):
-        values = inits.kaiming_uniform((24, 100), rng)
-        bound = np.sqrt(6.0 / 24)
-        assert np.abs(values).max() <= bound
-
-
-class TestZeros:
-    def test_all_zero(self, rng):
-        assert not inits.zeros_init((3, 4), rng).any()

@@ -101,7 +101,8 @@ class TestEndToEndFit:
         for _ in range(300):
             opt.zero_grad()
             pred = layer(tensor(x))
-            loss = ((pred - tensor(y)) ** 2).mean()
+            err = pred - tensor(y)
+            loss = (err * err).mean()
             loss.backward()
             opt.step()
         np.testing.assert_allclose(layer.weight.data, true_w, atol=0.05)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.nn import gradcheck, spmm, tensor, to_csr
+from repro.nn import spmm, tensor, to_csr
+
+from tests.gradcheck import gradcheck
 
 
 class TestToCsr:

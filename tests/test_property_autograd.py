@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nn import concat, gradcheck, take_rows, tensor
+from repro.nn import concat, take_rows, tensor
 from repro.nn import functional as F
+
+from tests.gradcheck import gradcheck
 
 _floats = st.floats(
     min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False, width=64

@@ -20,7 +20,9 @@ PACKAGES = [
     "repro.training",
     "repro.analysis",
     "repro.utils",
-    "repro.cli",
+    "repro.plan",
+    "repro.serving",
+    "repro.store",
 ]
 
 
@@ -29,7 +31,7 @@ class TestImports:
     def test_package_imports(self, name):
         importlib.import_module(name)
 
-    @pytest.mark.parametrize("name", [p for p in PACKAGES if p != "repro.cli"])
+    @pytest.mark.parametrize("name", PACKAGES)
     def test_all_names_resolve(self, name):
         module = importlib.import_module(name)
         for symbol in getattr(module, "__all__", []):
@@ -53,9 +55,3 @@ class TestReadmeSnippets:
 
         cfg = MGBRConfig.paper()
         assert (cfg.d, cfg.n_experts, cfg.mtl_layers) == (128, 6, 2)
-
-    def test_cli_entry_points_exist(self):
-        from repro import cli
-
-        for fn in ("main_train", "main_eval", "main_bench"):
-            assert callable(getattr(cli, fn))

@@ -14,13 +14,13 @@ import pytest
 import repro.eval.protocol as protocol_module
 from repro.baselines import GBMF, NGCF
 from repro.baselines.base import GroupBuyingRecommender
-from repro.cli import build_model
 from repro.core import MGBR, MGBRConfig, PlannedBatch, ScoringPlan
 from repro.eval import EvalProtocol
 from repro.nn.layers import Linear
 from repro.nn.tensor import no_grad, tensor
 from repro.training import TrainConfig, Trainer
 from repro.training.checkpoint import restore_model, save_checkpoint
+from tests.golden_scores import build_model
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from repro.plan import ScoringPlan
 from repro.serving import ServingEngine
 from repro.store import (
     DenseStore,
+    LRUCachedStore,
     Partitioner,
     ProcessShardedStore,
     iter_stores,
@@ -66,9 +67,8 @@ class TestPartitioner:
         assert max(sizes) == -(-23 // 4)
 
     def test_out_of_range_ids_rejected(self, closing):
-        """The sharded gather rejects bad ids in either id order, with
-        and without gradients."""
-        store = closing(make_store(_table(rows=10, dim=2), 2))
+        """Every layout rejects the same bad ids, in either id order,
+        with and without gradients, on reads and writes."""
         cases = [
             (np.array([0, 10]), "ids must lie"),  # sorted, past the end
             (np.array([-1]), "ids must lie"),  # sorted, negative
@@ -76,11 +76,21 @@ class TestPartitioner:
             (np.array([4, -1, 2]), "ids must lie"),  # unsorted, negative
             (np.array([[1, 2], [3, 0]]), "1-D"),
         ]
-        for ids, message in cases:
-            with no_grad(), pytest.raises(ValueError, match=message):
-                store.gather(ids)
-            with pytest.raises(ValueError, match=message):
-                store.gather(ids)
+        table = _table(rows=10, dim=2)
+        layouts = [
+            make_store(table),
+            closing(make_store(table, 2)),
+            make_store(table, quantize="int8"),
+            LRUCachedStore(make_store(table), capacity=4),
+        ]
+        for store in layouts:
+            for ids, message in cases:
+                with no_grad(), pytest.raises(ValueError, match=message):
+                    store.gather(ids)
+                with pytest.raises(ValueError, match=message):
+                    store.gather(ids)
+                with pytest.raises(ValueError, match=message):
+                    store.assign_rows(ids, np.zeros(ids.shape + (2,)))
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError, match="n_shards"):

@@ -28,11 +28,13 @@ import scipy.sparse as sp
 import repro
 from repro.core.experts import ExpertBank
 from repro.core.gates import GateAttention, TaskGate, _fold
-from repro.nn import Tensor, concat, gradcheck, stack, take_rows
+from repro.nn import Tensor, concat, take_rows
 from repro.nn import functional as F
 from repro.nn.layers import Linear
 from repro.nn.sparse import spmm
 from repro.nn.tensor import gather_add
+
+from tests.gradcheck import gradcheck
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -168,8 +170,6 @@ CASES = [
         lambda r: (lambda a, b: a / b, [_leaf(r, 3, 4), _positive(r, 4)]),
     ),
     (_T + "__truediv__", "reflected", _op(lambda a: 1.0 / a, (3, 4), make=_positive)),
-    (_T + "__pow__", "cube", _op(lambda a: a**3, (3, 4))),
-    (_T + "__pow__", "root", _op(lambda a: a**0.5, (3, 4), make=_positive)),
     (_T + "__matmul__", "2d", _op(lambda a, b: a @ b, (3, 4), (4, 2))),
     (_T + "__matmul__", "batched", _op(lambda a, b: a @ b, (2, 3, 4), (4, 2))),
     (_T + "__matmul__", "vector-left", _op(lambda a, b: a @ b, (4,), (4, 2))),
@@ -178,19 +178,12 @@ CASES = [
     # -- elementwise ---------------------------------------------------
     (_T + "exp", "exp", _op(lambda a: a.exp(), (3, 4))),
     (_T + "log", "log", _op(lambda a: a.log(), (3, 4), make=_positive)),
-    (_T + "sqrt", "sqrt", _op(lambda a: a.sqrt(), (3, 4), make=_positive)),
-    (_T + "abs", "abs", _op(lambda a: a.abs(), (3, 4), make=_away_from_zero)),
-    (_T + "clip", "clip", _op(lambda a: a.clip(-0.5, 0.5), (3, 4), make=_away_from_zero)),
     # -- reductions ----------------------------------------------------
     (_T + "sum", "all", _op(lambda a: a.sum(), (3, 4))),
     (_T + "sum", "axes", _op(lambda a: a.sum(axis=(0, 2)), (2, 3, 4))),
     (_T + "sum", "keepdims", _op(lambda a: a.sum(axis=1, keepdims=True), (3, 4))),
-    (_T + "max", "all", _op(lambda a: a.max(), (3, 4))),
-    (_T + "max", "axis", _op(lambda a: a.max(axis=1), (3, 4))),
-    (_T + "max", "keepdims", _op(lambda a: a.max(axis=0, keepdims=True), (3, 4))),
     # -- shape and indexing --------------------------------------------
     (_T + "reshape", "reshape", _op(lambda a: a.reshape(4, 3), (3, 4))),
-    (_T + "transpose", "transpose", _op(lambda a: a.transpose(0, 2), (2, 3, 4))),
     (_T + "__getitem__", "int-vector", _op(lambda a: a[_ROWS], (4, 3))),
     (_T + "__getitem__", "tensor-key", _op(lambda a: a[Tensor(_ROWS)], (4, 3))),
     (_T + "__getitem__", "int-vector-csr", _op(lambda a: a[_BIG_ROWS], (4, 3))),
@@ -202,8 +195,6 @@ CASES = [
     (_T + "__getitem__", "mask", _op(lambda a: a[_MASK], (4, 3))),
     ("nn.tensor:concat", "repeated", _op(lambda a, b: concat([a, b, a], axis=1), (3, 2), (3, 4))),
     ("nn.tensor:concat", "rows", _op(lambda a, b: concat([a, b], axis=0), (2, 3), (4, 3))),
-    ("nn.tensor:stack", "repeated", _op(lambda a, b: stack([a, b, a], axis=1), (3, 2), (3, 2))),
-    ("nn.tensor:stack", "last-axis", _op(lambda a, b: stack([a, b], axis=-1), (3, 2), (3, 2))),
     ("nn.tensor:take_rows", "repeats", _op(lambda a: take_rows(a, _ROWS), (4, 3))),
     ("nn.tensor:take_rows", "csr", _op(lambda a: take_rows(a, _BIG_ROWS), (4, 3))),
     ("nn.tensor:gather_add", "fresh", lambda r: _gather_add_case(r, 7, False)),
@@ -212,10 +203,8 @@ CASES = [
     # -- functional ----------------------------------------------------
     (_F + "sigmoid", "sigmoid", _op(F.sigmoid, (3, 4))),
     (_F + "logsigmoid", "logsigmoid", _op(F.logsigmoid, (3, 4))),
-    (_F + "softplus", "softplus", _op(F.softplus, (3, 4))),
     (_F + "relu", "relu", _op(F.relu, (3, 4), make=_away_from_zero)),
     (_F + "leaky_relu", "leaky_relu", _op(F.leaky_relu, (3, 4), make=_away_from_zero)),
-    (_F + "tanh", "tanh", _op(F.tanh, (3, 4))),
     (_F + "softmax", "rows", _op(F.softmax, (3, 6))),
     (_F + "softmax", "axis1-3d", _op(lambda a: F.softmax(a, axis=1), (2, 3, 4))),
     ("nn.sparse:spmm", "spmm", _spmm_case),

@@ -219,13 +219,6 @@ class TestPlannedStepParity:
         line = record.line()
         assert "sam" in line and "opt" in line
 
-    def test_phase_timing_json_round_trip(self, tmp_path):
-        h = History()
-        h.append(EpochRecord(1, {"total": 1.0}, seconds=2.0,
-                             phases={"sampling": 0.5, "forward": 1.5}))
-        loaded = History.from_json(h.to_json(tmp_path / "hist.json"))
-        assert loaded.records[0].phases == {"sampling": 0.5, "forward": 1.5}
-
 
 class TestHistory:
     def test_append_monotone_epochs(self):
@@ -251,14 +244,6 @@ class TestHistory:
     def test_last_empty_raises(self):
         with pytest.raises(IndexError):
             History().last()
-
-    def test_json_roundtrip(self, tmp_path):
-        h = History()
-        h.append(EpochRecord(1, {"total": 1.0}, {"m": 0.2}, seconds=2.5))
-        path = h.to_json(tmp_path / "hist.json")
-        loaded = History.from_json(path)
-        assert loaded.records[0].metrics["m"] == 0.2
-        assert loaded.records[0].seconds == 2.5
 
     def test_record_line_format(self):
         line = EpochRecord(3, {"total": 0.5}, {"m": 0.25}, seconds=1.0).line()

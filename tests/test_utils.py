@@ -1,16 +1,11 @@
 """Tests for utility modules: RNG plumbing, validation, logging."""
 
-import logging
-
 import numpy as np
 import pytest
 
 from repro.utils import (
     as_rng,
-    check_index_array,
     check_positive,
-    check_probability,
-    check_unit_interval,
     get_logger,
     spawn_rngs,
 )
@@ -108,40 +103,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_positive("x", -1.0, strict=False)
 
-    def test_check_probability(self):
-        check_probability("p", 0.0)
-        check_probability("p", 1.0)
-        with pytest.raises(ValueError):
-            check_probability("p", 1.5)
-
-    def test_check_unit_interval_open(self):
-        check_unit_interval("a", 0.5, open_ends=True)
-        with pytest.raises(ValueError):
-            check_unit_interval("a", 0.0, open_ends=True)
-
-    def test_check_index_array_pass(self):
-        out = check_index_array("idx", [0, 2, 4], high=5)
-        assert out.dtype == np.int64
-
-    def test_check_index_array_scalar_promoted(self):
-        assert check_index_array("idx", 3, high=5).shape == (1,)
-
-    def test_check_index_array_bounds(self):
-        with pytest.raises(IndexError):
-            check_index_array("idx", [0, 9], high=5)
-        with pytest.raises(IndexError):
-            check_index_array("idx", [-1], high=5)
-
-    def test_check_index_array_non_integer(self):
-        with pytest.raises(TypeError):
-            check_index_array("idx", [0.5], high=5)
-        # Integral floats are accepted.
-        check_index_array("idx", [1.0, 2.0], high=5)
-
-    def test_check_index_array_2d_rejected(self):
-        with pytest.raises(ValueError):
-            check_index_array("idx", np.zeros((2, 2)), high=5)
-
 
 class TestLogging:
     def test_namespacing(self):
@@ -152,8 +113,3 @@ class TestLogging:
     def test_logger_is_singleton_per_name(self):
         assert get_logger("a") is get_logger("a")
 
-    def test_configure_sets_level(self):
-        from repro.utils.logging import configure_logging
-
-        root = configure_logging(level=logging.WARNING)
-        assert root.level == logging.WARNING
